@@ -18,7 +18,6 @@ distinct other operations with at least one event strictly inside its
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
@@ -32,6 +31,7 @@ from .balance import (
     TrajectoryBuilder,
     WeightDistribution,
 )
+from .csvfile import write_csv
 from .rng import PairStream, schedule_rng, thread_rngs
 
 READ1, READ2, UPDATE = 0, 1, 2
@@ -89,13 +89,6 @@ class SimConfig:
         Informational only; other regimes run fine and are worth probing.
         """
         return self.bins >= 4 * self.ratio * self.threads
-
-
-@dataclass(frozen=True)
-class ScheduleEvent:
-    thread: int
-    op: int
-    phase: int
 
 
 @dataclass(frozen=True)
@@ -207,9 +200,6 @@ class Schedule:
                 yield (k, ids[k], UPDATE)
             op += b
 
-    def materialize(self) -> list[ScheduleEvent]:
-        return [ScheduleEvent(*e) for e in self.events()]
-
 
 def generate_schedule(config: SimConfig) -> Schedule:
     """Build the adversary's schedule for a config.
@@ -276,25 +266,6 @@ def validate_schedule(schedule: Schedule) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OperationRecord:
-    """One completed increment operation."""
-
-    op: int
-    thread: int
-    start: int
-    finish: int
-    contention: int
-    choice_i: int
-    choice_j: int
-    value_i: float
-    value_j: float
-    updated: int
-    post_value: float
-    correct_choice: bool
-    untouched: bool
-
-
 @dataclass
 class OpLog:
     """Columnar log of completed operations, in completion order."""
@@ -316,30 +287,11 @@ class OpLog:
     def __len__(self) -> int:
         return len(self.op)
 
-    def record(self, k: int) -> OperationRecord:
-        return OperationRecord(
-            op=int(self.op[k]), thread=int(self.thread[k]),
-            start=int(self.start[k]), finish=int(self.finish[k]),
-            contention=int(self.contention[k]),
-            choice_i=int(self.choice_i[k]), choice_j=int(self.choice_j[k]),
-            value_i=float(self.value_i[k]), value_j=float(self.value_j[k]),
-            updated=int(self.updated[k]), post_value=float(self.post_value[k]),
-            correct_choice=bool(self.correct[k]), untouched=bool(self.untouched[k]),
-        )
-
     def write_csv(self, path, header_comments: Iterable[str] = ()) -> None:
-        with open(path, "w", newline="") as f:
-            for line in header_comments:
-                f.write(f"# {line}\n")
-            f.write(OPLOG_HEADER + "\n")
-            w = csv.writer(f)
-            for k in range(len(self.op)):
-                w.writerow([
-                    int(self.op[k]), int(self.thread[k]), int(self.start[k]),
-                    int(self.finish[k]), int(self.contention[k]),
-                    int(self.choice_i[k]), int(self.choice_j[k]),
-                    int(self.updated[k]), int(self.correct[k]),
-                ])
+        # correct is written as 1/0, not True/False
+        cols = (self.op, self.thread, self.start, self.finish, self.contention,
+                self.choice_i, self.choice_j, self.updated, self.correct.astype(np.int64))
+        write_csv(path, header_comments, OPLOG_HEADER, zip(*(c.tolist() for c in cols)))
 
 
 @dataclass

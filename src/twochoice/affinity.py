@@ -1,4 +1,4 @@
-"""Best-effort CPU pinning for benchmark worker threads.
+"""Timed benchmark worker threads with best-effort CPU pinning.
 
 Pinning is attempted and reported, never required: platforms without
 sched_setaffinity (or with restricted masks) simply run unpinned.
@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import os
 import threading
+import time
+from typing import Callable
 
 
 def try_pin_current_thread(cpu: int) -> bool:
@@ -20,3 +22,31 @@ def try_pin_current_thread(cpu: int) -> bool:
         return True
     except OSError:
         return False
+
+
+def run_timed_workers(threads: int, work: Callable[[int, threading.Event], None],
+                      duration: float, pin: bool) -> tuple[float, int]:
+    """Run work(k, stop) on threads k = 0..threads-1 for `duration` seconds.
+
+    Worker k first tries to pin itself to CPU k when `pin` is set. `stop` is
+    set after the sleep, and each worker is expected to return soon after.
+    Returns the wall seconds from before the first start to after the last
+    join, and how many workers' pins stuck.
+    """
+    stop = threading.Event()
+    pinned = [False] * threads
+
+    def run(k: int) -> None:
+        if pin:
+            pinned[k] = try_pin_current_thread(k)
+        work(k, stop)
+
+    workers = [threading.Thread(target=run, args=(k,)) for k in range(threads)]
+    t0 = time.perf_counter()
+    for w in workers:
+        w.start()
+    time.sleep(duration)
+    stop.set()
+    for w in workers:
+        w.join()
+    return time.perf_counter() - t0, sum(pinned)

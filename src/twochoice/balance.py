@@ -12,7 +12,6 @@ Everything here is single threaded and deterministic for a fixed seed.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -20,7 +19,8 @@ from typing import Iterable, Sequence
 import numpy as np
 from numpy.random import Generator
 
-from .rng import IndexStream, PairStream, make_rng
+from .csvfile import write_csv
+from .rng import PairStream, make_rng
 
 # exp() overflows double precision just past 709; stay clear of it.
 MAX_SAFE_EXPONENT = 700.0
@@ -99,7 +99,6 @@ class PotentialParams:
     two_choice_prob: float = 0.0
     exp_cutoff: float = 1.0
     moment_bound: float = 1.0
-    drift_constant: float = 0.0
 
     def __post_init__(self):
         if self.drift_margin <= 0:
@@ -431,18 +430,9 @@ class Trajectory:
         )
 
     def write_csv(self, path, header_comments: Iterable[str] = ()) -> None:
-        with open(path, "w", newline="") as f:
-            for line in header_comments:
-                f.write(f"# {line}\n")
-            f.write(TRAJECTORY_HEADER + "\n")
-            w = csv.writer(f)
-            for k in range(len(self.steps)):
-                w.writerow([
-                    int(self.steps[k]), repr(float(self.phi[k])), repr(float(self.psi[k])),
-                    repr(float(self.gamma[k])), repr(float(self.gap[k])),
-                    repr(float(self.max_load[k])), repr(float(self.min_load[k])),
-                    repr(float(self.mean_load[k])),
-                ])
+        cols = (self.steps, self.phi, self.psi, self.gamma, self.gap,
+                self.max_load, self.min_load, self.mean_load)
+        write_csv(path, header_comments, TRAJECTORY_HEADER, zip(*(c.tolist() for c in cols)))
 
 
 class TrajectoryBuilder:
@@ -575,7 +565,7 @@ def run_sequential(
             if s % snapshot_every == 0:
                 traj.append(state.snapshot_row(s))
     elif two_choice_prob <= 0.0:
-        singles = IndexStream(idx_rng, bins)
+        singles = PairStream(idx_rng, bins)
         for s in range(1, steps + 1):
             state.add(singles.next_index(), ball(s - 1))
             if s % snapshot_every == 0:

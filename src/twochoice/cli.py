@@ -20,15 +20,14 @@ import argparse
 import os
 import statistics
 import sys
-import threading
-import time
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .adversary import ADVERSARY_KINDS, SimConfig, classify_operations, drift_report, simulate
-from .affinity import try_pin_current_thread
+from .affinity import run_timed_workers
 from .balance import WeightDistribution, run_sequential
+from .csvfile import write_csv as _write_csv  # perfbench/layers.py swaps this name
 from .dlin import history_from_simulation, linearize_costs, tail_report
 from .multicounter import MultiCounter
 from .multiqueue import EMPTY, MultiQueue, RankOracle
@@ -36,8 +35,6 @@ from .rng import make_rng, thread_rngs
 from .stm import STM_CSV_HEADER, run_stm_benchmark
 
 ENV_OUTDIR = "TWOCHOICE_OUT"
-
-_REQUIRED = object()
 
 
 class ConfigError(ValueError):
@@ -65,7 +62,7 @@ _PARSERS = {
     "ints": _parse_ints,
 }
 
-# key -> (type tag, default); _REQUIRED marks keys a config must supply
+# key -> (type tag, default)
 SCHEMAS: dict[str, dict[str, tuple[str, object]]] = {
     "seq": {
         "bins": ("int", 64),
@@ -164,13 +161,12 @@ def read_kv_file(path) -> dict[str, str]:
     return out
 
 
-def parse_config(experiment: str, config_file=None, flag_values: dict | None = None,
-                 schemas: dict | None = None) -> ExperimentConfig:
+def parse_config(experiment: str, config_file=None, flag_values: dict | None = None
+                 ) -> ExperimentConfig:
     """Resolve defaults, file values, then flag overrides, tracking provenance."""
-    schemas = schemas or SCHEMAS
-    if experiment not in schemas:
+    if experiment not in SCHEMAS:
         raise ConfigError(f"unknown experiment: {experiment!r}")
-    schema = schemas[experiment]
+    schema = SCHEMAS[experiment]
     params: dict = {}
     provenance: dict = {}
     for key, (_, default) in schema.items():
@@ -196,20 +192,7 @@ def parse_config(experiment: str, config_file=None, flag_values: dict | None = N
         apply("file", read_kv_file(config_file))
     if flag_values:
         apply("flag", flag_values)
-    missing = [k for k, v in params.items() if v is _REQUIRED]
-    if missing:
-        raise ConfigError(f"missing required key {missing[0]!r} for {experiment!r}")
     return ExperimentConfig(experiment=experiment, params=params, provenance=provenance)
-
-
-def _write_csv(path: Path, comments: list[str], header: str, rows: list[list]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as f:
-        for line in comments:
-            f.write(f"# {line}\n")
-        f.write(header + "\n")
-        for row in rows:
-            f.write(",".join(str(v) for v in row) + "\n")
 
 
 def _hardware_threads() -> int:
@@ -244,7 +227,6 @@ def run_seq(cfg: ExperimentConfig) -> int:
             return _fail(outdir, "seq",
                          f"seed {seed}: total {loads.total} != steps {p['steps']}")
         path = outdir / f"seq_b{p['beta']:g}_seed{seed}.csv"
-        path.parent.mkdir(parents=True, exist_ok=True)
         traj.write_csv(path, header_comments=cfg.header_comments() + [f"seed = {seed}"])
         print(f"seq seed={seed}: gap_max={traj.gap.max():.0f} -> {path}")
     return 0
@@ -266,7 +248,6 @@ def run_sim(cfg: ExperimentConfig) -> int:
         comments = cfg.header_comments() + [f"seed = {seed}"]
         traj_path = outdir / f"sim_{p['adversary']}_seed{seed}_trajectory.csv"
         ops_path = outdir / f"sim_{p['adversary']}_seed{seed}_ops.csv"
-        traj_path.parent.mkdir(parents=True, exist_ok=True)
         res.trajectory.write_csv(traj_path, header_comments=comments)
         res.log.write_csv(ops_path, header_comments=comments)
         _, summary = classify_operations(res.log, sim_cfg)
@@ -289,12 +270,8 @@ def _counter_throughput_once(threads: int, cells: int, duration: float,
     counter = MultiCounter(cells)
     rngs = thread_rngs(seed, threads)
     counts = [0] * threads
-    pinned = [False] * threads
-    stop = threading.Event()
 
-    def worker(k: int) -> None:
-        if pin:
-            pinned[k] = try_pin_current_thread(k)
+    def worker(k: int, stop) -> None:
         rng = rngs[k]
         inc = counter.increment
         n = 0
@@ -303,18 +280,10 @@ def _counter_throughput_once(threads: int, cells: int, duration: float,
             n += 1
         counts[k] = n
 
-    workers = [threading.Thread(target=worker, args=(k,)) for k in range(threads)]
-    t0 = time.perf_counter()
-    for w in workers:
-        w.start()
-    time.sleep(duration)
-    stop.set()
-    for w in workers:
-        w.join()
-    elapsed = time.perf_counter() - t0
+    elapsed, pinned = run_timed_workers(threads, worker, duration, pin)
     total = sum(counts)
     conserved = counter.exact_total() == total
-    return total / elapsed, conserved, sum(pinned)
+    return total / elapsed, conserved, pinned
 
 
 def run_counter(cfg: ExperimentConfig) -> int:
@@ -382,7 +351,6 @@ def run_queue(cfg: ExperimentConfig) -> int:
             got += 1
         ranks = [r[1] for r in q.rank_log]
         path = outdir / "queue_ranks.csv"
-        path.parent.mkdir(parents=True, exist_ok=True)
         q.write_rank_csv(path, header_comments=cfg.header_comments())
         mean_rank = sum(ranks) / len(ranks)
         print(f"queue quality: mean_rank={mean_rank:.1f} max_rank={max(ranks)} -> {path}")
@@ -396,12 +364,8 @@ def run_queue(cfg: ExperimentConfig) -> int:
         rngs = thread_rngs(p["seed"] + rep, threads)
         produced: list[list] = [[] for _ in range(threads)]
         consumed: list[list] = [[] for _ in range(threads)]
-        pinned = [False] * threads
-        stop = threading.Event()
 
-        def worker(k: int) -> None:
-            if p["pin"]:
-                pinned[k] = try_pin_current_thread(k)
+        def worker(k: int, stop) -> None:
             rng = rngs[k]
             step = 0
             while not stop.is_set():
@@ -414,15 +378,8 @@ def run_queue(cfg: ExperimentConfig) -> int:
                     if got is not EMPTY:
                         consumed[k].append(got)
                 step += 1
-            # drain own view later; nothing thread-local to flush
 
-        workers = [threading.Thread(target=worker, args=(k,)) for k in range(threads)]
-        for w in workers:
-            w.start()
-        time.sleep(p["duration"])
-        stop.set()
-        for w in workers:
-            w.join()
+        _, pinned = run_timed_workers(threads, worker, p["duration"], p["pin"])
         leftovers = q.drain()
         want = Counter(x for lane in produced for x in lane)
         got = Counter(x for lane in consumed for x in lane) + Counter(leftovers)
@@ -437,7 +394,7 @@ def run_queue(cfg: ExperimentConfig) -> int:
         rows.append([threads, p["queues"], repr(p["duration"]), total_in,
                      dequeued, len(leftovers), 1])
         print(f"queue stress rep={rep}: enq={total_in} deq={dequeued} "
-              f"left={len(leftovers)} (pinned {sum(pinned)}/{threads})")
+              f"left={len(leftovers)} (pinned {pinned}/{threads})")
     path = outdir / "queue_stress.csv"
     _write_csv(path, cfg.header_comments(),
                "threads,queues,duration,enqueued,dequeued,drained,consistent", rows)

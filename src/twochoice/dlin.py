@@ -22,7 +22,6 @@ respects the real-time order of non-overlapping operations.
 
 from __future__ import annotations
 
-import csv
 import math
 import threading
 from dataclasses import dataclass, field
@@ -31,6 +30,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .adversary import OpLog
+from .csvfile import write_csv
 from .multicounter import MultiCounter
 from .multiqueue import RankOracle
 
@@ -112,15 +112,10 @@ class TailReport:
     exceedance: dict[float, float]
 
     def write_csv(self, path, header_comments: Iterable[str] = ()) -> None:
-        r_cols = [f"exceed_r{r:g}" for r in sorted(self.exceedance)]
-        with open(path, "w", newline="") as f:
-            for line in header_comments:
-                f.write(f"# {line}\n")
-            f.write(",".join(TAIL_CSV_FIELDS + tuple(r_cols)) + "\n")
-            row = [self.count, repr(self.mean), repr(self.p50), repr(self.p90),
-                   repr(self.p99), repr(self.max)]
-            row += [repr(self.exceedance[r]) for r in sorted(self.exceedance)]
-            csv.writer(f).writerow(row)
+        rs = sorted(self.exceedance)
+        header = ",".join(TAIL_CSV_FIELDS + tuple(f"exceed_r{r:g}" for r in rs))
+        row = [self.count, self.mean, self.p50, self.p90, self.p99, self.max]
+        write_csv(path, header_comments, header, [row + [self.exceedance[r] for r in rs]])
 
 
 # ---------------------------------------------------------------------------
@@ -238,13 +233,9 @@ def history_from_simulation(log: OpLog, bins: int) -> History:
 
 
 def write_history(history: History, path, header_comments: Iterable[str] = ()) -> None:
-    with open(path, "w", newline="") as f:
-        for line in header_comments:
-            f.write(f"# {line}\n")
-        f.write(HISTORY_HEADER + "\n")
-        w = csv.writer(f)
-        for r in history.records:
-            w.writerow([r.seq, r.thread, r.kind, r.invoke, r.respond, r.arg, r.ret])
+    write_csv(path, header_comments, HISTORY_HEADER,
+              ((r.seq, r.thread, r.kind, r.invoke, r.respond, r.arg, r.ret)
+               for r in history.records))
 
 
 def read_history(path, source: str = "file") -> History:

@@ -21,12 +21,13 @@ which gives the cross-thread stamp consistency enqueues rely on.
 
 from __future__ import annotations
 
-import csv
 import threading
 from heapq import heappop, heappush
 from typing import Iterable
 
 from numpy.random import Generator
+
+from .csvfile import write_csv
 
 
 class _Empty:
@@ -54,9 +55,6 @@ class LogicalClock:
             v = self._value
             self._value = v + 1
         return v
-
-    def peek(self) -> int:
-        return self._value
 
 
 class RankOracle:
@@ -199,10 +197,7 @@ class MultiQueue:
                 if not heap:
                     continue  # emptied since the peek: retry
                 entry = heappop(heap)
-                key = entry[:3]
-                last = self._last_key[i]
-                assert last is None or key > last, "per-queue pop order violated"
-                self._last_key[i] = key
+                self._check_pop_order(i, entry)
             finally:
                 lock.release()
             if self.oracle is not None:
@@ -213,6 +208,15 @@ class MultiQueue:
             return entry[3]
         return EMPTY
 
+    def _check_pop_order(self, q: int, entry) -> None:
+        """Record the key popped from queue q (its lock held); raises unless
+        keys leave each queue in strictly increasing order."""
+        key = entry[:3]
+        last = self._last_key[q]
+        if last is not None and key <= last:
+            raise RuntimeError(f"queue {q}: popped key {key} after {last}")
+        self._last_key[q] = key
+
     def drain(self) -> list:
         """Pop everything, queue by queue (teardown helper, not concurrent-safe
         with respect to rank bookkeeping)."""
@@ -222,10 +226,7 @@ class MultiQueue:
                 heap = self._heaps[q]
                 while heap:
                     entry = heappop(heap)
-                    key = entry[:3]
-                    last = self._last_key[q]
-                    assert last is None or key > last, "per-queue pop order violated"
-                    self._last_key[q] = key
+                    self._check_pop_order(q, entry)
                     out.append(entry[3])
                     if self.oracle is not None:
                         with self._oracle_lock:
@@ -237,10 +238,4 @@ class MultiQueue:
         return sum(len(h) for h in self._heaps)
 
     def write_rank_csv(self, path, header_comments: Iterable[str] = ()) -> None:
-        with open(path, "w", newline="") as f:
-            for line in header_comments:
-                f.write(f"# {line}\n")
-            f.write(RANK_HEADER + "\n")
-            w = csv.writer(f)
-            for row in self.rank_log:
-                w.writerow(row)
+        write_csv(path, header_comments, RANK_HEADER, self.rank_log)

@@ -35,17 +35,19 @@ def thread_rngs(seed: int, threads: int) -> list[Generator]:
 
 
 class PairStream:
-    """Batched (i, j) uniform index pairs from one generator.
+    """Buffered uniform indices in [0, bins) from one generator, served as
+    (i, j) pairs or one at a time.
 
     Batched draws of Generator.integers consume the underlying bit stream
-    exactly like repeated scalar draws, so consumers may mix chunk sizes
-    without changing the sampled sequence.
+    exactly like repeated scalar draws, so the buffer size does not change
+    the sampled sequence. A stream serves either pairs or single indices:
+    the buffer holds an even count, so pairs never straddle a refill.
     """
 
-    def __init__(self, rng: Generator, bins: int, chunk: int = 1 << 15):
+    def __init__(self, rng: Generator, bins: int):
         self._rng = rng
         self._bins = bins
-        self._chunk = 2 * chunk
+        self._chunk = 1 << 16
         self._buf: list[int] = []
         self._pos = 0
 
@@ -57,17 +59,6 @@ class PairStream:
         j = self._buf[self._pos + 1]
         self._pos += 2
         return i, j
-
-
-class IndexStream:
-    """Batched single uniform indices from one generator."""
-
-    def __init__(self, rng: Generator, bins: int, chunk: int = 1 << 16):
-        self._rng = rng
-        self._bins = bins
-        self._chunk = chunk
-        self._buf: list[int] = []
-        self._pos = 0
 
     def next_index(self) -> int:
         if self._pos >= len(self._buf):

@@ -30,13 +30,12 @@ from __future__ import annotations
 
 import math
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from numpy.random import Generator
 
-from .affinity import try_pin_current_thread
+from .affinity import run_timed_workers
 from .multicounter import MultiCounter
 from .rng import thread_rngs
 
@@ -294,12 +293,8 @@ def run_stm_benchmark(
     rngs = thread_rngs(seed, threads)
     commits = [0] * threads
     aborts = [0] * threads
-    pinned = [False] * threads
-    stop = threading.Event()
 
-    def worker(k: int) -> None:
-        if pin:
-            pinned[k] = try_pin_current_thread(k)
+    def worker(k: int, stop: threading.Event) -> None:
         rng = rngs[k]
         clock = exact if shared_relaxed is None else shared_relaxed.view(rng.spawn(1)[0])
         n_commit = 0
@@ -329,15 +324,7 @@ def run_stm_benchmark(
         commits[k] = n_commit
         aborts[k] = n_abort
 
-    workers = [threading.Thread(target=worker, args=(k,)) for k in range(threads)]
-    t0 = time.perf_counter()
-    for w in workers:
-        w.start()
-    time.sleep(duration)
-    stop.set()
-    for w in workers:
-        w.join()
-    elapsed = time.perf_counter() - t0
+    elapsed, pinned = run_timed_workers(threads, worker, duration, pin)
 
     total_commits = sum(commits)
     total_aborts = sum(aborts)
@@ -353,5 +340,5 @@ def run_stm_benchmark(
         commits_per_sec=total_commits / elapsed if elapsed > 0 else 0.0,
         aborts_per_commit=total_aborts / total_commits if total_commits else float("inf"),
         consistent=final_sum == 2 * total_commits,
-        pinned_threads=sum(pinned),
+        pinned_threads=pinned,
     )

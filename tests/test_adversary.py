@@ -52,11 +52,11 @@ def test_schedule_fuzzed_invariants():
 
 def test_serial_schedule_is_strictly_sequential():
     sched = Schedule(kind=SERIAL, threads=3, total_ops=4)
-    events = sched.materialize()
+    events = list(sched.events())
     for k in range(4):
         trio = events[3 * k: 3 * k + 3]
-        assert [e.phase for e in trio] == [READ1, READ2, UPDATE]
-        assert len({e.op for e in trio}) == 1
+        assert [phase for _, _, phase in trio] == [READ1, READ2, UPDATE]
+        assert len({op for _, op, _ in trio}) == 1
 
 
 def test_stampede_rejects_oversized_block():
@@ -74,9 +74,9 @@ def test_unknown_kind_rejected():
 def test_schedule_is_pure_function_of_seed():
     a = Schedule(kind=RANDOM_INTERLEAVE, threads=4, total_ops=100, seed=7)
     b = Schedule(kind=RANDOM_INTERLEAVE, threads=4, total_ops=100, seed=7)
-    assert a.materialize() == b.materialize()
+    assert list(a.events()) == list(b.events())
     c = Schedule(kind=RANDOM_INTERLEAVE, threads=4, total_ops=100, seed=8)
-    assert a.materialize() != c.materialize()
+    assert list(a.events()) != list(c.events())
 
 
 # ---------------------------------------------------------------------------
@@ -177,11 +177,11 @@ def test_update_uses_stale_values():
 def test_record_view_matches_columns():
     cfg = SimConfig(bins=8, threads=2, total_ops=20, adversary=ROUND_ROBIN, seed=3)
     res = simulate(cfg)
-    rec = res.log.record(5)
-    assert rec.op == int(res.log.op[5])
-    assert rec.updated in (rec.choice_i, rec.choice_j)
-    assert rec.finish > rec.start
-    assert rec.contention >= 0
+    log = res.log
+    assert all(len(col) == len(log) for col in vars(log).values())
+    assert bool(((log.updated == log.choice_i) | (log.updated == log.choice_j)).all())
+    assert bool((log.finish > log.start).all())
+    assert bool((log.contention >= 0).all())
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ from twochoice.cli import (
     ConfigError,
     ExperimentConfig,
     SCHEMAS,
-    _REQUIRED,
     main,
     parse_config,
     read_kv_file,
@@ -61,14 +60,6 @@ def test_unknown_experiment_rejected():
         parse_config("teleport")
 
 
-def test_missing_required_key_named():
-    schemas = {"custom": {"must": ("int", _REQUIRED)}}
-    with pytest.raises(ConfigError, match="'must'"):
-        parse_config("custom", schemas=schemas)
-    cfg = parse_config("custom", flag_values={"must": "3"}, schemas=schemas)
-    assert cfg.params["must"] == 3
-
-
 def test_malformed_line_reports_location(tmp_path):
     f = tmp_path / "bad.cfg"
     f.write_text("bins 32\n")
@@ -101,6 +92,14 @@ def _cfg(experiment, **overrides):
     return parse_config(experiment, flag_values=flags)
 
 
+def _assert_lf_only(outdir):
+    """Every CSV of a run ends its lines with a bare newline."""
+    paths = sorted(outdir.glob("*.csv"))
+    assert paths
+    for path in paths:
+        assert b"\r" not in path.read_bytes(), path.name
+
+
 def test_seq_run_writes_self_describing_csv(tmp_path):
     cfg = _cfg("seq", bins=8, steps=500, seeds="3", snapshot_every=100,
                out=tmp_path / "r")
@@ -111,6 +110,7 @@ def test_seq_run_writes_self_describing_csv(tmp_path):
     header_at = next(k for k, l in enumerate(lines) if not l.startswith("#"))
     assert lines[header_at] == "step,phi,psi,gamma,gap,max,min,mean"
     assert len(lines) > header_at + 1
+    _assert_lf_only(tmp_path / "r")
 
 
 def test_seq_run_reproducible_bytes(tmp_path):
@@ -134,6 +134,7 @@ def test_sim_run_writes_all_artifacts(tmp_path):
     header = next(l for l in ops_lines if not l.startswith("#"))
     assert header == "op,thread,start,finish,contention,choice_i,choice_j,updated,correct"
     assert (base / "sim_stampede_seed1_tail.csv").exists()
+    _assert_lf_only(base)
 
 
 def test_counter_quality_run(tmp_path):
@@ -145,6 +146,7 @@ def test_counter_quality_run(tmp_path):
     assert header == "increments,scaled_read,gap"
     data = [l for l in lines if not l.startswith("#")][1:]
     assert len(data) == 4
+    _assert_lf_only(tmp_path / "r")
 
 
 def test_counter_throughput_run(tmp_path):
@@ -156,6 +158,7 @@ def test_counter_throughput_run(tmp_path):
     assert header == "threads,ratio,cells,ops_per_sec_mean,ops_per_sec_std,conserved"
     data = [l for l in lines if not l.startswith("#")][1:]
     assert len(data) == 2
+    _assert_lf_only(tmp_path / "r")
 
 
 def test_queue_quality_run(tmp_path):
@@ -167,6 +170,7 @@ def test_queue_quality_run(tmp_path):
     assert header == "seq,rank,queue,stamp"
     data = [l for l in lines if not l.startswith("#")][1:]
     assert len(data) == 500
+    _assert_lf_only(tmp_path / "r")
 
 
 def test_queue_stress_run(tmp_path):
@@ -176,6 +180,7 @@ def test_queue_stress_run(tmp_path):
     lines = (tmp_path / "r" / "queue_stress.csv").read_text().splitlines()
     header = next(l for l in lines if not l.startswith("#"))
     assert header == "threads,queues,duration,enqueued,dequeued,drained,consistent"
+    _assert_lf_only(tmp_path / "r")
 
 
 def test_stm_run(tmp_path):
@@ -188,6 +193,7 @@ def test_stm_run(tmp_path):
     data = [l for l in per_run if not l.startswith("#")][1:]
     assert len(data) == 2 * 2 * 2  # threads x clocks x repeats
     assert (tmp_path / "r" / "stm_summary.csv").exists()
+    _assert_lf_only(tmp_path / "r")
 
 
 def test_main_entrypoint_and_exit_codes(tmp_path):

@@ -223,6 +223,17 @@ def test_drain_returns_everything():
     assert len(rest) == 150
 
 
+@pytest.mark.parametrize("pop", ["dequeue", "drain"])
+def test_out_of_order_pop_raises(pop):
+    # the check is a raise, not an assert, so it also holds under python -O
+    rng = make_rng(11)
+    q = MultiQueue(1)
+    q.enqueue("x", rng)
+    q._last_key[0] = (10**9, 0, 0)  # pretend a larger key already left queue 0
+    with pytest.raises(RuntimeError, match="queue 0"):
+        q.dequeue(rng) if pop == "dequeue" else q.drain()
+
+
 def test_two_choice_dequeue_rank_quality_small():
     # single-threaded quality run at reduced scale; the acceptance suite
     # runs the full-size version
