@@ -567,7 +567,7 @@ def run_sequential(
     elif two_choice_prob <= 0.0:
         singles = PairStream(idx_rng, bins)
         for s in range(1, steps + 1):
-            state.add(singles.next_index(), ball(s - 1))
+            state.add(singles.integers(0, bins), ball(s - 1))
             if s % snapshot_every == 0:
                 traj.append(state.snapshot_row(s))
     else:

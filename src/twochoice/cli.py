@@ -31,7 +31,7 @@ from .csvfile import write_csv as _write_csv  # perfbench/layers.py swaps this n
 from .dlin import history_from_simulation, linearize_costs, tail_report
 from .multicounter import MultiCounter
 from .multiqueue import EMPTY, MultiQueue, RankOracle
-from .rng import make_rng, thread_rngs
+from .rng import PairStream, make_rng, thread_rngs
 from .stm import STM_CSV_HEADER, run_stm_benchmark
 
 ENV_OUTDIR = "TWOCHOICE_OUT"
@@ -268,7 +268,7 @@ def run_sim(cfg: ExperimentConfig) -> int:
 def _counter_throughput_once(threads: int, cells: int, duration: float,
                              seed: int, pin: bool) -> tuple[float, bool, int]:
     counter = MultiCounter(cells)
-    rngs = thread_rngs(seed, threads)
+    rngs = [PairStream(g, cells) for g in thread_rngs(seed, threads)]
     counts = [0] * threads
 
     def worker(k: int, stop) -> None:
@@ -290,8 +290,13 @@ def run_counter(cfg: ExperimentConfig) -> int:
     p = cfg.params
     outdir = cfg.outdir
     if p["mode"] == "quality":
+        if p["cadence"] < 1:
+            raise ConfigError(f"key 'cadence': must be >= 1, got {p['cadence']}")
+        if p["increments"] < p["cadence"]:
+            raise ConfigError(f"key 'increments': must be >= cadence ({p['cadence']}), "
+                              f"got {p['increments']}")
         counter = MultiCounter(p["cells"])
-        rng = make_rng(p["seed"])
+        rng = PairStream(make_rng(p["seed"]), p["cells"])
         read_rng = make_rng(p["seed"] + 1)
         rows = []
         for k in range(1, p["increments"] + 1):
@@ -339,7 +344,9 @@ def run_queue(cfg: ExperimentConfig) -> int:
     p = cfg.params
     outdir = cfg.outdir
     if p["mode"] == "quality":
-        rng = make_rng(p["seed"])
+        if p["dequeues"] < 1:
+            raise ConfigError(f"key 'dequeues': must be >= 1, got {p['dequeues']}")
+        rng = PairStream(make_rng(p["seed"]), p["queues"])
         oracle = RankOracle(capacity=max(1024, p["prefill"] + 1))
         q = MultiQueue(p["queues"], oracle=oracle)
         for k in range(p["prefill"]):
@@ -361,7 +368,7 @@ def run_queue(cfg: ExperimentConfig) -> int:
     rows = []
     for rep in range(p["repeats"]):
         q = MultiQueue(p["queues"])
-        rngs = thread_rngs(p["seed"] + rep, threads)
+        rngs = [PairStream(g, p["queues"]) for g in thread_rngs(p["seed"] + rep, threads)]
         produced: list[list] = [[] for _ in range(threads)]
         consumed: list[list] = [[] for _ in range(threads)]
 
@@ -482,11 +489,11 @@ def main(argv=None) -> int:
         if key.startswith("kv_")
     }
     try:
-        cfg = parse_config(args.experiment, config_file=args.config, flag_values=flags)
+        return run(parse_config(args.experiment, config_file=args.config,
+                                flag_values=flags))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    return run(cfg)
 
 
 if __name__ == "__main__":

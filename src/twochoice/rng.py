@@ -4,6 +4,27 @@ All randomness flows through numpy PCG64 generators derived from a single
 64-bit seed via SeedSequence spawning, so that every experiment is
 reproducible and schedule randomness stays independent of simulation
 randomness (one stream for the scheduler, one per simulated thread).
+
+A scalar `Generator.integers` call costs several times a MultiCounter
+increment's lock, so hot loops draw from a PairStream: a prefetched block
+of indices that a batched `integers` call fills. Batched and scalar draws
+consume the PCG64 stream identically, so buffering never changes a value.
+The rule: one stream serves one range `[lo, hi)`. A PairStream serves only
+`[0, bins)` and raises ValueError for any other range, because a stream
+that mixed ranges or other draw kinds would have its draws reordered by the
+prefetch.
+
+Buffered (one stream, one range): the simulator's per-thread choices and
+`run_sequential` with beta 0 or 1; the increment stream of the counter
+quality run; the queue quality run's enqueue and dequeue stream; each
+worker of the counter throughput, queue stress and transactional runs; and
+every RelaxedClockView.
+
+Scalar on purpose: `run_sequential` with 0 < beta < 1, which mixes
+`random()` with `integers()`; the random-interleave scheduler, whose range
+`len(active)` changes from draw to draw; and the counter quality run's read
+stream, which makes one draw per cadence point, where a prefetch would cost
+more than it saves.
 """
 
 from __future__ import annotations
@@ -36,7 +57,8 @@ def thread_rngs(seed: int, threads: int) -> list[Generator]:
 
 class PairStream:
     """Buffered uniform indices in [0, bins) from one generator, served as
-    (i, j) pairs or one at a time.
+    (i, j) pairs or one at a time through the Generator-compatible
+    `integers(0, bins)`.
 
     Batched draws of Generator.integers consume the underlying bit stream
     exactly like repeated scalar draws, so the buffer size does not change
@@ -60,7 +82,10 @@ class PairStream:
         self._pos += 2
         return i, j
 
-    def next_index(self) -> int:
+    def integers(self, lo: int, hi: int) -> int:
+        """The next index; the range must be this stream's own [0, bins)."""
+        if lo != 0 or hi != self._bins:
+            raise ValueError(f"stream serves [0, {self._bins}), asked for [{lo}, {hi})")
         if self._pos >= len(self._buf):
             self._buf = self._rng.integers(0, self._bins, size=self._chunk).tolist()
             self._pos = 0

@@ -37,7 +37,7 @@ from numpy.random import Generator
 
 from .affinity import run_timed_workers
 from .multicounter import MultiCounter
-from .rng import thread_rngs
+from .rng import PairStream, thread_rngs
 
 ACTIVE, COMMITTED, ABORTED = "active", "committed", "aborted"
 
@@ -111,7 +111,7 @@ class RelaxedClockView:
 
     def __init__(self, shared: RelaxedClock, rng: Generator):
         self._shared = shared
-        self._rng = rng
+        self._rng = PairStream(rng, shared.counter.cells)
         self.t_max = 0
 
     @property
@@ -297,16 +297,17 @@ def run_stm_benchmark(
     def worker(k: int, stop: threading.Event) -> None:
         rng = rngs[k]
         clock = exact if shared_relaxed is None else shared_relaxed.view(rng.spawn(1)[0])
+        draws = PairStream(rng, objects)
         n_commit = 0
         n_abort = 0
         while not stop.is_set():
             tx = tx_begin(clock)
             try:
-                i = int(rng.integers(0, objects))
+                i = draws.integers(0, objects)
                 if objects > 1:
                     j = i
                     while j == i:
-                        j = int(rng.integers(0, objects))
+                        j = draws.integers(0, objects)
                     vi = tx_read(tx, cells[i])
                     tx_write(tx, cells[i], vi + 1)
                     vj = tx_read(tx, cells[j])

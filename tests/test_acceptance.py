@@ -45,7 +45,7 @@ from twochoice.dlin import (
 )
 from twochoice.multicounter import MultiCounter
 from twochoice.multiqueue import EMPTY, MultiQueue, RankOracle
-from twochoice.rng import make_rng, thread_rngs
+from twochoice.rng import PairStream, make_rng, thread_rngs
 from twochoice.stm import run_stm_benchmark
 
 
@@ -243,7 +243,7 @@ def test_criterion_08_multiqueue_rank():
     with criterion(8, "queue ranks: mean <= 2m, p99 <= 8 m ln m (m=64)"):
         p99_bound = 8 * 64 * math.log(64)
         for seed, (frozen_mean, frozen_p99) in sorted(QUEUE_RANK_FROZEN.items()):
-            rng = make_rng(seed)
+            rng = PairStream(make_rng(seed), 64)  # as `queue --mode quality` draws
             q = MultiQueue(64, oracle=RankOracle(capacity=1 << 20))
             for k in range(1_000_000):
                 q.enqueue(k, rng)

@@ -209,6 +209,17 @@ def test_main_config_error_exit_code():
     assert main(["seq", "--steps", "soon"]) == 2
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["counter", "--mode", "quality", "--increments", "5"], "increments"),
+    (["counter", "--mode", "quality", "--cadence", "0"], "cadence"),
+    (["queue", "--mode", "quality", "--dequeues", "0"], "dequeues"),
+])
+def test_quality_config_rejected_naming_key(tmp_path, capsys, argv, key):
+    assert main(argv + ["--out", str(tmp_path / "r")]) == 2
+    assert f"key '{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_oracle_failure_exit_path(tmp_path, monkeypatch):
     # force the stm oracle to trip and check the nonzero exit + dump
     from twochoice import cli as climod

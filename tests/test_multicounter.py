@@ -4,7 +4,7 @@ import threading
 import pytest
 
 from twochoice.multicounter import MultiCounter
-from twochoice.rng import make_rng, thread_rngs
+from twochoice.rng import PairStream, make_rng, thread_rngs
 
 
 def test_new_counter_is_zero():
@@ -62,6 +62,15 @@ def test_read_scales_by_cell_count():
     c = MultiCounter(4)
     c._values = [2, 2, 2, 2]
     assert c.read(make_rng(3)) == 8
+
+
+def test_buffered_stream_matches_generator():
+    # the scalar Generator is the reference; 140 000 draws cross two refills
+    fast, slow = MultiCounter(64), MultiCounter(64)
+    stream, rng = PairStream(make_rng(12), 64), make_rng(12)
+    for _ in range(70_000):
+        assert fast.increment(stream) == slow.increment(rng)
+    assert fast.snapshot() == slow.snapshot()
 
 
 def test_single_threaded_conservation():

@@ -220,6 +220,28 @@ def test_relaxed_commit_stamps_future_by_delta():
             assert cell.version >= rv + 50
 
 
+def test_relaxed_view_buffered_matches_generator():
+    # the view as it was before buffering, drawing straight from the
+    # Generator, is the reference; about 75 000 draws cross a refill
+    kinds = make_rng(5).integers(0, 2, size=50_000).tolist()
+    results = []
+    for buffered in (True, False):
+        clock = RelaxedClock(cells=16, delta=40)
+        view = clock.view(make_rng(9))
+        if not buffered:
+            view._rng = make_rng(9)
+        stamps = []
+        rv = 0
+        for kind in kinds:
+            if kind:
+                rv = view.read()
+                stamps.append(rv)
+            else:
+                stamps.append(view.write_version(rv, rv // 2))
+        results.append((stamps, clock.counter.snapshot(), view.t_max))
+    assert results[0] == results[1]
+
+
 def test_relaxed_view_tmax_monotone():
     clock = RelaxedClock(cells=4, delta=10)
     view = clock.view(make_rng(2))
