@@ -13,7 +13,17 @@ keeps the replay single threaded and reproducible.
 Time is the global count of scheduled shared-memory events; potentials are
 sampled at update events only. An operation's contention is the number of
 distinct other operations with at least one event strictly inside its
-(start, finish) window.
+(start, finish) window, and it is `untouched` when no other operation's
+event inside that window touched the bin it updated (a read touches the
+bin it reads, an update the bin it increments).
+
+Both are computed once per operation, at its update: the replay keeps the
+owning op and the touched bin of every event in two lists, and the
+window's slice of them gives the contention (distinct owners, less the
+op's own second read) and `untouched` (the updated bin occurs in the slice
+only as that second read's bin, if at all). Every few thousand events the
+prefix that no pending operation can still see is dropped, so the buffer
+holds at most the longest pending window plus one trim interval.
 """
 
 from __future__ import annotations
@@ -45,6 +55,9 @@ BLOCK_RESET = "block-reset"
 ADVERSARY_KINDS = (SERIAL, ROUND_ROBIN, RANDOM_INTERLEAVE, STAMPEDE, BLOCK_RESET)
 
 OPLOG_HEADER = "op,thread,start,finish,contention,choice_i,choice_j,updated,correct"
+
+# the replay trims its event buffer once it grows by this many events
+_TRIM_EVENTS = 4096
 
 # good-step margin used for simulator instrumentation: operations with
 # contention <= ratio * threads pick the lesser bin with probability
@@ -325,12 +338,11 @@ def simulate(config: SimConfig, schedule: Schedule | None = None,
     state = LoadState(m, params, unit=unit)
     weights = state.weights
 
-    rngs = thread_rngs(config.seed, n)
-    pair_streams = []
+    next_pairs = []
     weight_rngs = []
-    for rng in rngs:
+    for rng in thread_rngs(config.seed, n):
         idx_rng, w_rng = rng.spawn(2)
-        pair_streams.append(PairStream(idx_rng, m))
+        next_pairs.append(PairStream(idx_rng, m).next_pair)
         weight_rngs.append(w_rng)
 
     total = config.total_ops
@@ -349,40 +361,37 @@ def simulate(config: SimConfig, schedule: Schedule | None = None,
     a_unt = np.zeros(total, dtype=np.bool_)
     traj = TrajectoryBuilder(total)
 
-    # per-thread pending op state: [op, start, i, j, vi, vj, seen, touched]
+    # per-thread pending op state: [op, start, i, j, vi, vj]; vj is None
+    # until the op's second read
     pend: list[list | None] = [None] * n
+    # owning op and touched bin of every event from `base` on
+    ev_op: list[int] = []
+    ev_bin: list[int] = []
+    add_op, add_bin = ev_op.append, ev_bin.append
+    base = 0
+    trim_at = _TRIM_EVENTS
     done = 0
     event_idx = -1
 
     for t, op, phase in schedule.events():
         event_idx += 1
         if phase == READ1:
-            i, j = pair_streams[t].next_pair()
-            cur = [op, event_idx, i, j, weights[i], 0.0, set(), set()]
-            pend[t] = cur
-            # this op's read touches bin i; note it for other pending ops
-            for u in range(n):
-                other = pend[u]
-                if other is not None and u != t:
-                    other[6].add(op)
-                    other[7].add(i)
+            i, j = next_pairs[t]()
+            pend[t] = [op, event_idx, i, j, weights[i], None]
+            add_bin(i)
         elif phase == READ2:
             cur = pend[t]
-            if cur is None or cur[0] != op:
-                raise ValueError(f"schedule event {event_idx}: read2 without read1")
+            if cur is None or cur[0] != op or cur[5] is not None:
+                raise ValueError(f"schedule event {event_idx}: read2 out of order")
             j = cur[3]
             cur[5] = weights[j]
-            for u in range(n):
-                other = pend[u]
-                if other is not None and u != t:
-                    other[6].add(op)
-                    other[7].add(j)
+            add_bin(j)
         else:  # UPDATE
             cur = pend[t]
-            if cur is None or cur[0] != op:
-                raise ValueError(f"schedule event {event_idx}: update without reads")
+            if cur is None or cur[0] != op or cur[5] is None:
+                raise ValueError(f"schedule event {event_idx}: update without both reads")
             pend[t] = None
-            _, start, i, j, vi, vj, seen, touched = cur
+            _, start, i, j, vi, vj = cur
             # stale comparison; ties (including i == j) to the lower index
             if vj < vi or (vj == vi and j < i):
                 chosen = j
@@ -391,17 +400,15 @@ def simulate(config: SimConfig, schedule: Schedule | None = None,
             w = 1 if unit else float(weight_rngs[t].exponential(config.weight.mean))
             true_min = i if (weights[i], i) <= (weights[j], j) else j
             state.add(chosen, w)
-            for u in range(n):
-                other = pend[u]
-                if other is not None:
-                    other[6].add(op)
-                    other[7].add(chosen)
+            # events strictly inside (start, event_idx); the op's own read2
+            # is among them and touched bin j
+            lo = start + 1 - base
             k = done
             a_op[k] = op
             a_thread[k] = t
             a_start[k] = start
             a_finish[k] = event_idx
-            a_cont[k] = len(seen)
+            a_cont[k] = len(set(ev_op[lo:])) - 1
             a_ci[k] = i
             a_cj[k] = j
             a_vi[k] = vi
@@ -409,9 +416,18 @@ def simulate(config: SimConfig, schedule: Schedule | None = None,
             a_upd[k] = chosen
             a_post[k] = weights[chosen]
             a_corr[k] = chosen == true_min
-            a_unt[k] = chosen not in touched
+            a_unt[k] = ev_bin[lo:].count(chosen) == (chosen == j)
             traj.append(state.snapshot_row(event_idx))
             done += 1
+            add_bin(chosen)
+        add_op(op)
+        if len(ev_op) >= trim_at:
+            # no pending op looks at or before its own start again
+            keep = min((p[1] for p in pend if p is not None), default=event_idx) + 1
+            del ev_op[:keep - base]
+            del ev_bin[:keep - base]
+            base = keep
+            trim_at = len(ev_op) + _TRIM_EVENTS
 
     if done != total:
         raise ValueError(f"schedule completed {done} of {total} operations")

@@ -195,6 +195,11 @@ def parse_config(experiment: str, config_file=None, flag_values: dict | None = N
     return ExperimentConfig(experiment=experiment, params=params, provenance=provenance)
 
 
+def _at_least(p: dict, key: str, low) -> None:
+    if p[key] < low:
+        raise ConfigError(f"key {key!r}: must be >= {low}, got {p[key]}")
+
+
 def _hardware_threads() -> int:
     return os.cpu_count() or 1
 
@@ -215,6 +220,10 @@ def _fail(outdir: Path, name: str, detail: str) -> int:
 
 def run_seq(cfg: ExperimentConfig) -> int:
     p = cfg.params
+    for key in ("bins", "steps", "snapshot_every"):
+        _at_least(p, key, 1)
+    if not 0.0 <= p["beta"] <= 1.0:
+        raise ConfigError(f"key 'beta': must lie in [0, 1], got {p['beta']}")
     weight = (WeightDistribution.unit() if p["weight"] == "unit"
               else WeightDistribution.exponential())
     outdir = cfg.outdir
@@ -234,6 +243,12 @@ def run_seq(cfg: ExperimentConfig) -> int:
 
 def run_sim(cfg: ExperimentConfig) -> int:
     p = cfg.params
+    for key in ("bins", "threads", "ratio", "ops"):
+        _at_least(p, key, 1)
+    if not 0 <= p["block_size"] <= p["threads"]:
+        raise ConfigError(f"key 'block_size': must lie in [0, threads], got {p['block_size']}")
+    if p["adversary"] not in ADVERSARY_KINDS:
+        raise ConfigError(f"key 'adversary': unknown kind {p['adversary']!r}")
     outdir = cfg.outdir
     for seed in p["seeds"]:
         sim_cfg = SimConfig(
@@ -290,8 +305,8 @@ def run_counter(cfg: ExperimentConfig) -> int:
     p = cfg.params
     outdir = cfg.outdir
     if p["mode"] == "quality":
-        if p["cadence"] < 1:
-            raise ConfigError(f"key 'cadence': must be >= 1, got {p['cadence']}")
+        _at_least(p, "cells", 1)
+        _at_least(p, "cadence", 1)
         if p["increments"] < p["cadence"]:
             raise ConfigError(f"key 'increments': must be >= cadence ({p['cadence']}), "
                               f"got {p['increments']}")
@@ -314,6 +329,7 @@ def run_counter(cfg: ExperimentConfig) -> int:
         return 0
     if p["mode"] != "throughput":
         raise ConfigError(f"key 'mode': unknown counter mode {p['mode']!r}")
+    _at_least(p, "repeats", 1)
     threads_max = p["threads_max"] or _hardware_threads()
     rows = []
     for threads in range(1, threads_max + 1):
@@ -342,10 +358,10 @@ def run_counter(cfg: ExperimentConfig) -> int:
 
 def run_queue(cfg: ExperimentConfig) -> int:
     p = cfg.params
+    _at_least(p, "queues", 1)
     outdir = cfg.outdir
     if p["mode"] == "quality":
-        if p["dequeues"] < 1:
-            raise ConfigError(f"key 'dequeues': must be >= 1, got {p['dequeues']}")
+        _at_least(p, "dequeues", 1)
         rng = PairStream(make_rng(p["seed"]), p["queues"])
         oracle = RankOracle(capacity=max(1024, p["prefill"] + 1))
         q = MultiQueue(p["queues"], oracle=oracle)
@@ -410,6 +426,11 @@ def run_queue(cfg: ExperimentConfig) -> int:
 
 def run_stm(cfg: ExperimentConfig) -> int:
     p = cfg.params
+    _at_least(p, "repeats", 1)
+    _at_least(p, "clock_cells", 1)
+    _at_least(p, "delta", 0)  # 0: the default margin
+    if min(p["objects"], default=1) < 1:
+        raise ConfigError(f"key 'objects': every count must be >= 1, got {p['objects']}")
     outdir = cfg.outdir
     threads_max = p["threads_max"] or _hardware_threads()
     summary_rows = []

@@ -215,20 +215,14 @@ def history_from_simulation(log: OpLog, bins: int) -> History:
     Operations are already in completion (update-event) order, which is the
     canonical linearization of the replayed run.
     """
-    records = []
-    for k in range(len(log)):
-        post = float(log.post_value[k])
-        if post != int(post):
-            raise ValueError("counter histories require unit-weight simulations")
-        records.append(HistoryRecord(
-            seq=k,
-            thread=int(log.thread[k]),
-            kind=INC,
-            invoke=int(log.start[k]),
-            respond=int(log.finish[k]),
-            arg=int(log.updated[k]),
-            ret=bins * int(post),
-        ))
+    post = np.asarray(log.post_value)
+    whole = post.astype(np.int64)
+    if not np.array_equal(post, whole):
+        raise ValueError("counter histories require unit-weight simulations")
+    cols = zip(log.thread.tolist(), log.start.tolist(), log.finish.tolist(),
+               log.updated.tolist(), whole.tolist())
+    records = [HistoryRecord(k, thread, INC, start, finish, cell, bins * value)
+               for k, (thread, start, finish, cell, value) in enumerate(cols)]
     return History(records, source="simulator")
 
 

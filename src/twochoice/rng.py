@@ -7,8 +7,11 @@ randomness (one stream for the scheduler, one per simulated thread).
 
 A scalar `Generator.integers` call costs several times a MultiCounter
 increment's lock, so hot loops draw from a PairStream: a prefetched block
-of indices that a batched `integers` call fills. Batched and scalar draws
-consume the PCG64 stream identically, so buffering never changes a value.
+of indices that a batched `integers` call fills. The first block holds 64
+indices and each refill doubles it, up to 65 536, so a short-lived stream
+(one of a simulated stampede's 64 threads) prefetches about what it draws.
+Batched and scalar draws consume the PCG64 stream identically, so neither
+buffering nor the block size ever changes a value.
 The rule: one stream serves one range `[lo, hi)`. A PairStream serves only
 `[0, bins)` and raises ValueError for any other range, because a stream
 that mixed ranges or other draw kinds would have its draws reordered by the
@@ -61,22 +64,32 @@ class PairStream:
     `integers(0, bins)`.
 
     Batched draws of Generator.integers consume the underlying bit stream
-    exactly like repeated scalar draws, so the buffer size does not change
-    the sampled sequence. A stream serves either pairs or single indices:
-    the buffer holds an even count, so pairs never straddle a refill.
+    exactly like repeated scalar draws, so the block size does not change
+    the sampled sequence. The first block holds FIRST_BLOCK indices and each
+    refill doubles it up to MAX_BLOCK, so a stream that is used briefly
+    draws about what it uses. A stream serves either pairs or single
+    indices: every block holds an even count, so pairs never straddle a
+    refill.
     """
+
+    FIRST_BLOCK = 64
+    MAX_BLOCK = 1 << 16
 
     def __init__(self, rng: Generator, bins: int):
         self._rng = rng
         self._bins = bins
-        self._chunk = 1 << 16
+        self._block = self.FIRST_BLOCK
         self._buf: list[int] = []
         self._pos = 0
 
+    def _refill(self) -> None:
+        self._buf = self._rng.integers(0, self._bins, size=self._block).tolist()
+        self._pos = 0
+        self._block = min(2 * self._block, self.MAX_BLOCK)
+
     def next_pair(self) -> tuple[int, int]:
         if self._pos >= len(self._buf):
-            self._buf = self._rng.integers(0, self._bins, size=self._chunk).tolist()
-            self._pos = 0
+            self._refill()
         i = self._buf[self._pos]
         j = self._buf[self._pos + 1]
         self._pos += 2
@@ -87,8 +100,7 @@ class PairStream:
         if lo != 0 or hi != self._bins:
             raise ValueError(f"stream serves [0, {self._bins}), asked for [{lo}, {hi})")
         if self._pos >= len(self._buf):
-            self._buf = self._rng.integers(0, self._bins, size=self._chunk).tolist()
-            self._pos = 0
+            self._refill()
         i = self._buf[self._pos]
         self._pos += 1
         return i

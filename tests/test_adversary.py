@@ -3,6 +3,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from sim_reference import simulate_reference
 
 from twochoice.adversary import (
     ADVERSARY_KINDS,
@@ -18,6 +20,7 @@ from twochoice.adversary import (
     OpLog,
     Schedule,
     SimConfig,
+    _TRIM_EVENTS,
     classify_operations,
     drift_report,
     generate_schedule,
@@ -151,17 +154,29 @@ def test_simulate_rejects_mismatched_schedule():
 
 
 @dataclass(frozen=True)
-class _BadSchedule:
+class _ListedSchedule:
+    events_list: tuple
     threads: int = 1
     total_ops: int = 1
 
     def events(self):
-        yield (0, 0, READ2)  # read2 with no read1
+        yield from self.events_list
 
 
 def test_simulate_rejects_phase_violation():
+    with pytest.raises(ValueError):  # read2 with no read1
+        simulate(SimConfig(bins=4, threads=1, total_ops=1),
+                 schedule=_ListedSchedule(((0, 0, READ2),)))
+
+
+@pytest.mark.parametrize("events", [
+    ((0, 0, READ1), (0, 0, UPDATE)),                                # no read2
+    ((0, 0, READ1), (0, 0, READ2), (0, 0, READ2), (0, 0, UPDATE)),  # read2 twice
+])
+def test_simulate_rejects_missing_or_repeated_read2(events):
     with pytest.raises(ValueError):
-        simulate(SimConfig(bins=4, threads=1, total_ops=1), schedule=_BadSchedule())
+        simulate(SimConfig(bins=4, threads=1, total_ops=1),
+                 schedule=_ListedSchedule(events))
 
 
 def test_update_uses_stale_values():
@@ -182,6 +197,46 @@ def test_record_view_matches_columns():
     assert bool(((log.updated == log.choice_i) | (log.updated == log.choice_j)).all())
     assert bool((log.finish > log.start).all())
     assert bool((log.contention >= 0).all())
+
+
+def _assert_same_run(got, want):
+    for name in vars(want.log):
+        assert np.array_equal(getattr(got.log, name), getattr(want.log, name)), name
+    for name in vars(want.trajectory):
+        assert np.array_equal(getattr(got.trajectory, name),
+                              getattr(want.trajectory, name)), name
+    assert got.loads.weights == want.loads.weights
+
+
+@st.composite
+def _sim_configs(draw):
+    kind = draw(st.sampled_from(ADVERSARY_KINDS))
+    n = draw(st.one_of(st.integers(1, 8), st.sampled_from([16, 64])))
+    return SimConfig(
+        bins=draw(st.sampled_from([1, 2, 5, 64, 256])),
+        threads=n,
+        total_ops=draw(st.integers(0, 1500)),
+        adversary=kind,
+        block_size=draw(st.integers(1, n)) if kind == STAMPEDE else None,
+        seed=draw(st.integers(0, 2**32)),
+        weight=draw(st.sampled_from([WeightDistribution.unit(),
+                                     WeightDistribution.exponential()])),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=_sim_configs())
+def test_simulate_matches_reference_fuzzed(cfg):
+    _assert_same_run(simulate(cfg), simulate_reference(cfg))
+
+
+@pytest.mark.parametrize("kind, threads", [(STAMPEDE, 64), (RANDOM_INTERLEAVE, 4),
+                                           (SERIAL, 1)])
+def test_simulate_matches_reference_across_trims(kind, threads):
+    # three events per op, so the event buffer is trimmed about 9 times
+    cfg = SimConfig(bins=256, threads=threads, total_ops=3 * _TRIM_EVENTS,
+                    adversary=kind, seed=12)
+    _assert_same_run(simulate(cfg), simulate_reference(cfg))
 
 
 # ---------------------------------------------------------------------------

@@ -220,6 +220,30 @@ def test_quality_config_rejected_naming_key(tmp_path, capsys, argv, key):
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["counter", "--mode", "throughput", "--threads-max", "1", "--repeats", "0"], "repeats"),
+    (["stm", "--threads-max", "1", "--objects", "8", "--repeats", "0"], "repeats"),
+    (["seq", "--snapshot-every", "0"], "snapshot_every"),
+    (["seq", "--steps", "0"], "steps"),
+    (["seq", "--beta", "1.5"], "beta"),
+    (["sim", "--threads", "0"], "threads"),
+    (["sim", "--ops", "0"], "ops"),
+    (["sim", "--threads", "4", "--block-size", "5"], "block_size"),
+    (["sim", "--adversary", "chaotic"], "adversary"),
+    (["counter", "--mode", "quality", "--cells", "0"], "cells"),
+    (["queue", "--queues", "0"], "queues"),
+    (["stm", "--threads-max", "1", "--objects", "8,0"], "objects"),
+    (["stm", "--threads-max", "1", "--objects", "8", "--clock-cells", "0"], "clock_cells"),
+    (["stm", "--threads-max", "1", "--objects", "8", "--delta", "-1"], "delta"),
+])
+def test_out_of_range_config_rejected_naming_key(tmp_path, capsys, argv, key):
+    assert main(argv + ["--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert f"key '{key}'" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "r").exists()
+
+
 def test_oracle_failure_exit_path(tmp_path, monkeypatch):
     # force the stm oracle to trip and check the nonzero exit + dump
     from twochoice import cli as climod

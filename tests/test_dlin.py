@@ -3,6 +3,7 @@ import threading
 import pytest
 
 from twochoice.adversary import SERIAL, STAMPEDE, SimConfig, simulate
+from twochoice.balance import WeightDistribution
 from twochoice.dlin import (
     COUNTER,
     DEQ,
@@ -201,6 +202,27 @@ def test_simulator_history_replay_consistency():
     costs = linearize_costs(hist, COUNTER, 16)
     assert len(costs) == 2000
     assert all(s.cost >= 0 for s in costs)
+
+
+def test_simulator_history_matches_per_element_conversion():
+    cfg = SimConfig(bins=16, threads=4, total_ops=3000, adversary=STAMPEDE, seed=5)
+    log = simulate(cfg).log
+    want = [
+        HistoryRecord(seq=k, thread=int(log.thread[k]), kind=INC,
+                      invoke=int(log.start[k]), respond=int(log.finish[k]),
+                      arg=int(log.updated[k]), ret=16 * int(float(log.post_value[k])))
+        for k in range(len(log))
+    ]
+    got = history_from_simulation(log, 16).records
+    assert got == want
+    assert all(type(v) is int for r in got[:5] for v in (r.thread, r.invoke, r.arg, r.ret))
+
+
+def test_simulator_history_rejects_weighted_log():
+    cfg = SimConfig(bins=16, threads=2, total_ops=50, adversary=STAMPEDE, seed=5,
+                    weight=WeightDistribution.exponential())
+    with pytest.raises(ValueError, match="unit-weight"):
+        history_from_simulation(simulate(cfg).log, 16)
 
 
 def test_simulator_counter_tail_small():

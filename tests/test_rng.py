@@ -1,11 +1,18 @@
 """PairStream against the scalar Generator draws it stands in for."""
 
+import tracemalloc
+from itertools import accumulate
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from twochoice.rng import PairStream, make_rng
+from twochoice.rng import PairStream, make_rng, thread_rngs
 
-CHUNK = 1 << 16  # PairStream's refill size
+# values drawn when each refill happens: the blocks double from
+# FIRST_BLOCK until they reach MAX_BLOCK
+BLOCKS = [min(PairStream.FIRST_BLOCK << r, PairStream.MAX_BLOCK) for r in range(13)]
+EDGES = list(accumulate(BLOCKS))
+FULL = EDGES[BLOCKS.index(PairStream.MAX_BLOCK)]  # end of the first full-size block
 
 RANGES = st.one_of(
     st.just(1),
@@ -15,18 +22,51 @@ RANGES = st.one_of(
 )
 
 
+def near(edges):
+    """Counts within a few values of one of the given refill edges."""
+    return st.sampled_from(edges).flatmap(lambda e: st.integers(e - 3, e + 3))
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**64 - 1), bins=RANGES,
-       k=st.one_of(st.integers(0, 500), st.integers(CHUNK - 8, CHUNK + 8)))
-@example(seed=7, bins=1, k=CHUNK + 1)
-@example(seed=7, bins=64, k=2 * CHUNK + 3)
-@example(seed=7, bins=100, k=CHUNK + 1)
-@example(seed=7, bins=2**33 + 5, k=CHUNK + 1)
+       k=st.one_of(st.integers(0, 500), near(EDGES[:7]), near([FULL])))
+@example(seed=7, bins=1, k=FULL + 1)
+@example(seed=7, bins=64, k=EDGES[BLOCKS.index(PairStream.MAX_BLOCK) + 1] + 3)
+@example(seed=7, bins=100, k=FULL + 1)
+@example(seed=7, bins=2**33 + 5, k=FULL + 1)
 def test_buffered_integers_match_scalar_draws(seed, bins, k):
     stream = PairStream(make_rng(seed), bins)
     scalar = make_rng(seed)
     assert ([stream.integers(0, bins) for _ in range(k)]
             == [int(scalar.integers(0, bins)) for _ in range(k)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), bins=RANGES,
+       k=st.one_of(st.integers(0, 250), near([e // 2 for e in EDGES[:7]])))
+@example(seed=7, bins=64, k=FULL // 2 + 1)
+@example(seed=7, bins=2**33 + 5, k=EDGES[3] // 2 + 1)
+def test_buffered_pairs_match_scalar_draws(seed, bins, k):
+    stream = PairStream(make_rng(seed), bins)
+    scalar = make_rng(seed)
+    assert ([stream.next_pair() for _ in range(k)]
+            == [(int(scalar.integers(0, bins)), int(scalar.integers(0, bins)))
+                for _ in range(k)])
+
+
+def test_many_short_streams_stay_small():
+    # a stampede of 64 simulated threads that each draw one pair must not
+    # prefetch a full block per stream
+    gens = thread_rngs(3, 64)
+    tracemalloc.start()
+    try:
+        streams = [PairStream(g, 256) for g in gens]
+        for s in streams:
+            s.next_pair()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("lo, hi", [(1, 64), (0, 63), (0, 65), (-1, 64)])
