@@ -42,7 +42,7 @@ from .balance import (
     WeightDistribution,
 )
 from .csvfile import write_csv
-from .rng import PairStream, schedule_rng, thread_rngs
+from .rng import PairStream, WordStream, schedule_rng, thread_rngs
 
 READ1, READ2, UPDATE = 0, 1, 2
 PHASE_NAMES = ("read1", "read2", "update")
@@ -149,10 +149,8 @@ class Schedule:
 
             yield from self._interleaved(cyclic)
         elif self.kind == RANDOM_INTERLEAVE:
-            rng = schedule_rng(self.seed)
-            yield from self._interleaved(
-                lambda active, r: int(r.integers(0, len(active))), rng
-            )
+            rng = WordStream(schedule_rng(self.seed))
+            yield from self._interleaved(lambda active, r: r.integers(0, len(active)), rng)
         elif self.kind == STAMPEDE:
             yield from self._stampede_blocks(self.block_size or n, 0)
         else:  # BLOCK_RESET: n-op stampedes alternating with serial stretches

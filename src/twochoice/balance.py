@@ -20,7 +20,7 @@ import numpy as np
 from numpy.random import Generator
 
 from .csvfile import write_csv
-from .rng import PairStream, make_rng
+from .rng import PairStream, WordStream, make_rng
 
 # exp() overflows double precision just past 709; stay clear of it.
 MAX_SAFE_EXPONENT = 700.0
@@ -572,14 +572,15 @@ def run_sequential(
                 traj.append(state.snapshot_row(s))
     else:
         b = two_choice_prob
+        draws = WordStream(idx_rng)
         for s in range(1, steps + 1):
-            if idx_rng.random() < b:
-                i = int(idx_rng.integers(0, bins))
-                j = int(idx_rng.integers(0, bins))
+            if draws.random() < b:
+                i = draws.integers(0, bins)
+                j = draws.integers(0, bins)
                 if (weights[j], j) < (weights[i], i):
                     i = j
             else:
-                i = int(idx_rng.integers(0, bins))
+                i = draws.integers(0, bins)
             state.add(i, ball(s - 1))
             if s % snapshot_every == 0:
                 traj.append(state.snapshot_row(s))

@@ -224,8 +224,9 @@ def run_seq(cfg: ExperimentConfig) -> int:
         _at_least(p, key, 1)
     if not 0.0 <= p["beta"] <= 1.0:
         raise ConfigError(f"key 'beta': must lie in [0, 1], got {p['beta']}")
-    weight = (WeightDistribution.unit() if p["weight"] == "unit"
-              else WeightDistribution.exponential())
+    if p["weight"] not in (WeightDistribution.UNIT, WeightDistribution.EXPONENTIAL):
+        raise ConfigError(f"key 'weight': must be unit or exponential, got {p['weight']!r}")
+    weight = WeightDistribution(p["weight"])
     outdir = cfg.outdir
     for seed in p["seeds"]:
         traj, loads = run_sequential(
@@ -362,6 +363,9 @@ def run_queue(cfg: ExperimentConfig) -> int:
     outdir = cfg.outdir
     if p["mode"] == "quality":
         _at_least(p, "dequeues", 1)
+        if p["dequeues"] > p["prefill"]:
+            raise ConfigError(f"key 'dequeues': must be <= prefill ({p['prefill']}), "
+                              f"got {p['dequeues']}")
         rng = PairStream(make_rng(p["seed"]), p["queues"])
         oracle = RankOracle(capacity=max(1024, p["prefill"] + 1))
         q = MultiQueue(p["queues"], oracle=oracle)

@@ -5,36 +5,51 @@ All randomness flows through numpy PCG64 generators derived from a single
 reproducible and schedule randomness stays independent of simulation
 randomness (one stream for the scheduler, one per simulated thread).
 
-A scalar `Generator.integers` call costs several times a MultiCounter
-increment's lock, so hot loops draw from a PairStream: a prefetched block
-of indices that a batched `integers` call fills. The first block holds 64
-indices and each refill doubles it, up to 65 536, so a short-lived stream
-(one of a simulated stampede's 64 threads) prefetches about what it draws.
-Batched and scalar draws consume the PCG64 stream identically, so neither
-buffering nor the block size ever changes a value.
-The rule: one stream serves one range `[lo, hi)`. A PairStream serves only
-`[0, bins)` and raises ValueError for any other range, because a stream
-that mixed ranges or other draw kinds would have its draws reordered by the
-prefetch.
+A scalar Generator call costs several times a MultiCounter increment's
+lock, so hot loops draw from one of two buffered sources instead. Both
+return exactly what the same scalar calls on the Generator would, so
+neither buffering nor the block size ever changes a value.
 
-Buffered (one stream, one range): the simulator's per-thread choices and
-`run_sequential` with beta 0 or 1; the increment stream of the counter
-quality run; the queue quality run's enqueue and dequeue stream; each
-worker of the counter throughput, queue stress and transactional runs; and
-every RelaxedClockView.
+PairStream serves one fixed range `[0, bins)`, as `(i, j)` pairs or single
+indices, from a block that one batched `integers` call fills; numpy batches
+and scalar calls consume the PCG64 stream identically. The first block
+holds 64 indices and each refill doubles it, up to 65 536, so a
+short-lived stream (one of a simulated stampede's 64 threads) prefetches
+about what it draws. It raises ValueError for any other range, because a
+block holds values for one range only.
 
-Scalar on purpose: `run_sequential` with 0 < beta < 1, which mixes
-`random()` with `integers()`; the random-interleave scheduler, whose range
-`len(active)` changes from draw to draw; and the counter quality run's read
-stream, which makes one draw per cadence point, where a prefetch would cost
-more than it saves.
+WordStream serves any mix of `random()` and `integers(lo, hi)` calls from a
+block of raw 64-bit PCG64 words, redoing numpy's own arithmetic in Python:
+a double takes one word, and a range of up to 2**32 values takes one half
+of a word (the other half is kept for the next range draw, as numpy keeps
+it), mapped by Lemire's rejection. Its exactness rests on those two numpy
+details, which the tier-1 fuzz in tests/test_rng.py pins. PairStream stays
+the fast path for one fixed range; WordStream serves the draws it cannot.
+
+PairStream: the simulator's per-thread choices and `run_sequential` with
+beta 0 or 1; the increment stream of the counter quality run; the queue
+quality run's enqueue and dequeue stream; each worker of the counter
+throughput, queue stress and transactional runs; and every
+RelaxedClockView.
+
+WordStream: `run_sequential` with 0 < beta < 1, which mixes `random()` with
+`integers()`, and the random-interleave scheduler, whose range
+`len(active)` changes from draw to draw.
+
+Scalar on purpose: the counter quality run's read stream, which makes one
+draw per cadence point, where a prefetch would cost more than it saves.
 """
 
 from __future__ import annotations
 
+import numpy as np
 from numpy.random import Generator, PCG64, SeedSequence
 
 GENERATOR_NAME = "pcg64"
+
+_TWO_32 = 1 << 32
+_LOW_32 = _TWO_32 - 1
+_TWO_M53 = 2.0 ** -53
 
 
 def make_rng(seed: int) -> Generator:
@@ -104,3 +119,82 @@ class PairStream:
         i = self._buf[self._pos]
         self._pos += 1
         return i
+
+
+class WordStream:
+    """Buffered `random()` and `integers(lo, hi)` draws, in any order, from
+    one PCG64 generator, equal bit for bit to the same scalar calls on it.
+
+    Words come in blocks of BLOCK from `bit_generator.random_raw`, and each
+    refill splits the block once with numpy into the three views a draw can
+    take of a word. A double is `(w >> 11) * 2**-53` of one whole word. An
+    integer in a range of m <= 2**32 values takes a 32-bit half: the high
+    half left pending by the last word split for a range draw if there is
+    one, else the low half of a new word (keeping its high half pending),
+    and maps it by numpy's Lemire rejection. A range of one value returns
+    `lo` and draws nothing, as numpy does. A half pending in the generator
+    when the stream is built is served first. Once wrapped, the generator
+    belongs to the stream: its own state runs up to a block ahead of the
+    draws served.
+    """
+
+    BLOCK = 1024
+
+    __slots__ = ("_bitgen", "_doubles", "_lows", "_highs", "_pos", "_half")
+
+    def __init__(self, rng: Generator):
+        bitgen = rng.bit_generator
+        if not isinstance(bitgen, PCG64):
+            raise TypeError(f"WordStream needs a PCG64 bit generator, got {type(bitgen).__name__}")
+        state = bitgen.state
+        self._bitgen = bitgen
+        self._doubles: list[float] = []
+        self._lows: list[int] = []
+        self._highs: list[int] = []
+        self._pos = 0
+        self._half = state["uinteger"] if state["has_uint32"] else -1
+
+    def _refill(self) -> None:
+        words = self._bitgen.random_raw(self.BLOCK)
+        self._doubles = ((words >> np.uint64(11)) * _TWO_M53).tolist()
+        self._lows = (words & np.uint64(_LOW_32)).tolist()
+        self._highs = (words >> np.uint64(32)).tolist()
+        self._pos = 0
+
+    # random() and integers() each inline the block cursor: a shared helper
+    # would add a method call to every draw, a large share of its cost.
+    def random(self) -> float:
+        pos = self._pos
+        try:
+            x = self._doubles[pos]
+        except IndexError:
+            self._refill()
+            pos = 0
+            x = self._doubles[0]
+        self._pos = pos + 1
+        return x
+
+    def integers(self, lo: int, hi: int) -> int:
+        m = hi - lo
+        if m == 1:
+            return lo
+        if m < 1 or m > _TWO_32:
+            raise ValueError(f"range [{lo}, {hi}) must hold 1 to 2**32 values")
+        threshold = (_TWO_32 - m) % m
+        while True:
+            u = self._half
+            if u < 0:
+                pos = self._pos
+                try:
+                    u = self._lows[pos]
+                except IndexError:
+                    self._refill()
+                    pos = 0
+                    u = self._lows[0]
+                self._half = self._highs[pos]
+                self._pos = pos + 1
+            else:
+                self._half = -1
+            p = u * m
+            if p & _LOW_32 >= threshold:
+                return lo + (p >> 32)

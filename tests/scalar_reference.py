@@ -1,0 +1,60 @@
+"""The two draw paths that made one scalar numpy call per draw before
+`twochoice.rng.WordStream` served them: the (1+beta) loop of
+`run_sequential` for 0 < beta < 1, and the random-interleave scheduler's
+picker. Slow, but every draw is a plain Generator call, so tests use them as
+the oracles that the buffered paths must match value for value.
+"""
+
+from __future__ import annotations
+
+from twochoice.adversary import RANDOM_INTERLEAVE, Schedule
+from twochoice.balance import (
+    LoadState,
+    LoadVector,
+    Trajectory,
+    TrajectoryBuilder,
+    WeightDistribution,
+    default_params,
+)
+from twochoice.rng import make_rng, schedule_rng
+
+
+def run_sequential_reference(bins: int, steps: int, two_choice_prob: float,
+                             weight: WeightDistribution, seed: int,
+                             snapshot_every: int) -> tuple[Trajectory, LoadVector]:
+    """`run_sequential` with 0 < two_choice_prob < 1, drawing each step's
+    coin and bin indices as scalars from the index stream."""
+    if not 0.0 < two_choice_prob < 1.0:
+        raise ValueError("the reference covers 0 < two_choice_prob < 1 only")
+    state = LoadState(bins, default_params(two_choice_prob, weight), unit=weight.is_unit)
+    traj = TrajectoryBuilder(steps // snapshot_every + 2)
+    if steps == 0:
+        return traj.build(), state.load_vector()
+    idx_rng, w_rng = make_rng(seed).spawn(2)
+    balls = weight.sample_batch(w_rng, steps)
+    weights = state.weights
+    for s in range(1, steps + 1):
+        if idx_rng.random() < two_choice_prob:
+            i = int(idx_rng.integers(0, bins))
+            j = int(idx_rng.integers(0, bins))
+            if (weights[j], j) < (weights[i], i):
+                i = j
+        else:
+            i = int(idx_rng.integers(0, bins))
+        state.add(i, balls[s - 1])
+        if s % snapshot_every == 0:
+            traj.append(state.snapshot_row(s))
+    if steps % snapshot_every != 0:
+        traj.append(state.snapshot_row(steps))
+    return traj.build(), state.load_vector()
+
+
+def random_interleave_reference(threads: int, total_ops: int, seed: int
+                                ) -> list[tuple[int, int, int]]:
+    """The random-interleave schedule with each pick a scalar draw from the
+    scheduler's stream."""
+    schedule = Schedule(RANDOM_INTERLEAVE, threads, total_ops, seed)
+    if total_ops == 0:
+        return []
+    return list(schedule._interleaved(lambda active, r: int(r.integers(0, len(active))),
+                                      schedule_rng(seed)))

@@ -3,7 +3,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scalar_reference import random_interleave_reference
 from sim_reference import simulate_reference
 
 from twochoice.adversary import (
@@ -51,6 +52,15 @@ def test_schedule_fuzzed_invariants():
         block = int(rng.integers(1, n + 1)) if kind == STAMPEDE else None
         validate_schedule(Schedule(kind=kind, threads=n, total_ops=ops,
                                    seed=int(rng.integers(0, 2**32)), block_size=block))
+
+
+@settings(max_examples=60, deadline=None)
+@given(threads=st.integers(1, 8), ops=st.integers(0, 2000), seed=st.integers(0, 2**64 - 1))
+@example(threads=8, ops=2000, seed=1)
+@example(threads=1, ops=2000, seed=2)
+def test_random_interleave_matches_scalar_reference(threads, ops, seed):
+    got = list(Schedule(RANDOM_INTERLEAVE, threads, ops, seed).events())
+    assert got == random_interleave_reference(threads, ops, seed)
 
 
 def test_serial_schedule_is_strictly_sequential():

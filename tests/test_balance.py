@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scalar_reference import run_sequential_reference
 
 from twochoice.balance import (
     LoadState,
@@ -20,7 +22,7 @@ from twochoice.balance import (
     run_sequential,
     step_sequential,
 )
-from twochoice.rng import make_rng
+from twochoice.rng import WordStream, make_rng
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +330,31 @@ def test_run_sequential_determinism():
 def test_run_sequential_snapshot_cadence():
     traj, _ = run_sequential(4, 1050, 1.0, rng=1, snapshot_every=100)
     assert list(traj.steps) == [100 * k for k in range(1, 11)] + [1050]
+
+
+# below about 5e-323 default_params' margins underflow to 0 and raise
+@settings(max_examples=40, deadline=None)
+@given(beta=st.floats(1e-12, 1.0, exclude_max=True),
+       bins=st.sampled_from([1, 2, 3, 64, 100]),
+       weight=st.sampled_from([WeightDistribution.unit(), WeightDistribution.exponential()]),
+       steps=st.integers(0, 3000),
+       snapshot_every=st.sampled_from([1, 7, 100, 1000, 5000]),
+       seed=st.integers(0, 2**32))
+@example(beta=0.5, bins=64, weight=WeightDistribution.unit(), steps=4 * WordStream.BLOCK,
+         snapshot_every=1000, seed=3)
+@example(beta=1e-9, bins=3, weight=WeightDistribution.exponential(),
+         steps=2 * WordStream.BLOCK + 1, snapshot_every=7, seed=4)
+@example(beta=1 - 1e-9, bins=100, weight=WeightDistribution.unit(),
+         steps=2 * WordStream.BLOCK, snapshot_every=1, seed=5)
+def test_run_sequential_beta_matches_scalar_reference(beta, bins, weight, steps,
+                                                      snapshot_every, seed):
+    got_traj, got_loads = run_sequential(bins, steps, beta, weight=weight, rng=seed,
+                                         snapshot_every=snapshot_every)
+    want_traj, want_loads = run_sequential_reference(bins, steps, beta, weight, seed,
+                                                     snapshot_every)
+    assert got_loads.weights == want_loads.weights
+    for name in vars(want_traj):
+        assert np.array_equal(getattr(got_traj, name), getattr(want_traj, name)), name
 
 
 # frozen per-seed gaps: the process is its own oracle (values observed once

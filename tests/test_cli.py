@@ -213,6 +213,7 @@ def test_main_config_error_exit_code():
     (["counter", "--mode", "quality", "--increments", "5"], "increments"),
     (["counter", "--mode", "quality", "--cadence", "0"], "cadence"),
     (["queue", "--mode", "quality", "--dequeues", "0"], "dequeues"),
+    (["queue", "--mode", "quality", "--prefill", "10", "--dequeues", "20"], "dequeues"),
 ])
 def test_quality_config_rejected_naming_key(tmp_path, capsys, argv, key):
     assert main(argv + ["--out", str(tmp_path / "r")]) == 2
@@ -235,6 +236,7 @@ def test_quality_config_rejected_naming_key(tmp_path, capsys, argv, key):
     (["stm", "--threads-max", "1", "--objects", "8,0"], "objects"),
     (["stm", "--threads-max", "1", "--objects", "8", "--clock-cells", "0"], "clock_cells"),
     (["stm", "--threads-max", "1", "--objects", "8", "--delta", "-1"], "delta"),
+    (["seq", "--weight", "unti"], "weight"),
 ])
 def test_out_of_range_config_rejected_naming_key(tmp_path, capsys, argv, key):
     assert main(argv + ["--out", str(tmp_path / "r")]) == 2

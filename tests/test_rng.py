@@ -1,12 +1,13 @@
-"""PairStream against the scalar Generator draws it stands in for."""
+"""PairStream and WordStream against the scalar Generator draws they stand in for."""
 
 import tracemalloc
 from itertools import accumulate
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from numpy.random import MT19937, Generator
 
-from twochoice.rng import PairStream, make_rng, thread_rngs
+from twochoice.rng import PairStream, WordStream, make_rng, thread_rngs
 
 # values drawn when each refill happens: the blocks double from
 # FIRST_BLOCK until they reach MAX_BLOCK
@@ -74,3 +75,45 @@ def test_other_range_raises(lo, hi):
     stream = PairStream(make_rng(0), 64)
     with pytest.raises(ValueError, match=r"\[0, 64\)"):
         stream.integers(lo, hi)
+
+
+# range sizes: 2**31 + 1 rejects about half of its 32-bit draws, 2**32 - 1
+# and 2**32 are the widest ranges a 32-bit half serves
+WORD_RANGES = [1, 2, 3, 64, 1000, 2**31 + 1, 2**32 - 1, 2**32]
+# one call: None is random(), (lo, m) is integers(lo, lo + m)
+CALLS = st.one_of(st.none(), st.tuples(st.integers(-2**40, 2**40), st.sampled_from(WORD_RANGES)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), primed=st.booleans(),
+       pattern=st.lists(CALLS, min_size=1, max_size=12),
+       k=st.one_of(st.integers(0, 300), st.integers(2 * WordStream.BLOCK, 5 * WordStream.BLOCK)))
+@example(seed=7, primed=True, pattern=[None], k=2 * WordStream.BLOCK + 1)
+@example(seed=7, primed=False, pattern=[(0, 2**31 + 1)], k=5 * WordStream.BLOCK)
+@example(seed=7, primed=True, pattern=[(0, 1), (5, 3), None, (0, 1)], k=5 * WordStream.BLOCK)
+def test_word_stream_matches_scalar_draws(seed, primed, pattern, k):
+    """The pattern repeats to k calls; primed leaves a pending 32-bit half in
+    the generator before it is wrapped."""
+    wrapped, scalar = make_rng(seed), make_rng(seed)
+    if primed:
+        wrapped.integers(0, 7)
+        scalar.integers(0, 7)
+    stream = WordStream(wrapped)
+    for n in range(k):
+        call = pattern[n % len(pattern)]
+        if call is None:
+            assert stream.random() == scalar.random(), n
+        else:
+            lo, m = call
+            assert stream.integers(lo, lo + m) == int(scalar.integers(lo, lo + m)), n
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 0), (5, 4), (0, 2**32 + 1), (-1, 2**32)])
+def test_word_stream_rejects_bad_range(lo, hi):
+    with pytest.raises(ValueError):
+        WordStream(make_rng(0)).integers(lo, hi)
+
+
+def test_word_stream_needs_pcg64():
+    with pytest.raises(TypeError, match="PCG64"):
+        WordStream(Generator(MT19937(0)))
