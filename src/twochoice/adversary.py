@@ -36,10 +36,10 @@ import numpy as np
 from .balance import (
     LoadState,
     LoadVector,
-    PotentialParams,
     Trajectory,
     TrajectoryBuilder,
     WeightDistribution,
+    potential_exponent,
 )
 from .csvfile import write_csv
 from .rng import PairStream, WordStream, schedule_rng, thread_rngs
@@ -313,7 +313,7 @@ class SimResult:
 
 
 def simulate(config: SimConfig, schedule: Schedule | None = None,
-             params: PotentialParams | None = None) -> SimResult:
+             exponent: float | None = None) -> SimResult:
     """Replay a schedule against fresh bins.
 
     Choices come from per-thread streams derived from config.seed; a fixed
@@ -330,10 +330,9 @@ def simulate(config: SimConfig, schedule: Schedule | None = None,
     n = config.threads
     m = config.bins
     unit = config.weight.is_unit
-    params = params or PotentialParams.from_good_margin(
-        GOOD_MARGIN, moment_bound=config.weight.moment_bound
-    )
-    state = LoadState(m, params, unit=unit)
+    if exponent is None:
+        exponent = potential_exponent(GOOD_MARGIN, config.weight.moment_bound)
+    state = LoadState(m, exponent, unit=unit)
     weights = state.weights
 
     next_pairs = []

@@ -1,11 +1,16 @@
 """Sequential balanced-allocation processes and their instrumentation.
 
-Implements the family of rank-biased insertion processes (pure two-choice,
-(1+beta)-choice, fully biased "wrong bin" insertion, and mixtures of these
-for corrupted-update experiments), over unit or exponential ball weights,
-together with the exponential potential instrumentation used to monitor
-balance: phi = sum exp(a*y_j), psi = sum exp(-a*y_j), gamma = phi + psi,
-where y_j are the mean-centered bin weights.
+Implements the (1+beta)-choice process over unit or exponential ball
+weights: each ball takes a two-choice step with probability beta and a
+uniform one otherwise. Its rank vector has one closed form, and that form
+also covers the good and bad steps of the asynchronous process: a step that
+picks the lesser bin of a uniform pair with probability r = Pr[correct],
+and the greater one otherwise, has the (1+beta) rank vector at
+beta_eff = 2r - 1, so any mixture of such steps is that form at the mixed r.
+
+The exponential potential instrumentation monitors balance:
+phi = sum exp(a*y_j), psi = sum exp(-a*y_j), gamma = phi + psi, where y_j
+are the mean-centered bin weights and a is `potential_exponent`'s value.
 
 Everything here is single threaded and deterministic for a fixed seed.
 """
@@ -13,8 +18,8 @@ Everything here is single threaded and deterministic for a fixed seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 from numpy.random import Generator
@@ -22,16 +27,9 @@ from numpy.random import Generator
 from .csvfile import write_csv
 from .rng import PairStream, WordStream, make_rng
 
-# exp() overflows double precision just past 709; stay clear of it.
-MAX_SAFE_EXPONENT = 700.0
-
 PROB_SUM_TOL = 1e-12
 
 TRAJECTORY_HEADER = "step,phi,psi,gamma,gap,max,min,mean"
-
-
-class PotentialOverflowError(OverflowError):
-    """A centered load is too large for exp() in double precision."""
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +39,7 @@ class PotentialOverflowError(OverflowError):
 
 @dataclass
 class LoadVector:
-    """Bin weights with derived mean and centered values.
+    """Final bin weights of a run.
 
     Unit-weight processes keep integer weights, so after k insertions the
     total is exactly k with no floating error.
@@ -53,88 +51,9 @@ class LoadVector:
         if len(self.weights) == 0:
             raise ValueError("load vector needs at least one bin")
 
-    @classmethod
-    def zeros(cls, bins: int, unit: bool = True) -> "LoadVector":
-        if bins < 1:
-            raise ValueError("bins must be >= 1")
-        return cls([0] * bins if unit else [0.0] * bins)
-
-    @property
-    def bins(self) -> int:
-        return len(self.weights)
-
     @property
     def total(self):
         return sum(self.weights)
-
-    @property
-    def mean(self) -> float:
-        return self.total / len(self.weights)
-
-    def centered(self) -> list[float]:
-        mu = self.mean
-        return [w - mu for w in self.weights]
-
-    def gap(self):
-        return max(self.weights) - min(self.weights)
-
-    def copy(self) -> "LoadVector":
-        return LoadVector(list(self.weights))
-
-
-@dataclass(frozen=True)
-class PotentialParams:
-    """Constants for the exponential potential.
-
-    The exponent scale is derived, never set directly:
-    exponent = min(exp_cutoff / 2, drift_margin / (6 * moment_bound)).
-
-    drift_margin is deliberately an explicit knob: the drift analysis is
-    quoted with both margin = two_choice_prob / 16 and / 12 in different
-    places, so callers pick one rather than this module deciding.
-    """
-
-    drift_margin: float
-    good_margin: float = 0.0
-    two_choice_prob: float = 0.0
-    exp_cutoff: float = 1.0
-    moment_bound: float = 1.0
-
-    def __post_init__(self):
-        if self.drift_margin <= 0:
-            raise ValueError("drift_margin must be positive")
-        if self.moment_bound <= 0 or self.exp_cutoff <= 0:
-            raise ValueError("moment_bound and exp_cutoff must be positive")
-
-    @property
-    def exponent(self) -> float:
-        return min(self.exp_cutoff / 2.0, self.drift_margin / (6.0 * self.moment_bound))
-
-    @classmethod
-    def from_good_margin(cls, good_margin: float, moment_bound: float = 1.0) -> "PotentialParams":
-        """Parameters coupled to a good-step margin g: margin g/6, two-choice 2g."""
-        if good_margin <= 0:
-            raise ValueError("good_margin must be positive")
-        return cls(
-            drift_margin=good_margin / 6.0,
-            good_margin=good_margin,
-            two_choice_prob=min(1.0, 2.0 * good_margin),
-            moment_bound=moment_bound,
-        )
-
-
-@dataclass(frozen=True)
-class PotentialSnapshot:
-    """phi, psi, gamma and the load spread at one step."""
-
-    step: int
-    phi: float
-    psi: float
-    gamma: float
-    gap: float
-    max_load: float
-    min_load: float
-    mean_load: float
 
 
 @dataclass(frozen=True)
@@ -153,17 +72,8 @@ class ProbabilityVector:
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise ValueError(f"probabilities sum to {total}, not 1")
 
-    @property
-    def bins(self) -> int:
-        return len(self.probs)
-
     def prefix_sums(self) -> np.ndarray:
         return np.cumsum(np.asarray(self.probs, dtype=np.float64))
-
-    def cdf(self) -> np.ndarray:
-        c = self.prefix_sums()
-        c[-1] = 1.0
-        return c
 
 
 @dataclass(frozen=True)
@@ -203,11 +113,6 @@ class WeightDistribution:
         """Second-moment bound for the potential drift: 1 for unit, 8 otherwise."""
         return 1.0 if self.is_unit else 8.0
 
-    def sample(self, rng: Generator):
-        if self.is_unit:
-            return 1
-        return float(rng.exponential(self.mean))
-
     def sample_batch(self, rng: Generator, size: int) -> list:
         if self.is_unit:
             return [1] * size
@@ -224,6 +129,9 @@ def one_plus_beta_probabilities(bins: int, two_choice_prob: float) -> Probabilit
 
     p_i = (1-b)/m + b * ((2/m) * (1 - (i-1)/m) - 1/m^2) for ranks i = 1..m,
     least loaded first. b=0 is uniform insertion, b=1 pure two-choice.
+    A step that takes the lesser bin of a uniform pair with probability r
+    has this vector at b = 2r - 1 (b = -1, outside this domain, is the step
+    that always takes the greater bin).
     """
     if bins < 1:
         raise ValueError("bins must be >= 1")
@@ -238,81 +146,22 @@ def one_plus_beta_probabilities(bins: int, two_choice_prob: float) -> Probabilit
     return ProbabilityVector(probs)
 
 
-def bad_step_probabilities(bins: int) -> ProbabilityVector:
-    """Worst-case rank probabilities, biased toward more loaded bins.
-
-    p_i = (2i-1)/m^2: the mirror image of pure two-choice, used to model
-    steps that deterministically pick the wrong bin of their pair.
-    """
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
-    m = bins
-    return ProbabilityVector(tuple((2 * i - 1) / (m * m) for i in range(1, m + 1)))
-
-
-def good_step_probabilities(bins: int, correct_prob: float) -> ProbabilityVector:
-    """Rank probabilities of a step that picks the lesser bin of a uniform
-    pair with probability correct_prob and the greater one otherwise.
-
-    p_i = 2r(m-i)/m^2 + 1/m^2 + 2(1-r)(i-1)/m^2 with r = correct_prob.
-    """
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
-    if not 0.0 <= correct_prob <= 1.0:
-        raise ValueError("correct_prob must lie in [0, 1]")
-    m = bins
-    r = correct_prob
-    return ProbabilityVector(
-        tuple(
-            (2.0 * r * (m - i) + 1.0 + 2.0 * (1.0 - r) * (i - 1)) / (m * m)
-            for i in range(1, m + 1)
-        )
-    )
-
-
-def mixture(a: ProbabilityVector, b: ProbabilityVector, weight_on_a: float) -> ProbabilityVector:
-    """Convex mixture of two rank vectors (corrupted-update processes)."""
-    if a.bins != b.bins:
-        raise ValueError("mixed vectors must have the same length")
-    if not 0.0 <= weight_on_a <= 1.0:
-        raise ValueError("weight_on_a must lie in [0, 1]")
-    w = weight_on_a
-    return ProbabilityVector(
-        tuple(w * pa + (1.0 - w) * pb for pa, pb in zip(a.probs, b.probs))
-    )
-
-
 # ---------------------------------------------------------------------------
 # potential
 # ---------------------------------------------------------------------------
 
 
-def potential(loads: LoadVector, params: PotentialParams, step: int = 0) -> PotentialSnapshot:
-    """Fresh O(m) evaluation of phi, psi, gamma and the gap."""
-    a = params.exponent
-    mu = loads.mean
-    phi = 0.0
-    psi = 0.0
-    for w in loads.weights:
-        y = w - mu
-        if abs(a * y) > MAX_SAFE_EXPONENT:
-            raise PotentialOverflowError(
-                f"exponent {a * y:.3g} exceeds safe range {MAX_SAFE_EXPONENT}"
-            )
-        phi += math.exp(a * y)
-        psi += math.exp(-a * y)
-    mx = max(loads.weights)
-    mn = min(loads.weights)
-    return PotentialSnapshot(
-        step=step,
-        phi=phi,
-        psi=psi,
-        gamma=phi + psi,
-        gap=mx - mn,
-        max_load=mx,
-        min_load=mn,
-        mean_load=mu,
-    )
+def potential_exponent(good_margin: float, moment_bound: float = 1.0) -> float:
+    """Exponent a of the potential for a good-step margin g.
+
+    a = min(1/2, (g/6) / (6 * moment_bound)), with drift margin g/6 and the
+    exponent capped at 1/2. Raises ValueError unless a > 0: for g <= 0, and
+    for a g so small that a underflows to zero.
+    """
+    exponent = min(1.0 / 2.0, (good_margin / 6.0) / (6.0 * moment_bound))
+    if not exponent > 0.0:
+        raise ValueError(f"good_margin {good_margin!r} gives no positive exponent")
+    return exponent
 
 
 class LoadState:
@@ -325,32 +174,29 @@ class LoadState:
     """
 
     __slots__ = (
-        "weights", "bins", "unit", "total", "max_w", "min_w", "min_count",
-        "exponent", "s_phi", "s_psi", "base", "updates",
+        "weights", "bins", "total", "max_w", "min_w", "min_count",
+        "exponent", "s_phi", "s_psi", "base",
     )
 
-    def __init__(self, bins: int, params: PotentialParams, unit: bool = True):
+    def __init__(self, bins: int, exponent: float, unit: bool = True):
         if bins < 1:
             raise ValueError("bins must be >= 1")
         self.bins = bins
-        self.unit = unit
         self.weights = [0] * bins if unit else [0.0] * bins
         self.total = 0 if unit else 0.0
         self.max_w = 0
         self.min_w = 0
         self.min_count = bins
-        self.exponent = params.exponent
+        self.exponent = exponent
         self.s_phi = float(bins)
         self.s_psi = float(bins)
         self.base = 0.0
-        self.updates = 0
 
     def add(self, bin_idx: int, w) -> None:
         old = self.weights[bin_idx]
         new = old + w
         self.weights[bin_idx] = new
         self.total += w
-        self.updates += 1
         a = self.exponent
         self.s_phi += math.exp(a * (new - self.base)) - math.exp(a * (old - self.base))
         self.s_psi += math.exp(-a * (new - self.base)) - math.exp(-a * (old - self.base))
@@ -417,18 +263,6 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.steps)
 
-    def snapshot(self, i: int) -> PotentialSnapshot:
-        return PotentialSnapshot(
-            step=int(self.steps[i]),
-            phi=float(self.phi[i]),
-            psi=float(self.psi[i]),
-            gamma=float(self.gamma[i]),
-            gap=float(self.gap[i]),
-            max_load=float(self.max_load[i]),
-            min_load=float(self.min_load[i]),
-            mean_load=float(self.mean_load[i]),
-        )
-
     def write_csv(self, path, header_comments: Iterable[str] = ()) -> None:
         cols = (self.steps, self.phi, self.psi, self.gamma, self.gap,
                 self.max_load, self.min_load, self.mean_load)
@@ -462,50 +296,19 @@ class TrajectoryBuilder:
 
 
 # ---------------------------------------------------------------------------
-# stepping
+# sequential runs
 # ---------------------------------------------------------------------------
 
 
-def _rank_order(weights: Sequence) -> list[int]:
-    """Bin indices in increasing (weight, index) order: ties go to lower index."""
-    return sorted(range(len(weights)), key=lambda b: (weights[b], b))
-
-
-def step_sequential(
-    loads: LoadVector,
-    probs: ProbabilityVector,
-    weight: WeightDistribution,
-    rng: Generator,
-) -> tuple[LoadVector, int]:
-    """One insertion driven by a rank probability vector.
-
-    Samples a rank from probs, maps it to a bin through the current
-    (weight, index) order, and adds one weight sample to that bin. Returns
-    the updated loads and the chosen bin. This is the general-purpose step
-    for arbitrary rank vectors; the bulk runners below specialize it.
-    """
-    if probs.bins != loads.bins:
-        raise ValueError("probability vector length must match bin count")
-    order = _rank_order(loads.weights)
-    cdf = probs.cdf()
-    rank = int(np.searchsorted(cdf, rng.random(), side="right"))
-    if rank >= loads.bins:
-        rank = loads.bins - 1
-    chosen = order[rank]
-    updated = loads.copy()
-    updated.weights[chosen] += weight.sample(rng)
-    return updated, chosen
-
-
-def default_params(two_choice_prob: float, weight: WeightDistribution) -> PotentialParams:
-    """Instrumentation defaults for a (1+beta) run.
+def default_params(two_choice_prob: float, weight: WeightDistribution) -> float:
+    """Potential exponent for a (1+beta) run.
 
     Couples the margin to the process via good_margin = beta/2; a pure
     uniform run (beta = 0) has no good margin, so fall back to 1/2 there
     (the instrumentation still tracks gap and gamma, it just is not tuned).
     """
     g = two_choice_prob / 2.0 if two_choice_prob > 0 else 0.5
-    return PotentialParams.from_good_margin(g, moment_bound=weight.moment_bound)
+    return potential_exponent(g, weight.moment_bound)
 
 
 def run_sequential(
@@ -515,7 +318,7 @@ def run_sequential(
     weight: WeightDistribution | None = None,
     rng: Generator | int | None = None,
     snapshot_every: int = 1000,
-    params: PotentialParams | None = None,
+    exponent: float | None = None,
 ) -> tuple[Trajectory, LoadVector]:
     """Run the (1+beta)-choice process and record snapshots at a cadence.
 
@@ -537,9 +340,10 @@ def run_sequential(
         rng = make_rng(rng)
     elif rng is None:
         rng = make_rng(0)
-    params = params or default_params(two_choice_prob, weight)
+    if exponent is None:
+        exponent = default_params(two_choice_prob, weight)
 
-    state = LoadState(bins, params, unit=weight.is_unit)
+    state = LoadState(bins, exponent, unit=weight.is_unit)
     cap = steps // snapshot_every + 2
     traj = TrajectoryBuilder(cap)
     if steps == 0:

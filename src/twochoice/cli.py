@@ -26,7 +26,7 @@ from pathlib import Path
 
 from .adversary import ADVERSARY_KINDS, SimConfig, classify_operations, drift_report, simulate
 from .affinity import run_timed_workers
-from .balance import WeightDistribution, run_sequential
+from .balance import WeightDistribution, default_params, run_sequential
 from .csvfile import write_csv as _write_csv  # perfbench/layers.py swaps this name
 from .dlin import history_from_simulation, linearize_costs, tail_report
 from .multicounter import MultiCounter
@@ -227,11 +227,16 @@ def run_seq(cfg: ExperimentConfig) -> int:
     if p["weight"] not in (WeightDistribution.UNIT, WeightDistribution.EXPONENTIAL):
         raise ConfigError(f"key 'weight': must be unit or exponential, got {p['weight']!r}")
     weight = WeightDistribution(p["weight"])
+    try:
+        exponent = default_params(p["beta"], weight)
+    except ValueError:
+        raise ConfigError(f"key 'beta': {p['beta']!r} is too small to set the "
+                          "potential exponent") from None
     outdir = cfg.outdir
     for seed in p["seeds"]:
         traj, loads = run_sequential(
             p["bins"], p["steps"], p["beta"], weight=weight, rng=seed,
-            snapshot_every=p["snapshot_every"],
+            snapshot_every=p["snapshot_every"], exponent=exponent,
         )
         if weight.is_unit and loads.total != p["steps"]:
             return _fail(outdir, "seq",
@@ -371,16 +376,22 @@ def run_queue(cfg: ExperimentConfig) -> int:
         q = MultiQueue(p["queues"], oracle=oracle)
         for k in range(p["prefill"]):
             q.enqueue(k, rng)
-        got = 0
+        # EMPTY means both probed queues were empty; others may still hold
+        # elements, so retry until the whole queue is empty
+        got = retries = 0
         while got < p["dequeues"]:
-            if q.dequeue(rng) is EMPTY:
+            if q.dequeue(rng) is not EMPTY:
+                got += 1
+            elif q.live_count() > 0:
+                retries += 1
+            else:
                 return _fail(outdir, "queue", "ran out of elements during quality run")
-            got += 1
         ranks = [r[1] for r in q.rank_log]
         path = outdir / "queue_ranks.csv"
         q.write_rank_csv(path, header_comments=cfg.header_comments())
         mean_rank = sum(ranks) / len(ranks)
-        print(f"queue quality: mean_rank={mean_rank:.1f} max_rank={max(ranks)} -> {path}")
+        print(f"queue quality: mean_rank={mean_rank:.1f} max_rank={max(ranks)} "
+              f"retries={retries} -> {path}")
         return 0
     if p["mode"] != "stress":
         raise ConfigError(f"key 'mode': unknown queue mode {p['mode']!r}")

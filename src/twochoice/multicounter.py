@@ -64,10 +64,6 @@ class MultiCounter:
         """m times one uniformly chosen cell; wait-free."""
         return self.cells * self._values[int(rng.integers(0, self.cells))]
 
-    def read_cell(self, index: int) -> int:
-        """Unscaled value of one cell (diagnostics)."""
-        return self._values[index]
-
     def exact_total(self) -> int:
         """Sum of all cells; exact only at quiescence."""
         return sum(self._values)

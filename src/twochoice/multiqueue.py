@@ -117,9 +117,6 @@ class RankOracle:
             raise KeyError(key)
         return self._prefix(key) - 1
 
-    def live_keys(self) -> set[int]:
-        return set(self._live)
-
     def _grow(self, need: int) -> None:
         cap = self._cap
         while cap < need:

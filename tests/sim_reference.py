@@ -18,12 +18,12 @@ from twochoice.adversary import (
     SimResult,
     generate_schedule,
 )
-from twochoice.balance import LoadState, PotentialParams, TrajectoryBuilder
+from twochoice.balance import LoadState, TrajectoryBuilder, potential_exponent
 from twochoice.rng import PairStream, thread_rngs
 
 
 def simulate_reference(config: SimConfig, schedule: Schedule | None = None,
-                       params: PotentialParams | None = None) -> SimResult:
+                       exponent: float | None = None) -> SimResult:
     """Replay a schedule against fresh bins, tracking per pending op the set
     of other ops seen and the set of bins they touched."""
     if schedule is None:
@@ -36,10 +36,9 @@ def simulate_reference(config: SimConfig, schedule: Schedule | None = None,
     n = config.threads
     m = config.bins
     unit = config.weight.is_unit
-    params = params or PotentialParams.from_good_margin(
-        GOOD_MARGIN, moment_bound=config.weight.moment_bound
-    )
-    state = LoadState(m, params, unit=unit)
+    if exponent is None:
+        exponent = potential_exponent(GOOD_MARGIN, config.weight.moment_bound)
+    state = LoadState(m, exponent, unit=unit)
     weights = state.weights
 
     rngs = thread_rngs(config.seed, n)

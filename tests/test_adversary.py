@@ -28,7 +28,7 @@ from twochoice.adversary import (
     simulate,
     validate_schedule,
 )
-from twochoice.balance import PotentialParams, WeightDistribution, run_sequential
+from twochoice.balance import WeightDistribution, potential_exponent, run_sequential
 from twochoice.rng import make_rng, thread_rngs
 
 
@@ -120,11 +120,11 @@ def test_simulation_conservation():
 
 def test_serial_equivalence_with_sequential_process():
     # one thread: reads are fresh, so the replay is the two-choice process
-    params = PotentialParams.from_good_margin(0.2)
+    exponent = potential_exponent(0.2)
     cfg = SimConfig(bins=16, threads=1, total_ops=4000, adversary=SERIAL, seed=42)
-    res = simulate(cfg, params=params)
+    res = simulate(cfg, exponent=exponent)
     rng = thread_rngs(42, 1)[0]
-    traj, loads = run_sequential(16, 4000, 1.0, rng=rng, snapshot_every=1, params=params)
+    traj, loads = run_sequential(16, 4000, 1.0, rng=rng, snapshot_every=1, exponent=exponent)
     assert loads.weights == res.loads.weights
     assert np.array_equal(traj.gamma, res.trajectory.gamma)
     assert np.array_equal(traj.gap, res.trajectory.gap)

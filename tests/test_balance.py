@@ -1,26 +1,21 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from potential_reference import PotentialOverflowError, potential
 from scalar_reference import run_sequential_reference
 
 from twochoice.balance import (
     LoadState,
     LoadVector,
-    PotentialOverflowError,
-    PotentialParams,
     ProbabilityVector,
-    Trajectory,
     WeightDistribution,
-    bad_step_probabilities,
     default_params,
-    good_step_probabilities,
-    mixture,
     one_plus_beta_probabilities,
-    potential,
+    potential_exponent,
     run_sequential,
-    step_sequential,
 )
 from twochoice.rng import WordStream, make_rng
 
@@ -68,28 +63,6 @@ def test_one_plus_beta_prefix_sum_formula(m, beta):
     assert np.max(np.abs(prefixes - closed)) <= 2.0 / (m * m)
 
 
-def test_bad_step_m1():
-    assert bad_step_probabilities(1).probs == (1.0,)
-
-
-def test_bad_step_m3():
-    v = bad_step_probabilities(3)
-    expected = (1 / 9, 3 / 9, 5 / 9)
-    assert all(abs(p - e) < 1e-15 for p, e in zip(v.probs, expected))
-
-
-@pytest.mark.parametrize("m", [1, 2, 7, 64, 1000, 10_000])
-def test_bad_step_sums_to_one(m):
-    # sum of the first m odd numbers is m^2
-    v = bad_step_probabilities(m)
-    assert abs(math.fsum(v.probs) - 1.0) <= 1e-12
-
-
-def test_bad_step_rejects_zero():
-    with pytest.raises(ValueError):
-        bad_step_probabilities(0)
-
-
 def test_probability_vector_validation():
     with pytest.raises(ValueError):
         ProbabilityVector((0.5, 0.6))
@@ -99,23 +72,30 @@ def test_probability_vector_validation():
         ProbabilityVector(())
 
 
-@pytest.mark.parametrize("m", [2, 3, 8, 33, 64, 128, 256])
-def test_good_step_majorizes_one_plus_beta(m):
-    # with correct-prob 1/2 + g, prefix sums dominate those of the
-    # (1+beta) vector for every beta <= 2g
-    for g in (0.05, 0.2, 0.5):
-        good = good_step_probabilities(m, 0.5 + g).prefix_sums()
-        for beta in (0.0, g, 2 * g):
-            ref = one_plus_beta_probabilities(m, beta).prefix_sums()
-            assert np.all(good - ref >= -1e-12)
+def _pair_rank_vector(m: int, r: float) -> list[Fraction]:
+    """Exact rank probabilities of a step over the m^2 equally likely
+    ordered pairs of ranks: it takes the lesser rank with probability r and
+    the greater with 1 - r, and a pair of equal ranks surely."""
+    r = Fraction(r)
+    probs = [Fraction(0)] * m
+    for i in range(m):
+        for j in range(m):
+            if i == j:
+                probs[i] += 1
+            else:
+                probs[min(i, j)] += r
+                probs[max(i, j)] += 1 - r
+    return [p / (m * m) for p in probs]
 
 
-def test_mixture_is_convex_combination():
-    a = one_plus_beta_probabilities(8, 1.0)
-    b = bad_step_probabilities(8)
-    mixed = mixture(a, b, 0.75)
-    for pm, pa, pb in zip(mixed.probs, a.probs, b.probs):
-        assert abs(pm - (0.75 * pa + 0.25 * pb)) < 1e-15
+@pytest.mark.parametrize("m", [1, 2, 3, 64])
+@pytest.mark.parametrize("r", [0.5, 0.6, 0.75, 1.0])
+def test_pair_step_is_one_plus_beta_at_2r_minus_1(m, r):
+    # a step that is correct with probability r is the (1+beta) process at
+    # beta = 2r - 1, so a mixture of good and bad steps is one such vector
+    closed = one_plus_beta_probabilities(m, 2 * r - 1).probs
+    exact = _pair_rank_vector(m, r)
+    assert max(abs(c - float(e)) for c, e in zip(closed, exact)) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -128,28 +108,29 @@ def test_load_vector_rejects_empty():
 
 
 def test_load_vector_centered_sums_to_zero():
+    # the potential oracle centers loads on its mean: the y_j sum to zero
     rng = make_rng(11)
     for _ in range(20):
         m = int(rng.integers(1, 50))
         weights = rng.exponential(3.0, size=m).tolist()
         lv = LoadVector(weights)
+        mu = potential(lv, 1e-3).mean_load
         tol = 1e-9 * m * max(abs(w) for w in weights)
-        assert abs(math.fsum(lv.centered())) <= max(tol, 1e-12)
+        assert abs(math.fsum(w - mu for w in lv.weights)) <= max(tol, 1e-12)
 
 
 def test_unit_conservation_is_exact():
-    lv = LoadVector.zeros(5)
+    state = LoadState(5, default_params(1.0, WeightDistribution.unit()), unit=True)
     rng = make_rng(3)
-    probs = one_plus_beta_probabilities(5, 1.0)
-    w = WeightDistribution.unit()
     for k in range(1, 200):
-        lv, _ = step_sequential(lv, probs, w, rng)
-        assert lv.total == k  # integer, no tolerance
+        state.add(int(rng.integers(0, 5)), 1)
+        assert state.total == k  # integer, no tolerance
+        assert state.load_vector().total == k
 
 
 def test_weight_unit_samples_one():
     w = WeightDistribution.unit()
-    assert w.sample(make_rng(0)) == 1
+    assert w.sample_batch(make_rng(0), 4) == [1, 1, 1, 1]
     assert w.moment_bound == 1.0
 
 
@@ -172,22 +153,27 @@ def test_weight_rejects_bad_kind():
 # ---------------------------------------------------------------------------
 
 def test_potential_params_exponent_derivation():
-    p = PotentialParams(drift_margin=6.0, exp_cutoff=2.0, moment_bound=1.0)
-    assert p.exponent == 1.0
-    p = PotentialParams(drift_margin=0.06, moment_bound=8.0)
-    assert abs(p.exponent - 0.06 / 48.0) < 1e-18
+    # a = min(1/2, (g/6) / (6 * moment_bound))
+    assert potential_exponent(36.0) == 0.5
+    assert abs(potential_exponent(0.36, moment_bound=8.0) - 0.06 / 48.0) < 1e-18
+    for g in (0.0, -0.1, 5e-324):  # the last underflows to a = 0
+        with pytest.raises(ValueError):
+            potential_exponent(g)
 
 
 def test_potential_params_good_margin_coupling():
-    p = PotentialParams.from_good_margin(0.3)
-    assert abs(p.drift_margin - 0.05) < 1e-15
-    assert abs(p.two_choice_prob - 0.6) < 1e-15
+    # a (1+beta) run's good margin is beta/2, and 1/2 at beta = 0
+    unit, expo = WeightDistribution.unit(), WeightDistribution.exponential()
+    assert default_params(0.6, unit) == potential_exponent(0.3)
+    assert default_params(0.6, expo) == potential_exponent(0.3, moment_bound=8.0)
+    assert default_params(0.0, unit) == potential_exponent(0.5)
+    with pytest.raises(ValueError):
+        default_params(5e-324, unit)
 
 
 def test_potential_equal_weights():
-    params = PotentialParams(drift_margin=1.0)
     for m in (1, 2, 17):
-        snap = potential(LoadVector([4.0] * m), params)
+        snap = potential(LoadVector([4.0] * m), 1.0 / 6.0)
         assert snap.phi == pytest.approx(m)
         assert snap.psi == pytest.approx(m)
         assert snap.gamma == pytest.approx(2 * m)
@@ -196,9 +182,7 @@ def test_potential_equal_weights():
 
 def test_potential_two_bins_alpha_one():
     # x = (1, -1), alpha = 1: gamma = 2 (e + 1/e)
-    params = PotentialParams(drift_margin=6.0, exp_cutoff=2.0)
-    assert params.exponent == 1.0
-    snap = potential(LoadVector([1.0, -1.0]), params)
+    snap = potential(LoadVector([1.0, -1.0]), 1.0)
     expected = 2.0 * (math.e + 1.0 / math.e)
     assert snap.gamma == pytest.approx(expected, abs=1e-12)
     assert snap.gamma == pytest.approx(6.172322539260975, abs=1e-12)
@@ -206,11 +190,10 @@ def test_potential_two_bins_alpha_one():
 
 def test_potential_gamma_at_least_2m():
     rng = make_rng(17)
-    params = PotentialParams(drift_margin=0.5)
     for _ in range(50):
         m = int(rng.integers(1, 40))
         lv = LoadVector(rng.normal(0, 5, size=m).tolist())
-        snap = potential(lv, params)
+        snap = potential(lv, 1.0 / 12.0)
         assert snap.gamma >= 2 * m - 1e-9 * m
         assert snap.phi >= m * (1 - 1e-12)
         assert snap.psi >= m * (1 - 1e-12)
@@ -218,88 +201,25 @@ def test_potential_gamma_at_least_2m():
 
 
 def test_potential_overflow_raises():
-    params = PotentialParams(drift_margin=6.0, exp_cutoff=2.0)  # exponent 1
     with pytest.raises(PotentialOverflowError):
-        potential(LoadVector([0.0, 2000.0]), params)
+        potential(LoadVector([0.0, 2000.0]), 1.0)
 
 
 def test_load_state_matches_fresh_potential():
-    params = default_params(1.0, WeightDistribution.unit())
-    state = LoadState(16, params, unit=True)
+    exponent = default_params(1.0, WeightDistribution.unit())
+    state = LoadState(16, exponent, unit=True)
     rng = make_rng(23)
     for k in range(1, 20_001):
         i = int(rng.integers(0, 16))
         state.add(i, 1)
         if k % 4000 == 0:
             row = state.snapshot_row(k)
-            fresh = potential(state.load_vector(), params, k)
+            fresh = potential(state.load_vector(), exponent, k)
             assert row[1] == pytest.approx(fresh.phi, rel=1e-9)
             assert row[2] == pytest.approx(fresh.psi, rel=1e-9)
             assert row[4] == fresh.gap
             assert row[5] == fresh.max_load
             assert row[6] == fresh.min_load
-
-
-# ---------------------------------------------------------------------------
-# stepping
-# ---------------------------------------------------------------------------
-
-class _ForcedRank:
-    """rng stub whose random() pins the sampled rank."""
-
-    def __init__(self, u):
-        self._u = u
-
-    def random(self):
-        return self._u
-
-
-def test_step_sequential_strict_minimum_wins():
-    # bins (0, 5): rank 0 is bin 0; any draw below p_1 = 0.75 picks it
-    lv = LoadVector([0, 5])
-    probs = one_plus_beta_probabilities(2, 1.0)
-    updated, chosen = step_sequential(lv, probs, WeightDistribution.unit(), _ForcedRank(0.5))
-    assert chosen == 0
-    assert updated.weights == [1, 5]
-
-
-def test_step_sequential_single_bin():
-    lv = LoadVector([0])
-    probs = one_plus_beta_probabilities(1, 1.0)
-    rng = make_rng(0)
-    for _ in range(10):
-        lv, chosen = step_sequential(lv, probs, WeightDistribution.unit(), rng)
-        assert chosen == 0
-    assert lv.weights == [10]
-
-
-def test_step_sequential_rank_ties_break_low_index():
-    # all-equal weights: rank 0 must be bin 0
-    lv = LoadVector([3, 3, 3])
-    probs = ProbabilityVector((1.0, 0.0, 0.0))
-    _, chosen = step_sequential(lv, probs, WeightDistribution.unit(), _ForcedRank(0.0))
-    assert chosen == 0
-
-
-def test_step_sequential_updates_exactly_one_bin():
-    rng = make_rng(31)
-    lv = LoadVector.zeros(9)
-    probs = one_plus_beta_probabilities(9, 0.5)
-    for _ in range(100):
-        before = list(lv.weights)
-        lv, chosen = step_sequential(lv, probs, WeightDistribution.unit(), rng)
-        diffs = [b != a for b, a in zip(before, lv.weights)]
-        assert sum(diffs) == 1 and diffs[chosen]
-
-
-def test_step_sequential_rejects_length_mismatch():
-    with pytest.raises(ValueError):
-        step_sequential(
-            LoadVector.zeros(3),
-            one_plus_beta_probabilities(4, 1.0),
-            WeightDistribution.unit(),
-            make_rng(0),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +252,7 @@ def test_run_sequential_snapshot_cadence():
     assert list(traj.steps) == [100 * k for k in range(1, 11)] + [1050]
 
 
-# below about 5e-323 default_params' margins underflow to 0 and raise
+# below about 1.5e-321 default_params' exponent underflows to 0 and raises
 @settings(max_examples=40, deadline=None)
 @given(beta=st.floats(1e-12, 1.0, exclude_max=True),
        bins=st.sampled_from([1, 2, 3, 64, 100]),

@@ -173,6 +173,16 @@ def test_queue_quality_run(tmp_path):
     _assert_lf_only(tmp_path / "r")
 
 
+def test_queue_quality_retries_empty_probes(tmp_path, capsys):
+    # 10 elements over 64 queues: most probed pairs are both empty
+    cfg = _cfg("queue", mode="quality", prefill=10, dequeues=10, out=tmp_path / "r")
+    assert run(cfg) == 0
+    lines = (tmp_path / "r" / "queue_ranks.csv").read_text().splitlines()
+    data = [l for l in lines if not l.startswith("#")][1:]
+    assert len(data) == 10
+    assert " retries=" in capsys.readouterr().out
+
+
 def test_queue_stress_run(tmp_path):
     cfg = _cfg("queue", mode="stress", queues=8, threads=2, duration=0.1,
                repeats=1, out=tmp_path / "r")
@@ -237,6 +247,7 @@ def test_quality_config_rejected_naming_key(tmp_path, capsys, argv, key):
     (["stm", "--threads-max", "1", "--objects", "8", "--clock-cells", "0"], "clock_cells"),
     (["stm", "--threads-max", "1", "--objects", "8", "--delta", "-1"], "delta"),
     (["seq", "--weight", "unti"], "weight"),
+    (["seq", "--beta", "5e-324", "--steps", "100", "--seeds", "1"], "beta"),
 ])
 def test_out_of_range_config_rejected_naming_key(tmp_path, capsys, argv, key):
     assert main(argv + ["--out", str(tmp_path / "r")]) == 2

@@ -121,7 +121,7 @@ def test_monotone_cells_under_concurrency():
         last = [0] * 4
         while not stop.is_set():
             for k in range(4):
-                v = c.read_cell(k)
+                v = c.snapshot()[k]
                 if v < last[k]:
                     seen.append((k, last[k], v))
                 last[k] = v
