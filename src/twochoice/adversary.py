@@ -302,7 +302,7 @@ class OpLog:
         # correct is written as 1/0, not True/False
         cols = (self.op, self.thread, self.start, self.finish, self.contention,
                 self.choice_i, self.choice_j, self.updated, self.correct.astype(np.int64))
-        write_csv(path, header_comments, OPLOG_HEADER, zip(*(c.tolist() for c in cols)))
+        write_csv(path, header_comments, OPLOG_HEADER, cols)
 
 
 @dataclass

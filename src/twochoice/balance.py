@@ -266,7 +266,7 @@ class Trajectory:
     def write_csv(self, path, header_comments: Iterable[str] = ()) -> None:
         cols = (self.steps, self.phi, self.psi, self.gamma, self.gap,
                 self.max_load, self.min_load, self.mean_load)
-        write_csv(path, header_comments, TRAJECTORY_HEADER, zip(*(c.tolist() for c in cols)))
+        write_csv(path, header_comments, TRAJECTORY_HEADER, cols)
 
 
 class TrajectoryBuilder:

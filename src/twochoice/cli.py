@@ -330,7 +330,7 @@ def run_counter(cfg: ExperimentConfig) -> int:
             return _fail(outdir, "counter",
                          f"total {counter.exact_total()} != {p['increments']}")
         path = outdir / "counter_quality.csv"
-        _write_csv(path, cfg.header_comments(), "increments,scaled_read,gap", rows)
+        _write_csv(path, cfg.header_comments(), "increments,scaled_read,gap", list(zip(*rows)))
         print(f"counter quality: final_gap={rows[-1][2]} -> {path}")
         return 0
     if p["mode"] != "throughput":
@@ -358,7 +358,7 @@ def run_counter(cfg: ExperimentConfig) -> int:
                   f"(pinned {pinned}/{threads})")
     path = outdir / "counter_throughput.csv"
     _write_csv(path, cfg.header_comments(),
-               "threads,ratio,cells,ops_per_sec_mean,ops_per_sec_std,conserved", rows)
+               "threads,ratio,cells,ops_per_sec_mean,ops_per_sec_std,conserved", list(zip(*rows)))
     return 0
 
 
@@ -435,7 +435,7 @@ def run_queue(cfg: ExperimentConfig) -> int:
               f"left={len(leftovers)} (pinned {pinned}/{threads})")
     path = outdir / "queue_stress.csv"
     _write_csv(path, cfg.header_comments(),
-               "threads,queues,duration,enqueued,dequeued,drained,consistent", rows)
+               "threads,queues,duration,enqueued,dequeued,drained,consistent", list(zip(*rows)))
     return 0
 
 
@@ -481,11 +481,11 @@ def run_stm(cfg: ExperimentConfig) -> int:
                       f"aborts/commit={statistics.fmean(abort_rates):.3f} "
                       f"(pinned {res.pinned_threads}/{threads})")
         _write_csv(outdir / f"stm_objects{objects}.csv", cfg.header_comments(),
-                   STM_CSV_HEADER, rows)
+                   STM_CSV_HEADER, list(zip(*rows)))
     _write_csv(outdir / "stm_summary.csv", cfg.header_comments(),
                "threads,objects,clock,delta,commits_per_sec_mean,"
                "commits_per_sec_std,aborts_per_commit_mean,consistent",
-               summary_rows)
+               list(zip(*summary_rows)))
     return 0
 
 

@@ -3,22 +3,36 @@
 A file is `# `-prefixed comment lines, one header line, then one
 comma-joined line per row; every line ends with a bare newline. Values are
 written with str(), which for Python floats is the shortest repr that
-reads back to the same double, so columnar callers pass numpy columns
-converted once with .tolist() rather than element by element.
+reads back to the same double. The writer takes columns, not rows: each
+column is converted once per chunk (numpy columns with .tolist()) and the
+rows are joined from the converted columns, so no Python code runs per
+value beyond str(). Callers that build rows transpose them first.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
+
+# rows per chunk: bounds the strings held at once on a long run
+_CHUNK_ROWS = 1024
 
 
-def write_csv(path, comments: Iterable[str], header: str, rows: Iterable[Iterable]) -> None:
-    """Write comment lines, the header and the rows; creates the parent directory."""
+def _strings(part) -> map:
+    return map(str, part.tolist() if hasattr(part, "tolist") else part)
+
+
+def write_csv(path, comments: Iterable[str], header: str,
+              columns: Sequence[Sequence]) -> None:
+    """Write comment lines, the header and the rows that the equal-length
+    columns form; creates the parent directory."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    rows = len(columns[0]) if columns else 0
     with open(path, "w", newline="") as f:
         for line in comments:
             f.write(f"# {line}\n")
         f.write(header + "\n")
-        f.writelines(",".join(map(str, row)) + "\n" for row in rows)
+        for lo in range(0, rows, _CHUNK_ROWS):
+            parts = [_strings(col[lo:lo + _CHUNK_ROWS]) for col in columns]
+            f.write("\n".join(map(",".join, zip(*parts))) + "\n")

@@ -14,17 +14,20 @@ linearization point:
 
 The canonical mapping linearizes operations in the order of their recorded
 sequence numbers (the atomic write for counter updates, the internal pop
-for queue dequeues). Costs measured this way are a valid witness of the
-relaxation, not the minimum over all admissible reorderings; for small
-histories the brute-force enumerator below explores every ordering that
-respects the real-time order of non-overlapping operations.
+for queue dequeues), so a history lists its operations with strictly
+increasing sequence numbers and validation rejects one that does not.
+Costs measured this way are a valid witness of the relaxation, not the
+minimum over all admissible reorderings; for small histories the
+brute-force enumerator below explores every ordering that respects the
+real-time order of non-overlapping operations.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -34,15 +37,15 @@ from .csvfile import write_csv
 from .multicounter import MultiCounter
 from .multiqueue import RankOracle
 
-COUNTER = "counter"
-QUEUE = "queue"
+COUNTER, QUEUE = "counter", "queue"
 
 INC, READ = "inc", "read"
 ENQ, DEQ = "enq", "deq"
 
-HISTORY_HEADER = "seq,thread,kind,invoke,respond,arg,ret"
+FIELDS = ("seq", "thread", "kind", "invoke", "respond", "arg", "ret")
+HISTORY_HEADER = ",".join(FIELDS)
+COST_FIELDS = ("op", "kind", "cost")
 TAIL_CSV_FIELDS = ("count", "mean", "p50", "p90", "p99", "max")
-
 DEFAULT_R_VALUES = (4.0, 6.0, 8.0)
 
 
@@ -61,42 +64,58 @@ class HistoryRecord:
     ret: int
 
 
-@dataclass
-class History:
-    """Completed operations ordered by linearization sequence number."""
+def _columns(rows: list) -> dict[str, np.ndarray]:
+    """Typed columns of rows of field values or their strings; a ragged row raises."""
+    cols = zip(*rows, strict=True) if rows else [()] * len(FIELDS)
+    return {name: np.array(col, dtype=str if name == "kind" else np.int64)
+            for name, col in zip(FIELDS, cols, strict=True)}
 
-    records: list[HistoryRecord]
-    source: str = "simulator"
+
+class History:
+    """Completed operations ordered by linearization sequence number.
+
+    One numpy column per HistoryRecord field (`kind` holds strings, the
+    others int64), built from records or shared with from_columns();
+    `records` converts back on demand.
+    """
+
+    def __init__(self, records: Iterable[HistoryRecord], source: str = "simulator"):
+        self.source = source
+        vars(self).update(_columns(list(map(attrgetter(*FIELDS), records))))
+
+    @classmethod
+    def from_columns(cls, source: str, **columns: np.ndarray) -> History:
+        """A history over the given columns, one per name in FIELDS."""
+        history = cls.__new__(cls)
+        vars(history).update(source=source, **{name: columns[name] for name in FIELDS})
+        return history
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.seq)
+
+    @property
+    def records(self) -> list[HistoryRecord]:
+        """One HistoryRecord per op, holding Python ints and strings."""
+        return list(map(HistoryRecord, *(getattr(self, name).tolist() for name in FIELDS)))
 
     def validate(self) -> None:
-        """Raise MalformedHistoryError unless the history is well formed.
-
-        Every response must come after its invocation, and the record order
-        must respect the real-time order of non-overlapping operations: no
-        record may appear after one whose invocation follows its response.
-        """
-        max_invoke = None
-        for rec in self.records:
-            if rec.respond <= rec.invoke:
-                raise MalformedHistoryError(
-                    f"op seq={rec.seq}: response {rec.respond} before invocation {rec.invoke}"
-                )
-            if max_invoke is not None and rec.respond < max_invoke:
-                raise MalformedHistoryError(
-                    f"op seq={rec.seq} finished before an earlier-ordered op began"
-                )
-            if max_invoke is None or rec.invoke > max_invoke:
-                max_invoke = rec.invoke
-
-
-@dataclass(frozen=True)
-class CostSample:
-    op: int
-    kind: str
-    cost: float
+        """Raise MalformedHistoryError, naming the first bad record, unless
+        sequence numbers strictly increase, every response follows its
+        invocation, and no record appears after one whose invocation follows
+        its response (the real-time order of non-overlapping operations)."""
+        seq, invoke, respond = self.seq, self.invoke, self.respond
+        no = np.zeros(min(len(seq), 1), dtype=bool)
+        unordered = np.concatenate((no, seq[1:] <= seq[:-1]))
+        inverted = respond <= invoke
+        late = np.concatenate((no, respond[1:] < np.maximum.accumulate(invoke)[:-1]))
+        bad = np.flatnonzero(unordered | inverted | late)
+        if not len(bad):
+            return
+        k = bad[0]
+        why = (f": sequence number not above the previous {seq[k - 1]}" if unordered[k] else
+               f": response {respond[k]} before invocation {invoke[k]}" if inverted[k] else
+               " finished before an earlier-ordered op began")
+        raise MalformedHistoryError(f"op seq={seq[k]}{why}")
 
 
 @dataclass(frozen=True)
@@ -115,98 +134,95 @@ class TailReport:
         rs = sorted(self.exceedance)
         header = ",".join(TAIL_CSV_FIELDS + tuple(f"exceed_r{r:g}" for r in rs))
         row = [self.count, self.mean, self.p50, self.p90, self.p99, self.max]
-        write_csv(path, header_comments, header, [row + [self.exceedance[r] for r in rs]])
+        write_csv(path, header_comments, header,
+                  [[value] for value in row + [self.exceedance[r] for r in rs]])
 
 
-# ---------------------------------------------------------------------------
-# cost computation
-# ---------------------------------------------------------------------------
+# --- cost computation ------------------------------------------------------
 
 
-def linearize_costs(history: History, kind: str, bins: int) -> list[CostSample]:
+def linearize_costs(history: History, kind: str, bins: int) -> np.recarray:
     """Replay a history in sequence order and price every operation.
 
     The replay reconstructs the exact sequential state, so it is
     independent of any value the recording side may have computed; recorded
     return values are cross-checked against the replay where they are
-    redundant (counter increments), and an inconsistency raises.
+    redundant (counter increments), and an inconsistency raises. Returns one
+    record per op with fields COST_FIELDS; `.cost` is the cost column.
     """
     if kind not in (COUNTER, QUEUE):
         raise ValueError(f"kind must be '{COUNTER}' or '{QUEUE}'")
     if bins < 1:
         raise ValueError("bins must be >= 1")
     history.validate()
-    out: list[CostSample] = []
-    if kind == COUNTER:
-        x = [0] * bins
-        k = 0
-        for rec in history.records:
-            if rec.kind == INC:
-                cell = rec.arg
-                if not 0 <= cell < bins:
-                    raise ValueError(f"op seq={rec.seq}: cell {cell} out of range")
-                x[cell] += 1
-                k += 1
-                scaled = bins * x[cell]
-                if rec.ret >= 0 and rec.ret != scaled:
-                    raise ValueError(
-                        f"op seq={rec.seq}: recorded value {rec.ret} disagrees "
-                        f"with replay {scaled}"
-                    )
-                cost = abs(scaled - k)
-            elif rec.kind == READ:
-                cost = abs(rec.ret - k)
-            else:
-                raise ValueError(f"unknown counter op kind: {rec.kind!r}")
-            out.append(CostSample(op=rec.seq, kind=rec.kind, cost=float(cost)))
-    else:
-        capacity = max((r.arg for r in history.records if r.kind == ENQ), default=0) + 1
-        live = RankOracle(capacity=capacity)
-        for rec in history.records:
-            if rec.kind == ENQ:
-                live.add(rec.arg)
-                cost = 0.0
-            elif rec.kind == DEQ:
-                key = rec.ret
-                cost = float(live.rank_of(key))
-                live.remove(key)
-            else:
-                raise ValueError(f"unknown queue op kind: {rec.kind!r}")
-            out.append(CostSample(op=rec.seq, kind=rec.kind, cost=cost))
-    return out
+    unknown = ~np.isin(history.kind, (INC, READ) if kind == COUNTER else (ENQ, DEQ))
+    if unknown.any():
+        raise ValueError(f"unknown {kind} op kind: {str(history.kind[unknown.argmax()])!r}")
+    cost = (_counter_costs(history.seq, history.kind, history.arg, history.ret, bins)[0]
+            if kind == COUNTER else _queue_costs(history))
+    return np.rec.fromarrays((history.seq, history.kind, cost), names=COST_FIELDS)
 
 
-def _nearest_rank(sorted_costs: list[float], percentile: float) -> float:
-    n = len(sorted_costs)
-    idx = max(1, math.ceil(percentile / 100.0 * n))
-    return sorted_costs[idx - 1]
+def _counter_costs(seq, kind, arg, ret, bins: int) -> np.ndarray:
+    """Increment: |m*c - k|, c its cell's count and k the total after it.
+    Read: |ret - k|. Replays one sequence, or one per row of 2-D columns."""
+    seq, kind, arg, ret = map(np.atleast_2d, (seq, kind, arg, ret))
+    inc = kind == INC
+    seq, cells, rets = seq[inc], arg[inc], ret[inc]
+    outside = (cells < 0) | (cells >= bins)
+    if outside.any():
+        k = outside.argmax()
+        raise ValueError(f"op seq={seq[k]}: cell {cells[k]} out of range")
+    # a stable sort of (replay, cell) keys keeps each cell's increments in
+    # sequence order, so an increment's place in its key's run is the cell's
+    # count after it (narrow keys: numpy radix-sorts 8- and 16-bit integers)
+    keys = np.repeat(np.arange(len(inc)) * bins, np.count_nonzero(inc, axis=1)) + cells
+    order = np.argsort(keys.astype(np.min_scalar_type(keys.max(initial=0))), kind="stable")
+    per_key = np.bincount(keys)
+    run_start = np.cumsum(per_key) - per_key   # each key's first place in `order`
+    count = np.empty_like(cells)
+    count[order] = np.arange(1, len(cells) + 1) - run_start[keys[order]]
+    scaled = bins * count
+    wrong = (rets >= 0) & (rets != scaled)
+    if wrong.any():
+        k = wrong.argmax()
+        raise ValueError(f"op seq={seq[k]}: recorded value {rets[k]} disagrees "
+                         f"with replay {scaled[k]}")
+    total = np.cumsum(inc, axis=1)
+    cost = np.abs(ret - total)
+    cost[inc] = np.abs(scaled - total[inc])
+    return cost.astype(np.float64)
 
 
-def tail_report(samples: list[CostSample], bins: int,
+def _queue_costs(h: History) -> np.ndarray:
+    live = RankOracle(capacity=int(h.arg[h.kind == ENQ].max(initial=0)) + 1)
+    cost = []
+    for kind, arg, ret in zip(h.kind.tolist(), h.arg.tolist(), h.ret.tolist()):
+        if kind == ENQ:
+            live.add(arg)
+            cost.append(0.0)
+        else:
+            cost.append(float(live.rank_of(ret)))
+            live.remove(ret)
+    return np.array(cost, dtype=np.float64)
+
+
+def tail_report(samples: np.recarray, bins: int,
                 r_values: Iterable[float] = DEFAULT_R_VALUES) -> TailReport:
-    """Nearest-rank quantiles and exceedance of cost > R * m * ln m."""
-    if not samples:
-        raise ValueError("empty sample set")
-    costs = sorted(s.cost for s in samples)
+    """Nearest-rank quantiles and exceedance of cost > R * m * ln m over the
+    cost column of linearize_costs' result."""
+    costs = np.sort(samples.cost)
     n = len(costs)
+    if not n:
+        raise ValueError("empty sample set")
     scale = bins * math.log(bins) if bins > 1 else 1.0
-    exceedance = {
-        float(r): sum(1 for c in costs if c > r * scale) / n for r in r_values
-    }
-    return TailReport(
-        count=n,
-        mean=math.fsum(costs) / n,
-        p50=_nearest_rank(costs, 50),
-        p90=_nearest_rank(costs, 90),
-        p99=_nearest_rank(costs, 99),
-        max=costs[-1],
-        exceedance=exceedance,
-    )
+    # nearest rank: the ceil(p/100 * n)-th smallest cost
+    p50, p90, p99 = (float(costs[max(1, math.ceil(p / 100.0 * n)) - 1]) for p in (50, 90, 99))
+    return TailReport(n, math.fsum(costs.tolist()) / n, p50, p90, p99, float(costs[-1]),
+                      {float(r): np.count_nonzero(costs > r * scale) / n for r in r_values})
 
 
-# ---------------------------------------------------------------------------
-# history sources
-# ---------------------------------------------------------------------------
+# --- history sources -------------------------------------------------------
 
 
 def history_from_simulation(log: OpLog, bins: int) -> History:
@@ -219,33 +235,21 @@ def history_from_simulation(log: OpLog, bins: int) -> History:
     whole = post.astype(np.int64)
     if not np.array_equal(post, whole):
         raise ValueError("counter histories require unit-weight simulations")
-    cols = zip(log.thread.tolist(), log.start.tolist(), log.finish.tolist(),
-               log.updated.tolist(), whole.tolist())
-    records = [HistoryRecord(k, thread, INC, start, finish, cell, bins * value)
-               for k, (thread, start, finish, cell, value) in enumerate(cols)]
-    return History(records, source="simulator")
+    return History.from_columns(
+        "simulator", seq=np.arange(len(whole)), thread=log.thread, kind=np.full(len(whole), INC),
+        invoke=log.start, respond=log.finish, arg=log.updated, ret=bins * whole)
 
 
 def write_history(history: History, path, header_comments: Iterable[str] = ()) -> None:
     write_csv(path, header_comments, HISTORY_HEADER,
-              ((r.seq, r.thread, r.kind, r.invoke, r.respond, r.arg, r.ret)
-               for r in history.records))
+              [getattr(history, name) for name in FIELDS])
 
 
 def read_history(path, source: str = "file") -> History:
-    records = []
     with open(path, newline="") as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#") or line == HISTORY_HEADER:
-                continue
-            seq, thread, kind, invoke, respond, arg, ret = line.split(",")
-            records.append(HistoryRecord(
-                seq=int(seq), thread=int(thread), kind=kind,
-                invoke=int(invoke), respond=int(respond),
-                arg=int(arg), ret=int(ret),
-            ))
-    return History(records, source=source)
+        rows = [line.split(",") for line in map(str.strip, f)
+                if line and not line.startswith("#") and line != HISTORY_HEADER]
+    return History.from_columns(source, **_columns(rows))
 
 
 class HistoryRecorder:
@@ -275,10 +279,8 @@ class HistoryRecorder:
         inv = self.tick()
         cell, seq, post = counter.increment_timestamped(rng, self.tick)
         resp = self.tick()
-        self._logs[thread].append(HistoryRecord(
-            seq=seq, thread=thread, kind=INC, invoke=inv, respond=resp,
-            arg=cell, ret=counter.cells * post,
-        ))
+        self._logs[thread].append(
+            HistoryRecord(seq, thread, INC, inv, resp, cell, counter.cells * post))
         return cell
 
     def record_read(self, counter: MultiCounter, rng, thread: int) -> int:
@@ -288,22 +290,15 @@ class HistoryRecorder:
         seq = self.tick()
         value = counter.read(rng)
         resp = self.tick()
-        self._logs[thread].append(HistoryRecord(
-            seq=seq, thread=thread, kind=READ, invoke=inv, respond=resp,
-            arg=-1, ret=value,
-        ))
+        self._logs[thread].append(HistoryRecord(seq, thread, READ, inv, resp, -1, value))
         return value
 
     def merge(self) -> History:
-        records = sorted(
-            (r for log in self._logs for r in log), key=lambda r: r.seq
-        )
-        return History(list(records), source="live-threads")
+        records = sorted((r for log in self._logs for r in log), key=attrgetter("seq"))
+        return History(records, source="live-threads")
 
 
-# ---------------------------------------------------------------------------
-# brute-force linearization enumeration (small histories)
-# ---------------------------------------------------------------------------
+# --- brute-force linearization enumeration (small histories) ---------------
 
 
 def enumerate_linearizations(history: History, limit: int = 1_000_000
@@ -316,7 +311,6 @@ def enumerate_linearizations(history: History, limit: int = 1_000_000
     `limit` orderings.
     """
     records = sorted(history.records, key=lambda r: r.invoke)
-    n = len(records)
     produced = 0
 
     def extend(prefix: list[HistoryRecord], remaining: list[HistoryRecord]):
@@ -343,21 +337,27 @@ def possible_cost_multisets(history: History, kind: str, bins: int,
     Counter increments drop their recorded values before replay (a
     hypothetical order implies different intermediate cell values); queue
     orderings that would dequeue a key before its enqueue are semantically
-    impossible and are skipped.
+    impossible and are skipped. Orderings are replayed from the history's
+    columns reordered, one ordering per row; counter rows are priced at once.
     """
+    cols = {name: getattr(history, name) for name in FIELDS}
+    index = np.arange(len(history))
+    # enumerate a copy whose sequence numbers are the ops' indices
+    indexed = History.from_columns(history.source, **{**cols, "seq": index})
+    orderings = [[r.seq for r in o] for o in enumerate_linearizations(indexed, limit=limit)]
+    order = np.array(orderings, dtype=np.int64).reshape(len(orderings), len(index))
+    rows = {name: col[order] for name, col in cols.items()}
+    rows["seq"] = np.broadcast_to(index, order.shape)
+    rows["ret"] = np.where((rows["kind"] == INC) & (kind == COUNTER), -1, rows["ret"])
     out = set()
-    for ordering in enumerate_linearizations(history, limit=limit):
-        reseq = [
-            HistoryRecord(
-                seq=k, thread=r.thread, kind=r.kind, invoke=r.invoke,
-                respond=r.respond, arg=r.arg,
-                ret=-1 if (kind == COUNTER and r.kind == INC) else r.ret,
-            )
-            for k, r in enumerate(ordering)
-        ]
+    # every ordering respects real time, so one counter replay checks them all
+    for k in range(min(1, len(order)) if kind == COUNTER else len(order)):
+        replay = History.from_columns(history.source, **{name: c[k] for name, c in rows.items()})
         try:
-            samples = linearize_costs(History(reseq, history.source), kind, bins)
+            out.add(tuple(sorted(linearize_costs(replay, kind, bins).cost.tolist())))
         except KeyError:
             continue
-        out.add(tuple(sorted(s.cost for s in samples)))
+    if kind == COUNTER:
+        costs = _counter_costs(rows["seq"], rows["kind"], rows["arg"], rows["ret"], bins)
+        out.update(map(tuple, np.sort(costs, axis=1).tolist()))
     return out

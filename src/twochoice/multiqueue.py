@@ -235,4 +235,4 @@ class MultiQueue:
         return sum(len(h) for h in self._heaps)
 
     def write_rank_csv(self, path, header_comments: Iterable[str] = ()) -> None:
-        write_csv(path, header_comments, RANK_HEADER, self.rank_log)
+        write_csv(path, header_comments, RANK_HEADER, list(zip(*self.rank_log)))

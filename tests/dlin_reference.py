@@ -1,0 +1,148 @@
+"""The relaxation-cost recorder as it was before histories became columns:
+one frozen `HistoryRecord` per op, validated, priced and summarised one
+object at a time. Slow, but each rule is spelled out where it applies, so
+tests use it as the oracle that `twochoice.dlin` must match op for op.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, replace
+
+from twochoice.dlin import (
+    COUNTER,
+    DEFAULT_R_VALUES,
+    DEQ,
+    ENQ,
+    INC,
+    QUEUE,
+    READ,
+    History,
+    HistoryRecord,
+    MalformedHistoryError,
+    TailReport,
+    enumerate_linearizations,
+)
+from twochoice.multiqueue import RankOracle
+
+
+@dataclass(frozen=True)
+class CostSample:
+    op: int
+    kind: str
+    cost: float
+
+
+def validate(records: list[HistoryRecord]) -> None:
+    """Sequence numbers strictly increase, every response follows its
+    invocation, and no record follows one whose invocation it precedes."""
+    max_invoke = None
+    last_seq = None
+    for rec in records:
+        if last_seq is not None and rec.seq <= last_seq:
+            raise MalformedHistoryError(
+                f"op seq={rec.seq}: sequence number not above the previous {last_seq}")
+        last_seq = rec.seq
+        if rec.respond <= rec.invoke:
+            raise MalformedHistoryError(
+                f"op seq={rec.seq}: response {rec.respond} before invocation {rec.invoke}"
+            )
+        if max_invoke is not None and rec.respond < max_invoke:
+            raise MalformedHistoryError(
+                f"op seq={rec.seq} finished before an earlier-ordered op began"
+            )
+        if max_invoke is None or rec.invoke > max_invoke:
+            max_invoke = rec.invoke
+
+
+def linearize_costs(records: list[HistoryRecord], kind: str, bins: int) -> list[CostSample]:
+    """Replay the records in order and price every op against the exact
+    sequential state: counter cells and the true total, or the live keys."""
+    if kind not in (COUNTER, QUEUE):
+        raise ValueError(f"kind must be '{COUNTER}' or '{QUEUE}'")
+    if bins < 1:
+        raise ValueError("bins must be >= 1")
+    validate(records)
+    out: list[CostSample] = []
+    if kind == COUNTER:
+        x = [0] * bins
+        k = 0
+        for rec in records:
+            if rec.kind == INC:
+                cell = rec.arg
+                if not 0 <= cell < bins:
+                    raise ValueError(f"op seq={rec.seq}: cell {cell} out of range")
+                x[cell] += 1
+                k += 1
+                scaled = bins * x[cell]
+                if rec.ret >= 0 and rec.ret != scaled:
+                    raise ValueError(
+                        f"op seq={rec.seq}: recorded value {rec.ret} disagrees "
+                        f"with replay {scaled}"
+                    )
+                cost = abs(scaled - k)
+            elif rec.kind == READ:
+                cost = abs(rec.ret - k)
+            else:
+                raise ValueError(f"unknown counter op kind: {rec.kind!r}")
+            out.append(CostSample(op=rec.seq, kind=rec.kind, cost=float(cost)))
+    else:
+        capacity = max((r.arg for r in records if r.kind == ENQ), default=0) + 1
+        live = RankOracle(capacity=capacity)
+        for rec in records:
+            if rec.kind == ENQ:
+                live.add(rec.arg)
+                cost = 0.0
+            elif rec.kind == DEQ:
+                key = rec.ret
+                cost = float(live.rank_of(key))
+                live.remove(key)
+            else:
+                raise ValueError(f"unknown queue op kind: {rec.kind!r}")
+            out.append(CostSample(op=rec.seq, kind=rec.kind, cost=cost))
+    return out
+
+
+def _nearest_rank(sorted_costs: list[float], percentile: float) -> float:
+    n = len(sorted_costs)
+    idx = max(1, math.ceil(percentile / 100.0 * n))
+    return sorted_costs[idx - 1]
+
+
+def tail_report(samples: list[CostSample], bins: int,
+                r_values=DEFAULT_R_VALUES) -> TailReport:
+    """Nearest-rank quantiles and exceedance of cost > R * m * ln m."""
+    if not samples:
+        raise ValueError("empty sample set")
+    costs = sorted(s.cost for s in samples)
+    n = len(costs)
+    scale = bins * math.log(bins) if bins > 1 else 1.0
+    exceedance = {
+        float(r): sum(1 for c in costs if c > r * scale) / n for r in r_values
+    }
+    return TailReport(
+        count=n,
+        mean=math.fsum(costs) / n,
+        p50=_nearest_rank(costs, 50),
+        p90=_nearest_rank(costs, 90),
+        p99=_nearest_rank(costs, 99),
+        max=costs[-1],
+        exceedance=exceedance,
+    )
+
+
+def possible_cost_multisets(records: list[HistoryRecord], kind: str, bins: int,
+                            limit: int = 1_000_000) -> set[tuple[float, ...]]:
+    """Every admissible ordering, re-sequenced and replayed on its own;
+    counter increments drop their recorded values, and queue orderings that
+    dequeue a key before its enqueue are skipped."""
+    out = set()
+    for ordering in enumerate_linearizations(History(records), limit=limit):
+        reseq = [replace(r, seq=k, ret=-1 if (kind == COUNTER and r.kind == INC) else r.ret)
+                 for k, r in enumerate(ordering)]
+        try:
+            samples = linearize_costs(reseq, kind, bins)
+        except KeyError:
+            continue
+        out.add(tuple(sorted(s.cost for s in samples)))
+    return out

@@ -1,10 +1,15 @@
 import threading
+from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from twochoice.adversary import SERIAL, STAMPEDE, SimConfig, simulate
+import dlin_reference as reference
+from twochoice.adversary import ADVERSARY_KINDS, SERIAL, STAMPEDE, SimConfig, simulate
 from twochoice.balance import WeightDistribution
 from twochoice.dlin import (
+    COST_FIELDS,
     COUNTER,
     DEQ,
     ENQ,
@@ -15,7 +20,6 @@ from twochoice.dlin import (
     HistoryRecord,
     HistoryRecorder,
     MalformedHistoryError,
-    CostSample,
     enumerate_linearizations,
     history_from_simulation,
     linearize_costs,
@@ -31,6 +35,13 @@ from twochoice.rng import make_rng, thread_rngs
 def _rec(seq, kind, invoke, respond, arg=-1, ret=-1, thread=0):
     return HistoryRecord(seq=seq, thread=thread, kind=kind,
                          invoke=invoke, respond=respond, arg=arg, ret=ret)
+
+
+def _costs(values):
+    """A hand-built cost column, shaped like linearize_costs' result."""
+    n = len(values)
+    return np.rec.fromarrays((np.arange(n), np.full(n, INC), np.array(values, dtype=float)),
+                             names=COST_FIELDS)
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +63,22 @@ def test_real_time_order_violation_rejected():
     ])
     with pytest.raises(MalformedHistoryError):
         h.validate()
+
+
+def test_out_of_order_sequence_numbers_rejected():
+    # well formed in real time, but op seq=1 is listed before op seq=0;
+    # the replay would price them in list order
+    h = History([
+        _rec(1, INC, invoke=0, respond=5, arg=0),
+        _rec(0, INC, invoke=2, respond=7, arg=0),
+    ])
+    with pytest.raises(MalformedHistoryError, match="seq=0"):
+        h.validate()
+    with pytest.raises(MalformedHistoryError):
+        linearize_costs(h, COUNTER, 2)
+    # a repeated sequence number is rejected too
+    with pytest.raises(MalformedHistoryError, match="seq=0"):
+        History([_rec(0, INC, 0, 5, arg=0), _rec(0, INC, 2, 7, arg=0)]).validate()
 
 
 def test_wellformed_overlapping_history_passes():
@@ -152,14 +179,14 @@ def test_queue_unknown_key_rejected():
 # ---------------------------------------------------------------------------
 
 def test_tail_report_all_zero():
-    samples = [CostSample(op=k, kind=INC, cost=0.0) for k in range(10)]
+    samples = _costs([0.0] * 10)
     rep = tail_report(samples, 8)
     assert rep.p50 == rep.p90 == rep.p99 == rep.max == 0.0
     assert all(v == 0.0 for v in rep.exceedance.values())
 
 
 def test_tail_report_nearest_rank_rule():
-    samples = [CostSample(op=k, kind=INC, cost=float(k)) for k in range(100)]
+    samples = _costs([float(k) for k in range(100)])
     rep = tail_report(samples, 8)
     assert rep.p50 == 49.0  # nearest-rank: ceil(0.5 * 100) = 50th value
     assert rep.p90 == 89.0
@@ -170,18 +197,18 @@ def test_tail_report_nearest_rank_rule():
 
 def test_tail_report_exceedance():
     # m=1: scale collapses to 1, so exceedance counts cost > R
-    samples = [CostSample(op=k, kind=INC, cost=float(k)) for k in range(10)]
+    samples = _costs([float(k) for k in range(10)])
     rep = tail_report(samples, 1, r_values=(4.0,))
     assert rep.exceedance[4.0] == 0.5
 
 
 def test_tail_report_rejects_empty():
     with pytest.raises(ValueError):
-        tail_report([], 8)
+        tail_report(_costs([]), 8)
 
 
 def test_tail_report_csv(tmp_path):
-    samples = [CostSample(op=k, kind=INC, cost=float(k)) for k in range(5)]
+    samples = _costs([float(k) for k in range(5)])
     rep = tail_report(samples, 4, r_values=(8.0,))
     path = tmp_path / "tail.csv"
     rep.write_csv(path, header_comments=["bins = 4"])
@@ -243,6 +270,15 @@ def test_history_file_roundtrip(tmp_path):
     write_history(hist, path, header_comments=["source = simulator"])
     loaded = read_history(path)
     assert loaded.records == hist.records
+
+
+@pytest.mark.parametrize("rows", ["0,0,inc,0,1,0", "0,0,inc,0,1,0,-1,7",
+                                  "0,0,inc,0,1,0,-1\n1,0,inc,2,3,0"])
+def test_history_file_with_wrong_field_count_rejected(tmp_path, rows):
+    path = tmp_path / "history.csv"
+    path.write_text(f"seq,thread,kind,invoke,respond,arg,ret\n{rows}\n")
+    with pytest.raises(ValueError):
+        read_history(path)
 
 
 # ---------------------------------------------------------------------------
@@ -344,3 +380,153 @@ def test_recorder_concurrent_capture_is_consistent():
     costs = linearize_costs(hist, COUNTER, 8)
     assert len(costs) == 8000
     assert counter.exact_total() == 8000
+
+
+# ---------------------------------------------------------------------------
+# columnar path against the object oracle (tests/dlin_reference.py)
+# ---------------------------------------------------------------------------
+
+DEFECTS = ("bad_cell", "wrong_value", "inverted", "late", "unordered")
+
+
+def _outcome(price, records_or_history, bins):
+    """(costs, tail report) of a counter history, or the exception class."""
+    try:
+        costs = price(records_or_history, COUNTER, bins)
+    except ValueError as exc:
+        return type(exc)
+    tail = reference.tail_report if isinstance(costs, list) else tail_report
+    return [(s.op, s.kind, s.cost) for s in costs], (tail(costs, bins) if len(costs) else None)
+
+
+def _assert_paths_agree(records, bins):
+    history = History(records)
+    assert history.records == records
+    want = _outcome(reference.linearize_costs, records, bins)
+    got = _outcome(linearize_costs, history, bins)
+    assert got == want
+
+
+@st.composite
+def _counter_histories(draw):
+    """A well-formed history of increments and reads, with overlapping
+    ops, recorded increment values present, absent or mixed, and at most
+    one defect that each path must reject."""
+    bins = draw(st.sampled_from([1, 2, 3, 64]))
+    n = draw(st.integers(0, 2000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    is_read = rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.5]))
+    cells = rng.integers(0, bins, n)
+    # ops overlap, and an op may be invoked before ops listed ahead of it;
+    # each still responds after every earlier-listed op was invoked
+    start = np.cumsum(rng.integers(0, 3, n))
+    invoke = start - rng.integers(0, 4, n)
+    respond = np.maximum(start, invoke + 1) + rng.integers(0, 6, n)
+    ret_kept = rng.random(n) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+    counts = [0] * bins
+    records = []
+    for k in range(n):
+        if is_read[k]:
+            records.append(_rec(k, READ, int(invoke[k]), int(respond[k]),
+                                ret=int(rng.integers(0, bins * (k + 1)))))
+        else:
+            cell = int(cells[k])
+            counts[cell] += 1
+            ret = bins * counts[cell] if ret_kept[k] else -1
+            records.append(_rec(k, INC, int(invoke[k]), int(respond[k]), arg=cell, ret=ret))
+    defect = draw(st.one_of(st.none(), st.sampled_from(DEFECTS))) if n > 1 else None
+    incs = [k for k, r in enumerate(records) if r.kind == INC]
+    if defect in ("bad_cell", "wrong_value") and incs:
+        k = incs[draw(st.integers(0, len(incs) - 1))]
+        records[k] = (replace(records[k], arg=draw(st.sampled_from([-1, bins])))
+                      if defect == "bad_cell" else replace(records[k], ret=bins * (n + 1)))
+    elif defect in ("inverted", "late", "unordered"):
+        k = draw(st.integers(1, n - 1))
+        r = records[k]
+        if defect == "inverted":
+            records[k] = replace(r, respond=r.invoke - draw(st.integers(0, 2)))
+        elif defect == "late":
+            # finishes before an op listed earlier began
+            end = max(q.invoke for q in records[:k]) - 1
+            records[k] = replace(r, invoke=end - 1, respond=end)
+        else:
+            records[k] = replace(r, seq=records[k - 1].seq - draw(st.integers(0, 1)))
+    return records, bins
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_counter_histories())
+def test_columnar_pricing_matches_object_oracle(case):
+    records, bins = case
+    _assert_paths_agree(records, bins)
+
+
+@settings(max_examples=15, deadline=None)
+@given(threads=st.integers(1, 3), per_thread=st.integers(0, 300), reads=st.integers(0, 5),
+       bins=st.sampled_from([1, 2, 3, 64]), seed=st.integers(0, 2**32 - 1))
+def test_live_recorder_merge_matches_object_oracle(threads, per_thread, reads, bins, seed):
+    counter = MultiCounter(bins)
+    rec = HistoryRecorder(threads)
+    rngs = thread_rngs(seed, threads)
+
+    def worker(k):
+        for _ in range(per_thread):
+            rec.record_increment(counter, rngs[k], k)
+
+    workers = [threading.Thread(target=worker, args=(k,)) for k in range(threads)]
+    for t in workers:
+        t.start()
+    for t in workers:
+        t.join(timeout=60)
+        assert not t.is_alive()
+    for _ in range(reads):  # reads are recorded quiescent, from one thread
+        rec.record_read(counter, rngs[0], 0)
+    _assert_paths_agree(rec.merge().records, bins)
+
+
+@pytest.mark.parametrize("adversary", ADVERSARY_KINDS)
+def test_simulator_pricing_matches_object_oracle(adversary):
+    cfg = SimConfig(bins=32, threads=8, total_ops=3000, adversary=adversary, seed=12)
+    history = history_from_simulation(simulate(cfg).log, 32)
+    assert (_outcome(linearize_costs, history, 32)
+            == _outcome(reference.linearize_costs, history.records, 32))
+
+
+@st.composite
+def _small_histories(draw):
+    """Up to 7 ops with overlapping intervals: counter increments and reads
+    (a cell may be out of range), or queue enqueues of distinct keys and
+    dequeues that may name a key never enqueued."""
+    kind = draw(st.sampled_from([COUNTER, QUEUE]))
+    bins = draw(st.sampled_from([1, 2, 3, 64]))
+    n = draw(st.integers(0, 7))
+    records = []
+    for k in range(n):
+        invoke = draw(st.integers(0, 12))
+        respond = invoke + draw(st.integers(-1, 12))   # -1, 0: a malformed op
+        if kind == COUNTER and draw(st.booleans()):
+            op = _rec(k, INC, invoke, respond, arg=draw(st.integers(0, bins)),
+                      ret=draw(st.sampled_from([-1, bins])))
+        elif kind == COUNTER:
+            op = _rec(k, READ, invoke, respond, ret=draw(st.integers(0, 4 * bins)))
+        elif draw(st.booleans()):
+            op = _rec(k, ENQ, invoke, respond, arg=k)
+        else:
+            op = _rec(k, DEQ, invoke, respond, ret=draw(st.integers(0, n)))
+        records.append(op)
+    return records, kind, bins
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_small_histories())
+def test_possible_cost_multisets_match_object_oracle(case):
+    records, kind, bins = case
+
+    def outcome(find):
+        try:
+            return find(records, kind, bins)
+        except ValueError as exc:
+            return type(exc)
+
+    assert (outcome(lambda r, k, b: possible_cost_multisets(History(r), k, b))
+            == outcome(reference.possible_cost_multisets))
