@@ -29,9 +29,10 @@ def run_timed_workers(threads: int, work: Callable[[int, threading.Event], None]
     """Run work(k, stop) on threads k = 0..threads-1 for `duration` seconds.
 
     Worker k first tries to pin itself to CPU k when `pin` is set. `stop` is
-    set after the sleep, and each worker is expected to return soon after.
-    Returns the wall seconds from before the first start to after the last
-    join, and how many workers' pins stuck.
+    set after the sleep, or when it raises (a negative duration, Ctrl-C), and
+    each worker is expected to return soon after. Returns the wall seconds
+    from before the first start to after the last join, and how many
+    workers' pins stuck.
     """
     stop = threading.Event()
     pinned = [False] * threads
@@ -43,10 +44,13 @@ def run_timed_workers(threads: int, work: Callable[[int, threading.Event], None]
 
     workers = [threading.Thread(target=run, args=(k,)) for k in range(threads)]
     t0 = time.perf_counter()
-    for w in workers:
-        w.start()
-    time.sleep(duration)
-    stop.set()
-    for w in workers:
-        w.join()
+    try:
+        for w in workers:
+            w.start()
+        time.sleep(duration)
+    finally:
+        stop.set()
+        for w in workers:
+            if w.ident is not None:   # started
+                w.join()
     return time.perf_counter() - t0, sum(pinned)

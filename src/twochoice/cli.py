@@ -24,13 +24,16 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .adversary import ADVERSARY_KINDS, SimConfig, classify_operations, drift_report, simulate
 from .affinity import run_timed_workers
 from .balance import WeightDistribution, default_params, run_sequential
 from .csvfile import write_csv as _write_csv  # perfbench/layers.py swaps this name
-from .dlin import history_from_simulation, linearize_costs, tail_report
+from .dlin import (DEQ, history_from_serial_queue, history_from_simulation, linearize_costs,
+                   tail_report)
 from .multicounter import MultiCounter
-from .multiqueue import EMPTY, MultiQueue, RankOracle
+from .multiqueue import EMPTY, MultiQueue
 from .rng import PairStream, make_rng, thread_rngs
 from .stm import STM_CSV_HEADER, run_stm_benchmark
 
@@ -372,25 +375,31 @@ def run_queue(cfg: ExperimentConfig) -> int:
             raise ConfigError(f"key 'dequeues': must be <= prefill ({p['prefill']}), "
                               f"got {p['dequeues']}")
         rng = PairStream(make_rng(p["seed"]), p["queues"])
-        oracle = RankOracle(capacity=max(1024, p["prefill"] + 1))
-        q = MultiQueue(p["queues"], oracle=oracle)
-        for k in range(p["prefill"]):
-            q.enqueue(k, rng)
+        q = MultiQueue(p["queues"])
+        # program order is the linearization of this one-thread run; the
+        # element is its enqueue's index into `placed`
+        placed = [q.enqueue(k, rng) for k in range(p["prefill"])]
         # EMPTY means both probed queues were empty; others may still hold
         # elements, so retry until the whole queue is empty
-        got = retries = 0
-        while got < p["dequeues"]:
-            if q.dequeue(rng) is not EMPTY:
-                got += 1
+        popped = []
+        retries = 0
+        while len(popped) < p["dequeues"]:
+            got = q.dequeue(rng)
+            if got is not EMPTY:
+                popped.append(got)
             elif q.live_count() > 0:
                 retries += 1
             else:
                 return _fail(outdir, "queue", "ran out of elements during quality run")
-        ranks = [r[1] for r in q.rank_log]
+        queues, stamps = np.array(placed).T
+        del q, placed   # at the default size they hold ~100 MB the pricing can reuse
+        costs = linearize_costs(history_from_serial_queue(stamps, stamps[popped]),
+                                "queue", p["queues"])
+        ranks = costs.cost[costs.kind == DEQ].astype(np.int64)
         path = outdir / "queue_ranks.csv"
-        q.write_rank_csv(path, header_comments=cfg.header_comments())
-        mean_rank = sum(ranks) / len(ranks)
-        print(f"queue quality: mean_rank={mean_rank:.1f} max_rank={max(ranks)} "
+        MultiQueue.write_rank_csv(path, cfg.header_comments(), np.arange(len(popped)),
+                                  ranks, queues[popped], stamps[popped])
+        print(f"queue quality: mean_rank={ranks.mean():.1f} max_rank={ranks.max()} "
               f"retries={retries} -> {path}")
         return 0
     if p["mode"] != "stress":
@@ -500,6 +509,12 @@ RUNNERS = {
 
 def run(cfg: ExperimentConfig) -> int:
     """Dispatch to the experiment runner; returns the process exit code."""
+    # keys no experiment takes below zero (a 0 thread count means all CPUs)
+    for key in ("seed", "seeds", "threads", "threads_max", "duration"):
+        values = cfg.params.get(key, [])
+        for value in values if isinstance(values, list) else [values]:
+            if not value >= 0:   # also rejects a NaN duration
+                raise ConfigError(f"key {key!r}: must be >= 0, got {value}")
     return RUNNERS[cfg.experiment](cfg)
 
 

@@ -28,14 +28,13 @@ import math
 import threading
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .adversary import OpLog
 from .csvfile import write_csv
 from .multicounter import MultiCounter
-from .multiqueue import RankOracle
 
 COUNTER, QUEUE = "counter", "queue"
 
@@ -141,6 +140,56 @@ class TailReport:
 # --- cost computation ------------------------------------------------------
 
 
+class RankOracle:
+    """Order-statistics set of live queue keys, the queue pricer's state.
+
+    Keys are the unique integer stamps in [0, capacity); a Fenwick tree
+    gives O(log n) insert, delete, and rank queries, where rank(key) counts
+    live keys strictly smaller than key; one flag byte per key marks it live.
+    """
+
+    def __init__(self, capacity: int):
+        if capacity < 1:
+            raise ValueError("capacity must be >= 1")
+        self._cap = capacity
+        self._tree = [0] * (capacity + 1)
+        self._live = bytearray(capacity)
+
+    def _bump(self, key: int, delta: int) -> None:
+        i = key + 1
+        tree = self._tree
+        while i <= self._cap:
+            tree[i] += delta
+            i += i & (-i)
+
+    def add(self, key: int) -> None:
+        if not 0 <= key < self._cap:
+            raise ValueError(f"key {key} outside [0, {self._cap})")
+        if self._live[key]:
+            raise ValueError(f"key {key} already live")
+        self._live[key] = 1
+        self._bump(key, 1)
+
+    def remove(self, key: int) -> None:
+        if not 0 <= key < self._cap or not self._live[key]:
+            raise KeyError(key)
+        self._live[key] = 0
+        self._bump(key, -1)
+
+    def rank_of(self, key: int) -> int:
+        """Number of live keys strictly smaller than a live key."""
+        if not 0 <= key < self._cap or not self._live[key]:
+            raise KeyError(key)
+        # Fenwick prefix sum: the live keys <= key, less the key itself
+        i = key + 1
+        total = -1
+        tree = self._tree
+        while i > 0:
+            total += tree[i]
+            i -= i & (-i)
+        return total
+
+
 def linearize_costs(history: History, kind: str, bins: int) -> np.recarray:
     """Replay a history in sequence order and price every operation.
 
@@ -195,16 +244,17 @@ def _counter_costs(seq, kind, arg, ret, bins: int) -> np.ndarray:
 
 
 def _queue_costs(h: History) -> np.ndarray:
-    live = RankOracle(capacity=int(h.arg[h.kind == ENQ].max(initial=0)) + 1)
-    cost = []
-    for kind, arg, ret in zip(h.kind.tolist(), h.arg.tolist(), h.ret.tolist()):
-        if kind == ENQ:
-            live.add(arg)
-            cost.append(0.0)
+    enq = h.kind == ENQ
+    live = RankOracle(capacity=int(h.arg[enq].max(initial=0)) + 1)
+    cost = np.zeros(len(h))   # enqueues cost 0
+    # key: an enqueue's argument, a dequeue's return value, one int at a time
+    for k, (is_enq, key) in enumerate(zip(enq.tolist(), map(int, np.where(enq, h.arg, h.ret)))):
+        if is_enq:
+            live.add(key)
         else:
-            cost.append(float(live.rank_of(ret)))
-            live.remove(ret)
-    return np.array(cost, dtype=np.float64)
+            cost[k] = live.rank_of(key)
+            live.remove(key)
+    return cost
 
 
 def tail_report(samples: np.recarray, bins: int,
@@ -238,6 +288,19 @@ def history_from_simulation(log: OpLog, bins: int) -> History:
     return History.from_columns(
         "simulator", seq=np.arange(len(whole)), thread=log.thread, kind=np.full(len(whole), INC),
         invoke=log.start, respond=log.finish, arg=log.updated, ret=bins * whole)
+
+
+def history_from_serial_queue(enqueued: Sequence[int], dequeued: Sequence[int]) -> History:
+    """A one-thread queue history: an enqueue of each key in `enqueued`, then
+    a dequeue returning each key in `dequeued`. Every op finishes before the
+    next begins, so program order is the only linearization."""
+    n, d = len(enqueued), len(dequeued)
+    return History.from_columns(
+        "serial", seq=np.arange(n + d), thread=np.zeros(n + d, dtype=np.int64),
+        kind=np.repeat(np.array((ENQ, DEQ)), (n, d)),
+        invoke=np.arange(0, 2 * (n + d), 2), respond=np.arange(1, 2 * (n + d), 2),
+        arg=np.concatenate((np.asarray(enqueued, dtype=np.int64), np.full(d, -1))),
+        ret=np.concatenate((np.full(n, -1), np.asarray(dequeued, dtype=np.int64))))
 
 
 def write_history(history: History, path, header_comments: Iterable[str] = ()) -> None:

@@ -1,12 +1,13 @@
 """Thread-safe relaxed queue over m timestamp-ordered queues.
 
-Enqueue stamps the element from a shared monotone logical clock and pushes
-it onto one uniformly chosen internal queue; dequeue peeks the heads of two
-uniformly chosen queues and pops from the one with the smaller key. Each
-internal queue is a binary heap behind its own mutex; the cross-queue
+Enqueue stamps the element from the queue's monotone logical clock and
+pushes it onto one uniformly chosen internal queue; dequeue peeks the heads
+of two uniformly chosen queues and pops from the one with the smaller key.
+Each internal queue is a binary heap behind its own mutex; the cross-queue
 comparison is deliberately unsynchronized, which is exactly the relaxation
-being studied. Keys are (stamp, thread, per-thread sequence) triples, a
-strict total order even if a different clock produced duplicate stamps.
+being studied. Keys are the stamps: one locked clock hands them all out, so
+they are unique and heap entries never compare past them. Enqueue returns
+its queue and stamp; dlin prices recorded pops offline.
 
 A dequeue whose two probed queues are both empty reports EMPTY, which is a
 statement about the probes, not the whole structure; drain() exists for
@@ -14,16 +15,16 @@ teardown. If a probed queue empties between the peek and the pop (or its
 lock is held), the dequeue retries with fresh random queues a bounded
 number of times.
 
-The shared clock is a locked counter rather than a hardware timestamp:
-portable, and reads-after-increments are strictly monotone by construction,
-which gives the cross-thread stamp consistency enqueues rely on.
+The clock is a locked counter rather than a hardware timestamp: portable,
+and reads-after-increments are strictly monotone by construction, which
+gives the cross-thread stamp consistency enqueues rely on.
 """
 
 from __future__ import annotations
 
 import threading
 from heapq import heappop, heappush
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from numpy.random import Generator
 
@@ -40,8 +41,6 @@ class _Empty:
 #: returned by dequeue when both probed queues were empty
 EMPTY = _Empty()
 
-RANK_HEADER = "seq,rank,queue,stamp"
-
 
 class LogicalClock:
     """Shared monotone counter; next() hands out distinct increasing stamps."""
@@ -57,110 +56,32 @@ class LogicalClock:
         return v
 
 
-class RankOracle:
-    """Shadow order-statistics set of live keys (test instrumentation).
-
-    Keys are the unique non-negative integer stamps of live elements; a
-    Fenwick tree gives O(log n) insert, delete, and rank queries, where
-    rank(key) counts live keys strictly smaller than key.
-    """
-
-    def __init__(self, capacity: int = 1024):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self._cap = capacity
-        self._tree = [0] * (capacity + 1)
-        self._live: set[int] = set()
-
-    def __len__(self) -> int:
-        return len(self._live)
-
-    def __contains__(self, key: int) -> bool:
-        return key in self._live
-
-    def _bump(self, key: int, delta: int) -> None:
-        i = key + 1
-        tree = self._tree
-        while i <= self._cap:
-            tree[i] += delta
-            i += i & (-i)
-
-    def _prefix(self, key: int) -> int:
-        # number of live keys <= key
-        i = key + 1
-        total = 0
-        tree = self._tree
-        while i > 0:
-            total += tree[i]
-            i -= i & (-i)
-        return total
-
-    def add(self, key: int) -> None:
-        if key < 0:
-            raise ValueError("keys must be non-negative")
-        if key in self._live:
-            raise ValueError(f"key {key} already live")
-        if key >= self._cap:
-            self._grow(key + 1)
-        self._live.add(key)
-        self._bump(key, 1)
-
-    def remove(self, key: int) -> None:
-        if key not in self._live:
-            raise KeyError(key)
-        self._live.remove(key)
-        self._bump(key, -1)
-
-    def rank_of(self, key: int) -> int:
-        """Number of live keys strictly smaller than a live key."""
-        if key not in self._live:
-            raise KeyError(key)
-        return self._prefix(key) - 1
-
-    def _grow(self, need: int) -> None:
-        cap = self._cap
-        while cap < need:
-            cap *= 2
-        self._cap = cap
-        self._tree = [0] * (cap + 1)
-        for key in self._live:
-            self._bump(key, 1)
-
-
 class MultiQueue:
     """m internally ordered queues with uniform enqueue, two-choice dequeue."""
 
-    def __init__(self, queues: int, clock: LogicalClock | None = None,
-                 oracle: RankOracle | None = None):
+    def __init__(self, queues: int):
         if queues < 1:
             raise ValueError("queues must be >= 1")
         self.queues = queues
-        self.clock = clock or LogicalClock()
+        self._clock = LogicalClock()
         self._heaps: list[list] = [[] for _ in range(queues)]
         self._locks = [threading.Lock() for _ in range(queues)]
-        self._last_key: list[tuple | None] = [None] * queues
-        self._thread_seq: dict[int, int] = {}
-        self.oracle = oracle
-        self._oracle_lock = threading.Lock()
-        self.rank_log: list[tuple[int, int, int, int]] = []
+        self._last_stamp: list[int] = [-1] * queues
 
-    def enqueue(self, element, rng: Generator, thread: int = 0) -> None:
-        """Stamp the element and add it to one uniformly chosen queue.
+    def enqueue(self, element, rng: Generator, thread: int = 0) -> tuple[int, int]:
+        """Stamp the element and add it to one uniformly chosen queue;
+        returns that queue's index and the stamp.
 
         The stamp is drawn while the target queue's lock is held, which
         linearizes the enqueue at its clock read: stamps within one queue
         then increase in insertion order, and pops leave each queue in
-        strictly increasing key order even under concurrency.
+        strictly increasing stamp order even under concurrency.
         """
         q = int(rng.integers(0, self.queues))
-        seq = self._thread_seq.get(thread, 0)
-        self._thread_seq[thread] = seq + 1
         with self._locks[q]:
-            stamp = self.clock.next()
-            heappush(self._heaps[q], (stamp, thread, seq, element))
-            if self.oracle is not None:
-                with self._oracle_lock:
-                    self.oracle.add(stamp)
+            stamp = self._clock.next()
+            heappush(self._heaps[q], (stamp, thread, element))
+        return q, stamp
 
     def _peek(self, q: int):
         with self._locks[q]:
@@ -168,7 +89,7 @@ class MultiQueue:
             return heap[0] if heap else None
 
     def dequeue(self, rng: Generator, attempts: int = 8):
-        """Pop from the smaller-keyed of two probed queues.
+        """Pop from the smaller-stamped of two probed queues.
 
         Returns EMPTY when both probes find empty queues, or when the
         bounded retries are exhausted by races.
@@ -194,45 +115,39 @@ class MultiQueue:
                 if not heap:
                     continue  # emptied since the peek: retry
                 entry = heappop(heap)
-                self._check_pop_order(i, entry)
+                self._check_pop_order(i, entry[0])
             finally:
                 lock.release()
-            if self.oracle is not None:
-                with self._oracle_lock:
-                    rank = self.oracle.rank_of(entry[0])
-                    self.oracle.remove(entry[0])
-                    self.rank_log.append((len(self.rank_log), rank, i, entry[0]))
-            return entry[3]
+            return entry[2]
         return EMPTY
 
-    def _check_pop_order(self, q: int, entry) -> None:
-        """Record the key popped from queue q (its lock held); raises unless
-        keys leave each queue in strictly increasing order."""
-        key = entry[:3]
-        last = self._last_key[q]
-        if last is not None and key <= last:
-            raise RuntimeError(f"queue {q}: popped key {key} after {last}")
-        self._last_key[q] = key
+    def _check_pop_order(self, q: int, stamp: int) -> None:
+        """Record the stamp popped from queue q (its lock held); raises unless
+        stamps leave each queue in strictly increasing order."""
+        last = self._last_stamp[q]
+        if stamp <= last:
+            raise RuntimeError(f"queue {q}: popped stamp {stamp} after {last}")
+        self._last_stamp[q] = stamp
 
     def drain(self) -> list:
-        """Pop everything, queue by queue (teardown helper, not concurrent-safe
-        with respect to rank bookkeeping)."""
+        """Pop everything, queue by queue (teardown helper)."""
         out = []
         for q in range(self.queues):
             with self._locks[q]:
                 heap = self._heaps[q]
                 while heap:
                     entry = heappop(heap)
-                    self._check_pop_order(q, entry)
-                    out.append(entry[3])
-                    if self.oracle is not None:
-                        with self._oracle_lock:
-                            self.oracle.remove(entry[0])
+                    self._check_pop_order(q, entry[0])
+                    out.append(entry[2])
         return out
 
     def live_count(self) -> int:
         """Total elements across queues; exact only at quiescence."""
         return sum(len(h) for h in self._heaps)
 
-    def write_rank_csv(self, path, header_comments: Iterable[str] = ()) -> None:
-        write_csv(path, header_comments, RANK_HEADER, list(zip(*self.rank_log)))
+    @staticmethod
+    def write_rank_csv(path, header_comments: Iterable[str], seq: Sequence,
+                       rank: Sequence, queue: Sequence, stamp: Sequence) -> None:
+        """Write one rank row per dequeue. Call it on the class: a traced
+        benchmark run replaces the class attribute with a plain function."""
+        write_csv(path, header_comments, "seq,rank,queue,stamp", [seq, rank, queue, stamp])

@@ -20,10 +20,10 @@ from twochoice.dlin import (
     History,
     HistoryRecord,
     MalformedHistoryError,
+    RankOracle,
     TailReport,
     enumerate_linearizations,
 )
-from twochoice.multiqueue import RankOracle
 
 
 @dataclass(frozen=True)

@@ -34,17 +34,19 @@ from twochoice.adversary import (
 from twochoice.balance import one_plus_beta_probabilities, run_sequential
 from twochoice.dlin import (
     COUNTER,
+    DEQ,
     INC,
     QUEUE,
     History,
     HistoryRecord,
+    history_from_serial_queue,
     history_from_simulation,
     linearize_costs,
     possible_cost_multisets,
     tail_report,
 )
 from twochoice.multicounter import MultiCounter
-from twochoice.multiqueue import EMPTY, MultiQueue, RankOracle
+from twochoice.multiqueue import EMPTY, MultiQueue
 from twochoice.rng import PairStream, make_rng, thread_rngs
 from twochoice.stm import run_stm_benchmark
 
@@ -244,12 +246,16 @@ def test_criterion_08_multiqueue_rank():
         p99_bound = 8 * 64 * math.log(64)
         for seed, (frozen_mean, frozen_p99) in sorted(QUEUE_RANK_FROZEN.items()):
             rng = PairStream(make_rng(seed), 64)  # as `queue --mode quality` draws
-            q = MultiQueue(64, oracle=RankOracle(capacity=1 << 20))
-            for k in range(1_000_000):
-                q.enqueue(k, rng)
+            q = MultiQueue(64)
+            stamps = [q.enqueue(k, rng)[1] for k in range(1_000_000)]
+            popped = []
             for _ in range(500_000):
-                assert q.dequeue(rng) is not EMPTY
-            ranks = [r[1] for r in q.rank_log]
+                got = q.dequeue(rng)
+                assert got is not EMPTY
+                popped.append(stamps[got])
+            # priced offline: program order is this one-thread run's linearization
+            costs = linearize_costs(history_from_serial_queue(stamps, popped), QUEUE, 64)
+            ranks = costs.cost[costs.kind == DEQ].tolist()
             mean = sum(ranks) / len(ranks)
             p99 = sorted(ranks)[max(1, math.ceil(0.99 * len(ranks))) - 1]
             assert mean <= 2 * 64, f"seed {seed}: mean rank {mean}"

@@ -1,4 +1,14 @@
+import io
+import os
+import subprocess
+import sys
+import tempfile
+from contextlib import redirect_stdout
+from pathlib import Path
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twochoice.cli import (
     ConfigError,
@@ -9,6 +19,10 @@ from twochoice.cli import (
     read_kv_file,
     run,
 )
+from twochoice.multiqueue import EMPTY, MultiQueue
+from twochoice.rng import PairStream, make_rng
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +197,37 @@ def test_queue_quality_retries_empty_probes(tmp_path, capsys):
     assert " retries=" in capsys.readouterr().out
 
 
+@settings(max_examples=60, deadline=None)
+@given(queues=st.integers(1, 64), prefill=st.integers(1, 60), dequeues=st.integers(1, 60),
+       seed=st.integers(0, 2**32 - 1))
+@example(queues=64, prefill=10, dequeues=10, seed=1)   # most probes find both queues empty
+def test_queue_quality_ranks_match_bruteforce(queues, prefill, dequeues, seed):
+    dequeues = min(dequeues, prefill)
+    # replay the run's draws, ranking each pop against a shadow list of the
+    # live stamps: the stamps below the popped one
+    rng = PairStream(make_rng(seed), queues)
+    q = MultiQueue(queues)
+    placed = [q.enqueue(k, rng) for k in range(prefill)]
+    live = [stamp for _, stamp in placed]
+    want = []
+    retries = 0
+    while len(want) < dequeues:
+        got = q.dequeue(rng)
+        if got is EMPTY:
+            retries += 1
+            continue
+        queue, stamp = placed[got]
+        want.append(f"{len(want)},{sum(s < stamp for s in live)},{queue},{stamp}")
+        live.remove(stamp)
+    with tempfile.TemporaryDirectory() as out, redirect_stdout(io.StringIO()) as log:
+        cfg = _cfg("queue", mode="quality", queues=queues, prefill=prefill,
+                   dequeues=dequeues, seed=seed, out=out)
+        assert run(cfg) == 0
+        lines = (Path(out) / "queue_ranks.csv").read_text().splitlines()
+    assert [line for line in lines if not line.startswith("#")][1:] == want
+    assert f" retries={retries} " in log.getvalue()
+
+
 def test_queue_stress_run(tmp_path):
     cfg = _cfg("queue", mode="stress", queues=8, threads=2, duration=0.1,
                repeats=1, out=tmp_path / "r")
@@ -248,6 +293,17 @@ def test_quality_config_rejected_naming_key(tmp_path, capsys, argv, key):
     (["stm", "--threads-max", "1", "--objects", "8", "--delta", "-1"], "delta"),
     (["seq", "--weight", "unti"], "weight"),
     (["seq", "--beta", "5e-324", "--steps", "100", "--seeds", "1"], "beta"),
+    (["seq", "--steps", "100", "--seeds", "1,-2"], "seeds"),
+    (["sim", "--ops", "100", "--seeds", "-1"], "seeds"),
+    (["counter", "--mode", "quality", "--increments", "100", "--cadence", "10",
+      "--seed", "-1"], "seed"),
+    (["queue", "--mode", "quality", "--prefill", "10", "--dequeues", "5", "--seed", "-1"], "seed"),
+    (["stm", "--threads-max", "1", "--objects", "8", "--duration", "0.01", "--repeats", "1",
+      "--seed", "-1"], "seed"),
+    (["queue", "--mode", "stress", "--threads", "-1", "--duration", "0.01", "--repeats", "1"],
+     "threads"),
+    (["counter", "--mode", "throughput", "--threads-max", "-1"], "threads_max"),
+    (["stm", "--threads-max", "-1", "--objects", "8"], "threads_max"),
 ])
 def test_out_of_range_config_rejected_naming_key(tmp_path, capsys, argv, key):
     assert main(argv + ["--out", str(tmp_path / "r")]) == 2
@@ -255,6 +311,37 @@ def test_out_of_range_config_rejected_naming_key(tmp_path, capsys, argv, key):
     assert f"key '{key}'" in err
     assert "Traceback" not in err
     assert not (tmp_path / "r").exists()
+
+
+def _python(args, tmp_path):
+    """Run Python on `args` with the package importable; a time limit keeps a
+    hung run from hanging the suite."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, *args], env=env, cwd=tmp_path, capture_output=True,
+                          text=True, timeout=60)
+
+
+@pytest.mark.parametrize("argv", [
+    ["counter", "--mode", "throughput", "--threads-max", "1", "--repeats", "1"],
+    ["queue", "--mode", "stress", "--threads", "1", "--repeats", "1"],
+    ["stm", "--threads-max", "1", "--objects", "8", "--repeats", "1"],
+])
+def test_negative_duration_rejected_naming_key(tmp_path, argv):
+    done = _python(["-m", "twochoice.cli", *argv, "--duration", "-1", "--out", "r"], tmp_path)
+    assert done.returncode == 2
+    assert "key 'duration'" in done.stderr
+    assert not (tmp_path / "r").exists()
+
+
+def test_timed_workers_stopped_when_the_sleep_raises(tmp_path):
+    # time.sleep raises at a negative duration; the workers must still be
+    # stopped and joined, or the process never exits
+    code = ("from twochoice.affinity import run_timed_workers\n"
+            "try:\n"
+            "    run_timed_workers(2, lambda k, stop: stop.wait(), -1.0, False)\n"
+            "except ValueError:\n"
+            "    print('raised')\n")
+    assert _python(["-c", code], tmp_path).stdout == "raised\n"
 
 
 def test_oracle_failure_exit_path(tmp_path, monkeypatch):

@@ -3,8 +3,29 @@ from collections import Counter
 
 import pytest
 
-from twochoice.multiqueue import EMPTY, LogicalClock, MultiQueue, RankOracle
+from twochoice.dlin import DEQ, QUEUE, RankOracle, history_from_serial_queue, linearize_costs
+from twochoice.multiqueue import EMPTY, LogicalClock, MultiQueue
 from twochoice.rng import PairStream, make_rng, thread_rngs
+
+
+def serial_run(q, rng, prefill, dequeues):
+    """Enqueue 0..prefill-1, then make `dequeues` successful pops; returns
+    each enqueue's (queue, stamp) and the popped elements."""
+    placed = [q.enqueue(k, rng) for k in range(prefill)]
+    popped = []
+    while len(popped) < dequeues:
+        got = q.dequeue(rng)
+        if got is not EMPTY:
+            popped.append(got)
+    return placed, popped
+
+
+def offline_ranks(placed, popped, queues):
+    """The popped elements' ranks, priced by dlin from the serial history."""
+    stamps = [stamp for _, stamp in placed]
+    history = history_from_serial_queue(stamps, [stamps[x] for x in popped])
+    costs = linearize_costs(history, QUEUE, queues)
+    return costs.cost[costs.kind == DEQ].astype(int).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -38,24 +59,24 @@ def test_clock_unique_under_threads():
 
 
 # ---------------------------------------------------------------------------
-# rank oracle
+# rank oracle (dlin's queue pricer)
 # ---------------------------------------------------------------------------
 
 def test_rank_of_global_minimum_is_zero():
-    o = RankOracle()
+    o = RankOracle(capacity=16)
     for k in (5, 9, 12):
         o.add(k)
     assert o.rank_of(5) == 0
 
 
 def test_rank_singleton():
-    o = RankOracle()
+    o = RankOracle(capacity=4)
     o.add(3)
     assert o.rank_of(3) == 0
 
 
 def test_rank_example_set():
-    o = RankOracle()
+    o = RankOracle(capacity=10)
     for k in (1, 5, 9):
         o.add(k)
     assert o.rank_of(9) == 2
@@ -63,7 +84,7 @@ def test_rank_example_set():
 
 
 def test_rank_unknown_key_rejected():
-    o = RankOracle()
+    o = RankOracle(capacity=8)
     o.add(1)
     with pytest.raises(KeyError):
         o.rank_of(2)
@@ -71,9 +92,9 @@ def test_rank_unknown_key_rejected():
         o.remove(7)
 
 
-def test_rank_oracle_grows_and_matches_bruteforce():
+def test_rank_oracle_matches_bruteforce():
     rng = make_rng(8)
-    o = RankOracle(capacity=4)
+    o = RankOracle(capacity=5000)
     live = set()
     for _ in range(2000):
         if live and rng.random() < 0.4:
@@ -90,16 +111,18 @@ def test_rank_oracle_grows_and_matches_bruteforce():
             probe = sorted(live)[int(rng.integers(0, len(live)))]
             brute = sum(1 for k in live if k < probe)
             assert o.rank_of(probe) == brute
-    assert len(o) == len(live)
+    assert [o.rank_of(k) for k in sorted(live)] == list(range(len(live)))
 
 
 def test_rank_oracle_rejects_duplicates_and_negatives():
-    o = RankOracle()
+    o = RankOracle(capacity=8)
     o.add(4)
     with pytest.raises(ValueError):
         o.add(4)
     with pytest.raises(ValueError):
         o.add(-1)
+    with pytest.raises(ValueError):
+        o.add(8)   # beyond the capacity
 
 
 # ---------------------------------------------------------------------------
@@ -118,17 +141,19 @@ def test_single_queue_is_fifo():
 def test_sequential_enqueues_get_increasing_stamps():
     q = MultiQueue(4)
     rng = make_rng(1)
-    q.enqueue("x", rng)
-    q.enqueue("y", rng)
+    placed = [q.enqueue("x", rng), q.enqueue("y", rng)]
     stamps = sorted(e[0] for h in q._heaps for e in h)
     assert stamps[1] > stamps[0]
+    # enqueue returns the queue it pushed onto and the stamp it used
+    where = {e[2]: (qi, e[0]) for qi, h in enumerate(q._heaps) for e in h}
+    assert [where["x"], where["y"]] == placed
 
 
 def test_dequeue_prefers_smaller_key():
     q = MultiQueue(2)
     # place keys 3 and 7 directly
-    q._heaps[0].append((3, 0, 0, "low"))
-    q._heaps[1].append((7, 0, 1, "high"))
+    q._heaps[0].append((3, 0, "low"))
+    q._heaps[1].append((7, 0, "high"))
 
     class AlternatingRng:
         def __init__(self):
@@ -161,11 +186,8 @@ def test_buffered_stream_matches_generator():
     # 30 000 enqueue and 40 000 dequeue draws cross a refill
     logs = []
     for rng in (PairStream(make_rng(21), 16), make_rng(21)):
-        q = MultiQueue(16, oracle=RankOracle(capacity=1 << 15))
-        for k in range(30_000):
-            q.enqueue(k, rng)
-        out = [q.dequeue(rng) for _ in range(20_000)]
-        logs.append((out, q.rank_log))
+        placed, out = serial_run(MultiQueue(16), rng, 30_000, 20_000)
+        logs.append((placed, out, offline_ranks(placed, out, 16)))
     assert logs[0] == logs[1]
 
 
@@ -190,39 +212,18 @@ def test_no_loss_no_duplication_single_thread():
     assert Counter(out) == Counter(range(n))
 
 
-def test_oracle_tracks_live_set():
-    rng = make_rng(6)
-    oracle = RankOracle(capacity=2048)
-    q = MultiQueue(4, oracle=oracle)
-    for k in range(100):
-        q.enqueue(k, rng)
-    assert len(oracle) == 100
-    got = 0
-    while got < 40:
-        if q.dequeue(rng) is not EMPTY:
-            got += 1
-    assert len(oracle) == 60
-    # oracle members are exactly the stamps still in the heaps
-    live_stamps = {e[0] for h in q._heaps for e in h}
-    assert len(oracle) == len(live_stamps)
-    assert all(stamp in oracle for stamp in live_stamps)
-
-
 def test_rank_log_schema_and_csv(tmp_path):
-    rng = make_rng(7)
-    q = MultiQueue(4, oracle=RankOracle())
-    for k in range(50):
-        q.enqueue(k, rng)
-    for _ in range(20):
-        q.dequeue(rng)
-    assert len(q.rank_log) == 20
-    seqs = [row[0] for row in q.rank_log]
-    assert seqs == list(range(20))
+    placed, popped = serial_run(MultiQueue(4), make_rng(7), 50, 20)
+    ranks = offline_ranks(placed, popped, 4)
+    assert len(ranks) == 20
     path = tmp_path / "ranks.csv"
-    q.write_rank_csv(path, header_comments=["queues = 4"])
+    MultiQueue.write_rank_csv(path, ["queues = 4"], range(20), ranks,
+                              *zip(*(placed[x] for x in popped)))
     lines = path.read_text().splitlines()
     assert lines[1] == "seq,rank,queue,stamp"
     assert len(lines) == 2 + 20
+    seqs = [int(line.split(",")[0]) for line in lines[2:]]
+    assert seqs == list(range(20))
 
 
 def test_drain_returns_everything():
@@ -243,7 +244,7 @@ def test_out_of_order_pop_raises(pop):
     rng = make_rng(11)
     q = MultiQueue(1)
     q.enqueue("x", rng)
-    q._last_key[0] = (10**9, 0, 0)  # pretend a larger key already left queue 0
+    q._last_stamp[0] = 10**9  # pretend a larger stamp already left queue 0
     with pytest.raises(RuntimeError, match="queue 0"):
         q.dequeue(rng) if pop == "dequeue" else q.drain()
 
@@ -252,13 +253,11 @@ def test_two_choice_dequeue_rank_quality_small():
     # single-threaded quality run at reduced scale; the acceptance suite
     # runs the full-size version
     rng = make_rng(1)
-    oracle = RankOracle(capacity=1 << 16)
-    q = MultiQueue(16, oracle=oracle)
-    for k in range(20_000):
-        q.enqueue(k, rng)
-    for _ in range(10_000):
-        assert q.dequeue(rng) is not EMPTY
-    ranks = [r[1] for r in q.rank_log]
+    q = MultiQueue(16)
+    placed = [q.enqueue(k, rng) for k in range(20_000)]
+    popped = [q.dequeue(rng) for _ in range(10_000)]
+    assert EMPTY not in popped
+    ranks = offline_ranks(placed, popped, 16)
     assert sum(ranks) / len(ranks) <= 2 * 16
     assert max(ranks) < 20_000
 

@@ -1,5 +1,6 @@
 """The traced benchmark swaps package names by attribute lookup on their
-owners; renaming or deleting one breaks `perfbench/run.py --trace 1`."""
+owners; renaming or deleting one breaks `perfbench/run.py --trace 1`, and a
+caller that reaches a swapped name another way runs untraced."""
 
 from pathlib import Path
 
@@ -38,5 +39,16 @@ def test_traced_benchmark_names_exist(monkeypatch, tmp_path):
         assert len(spans.select(name)) == 1, name
     assert len(spans.select("cli.csv_write")) == 3   # trajectory, op log, tail
     assert [v for name, _, v in tracer.counts if name == "dlin.records"] == [300]
+    # one small queue quality run goes through the kept MultiQueue.write_rank_csv swap
+    tracer = Tracer()
+    with layers.instrument(tracer, layers.FINE):
+        rc = cli.main(["queue", "--mode", "quality", "--queues", "4", "--prefill", "40",
+                       "--dequeues", "20", "--seed", "1", "--out", str(tmp_path)])
+        assert rc == 0
+    spans = tracer.spans()
+    assert len(spans.select("cli.csv_write")) == 1   # the rank CSV
+    assert len(spans.select("multiqueue.enqueue")) == 40
+    assert len(spans.select("multiqueue.dequeue")) >= 20
+    assert len(spans.select("dlin.linearize")) == 1
     for owner, attr, original in originals:
         assert owner.__dict__[attr] is original, f"{owner.__name__}.{attr} not restored"
