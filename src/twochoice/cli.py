@@ -22,6 +22,7 @@ import statistics
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -199,8 +200,10 @@ def parse_config(experiment: str, config_file=None, flag_values: dict | None = N
 
 
 def _at_least(p: dict, key: str, low) -> None:
-    if p[key] < low:
-        raise ConfigError(f"key {key!r}: must be >= {low}, got {p[key]}")
+    """Reject a value below low or NaN; a list key needs one value at least, each >= low."""
+    value = p[key]
+    if not min(value if isinstance(value, list) else [value], default=low - 1) >= low:
+        raise ConfigError(f"key {key!r}: must be >= {low}, got {value if value != [] else 'none'}")
 
 
 def _hardware_threads() -> int:
@@ -339,11 +342,12 @@ def run_counter(cfg: ExperimentConfig) -> int:
     if p["mode"] != "throughput":
         raise ConfigError(f"key 'mode': unknown counter mode {p['mode']!r}")
     _at_least(p, "repeats", 1)
+    _at_least(p, "cell_ratios", 1)
     threads_max = p["threads_max"] or _hardware_threads()
     rows = []
     for threads in range(1, threads_max + 1):
         for ratio in p["cell_ratios"]:
-            cells = max(1, ratio * threads)
+            cells = ratio * threads
             rates = []
             pinned = 0
             for rep in range(p["repeats"]):
@@ -377,8 +381,10 @@ def run_queue(cfg: ExperimentConfig) -> int:
         rng = PairStream(make_rng(p["seed"]), p["queues"])
         q = MultiQueue(p["queues"])
         # program order is the linearization of this one-thread run; the
-        # element is its enqueue's index into `placed`
-        placed = [q.enqueue(k, rng) for k in range(p["prefill"])]
+        # element is its enqueue's index into `queues` and `stamps`
+        placed = np.fromiter(chain.from_iterable(q.enqueue(k, rng) for k in range(p["prefill"])),
+                             dtype=np.int64, count=2 * p["prefill"])
+        queues, stamps = placed[0::2], placed[1::2]
         # EMPTY means both probed queues were empty; others may still hold
         # elements, so retry until the whole queue is empty
         popped = []
@@ -391,8 +397,7 @@ def run_queue(cfg: ExperimentConfig) -> int:
                 retries += 1
             else:
                 return _fail(outdir, "queue", "ran out of elements during quality run")
-        queues, stamps = np.array(placed).T
-        del q, placed   # at the default size they hold ~100 MB the pricing can reuse
+        del q   # at the default size it holds ~100 MB the pricing can reuse
         costs = linearize_costs(history_from_serial_queue(stamps, stamps[popped]),
                                 "queue", p["queues"])
         ranks = costs.cost[costs.kind == DEQ].astype(np.int64)
@@ -453,8 +458,7 @@ def run_stm(cfg: ExperimentConfig) -> int:
     _at_least(p, "repeats", 1)
     _at_least(p, "clock_cells", 1)
     _at_least(p, "delta", 0)  # 0: the default margin
-    if min(p["objects"], default=1) < 1:
-        raise ConfigError(f"key 'objects': every count must be >= 1, got {p['objects']}")
+    _at_least(p, "objects", 1)
     outdir = cfg.outdir
     threads_max = p["threads_max"] or _hardware_threads()
     summary_rows = []
@@ -511,10 +515,8 @@ def run(cfg: ExperimentConfig) -> int:
     """Dispatch to the experiment runner; returns the process exit code."""
     # keys no experiment takes below zero (a 0 thread count means all CPUs)
     for key in ("seed", "seeds", "threads", "threads_max", "duration"):
-        values = cfg.params.get(key, [])
-        for value in values if isinstance(values, list) else [values]:
-            if not value >= 0:   # also rejects a NaN duration
-                raise ConfigError(f"key {key!r}: must be >= 0, got {value}")
+        if key in cfg.params:
+            _at_least(cfg.params, key, 0)
     return RUNNERS[cfg.experiment](cfg)
 
 

@@ -12,6 +12,10 @@ linearization point:
                 key among the keys live at its linearization point. Exact
                 FIFO behavior costs 0.
 
+Both are priced from columns: one stable sort of the cells counts every
+increment, and a wavelet matrix over the dense keys ("The wavelet matrix",
+SPIRE 2012) ranks every dequeue in one pass per key bit.
+
 The canonical mapping linearizes operations in the order of their recorded
 sequence numbers (the atomic write for counter updates, the internal pop
 for queue dequeues), so a history lists its operations with strictly
@@ -140,56 +144,6 @@ class TailReport:
 # --- cost computation ------------------------------------------------------
 
 
-class RankOracle:
-    """Order-statistics set of live queue keys, the queue pricer's state.
-
-    Keys are the unique integer stamps in [0, capacity); a Fenwick tree
-    gives O(log n) insert, delete, and rank queries, where rank(key) counts
-    live keys strictly smaller than key; one flag byte per key marks it live.
-    """
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self._cap = capacity
-        self._tree = [0] * (capacity + 1)
-        self._live = bytearray(capacity)
-
-    def _bump(self, key: int, delta: int) -> None:
-        i = key + 1
-        tree = self._tree
-        while i <= self._cap:
-            tree[i] += delta
-            i += i & (-i)
-
-    def add(self, key: int) -> None:
-        if not 0 <= key < self._cap:
-            raise ValueError(f"key {key} outside [0, {self._cap})")
-        if self._live[key]:
-            raise ValueError(f"key {key} already live")
-        self._live[key] = 1
-        self._bump(key, 1)
-
-    def remove(self, key: int) -> None:
-        if not 0 <= key < self._cap or not self._live[key]:
-            raise KeyError(key)
-        self._live[key] = 0
-        self._bump(key, -1)
-
-    def rank_of(self, key: int) -> int:
-        """Number of live keys strictly smaller than a live key."""
-        if not 0 <= key < self._cap or not self._live[key]:
-            raise KeyError(key)
-        # Fenwick prefix sum: the live keys <= key, less the key itself
-        i = key + 1
-        total = -1
-        tree = self._tree
-        while i > 0:
-            total += tree[i]
-            i -= i & (-i)
-        return total
-
-
 def linearize_costs(history: History, kind: str, bins: int) -> np.recarray:
     """Replay a history in sequence order and price every operation.
 
@@ -208,7 +162,8 @@ def linearize_costs(history: History, kind: str, bins: int) -> np.recarray:
     if unknown.any():
         raise ValueError(f"unknown {kind} op kind: {str(history.kind[unknown.argmax()])!r}")
     cost = (_counter_costs(history.seq, history.kind, history.arg, history.ret, bins)[0]
-            if kind == COUNTER else _queue_costs(history))
+            if kind == COUNTER else
+            _queue_costs(history.seq, history.kind, history.arg, history.ret))
     return np.rec.fromarrays((history.seq, history.kind, cost), names=COST_FIELDS)
 
 
@@ -243,17 +198,60 @@ def _counter_costs(seq, kind, arg, ret, bins: int) -> np.ndarray:
     return cost.astype(np.float64)
 
 
-def _queue_costs(h: History) -> np.ndarray:
-    enq = h.kind == ENQ
-    live = RankOracle(capacity=int(h.arg[enq].max(initial=0)) + 1)
-    cost = np.zeros(len(h))   # enqueues cost 0
-    # key: an enqueue's argument, a dequeue's return value, one int at a time
-    for k, (is_enq, key) in enumerate(zip(enq.tolist(), map(int, np.where(enq, h.arg, h.ret)))):
-        if is_enq:
-            live.add(key)
-        else:
-            cost[k] = live.rank_of(key)
-            live.remove(key)
+def _queue_costs(seq, kind, arg, ret) -> np.ndarray:
+    """Enqueue: 0. Dequeue: how many live keys lie below its key, i.e. the
+    earlier ops on smaller keys counted +1 per enqueue and -1 per dequeue,
+    which a wavelet matrix over the dense keys counts for every dequeue at once."""
+    n = len(kind)
+    enq = kind == ENQ
+    keys = np.where(enq, arg, ret)
+    # narrow keys: numpy radix-sorts 8- and 16-bit integers (a negative key fails below)
+    narrow = np.min_scalar_type(keys.max(initial=0)) if keys.min(initial=0) >= 0 else keys.dtype
+    order = np.argsort(keys.astype(narrow), kind="stable").astype(np.int32)
+    keys = keys[order]
+    new_key = np.concatenate((np.ones(min(n, 1), dtype=bool), keys[1:] != keys[:-1]))
+    dense = np.cumsum(new_key, dtype=np.int32) - 1
+    # a key's ops, in sequence order, alternate enqueue, dequeue, enqueue, ...;
+    # the replay stops at the first op that breaks this or has a negative key
+    enq_sorted = enq[order]
+    repeat = enq_sorted == np.roll(enq_sorted, 1)   # a run's first op is checked apart
+    bad = np.flatnonzero(np.where(new_key, ~enq_sorted, repeat) | (keys < 0))
+    if len(bad):
+        at = bad[order[bad].argmin()]
+        k, key = order[at], keys[at]
+        why = "negative" if key < 0 else "already live" if enq[k] else "not live"
+        raise (ValueError if enq[k] else KeyError)(
+            f"op seq={seq[k]}: {'en' if enq[k] else 'de'}queue of key {key}, which is {why}")
+    del keys, new_key, enq_sorted, repeat, bad
+    # each op as (dense key << 1) | is_enqueue, in sequence order
+    v = np.empty(n, dtype=np.int32)
+    dense <<= 1
+    v[order] = dense
+    v |= enq
+    del order, dense
+    # every dequeue counts the ops in [start, end) of the current level's
+    # order that share its key's bits so far: at first, all ops before it
+    end = np.flatnonzero(~enq).astype(np.int32)
+    key = v[end]
+    start, rank = np.zeros_like(end), np.zeros_like(end)
+    zeros = np.zeros(n + 1, dtype=np.int32)     # zeros[p]: ops in v[:p] with a 0 bit
+    enqueues = np.zeros(n + 1, dtype=np.int32)  # and how many of those are enqueues
+    for level in range(int(v.max(initial=0)).bit_length() - 1, 0, -1):
+        bit = 1 << level
+        zero = v & bit == 0
+        np.cumsum(zero, out=zeros[1:])
+        np.cumsum(v & (bit | 1) == 1, out=enqueues[1:])
+        zs, ze = zeros[start], zeros[end]
+        # where the dequeue's key has a 1 bit, the ops in range with a 0 bit
+        # have smaller keys: count them, then follow the 1 bits
+        up = key & bit != 0
+        rank += up * (2 * (enqueues[end] - enqueues[start]) - (ze - zs))
+        start = np.where(up, zeros[n] + start - zs, zs)
+        end = np.where(up, zeros[n] + end - ze, ze)
+        if level > 1:   # stable partition: ops with a 0 bit first
+            v = np.concatenate((v.compress(zero), v.compress(~zero)))
+    cost = np.zeros(n)   # enqueues cost 0
+    cost[~enq] = rank
     return cost
 
 

@@ -1,7 +1,8 @@
 """The relaxation-cost recorder as it was before histories became columns:
 one frozen `HistoryRecord` per op, validated, priced and summarised one
-object at a time. Slow, but each rule is spelled out where it applies, so
-tests use it as the oracle that `twochoice.dlin` must match op for op.
+object at a time, with the live queue keys in a Fenwick tree. Slow, but
+each rule is spelled out where it applies, so tests use it as the oracle
+that `twochoice.dlin` must match op for op.
 """
 
 from __future__ import annotations
@@ -20,10 +21,59 @@ from twochoice.dlin import (
     History,
     HistoryRecord,
     MalformedHistoryError,
-    RankOracle,
     TailReport,
     enumerate_linearizations,
 )
+
+
+class RankOracle:
+    """Order-statistics set of live queue keys, the queue replay's state.
+
+    Keys are the unique integer stamps in [0, capacity); a Fenwick tree
+    gives O(log n) insert, delete, and rank queries, where rank(key) counts
+    live keys strictly smaller than key; one flag byte per key marks it live.
+    """
+
+    def __init__(self, capacity: int):
+        if capacity < 1:
+            raise ValueError("capacity must be >= 1")
+        self._cap = capacity
+        self._tree = [0] * (capacity + 1)
+        self._live = bytearray(capacity)
+
+    def _bump(self, key: int, delta: int) -> None:
+        i = key + 1
+        tree = self._tree
+        while i <= self._cap:
+            tree[i] += delta
+            i += i & (-i)
+
+    def add(self, key: int) -> None:
+        if not 0 <= key < self._cap:
+            raise ValueError(f"key {key} outside [0, {self._cap})")
+        if self._live[key]:
+            raise ValueError(f"key {key} already live")
+        self._live[key] = 1
+        self._bump(key, 1)
+
+    def remove(self, key: int) -> None:
+        if not 0 <= key < self._cap or not self._live[key]:
+            raise KeyError(key)
+        self._live[key] = 0
+        self._bump(key, -1)
+
+    def rank_of(self, key: int) -> int:
+        """Number of live keys strictly smaller than a live key."""
+        if not 0 <= key < self._cap or not self._live[key]:
+            raise KeyError(key)
+        # Fenwick prefix sum: the live keys <= key, less the key itself
+        i = key + 1
+        total = -1
+        tree = self._tree
+        while i > 0:
+            total += tree[i]
+            i -= i & (-i)
+        return total
 
 
 @dataclass(frozen=True)

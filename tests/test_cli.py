@@ -304,6 +304,15 @@ def test_quality_config_rejected_naming_key(tmp_path, capsys, argv, key):
      "threads"),
     (["counter", "--mode", "throughput", "--threads-max", "-1"], "threads_max"),
     (["stm", "--threads-max", "-1", "--objects", "8"], "threads_max"),
+    (["seq", "--steps", "100", "--seeds", ","], "seeds"),
+    (["sim", "--ops", "100", "--seeds", ","], "seeds"),
+    (["stm", "--threads-max", "1", "--objects", ","], "objects"),
+    (["counter", "--mode", "throughput", "--threads-max", "1", "--cell-ratios", ","],
+     "cell_ratios"),
+    (["counter", "--mode", "throughput", "--threads-max", "1", "--cell-ratios", "0"],
+     "cell_ratios"),
+    (["counter", "--mode", "throughput", "--threads-max", "1", "--cell-ratios", "2,-1"],
+     "cell_ratios"),
 ])
 def test_out_of_range_config_rejected_naming_key(tmp_path, capsys, argv, key):
     assert main(argv + ["--out", str(tmp_path / "r")]) == 2

@@ -174,6 +174,44 @@ def test_queue_unknown_key_rejected():
         linearize_costs(History(records), QUEUE, 2)
 
 
+def _serial_queue(ops):
+    """One record per (kind, key), each op finishing before the next begins."""
+    return History([_rec(k, kind, invoke=2 * k, respond=2 * k + 1,
+                         **({"arg": key} if kind == ENQ else {"ret": key}))
+                    for k, (kind, key) in enumerate(ops)])
+
+
+def test_queue_costs_depend_only_on_key_order():
+    # stamps far beyond any dense table: priced as their ranks among the keys
+    rng = np.random.default_rng(5)
+    keys = np.sort(rng.choice(2**40, 300, replace=False))
+    keys[-1] = 2**40
+    ops = [(ENQ, k) for k in rng.permutation(300)]
+    ops += [(DEQ, k) for k in rng.permutation(300)[:200]]
+    ops += [(ENQ, k) for k in rng.permutation(300) if (DEQ, k) in ops[300:]]
+    sparse = linearize_costs(_serial_queue([(kind, int(keys[k])) for kind, k in ops]), QUEUE, 8)
+    dense = linearize_costs(_serial_queue(ops), QUEUE, 8)
+    assert sparse.cost.any()
+    assert sparse.cost.tolist() == dense.cost.tolist()
+
+
+@pytest.mark.parametrize("ops, error, seq", [
+    ([(ENQ, 4), (ENQ, 2), (ENQ, 4)], ValueError, 2),             # enqueue of a live key
+    ([(ENQ, 4), (DEQ, 4), (DEQ, 4)], KeyError, 2),               # dequeue of a popped key
+    ([(ENQ, 4), (DEQ, 7), (ENQ, 7)], KeyError, 1),               # dequeue before its enqueue
+    ([(ENQ, 4), (ENQ, -3)], ValueError, 1),                      # negative enqueue
+    ([(ENQ, 4), (DEQ, -1)], KeyError, 1),                        # negative dequeue
+    ([(ENQ, 4), (DEQ, 5), (ENQ, -3)], KeyError, 1),              # a later negative key
+    ([(ENQ, -3), (DEQ, 5)], ValueError, 0),                      # an earlier negative key
+    ([(ENQ, 4), (ENQ, 4), (DEQ, 9)], ValueError, 1),             # the first of two bad ops
+    # keys a float cannot tell apart, beside a negative key
+    ([(ENQ, 2**62), (ENQ, 2**62 + 1), (DEQ, 2**62), (ENQ, -1)], ValueError, 3),
+])
+def test_queue_replay_rejects_first_bad_op(ops, error, seq):
+    with pytest.raises(error, match=f"op seq={seq}:"):
+        linearize_costs(_serial_queue(ops), QUEUE, 2)
+
+
 # ---------------------------------------------------------------------------
 # tail report
 # ---------------------------------------------------------------------------
@@ -389,22 +427,44 @@ def test_recorder_concurrent_capture_is_consistent():
 DEFECTS = ("bad_cell", "wrong_value", "inverted", "late", "unordered")
 
 
-def _outcome(price, records_or_history, bins):
-    """(costs, tail report) of a counter history, or the exception class."""
+def _outcome(price, records_or_history, bins, kind=COUNTER):
+    """(costs, tail report) of a history, or the exception class."""
     try:
-        costs = price(records_or_history, COUNTER, bins)
-    except ValueError as exc:
+        costs = price(records_or_history, kind, bins)
+    except (ValueError, KeyError) as exc:
         return type(exc)
     tail = reference.tail_report if isinstance(costs, list) else tail_report
     return [(s.op, s.kind, s.cost) for s in costs], (tail(costs, bins) if len(costs) else None)
 
 
-def _assert_paths_agree(records, bins):
+def _assert_paths_agree(records, bins, kind=COUNTER):
     history = History(records)
     assert history.records == records
-    want = _outcome(reference.linearize_costs, records, bins)
-    got = _outcome(linearize_costs, history, bins)
+    want = _outcome(reference.linearize_costs, records, bins, kind)
+    got = _outcome(linearize_costs, history, bins, kind)
     assert got == want
+
+
+def _timing(rng, n):
+    """Overlapping (invoke, respond) intervals in a valid real-time order:
+    each op responds after every earlier-listed op was invoked."""
+    start = np.cumsum(rng.integers(0, 3, n))
+    invoke = start - rng.integers(0, 4, n)
+    return invoke, np.maximum(start, invoke + 1) + rng.integers(0, 6, n)
+
+
+def _break_timing(draw, records, defect):
+    """Apply an inverted, late or unordered defect to one record past the first."""
+    k = draw(st.integers(1, len(records) - 1))
+    r = records[k]
+    if defect == "inverted":
+        records[k] = replace(r, respond=r.invoke - draw(st.integers(0, 2)))
+    elif defect == "late":
+        # finishes before an op listed earlier began
+        end = max(q.invoke for q in records[:k]) - 1
+        records[k] = replace(r, invoke=end - 1, respond=end)
+    else:
+        records[k] = replace(r, seq=records[k - 1].seq - draw(st.integers(0, 1)))
 
 
 @st.composite
@@ -417,11 +477,7 @@ def _counter_histories(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     is_read = rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.5]))
     cells = rng.integers(0, bins, n)
-    # ops overlap, and an op may be invoked before ops listed ahead of it;
-    # each still responds after every earlier-listed op was invoked
-    start = np.cumsum(rng.integers(0, 3, n))
-    invoke = start - rng.integers(0, 4, n)
-    respond = np.maximum(start, invoke + 1) + rng.integers(0, 6, n)
+    invoke, respond = _timing(rng, n)
     ret_kept = rng.random(n) < draw(st.sampled_from([0.0, 0.5, 1.0]))
     counts = [0] * bins
     records = []
@@ -441,16 +497,7 @@ def _counter_histories(draw):
         records[k] = (replace(records[k], arg=draw(st.sampled_from([-1, bins])))
                       if defect == "bad_cell" else replace(records[k], ret=bins * (n + 1)))
     elif defect in ("inverted", "late", "unordered"):
-        k = draw(st.integers(1, n - 1))
-        r = records[k]
-        if defect == "inverted":
-            records[k] = replace(r, respond=r.invoke - draw(st.integers(0, 2)))
-        elif defect == "late":
-            # finishes before an op listed earlier began
-            end = max(q.invoke for q in records[:k]) - 1
-            records[k] = replace(r, invoke=end - 1, respond=end)
-        else:
-            records[k] = replace(r, seq=records[k - 1].seq - draw(st.integers(0, 1)))
+        _break_timing(draw, records, defect)
     return records, bins
 
 
@@ -459,6 +506,56 @@ def _counter_histories(draw):
 def test_columnar_pricing_matches_object_oracle(case):
     records, bins = case
     _assert_paths_agree(records, bins)
+
+
+QUEUE_DEFECTS = ("double_enqueue", "bad_dequeue", "negative_key", "inverted", "late", "unordered")
+
+
+@st.composite
+def _queue_histories(draw):
+    """A queue history of enqueues and dequeues of sparse keys below 10**5,
+    where a popped key may be enqueued again, with at most one defect: an
+    enqueue of a live key, a dequeue of a key that is not live, a negative
+    key, or a broken real-time or sequence order."""
+    n = draw(st.integers(0, 2000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p_enq = draw(st.sampled_from([0.5, 0.6, 0.9, 1.0]))
+    p_reuse = draw(st.sampled_from([0.0, 0.3, 0.9]))
+    defect = draw(st.one_of(st.none(), st.sampled_from(QUEUE_DEFECTS))) if n > 1 else None
+    defect_at = draw(st.integers(0, max(n - 1, 0)))
+    invoke, respond = _timing(rng, n)
+    live, popped, records = [], [], []
+    for k in range(n):
+        op = dict(seq=k, invoke=int(invoke[k]), respond=int(respond[k]))
+        if k == defect_at and defect == "double_enqueue" and live:
+            records.append(_rec(kind=ENQ, arg=live[int(rng.integers(len(live)))], **op))
+        elif k == defect_at and defect == "bad_dequeue":
+            gone = popped + [int(rng.integers(10**5, 2 * 10**5))]
+            records.append(_rec(kind=DEQ, ret=gone[int(rng.integers(len(gone)))], **op))
+        elif k == defect_at and defect == "negative_key":
+            key = -int(rng.integers(1, 10))
+            records.append(_rec(kind=ENQ, arg=key, **op) if rng.random() < 0.5 else
+                           _rec(kind=DEQ, ret=key, **op))
+        elif live and rng.random() >= p_enq:
+            key = live.pop(int(rng.integers(len(live))))
+            popped.append(key)
+            records.append(_rec(kind=DEQ, ret=key, **op))
+        else:
+            reuse = [key for key in popped if key not in live] if rng.random() < p_reuse else []
+            key = (reuse[int(rng.integers(len(reuse)))] if reuse else
+                   next(key for key in map(int, rng.integers(0, 10**5, 64)) if key not in live))
+            live.append(key)
+            records.append(_rec(kind=ENQ, arg=key, **op))
+    if defect in ("inverted", "late", "unordered"):
+        _break_timing(draw, records, defect)
+    return records, draw(st.sampled_from([1, 2, 64]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_queue_histories())
+def test_queue_pricing_matches_object_oracle(case):
+    records, bins = case
+    _assert_paths_agree(records, bins, QUEUE)
 
 
 @settings(max_examples=15, deadline=None)

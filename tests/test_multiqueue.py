@@ -3,7 +3,8 @@ from collections import Counter
 
 import pytest
 
-from twochoice.dlin import DEQ, QUEUE, RankOracle, history_from_serial_queue, linearize_costs
+from dlin_reference import RankOracle
+from twochoice.dlin import DEQ, QUEUE, history_from_serial_queue, linearize_costs
 from twochoice.multiqueue import EMPTY, LogicalClock, MultiQueue
 from twochoice.rng import PairStream, make_rng, thread_rngs
 
@@ -59,7 +60,7 @@ def test_clock_unique_under_threads():
 
 
 # ---------------------------------------------------------------------------
-# rank oracle (dlin's queue pricer)
+# rank oracle (the queue pricing reference in tests/dlin_reference.py)
 # ---------------------------------------------------------------------------
 
 def test_rank_of_global_minimum_is_zero():
