@@ -17,13 +17,15 @@ distinct other operations with at least one event strictly inside its
 event inside that window touched the bin it updated (a read touches the
 bin it reads, an update the bin it increments).
 
-Both are computed once per operation, at its update: the replay keeps the
-owning op and the touched bin of every event in two lists, and the
-window's slice of them gives the contention (distinct owners, less the
-op's own second read) and `untouched` (the updated bin occurs in the slice
-only as that second read's bin, if at all). Every few thousand events the
-prefix that no pending operation can still see is dropped, so the buffer
-holds at most the longest pending window plus one trim interval.
+Both are computed from columns after the replay, which records each op's
+three event positions. A thread's ops never overlap, so its events form
+(read1, read2, update) triples in position order, and a running count of
+each thread's events gives the run of them inside a window; the run spans
+whole ops but for its ends. `untouched` follows from each event's previous
+touch of the same bin, found with one stable sort of the touched bins: the
+last touch of the updated bin before the update must lie at or before the
+op's start, or be the op's own second read when that read's bin was
+chosen, with the touch before it at or before the start.
 """
 
 from __future__ import annotations
@@ -55,9 +57,6 @@ BLOCK_RESET = "block-reset"
 ADVERSARY_KINDS = (SERIAL, ROUND_ROBIN, RANDOM_INTERLEAVE, STAMPEDE, BLOCK_RESET)
 
 OPLOG_HEADER = "op,thread,start,finish,contention,choice_i,choice_j,updated,correct"
-
-# the replay trims its event buffer once it grows by this many events
-_TRIM_EVENTS = 4096
 
 # good-step margin used for simulator instrumentation: operations with
 # contention <= ratio * threads pick the lesser bin with probability
@@ -122,10 +121,10 @@ class Schedule:
     def __post_init__(self):
         if self.kind not in ADVERSARY_KINDS:
             raise ValueError(f"unknown adversary kind: {self.kind!r}")
-        if self.block_size is not None and self.block_size > self.threads:
-            raise ValueError("stampede block size must not exceed thread count")
-        if self.block_size is not None and self.block_size < 1:
-            raise ValueError("block size must be >= 1")
+        if self.block_size is not None and not (self.kind == STAMPEDE
+                                                and 1 <= self.block_size <= self.threads):
+            raise ValueError(f"block size {self.block_size} needs a {STAMPEDE} schedule "
+                             f"and 1 <= size <= threads, got {self.kind} on {self.threads}")
 
     def events(self) -> Iterator[tuple[int, int, int]]:
         """Yield raw (thread, op, phase) tuples in schedule order."""
@@ -263,7 +262,6 @@ def validate_schedule(schedule: Schedule) -> None:
             seen_phase[op] = phase
             if phase == UPDATE:
                 del thread_open[t]
-                del seen_phase[op]
                 pending -= 1
                 completed += 1
     if pending != 0:
@@ -319,6 +317,7 @@ def simulate(config: SimConfig, schedule: Schedule | None = None,
     Choices come from per-thread streams derived from config.seed; a fixed
     schedule with a different seed replays the same event order with
     different choices. One trajectory row is recorded per update event.
+    A malformed schedule (see `validate_schedule`) raises `ValueError`.
     """
     if schedule is None:
         schedule = generate_schedule(config)
@@ -343,69 +342,51 @@ def simulate(config: SimConfig, schedule: Schedule | None = None,
         weight_rngs.append(w_rng)
 
     total = config.total_ops
-    a_op = np.zeros(total, dtype=np.int64)
-    a_thread = np.zeros(total, dtype=np.int64)
-    a_start = np.zeros(total, dtype=np.int64)
-    a_finish = np.zeros(total, dtype=np.int64)
-    a_cont = np.zeros(total, dtype=np.int64)
-    a_ci = np.zeros(total, dtype=np.int64)
-    a_cj = np.zeros(total, dtype=np.int64)
-    a_vi = np.zeros(total, dtype=np.float64)
-    a_vj = np.zeros(total, dtype=np.float64)
-    a_upd = np.zeros(total, dtype=np.int64)
-    a_post = np.zeros(total, dtype=np.float64)
+    a_op, a_thread, a_start, a_finish, a_ci, a_cj, a_upd = np.zeros((7, total), dtype=np.int64)
+    a_vi, a_vj, a_post = np.zeros((3, total))
     a_corr = np.zeros(total, dtype=np.bool_)
-    a_unt = np.zeros(total, dtype=np.bool_)
+    # event positions fit int32 below 2**31 events
+    a_read2 = np.zeros(total, dtype=np.int32 if 3 * total < 2**31 else np.int64)
     traj = TrajectoryBuilder(total)
 
-    # per-thread pending op state: [op, start, i, j, vi, vj]; vj is None
-    # until the op's second read
+    # per-thread pending op state: [op, start, i, j, vi, vj, read2]; vj is
+    # None until the op's second read
     pend: list[list | None] = [None] * n
-    # owning op and touched bin of every event from `base` on
-    ev_op: list[int] = []
-    ev_bin: list[int] = []
-    add_op, add_bin = ev_op.append, ev_bin.append
-    base = 0
-    trim_at = _TRIM_EVENTS
     done = 0
     event_idx = -1
 
     for t, op, phase in schedule.events():
         event_idx += 1
+        if not 0 <= t < n:
+            raise ValueError(f"schedule event {event_idx}: thread {t} out of range")
         if phase == READ1:
+            if pend[t] is not None:
+                raise ValueError(f"schedule event {event_idx}: read1 on a busy thread {t}")
             i, j = next_pairs[t]()
-            pend[t] = [op, event_idx, i, j, weights[i], None]
-            add_bin(i)
+            pend[t] = [op, event_idx, i, j, weights[i], None, None]
         elif phase == READ2:
             cur = pend[t]
             if cur is None or cur[0] != op or cur[5] is not None:
                 raise ValueError(f"schedule event {event_idx}: read2 out of order")
-            j = cur[3]
-            cur[5] = weights[j]
-            add_bin(j)
+            cur[5] = weights[cur[3]]
+            cur[6] = event_idx
         else:  # UPDATE
             cur = pend[t]
             if cur is None or cur[0] != op or cur[5] is None:
                 raise ValueError(f"schedule event {event_idx}: update without both reads")
             pend[t] = None
-            _, start, i, j, vi, vj = cur
+            _, start, i, j, vi, vj, read2 = cur
             # stale comparison; ties (including i == j) to the lower index
-            if vj < vi or (vj == vi and j < i):
-                chosen = j
-            else:
-                chosen = i
+            chosen = j if vj < vi or (vj == vi and j < i) else i
             w = 1 if unit else float(weight_rngs[t].exponential(config.weight.mean))
             true_min = i if (weights[i], i) <= (weights[j], j) else j
             state.add(chosen, w)
-            # events strictly inside (start, event_idx); the op's own read2
-            # is among them and touched bin j
-            lo = start + 1 - base
             k = done
             a_op[k] = op
             a_thread[k] = t
             a_start[k] = start
+            a_read2[k] = read2
             a_finish[k] = event_idx
-            a_cont[k] = len(set(ev_op[lo:])) - 1
             a_ci[k] = i
             a_cj[k] = j
             a_vi[k] = vi
@@ -413,21 +394,16 @@ def simulate(config: SimConfig, schedule: Schedule | None = None,
             a_upd[k] = chosen
             a_post[k] = weights[chosen]
             a_corr[k] = chosen == true_min
-            a_unt[k] = ev_bin[lo:].count(chosen) == (chosen == j)
             traj.append(state.snapshot_row(event_idx))
             done += 1
-            add_bin(chosen)
-        add_op(op)
-        if len(ev_op) >= trim_at:
-            # no pending op looks at or before its own start again
-            keep = min((p[1] for p in pend if p is not None), default=event_idx) + 1
-            del ev_op[:keep - base]
-            del ev_bin[:keep - base]
-            base = keep
-            trim_at = len(ev_op) + _TRIM_EVENTS
 
-    if done != total:
-        raise ValueError(f"schedule completed {done} of {total} operations")
+    if done != total or event_idx + 1 != 3 * total:
+        raise ValueError(f"schedule completed {done} of {total} operations "
+                         f"in {event_idx + 1} events")
+    if (np.diff(np.sort(a_op)) == 0).any():
+        raise ValueError("schedule gives two operations the same op id")
+    a_cont, a_unt = _window_columns(a_thread, a_start, a_read2, a_finish, a_ci, a_cj,
+                                    a_upd, n, m)
     log = OpLog(
         op=a_op, thread=a_thread, start=a_start, finish=a_finish,
         contention=a_cont, choice_i=a_ci, choice_j=a_cj,
@@ -435,6 +411,50 @@ def simulate(config: SimConfig, schedule: Schedule | None = None,
         correct=a_corr, untouched=a_unt,
     )
     return SimResult(loads=state.load_vector(), log=log, trajectory=traj.build())
+
+
+def _window_columns(thread, start, read2, finish, choice_i, choice_j, updated,
+                    threads: int, bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """Contention and `untouched` of every op, from its event positions.
+
+    The replay has checked that a thread's ops are disjoint, so its events,
+    in position order, are (read1, read2, update) triples.
+    """
+    total = len(start)
+    s, f = start.astype(read2.dtype), finish.astype(read2.dtype)
+
+    # untouched: a stable sort of the touched bins (narrow, so numpy radix
+    # sorts it) lists each bin's events in position order, which gives every
+    # event the previous touch of its bin, or -1
+    touched = np.empty(3 * total, dtype=np.min_scalar_type(bins - 1))
+    touched[s], touched[read2], touched[f] = choice_i, choice_j, updated
+    order = np.argsort(touched, kind="stable")
+    firsts = np.flatnonzero(np.diff(touched[order])) + 1
+    del touched
+    prev = np.full(3 * total, -1, dtype=read2.dtype)
+    prev[order[1:]] = order[:-1]
+    prev[order[firsts]] = -1
+    del order
+    last = prev[f]
+    # when the update's bin is the op's own read2 bin, that read is the last
+    # touch before the update, and the touch before it decides
+    untouched = np.where(updated == choice_j, (last == read2) & (prev[read2] <= s), last <= s)
+    del prev, last
+
+    # contention: a thread's events strictly inside (s, f) are the run
+    # [lo, hi) of its event list, lo its events up to s and hi its events
+    # before f; they come in triples, so the run spans ops lo // 3 to
+    # (hi - 1) // 3
+    owner = np.empty(3 * total, dtype=np.min_scalar_type(threads - 1))
+    owner[s] = owner[read2] = owner[f] = thread
+    before = np.zeros(3 * total + 1, dtype=read2.dtype)  # the thread's events before each position
+    after_start = s + 1
+    contention = np.full(total, -1, dtype=np.int64)  # less the op's own read2
+    for t in range(threads):
+        np.cumsum(owner == t, out=before[1:])
+        lo, hi = before[after_start], before[f]
+        contention += np.where(hi > lo, (hi - 1) // 3 - lo // 3 + 1, 0)
+    return contention, untouched
 
 
 # ---------------------------------------------------------------------------

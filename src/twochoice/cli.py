@@ -27,7 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .adversary import ADVERSARY_KINDS, SimConfig, classify_operations, drift_report, simulate
+from .adversary import (ADVERSARY_KINDS, STAMPEDE, SimConfig, classify_operations, drift_report,
+                        simulate)
 from .affinity import run_timed_workers
 from .balance import WeightDistribution, default_params, run_sequential
 from .csvfile import write_csv as _write_csv  # perfbench/layers.py swaps this name
@@ -83,7 +84,7 @@ SCHEMAS: dict[str, dict[str, tuple[str, object]]] = {
         "ratio": ("int", 16),
         "ops": ("int", 100_000),
         "adversary": ("str", "stampede"),
-        "block_size": ("int", 0),  # 0: use thread count
+        "block_size": ("int", 0),  # stampede only; 0: use thread count
         "seeds": ("ints", [1, 2, 3]),
         "gamma_flag_multiple": ("float", 8.0),
         "out": ("str", None),
@@ -257,10 +258,11 @@ def run_sim(cfg: ExperimentConfig) -> int:
     p = cfg.params
     for key in ("bins", "threads", "ratio", "ops"):
         _at_least(p, key, 1)
-    if not 0 <= p["block_size"] <= p["threads"]:
-        raise ConfigError(f"key 'block_size': must lie in [0, threads], got {p['block_size']}")
     if p["adversary"] not in ADVERSARY_KINDS:
         raise ConfigError(f"key 'adversary': unknown kind {p['adversary']!r}")
+    if not 0 <= p["block_size"] <= (p["threads"] if p["adversary"] == STAMPEDE else 0):
+        raise ConfigError(f"key 'block_size': must lie in [0, threads] for {STAMPEDE} "
+                          f"and be 0 otherwise, got {p['block_size']}")
     outdir = cfg.outdir
     for seed in p["seeds"]:
         sim_cfg = SimConfig(

@@ -21,7 +21,6 @@ from twochoice.adversary import (
     OpLog,
     Schedule,
     SimConfig,
-    _TRIM_EVENTS,
     classify_operations,
     drift_report,
     generate_schedule,
@@ -75,6 +74,12 @@ def test_serial_schedule_is_strictly_sequential():
 def test_stampede_rejects_oversized_block():
     with pytest.raises(ValueError):
         Schedule(kind=STAMPEDE, threads=4, total_ops=10, block_size=5)
+
+
+@pytest.mark.parametrize("kind", [k for k in ADVERSARY_KINDS if k != STAMPEDE])
+def test_block_size_rejected_for_other_kinds(kind):
+    with pytest.raises(ValueError, match="block size"):
+        Schedule(kind=kind, threads=4, total_ops=10, block_size=2)
 
 
 def test_unknown_kind_rejected():
@@ -182,11 +187,26 @@ def test_simulate_rejects_phase_violation():
 @pytest.mark.parametrize("events", [
     ((0, 0, READ1), (0, 0, UPDATE)),                                # no read2
     ((0, 0, READ1), (0, 0, READ2), (0, 0, READ2), (0, 0, UPDATE)),  # read2 twice
+    ((0, 0, READ1), (0, 1, READ1), (0, 1, READ2), (0, 1, UPDATE)),  # read1 over a pending op
+    ((-1, 0, READ1), (-1, 0, READ2), (-1, 0, UPDATE)),              # thread -1
+    ((1, 0, READ1), (1, 0, READ2), (1, 0, UPDATE)),                 # thread past the last
+    ((0, 0, READ1), (0, 0, READ2), (0, 0, UPDATE), (0, 1, READ1)),  # op left pending
 ])
 def test_simulate_rejects_missing_or_repeated_read2(events):
     with pytest.raises(ValueError):
         simulate(SimConfig(bins=4, threads=1, total_ops=1),
                  schedule=_ListedSchedule(events))
+
+
+def test_simulate_and_validate_reject_reused_op_id():
+    # op 5 runs twice on thread 1, both times inside op 0's window
+    events = ((0, 0, READ1), (1, 5, READ1), (1, 5, READ2), (1, 5, UPDATE),
+              (1, 5, READ1), (1, 5, READ2), (1, 5, UPDATE), (0, 0, READ2), (0, 0, UPDATE))
+    schedule = _ListedSchedule(events, threads=2, total_ops=3)
+    with pytest.raises(ValueError, match="op id"):
+        simulate(SimConfig(bins=4, threads=2, total_ops=3), schedule=schedule)
+    with pytest.raises(AssertionError, match="duplicate read1"):
+        validate_schedule(schedule)
 
 
 def test_update_uses_stale_values():
@@ -242,11 +262,53 @@ def test_simulate_matches_reference_fuzzed(cfg):
 
 @pytest.mark.parametrize("kind, threads", [(STAMPEDE, 64), (RANDOM_INTERLEAVE, 4),
                                            (SERIAL, 1)])
-def test_simulate_matches_reference_across_trims(kind, threads):
-    # three events per op, so the event buffer is trimmed about 9 times
-    cfg = SimConfig(bins=256, threads=threads, total_ops=3 * _TRIM_EVENTS,
-                    adversary=kind, seed=12)
+def test_simulate_matches_reference_long_runs(kind, threads):
+    cfg = SimConfig(bins=256, threads=threads, total_ops=12_288, adversary=kind, seed=12)
     _assert_same_run(simulate(cfg), simulate_reference(cfg))
+
+
+@st.composite
+def _hand_built_runs(draw):
+    """A valid schedule whose per-thread (read1, read2, update) triples are
+    interleaved in arbitrary order: threads advance at rates up to 1000x
+    apart, so starved threads hold long windows and ops finish out of start
+    order, and op ids are a shuffle, not start order."""
+    rnd = draw(st.randoms(use_true_random=False))
+    n = draw(st.one_of(st.integers(1, 8), st.integers(9, 64)))
+    ops = draw(st.integers(0, 150))
+    ids = rnd.sample(range(10 * ops), ops)
+    mine: list[list[int]] = [[] for _ in range(n)]
+    for op in ids:
+        mine[rnd.randrange(n)].append(op)
+    rate = [rnd.choice((0.01, 1.0, 10.0)) for _ in range(n)]
+    left = [[(t, op, phase) for op in mine[t] for phase in (READ1, READ2, UPDATE)]
+            for t in range(n)]
+    events = []
+    while any(left):
+        busy = [t for t in range(n) if left[t]]
+        t = rnd.choices(busy, [rate[t] for t in busy])[0]
+        events.append(left[t].pop(0))
+    cfg = SimConfig(bins=draw(st.sampled_from([1, 2, 4])), threads=n, total_ops=ops,
+                    seed=draw(st.integers(0, 2**32)),
+                    weight=draw(st.sampled_from([WeightDistribution.unit(),
+                                                 WeightDistribution.exponential()])))
+    return cfg, _ListedSchedule(tuple(events), threads=n, total_ops=ops)
+
+
+@settings(max_examples=150, deadline=None)
+@given(run=_hand_built_runs())
+def test_simulate_matches_reference_on_hand_built_schedules(run):
+    cfg, schedule = run
+    _assert_same_run(simulate(cfg, schedule), simulate_reference(cfg, schedule))
+
+
+@pytest.mark.parametrize("kind, threads, total", [(STAMPEDE, 64, 377_232),
+                                                  (RANDOM_INTERLEAVE, 4, 21_196)])
+def test_contention_total_frozen(kind, threads, total):
+    # the perfbench `sim` configs at seed 5
+    cfg = SimConfig(bins=256, threads=threads, ratio=16, total_ops=6_000, adversary=kind,
+                    seed=5)
+    assert int(simulate(cfg).log.contention.sum()) == total
 
 
 # ---------------------------------------------------------------------------

@@ -313,6 +313,7 @@ def test_quality_config_rejected_naming_key(tmp_path, capsys, argv, key):
      "cell_ratios"),
     (["counter", "--mode", "throughput", "--threads-max", "1", "--cell-ratios", "2,-1"],
      "cell_ratios"),
+    (["sim", "--adversary", "serial", "--block-size", "2"], "block_size"),
 ])
 def test_out_of_range_config_rejected_naming_key(tmp_path, capsys, argv, key):
     assert main(argv + ["--out", str(tmp_path / "r")]) == 2
