@@ -47,7 +47,6 @@ from .csvfile import write_csv
 from .rng import PairStream, WordStream, schedule_rng, thread_rngs
 
 READ1, READ2, UPDATE = 0, 1, 2
-PHASE_NAMES = ("read1", "read2", "update")
 
 SERIAL = "serial"
 ROUND_ROBIN = "round-robin"
@@ -94,14 +93,6 @@ class SimConfig:
         """The good/bad classification threshold: ratio * threads."""
         return self.ratio * self.threads
 
-    @property
-    def bin_ratio_met(self) -> bool:
-        """Whether bins >= 4 * ratio * threads (the analyzed regime).
-
-        Informational only; other regimes run fine and are worth probing.
-        """
-        return self.bins >= 4 * self.ratio * self.threads
-
 
 @dataclass(frozen=True)
 class Schedule:
@@ -133,11 +124,7 @@ class Schedule:
         if total == 0:
             return
         if self.kind == SERIAL:
-            for op in range(total):
-                t = op % n
-                yield (t, op, READ1)
-                yield (t, op, READ2)
-                yield (t, op, UPDATE)
+            yield from self._serial(0, total)
         elif self.kind == ROUND_ROBIN:
             turn = [0]
 
@@ -159,12 +146,17 @@ class Schedule:
                 yield from self._stampede_blocks(block, op, limit=block)
                 op += block
                 stretch = min(n, total - op)
-                for k in range(stretch):
-                    t = (op + k) % n
-                    yield (t, op + k, READ1)
-                    yield (t, op + k, READ2)
-                    yield (t, op + k, UPDATE)
+                yield from self._serial(op, stretch)
                 op += stretch
+
+    def _serial(self, first_op: int, count: int) -> Iterator[tuple[int, int, int]]:
+        """`count` ops back to back from `first_op`, op k on thread k % threads."""
+        n = self.threads
+        for op in range(first_op, first_op + count):
+            t = op % n
+            yield (t, op, READ1)
+            yield (t, op, READ2)
+            yield (t, op, UPDATE)
 
     def _interleaved(self, pick: Callable, rng=None) -> Iterator[tuple[int, int, int]]:
         """One op per thread at a time, advanced one phase per visit."""
@@ -228,46 +220,10 @@ def generate_schedule(config: SimConfig) -> Schedule:
 
 
 def validate_schedule(schedule: Schedule) -> None:
-    """Check the structural invariants of a schedule; raises on violation.
-
-    Per op: phases appear exactly once each, in read1 < read2 < update
-    order. Globally: at most `threads` operations pending at any prefix.
-    Per thread: operations do not overlap and belong to one thread only.
-    """
-    n = schedule.threads
-    seen_phase: dict[int, int] = {}
-    op_thread: dict[int, int] = {}
-    thread_open: dict[int, int] = {}
-    pending = 0
-    completed = 0
-    for idx, (t, op, phase) in enumerate(schedule.events()):
-        if not 0 <= t < n:
-            raise AssertionError(f"event {idx}: thread {t} out of range")
-        if phase == READ1:
-            if op in seen_phase:
-                raise AssertionError(f"op {op}: duplicate read1")
-            if t in thread_open:
-                raise AssertionError(f"thread {t}: overlapping ops {thread_open[t]} and {op}")
-            seen_phase[op] = READ1
-            op_thread[op] = t
-            thread_open[t] = op
-            pending += 1
-            if pending > n:
-                raise AssertionError(f"event {idx}: {pending} pending ops exceed {n} threads")
-        else:
-            if seen_phase.get(op) != phase - 1:
-                raise AssertionError(f"op {op}: phase {PHASE_NAMES[phase]} out of order")
-            if op_thread[op] != t:
-                raise AssertionError(f"op {op}: thread changed mid-operation")
-            seen_phase[op] = phase
-            if phase == UPDATE:
-                del thread_open[t]
-                pending -= 1
-                completed += 1
-    if pending != 0:
-        raise AssertionError(f"{pending} operations never completed")
-    if completed != schedule.total_ops:
-        raise AssertionError(f"completed {completed} of {schedule.total_ops} ops")
+    """Check a schedule by replaying it on one bin: a malformed schedule
+    raises the replay's `ValueError` (see `simulate` for the rules)."""
+    simulate(SimConfig(bins=1, threads=schedule.threads, total_ops=schedule.total_ops),
+             schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +242,6 @@ class OpLog:
     contention: np.ndarray
     choice_i: np.ndarray
     choice_j: np.ndarray
-    value_i: np.ndarray
-    value_j: np.ndarray
     updated: np.ndarray
     post_value: np.ndarray
     correct: np.ndarray
@@ -310,14 +264,18 @@ class SimResult:
     trajectory: Trajectory
 
 
-def simulate(config: SimConfig, schedule: Schedule | None = None,
-             exponent: float | None = None) -> SimResult:
+def simulate(config: SimConfig, schedule: Schedule | None = None) -> SimResult:
     """Replay a schedule against fresh bins.
 
     Choices come from per-thread streams derived from config.seed; a fixed
     schedule with a different seed replays the same event order with
     different choices. One trajectory row is recorded per update event.
-    A malformed schedule (see `validate_schedule`) raises `ValueError`.
+
+    The replay holds the package's only schedule rules, and a malformed
+    schedule raises `ValueError`: a thread out of range, an unknown phase, a
+    phase out of read1, read2, update order on its thread, an op left
+    pending or missing, or an op id used twice. `validate_schedule` applies
+    them to a schedule alone.
     """
     if schedule is None:
         schedule = generate_schedule(config)
@@ -329,9 +287,7 @@ def simulate(config: SimConfig, schedule: Schedule | None = None,
     n = config.threads
     m = config.bins
     unit = config.weight.is_unit
-    if exponent is None:
-        exponent = potential_exponent(GOOD_MARGIN, config.weight.moment_bound)
-    state = LoadState(m, exponent, unit=unit)
+    state = LoadState(m, potential_exponent(GOOD_MARGIN, config.weight.moment_bound), unit=unit)
     weights = state.weights
 
     next_pairs = []
@@ -343,7 +299,7 @@ def simulate(config: SimConfig, schedule: Schedule | None = None,
 
     total = config.total_ops
     a_op, a_thread, a_start, a_finish, a_ci, a_cj, a_upd = np.zeros((7, total), dtype=np.int64)
-    a_vi, a_vj, a_post = np.zeros((3, total))
+    a_post = np.zeros(total)
     a_corr = np.zeros(total, dtype=np.bool_)
     # event positions fit int32 below 2**31 events
     a_read2 = np.zeros(total, dtype=np.int32 if 3 * total < 2**31 else np.int64)
@@ -370,7 +326,9 @@ def simulate(config: SimConfig, schedule: Schedule | None = None,
                 raise ValueError(f"schedule event {event_idx}: read2 out of order")
             cur[5] = weights[cur[3]]
             cur[6] = event_idx
-        else:  # UPDATE
+        elif phase != UPDATE:
+            raise ValueError(f"schedule event {event_idx}: unknown phase {phase!r}")
+        else:
             cur = pend[t]
             if cur is None or cur[0] != op or cur[5] is None:
                 raise ValueError(f"schedule event {event_idx}: update without both reads")
@@ -378,7 +336,7 @@ def simulate(config: SimConfig, schedule: Schedule | None = None,
             _, start, i, j, vi, vj, read2 = cur
             # stale comparison; ties (including i == j) to the lower index
             chosen = j if vj < vi or (vj == vi and j < i) else i
-            w = 1 if unit else float(weight_rngs[t].exponential(config.weight.mean))
+            w = 1 if unit else float(weight_rngs[t].exponential())
             true_min = i if (weights[i], i) <= (weights[j], j) else j
             state.add(chosen, w)
             k = done
@@ -389,8 +347,6 @@ def simulate(config: SimConfig, schedule: Schedule | None = None,
             a_finish[k] = event_idx
             a_ci[k] = i
             a_cj[k] = j
-            a_vi[k] = vi
-            a_vj[k] = vj
             a_upd[k] = chosen
             a_post[k] = weights[chosen]
             a_corr[k] = chosen == true_min
@@ -407,7 +363,7 @@ def simulate(config: SimConfig, schedule: Schedule | None = None,
     log = OpLog(
         op=a_op, thread=a_thread, start=a_start, finish=a_finish,
         contention=a_cont, choice_i=a_ci, choice_j=a_cj,
-        value_i=a_vi, value_j=a_vj, updated=a_upd, post_value=a_post,
+        updated=a_upd, post_value=a_post,
         correct=a_corr, untouched=a_unt,
     )
     return SimResult(loads=state.load_vector(), log=log, trajectory=traj.build())

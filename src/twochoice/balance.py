@@ -78,14 +78,15 @@ class ProbabilityVector:
 
 @dataclass(frozen=True)
 class WeightDistribution:
-    """Ball weight per insertion: constant 1 or exponential with given mean.
+    """Ball weight per insertion: constant 1 or exponential with mean 1.
 
-    The exponential mean is the single normalization knob; the default of
-    1.0 makes unit and exponential runs directly comparable.
+    Mean 1 makes unit and exponential runs directly comparable, and it is
+    the mean that `moment_bound`'s exponential value assumes: the weighted
+    potential of Peres, Talwar & Wieder (SODA 2010) at a different mean
+    needs a different exponent.
     """
 
     kind: str
-    mean: float = 1.0
 
     UNIT = "unit"
     EXPONENTIAL = "exponential"
@@ -93,16 +94,14 @@ class WeightDistribution:
     def __post_init__(self):
         if self.kind not in (self.UNIT, self.EXPONENTIAL):
             raise ValueError(f"unknown weight kind: {self.kind!r}")
-        if self.mean <= 0:
-            raise ValueError("mean must be positive")
 
     @classmethod
     def unit(cls) -> "WeightDistribution":
         return cls(cls.UNIT)
 
     @classmethod
-    def exponential(cls, mean: float = 1.0) -> "WeightDistribution":
-        return cls(cls.EXPONENTIAL, mean)
+    def exponential(cls) -> "WeightDistribution":
+        return cls(cls.EXPONENTIAL)
 
     @property
     def is_unit(self) -> bool:
@@ -116,7 +115,7 @@ class WeightDistribution:
     def sample_batch(self, rng: Generator, size: int) -> list:
         if self.is_unit:
             return [1] * size
-        return rng.exponential(self.mean, size=size).tolist()
+        return rng.exponential(size=size).tolist()
 
 
 # ---------------------------------------------------------------------------

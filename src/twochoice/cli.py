@@ -67,63 +67,65 @@ _PARSERS = {
     "ints": _parse_ints,
 }
 
-# key -> (type tag, default)
-SCHEMAS: dict[str, dict[str, tuple[str, object]]] = {
+# key -> (type tag, default, rule). The rule is a lower bound, which every
+# value of a list key must meet; a tuple of allowed values; or None. run()
+# checks it whatever the mode; rules across keys stay in the runners.
+SCHEMAS: dict[str, dict[str, tuple[str, object, object]]] = {
     "seq": {
-        "bins": ("int", 64),
-        "steps": ("int", 100_000),
-        "beta": ("float", 1.0),
-        "weight": ("str", "unit"),
-        "seeds": ("ints", [1, 2, 3, 4, 5]),
-        "snapshot_every": ("int", 1000),
-        "out": ("str", None),
+        "bins": ("int", 64, 1),
+        "steps": ("int", 100_000, 1),
+        "beta": ("float", 1.0, None),
+        "weight": ("str", "unit", (WeightDistribution.UNIT, WeightDistribution.EXPONENTIAL)),
+        "seeds": ("ints", [1, 2, 3, 4, 5], 0),
+        "snapshot_every": ("int", 1000, 1),
+        "out": ("str", None, None),
     },
     "sim": {
-        "bins": ("int", 256),
-        "threads": ("int", 4),
-        "ratio": ("int", 16),
-        "ops": ("int", 100_000),
-        "adversary": ("str", "stampede"),
-        "block_size": ("int", 0),  # stampede only; 0: use thread count
-        "seeds": ("ints", [1, 2, 3]),
-        "gamma_flag_multiple": ("float", 8.0),
-        "out": ("str", None),
+        "bins": ("int", 256, 1),
+        "threads": ("int", 4, 1),
+        "ratio": ("int", 16, 1),
+        "ops": ("int", 100_000, 1),
+        "adversary": ("str", "stampede", ADVERSARY_KINDS),
+        "block_size": ("int", 0, 0),  # stampede only; 0: use thread count
+        "seeds": ("ints", [1, 2, 3], 0),
+        "gamma_flag_multiple": ("float", 8.0, 0),
+        "out": ("str", None, None),
     },
     "counter": {
-        "mode": ("str", "throughput"),
-        "threads_max": ("int", 0),  # 0: hardware threads
-        "cell_ratios": ("ints", [1, 2, 4]),
-        "duration": ("float", 1.0),
-        "repeats": ("int", 10),
-        "cells": ("int", 64),
-        "increments": ("int", 1_000_000),
-        "cadence": ("int", 10_000),
-        "seed": ("int", 1),
-        "pin": ("bool", True),
-        "out": ("str", None),
+        "mode": ("str", "throughput", ("throughput", "quality")),
+        "threads_max": ("int", 0, 0),  # 0: hardware threads
+        "cell_ratios": ("ints", [1, 2, 4], 1),
+        "duration": ("float", 1.0, 0),
+        "repeats": ("int", 10, 1),
+        "cells": ("int", 64, 1),
+        "increments": ("int", 1_000_000, None),
+        "cadence": ("int", 10_000, 1),
+        "seed": ("int", 1, 0),
+        "pin": ("bool", True, None),
+        "out": ("str", None, None),
     },
     "queue": {
-        "mode": ("str", "quality"),
-        "queues": ("int", 64),
-        "prefill": ("int", 1_000_000),
-        "dequeues": ("int", 500_000),
-        "threads": ("int", 0),  # 0: hardware threads
-        "duration": ("float", 1.0),
-        "repeats": ("int", 10),
-        "seed": ("int", 1),
-        "pin": ("bool", True),
-        "out": ("str", None),
+        "mode": ("str", "quality", ("quality", "stress")),
+        "queues": ("int", 64, 1),
+        "prefill": ("int", 1_000_000, None),
+        "dequeues": ("int", 500_000, 1),
+        "threads": ("int", 0, 0),  # 0: hardware threads
+        "duration": ("float", 1.0, 0),
+        "repeats": ("int", 10, 1),
+        "seed": ("int", 1, 0),
+        "pin": ("bool", True, None),
+        "out": ("str", None, None),
     },
     "stm": {
-        "threads_max": ("int", 0),  # 0: hardware threads
-        "objects": ("ints", [10_000, 100_000, 1_000_000]),
-        "duration": ("float", 1.0),
-        "repeats": ("int", 10),
-        "delta": ("int", 0),  # 0: default margin for the clock size
-        "clock_cells": ("int", 64),
-        "seed": ("int", 1),
-        "pin": ("bool", True),
-        "out": ("str", None),
+        "threads_max": ("int", 0, 0),  # 0: hardware threads
+        "objects": ("ints", [10_000, 100_000, 1_000_000], 1),
+        "duration": ("float", 1.0, 0),
+        "repeats": ("int", 10, 1),
+        "delta": ("int", 0, 0),  # 0: default margin for the clock size
+        "clock_cells": ("int", 64, 1),
+        "seed": ("int", 1, 0),
+        "pin": ("bool", True, None),
+        "out": ("str", None, None),
     },
 }
 
@@ -174,7 +176,7 @@ def parse_config(experiment: str, config_file=None, flag_values: dict | None = N
     schema = SCHEMAS[experiment]
     params: dict = {}
     provenance: dict = {}
-    for key, (_, default) in schema.items():
+    for key, (_, default, _) in schema.items():
         params[key] = default
         provenance[key] = "default"
 
@@ -200,11 +202,18 @@ def parse_config(experiment: str, config_file=None, flag_values: dict | None = N
     return ExperimentConfig(experiment=experiment, params=params, provenance=provenance)
 
 
-def _at_least(p: dict, key: str, low) -> None:
-    """Reject a value below low or NaN; a list key needs one value at least, each >= low."""
-    value = p[key]
-    if not min(value if isinstance(value, list) else [value], default=low - 1) >= low:
-        raise ConfigError(f"key {key!r}: must be >= {low}, got {value if value != [] else 'none'}")
+def _check_rules(cfg: ExperimentConfig) -> None:
+    """Reject a value outside its key's rule; a bound also rejects NaN and
+    an empty list."""
+    for key, (_, _, rule) in SCHEMAS[cfg.experiment].items():
+        value = cfg.params[key]
+        if isinstance(rule, tuple):
+            if value not in rule:
+                raise ConfigError(f"key {key!r}: must be one of {', '.join(rule)}, got {value!r}")
+        elif rule is not None and not min(value if isinstance(value, list) else [value],
+                                          default=rule - 1) >= rule:
+            raise ConfigError(f"key {key!r}: must be >= {rule}, "
+                              f"got {value if value != [] else 'none'}")
 
 
 def _hardware_threads() -> int:
@@ -227,12 +236,8 @@ def _fail(outdir: Path, name: str, detail: str) -> int:
 
 def run_seq(cfg: ExperimentConfig) -> int:
     p = cfg.params
-    for key in ("bins", "steps", "snapshot_every"):
-        _at_least(p, key, 1)
     if not 0.0 <= p["beta"] <= 1.0:
         raise ConfigError(f"key 'beta': must lie in [0, 1], got {p['beta']}")
-    if p["weight"] not in (WeightDistribution.UNIT, WeightDistribution.EXPONENTIAL):
-        raise ConfigError(f"key 'weight': must be unit or exponential, got {p['weight']!r}")
     weight = WeightDistribution(p["weight"])
     try:
         exponent = default_params(p["beta"], weight)
@@ -256,11 +261,7 @@ def run_seq(cfg: ExperimentConfig) -> int:
 
 def run_sim(cfg: ExperimentConfig) -> int:
     p = cfg.params
-    for key in ("bins", "threads", "ratio", "ops"):
-        _at_least(p, key, 1)
-    if p["adversary"] not in ADVERSARY_KINDS:
-        raise ConfigError(f"key 'adversary': unknown kind {p['adversary']!r}")
-    if not 0 <= p["block_size"] <= (p["threads"] if p["adversary"] == STAMPEDE else 0):
+    if not p["block_size"] <= (p["threads"] if p["adversary"] == STAMPEDE else 0):
         raise ConfigError(f"key 'block_size': must lie in [0, threads] for {STAMPEDE} "
                           f"and be 0 otherwise, got {p['block_size']}")
     outdir = cfg.outdir
@@ -319,8 +320,6 @@ def run_counter(cfg: ExperimentConfig) -> int:
     p = cfg.params
     outdir = cfg.outdir
     if p["mode"] == "quality":
-        _at_least(p, "cells", 1)
-        _at_least(p, "cadence", 1)
         if p["increments"] < p["cadence"]:
             raise ConfigError(f"key 'increments': must be >= cadence ({p['cadence']}), "
                               f"got {p['increments']}")
@@ -341,10 +340,6 @@ def run_counter(cfg: ExperimentConfig) -> int:
         _write_csv(path, cfg.header_comments(), "increments,scaled_read,gap", list(zip(*rows)))
         print(f"counter quality: final_gap={rows[-1][2]} -> {path}")
         return 0
-    if p["mode"] != "throughput":
-        raise ConfigError(f"key 'mode': unknown counter mode {p['mode']!r}")
-    _at_least(p, "repeats", 1)
-    _at_least(p, "cell_ratios", 1)
     threads_max = p["threads_max"] or _hardware_threads()
     rows = []
     for threads in range(1, threads_max + 1):
@@ -373,10 +368,8 @@ def run_counter(cfg: ExperimentConfig) -> int:
 
 def run_queue(cfg: ExperimentConfig) -> int:
     p = cfg.params
-    _at_least(p, "queues", 1)
     outdir = cfg.outdir
     if p["mode"] == "quality":
-        _at_least(p, "dequeues", 1)
         if p["dequeues"] > p["prefill"]:
             raise ConfigError(f"key 'dequeues': must be <= prefill ({p['prefill']}), "
                               f"got {p['dequeues']}")
@@ -409,8 +402,6 @@ def run_queue(cfg: ExperimentConfig) -> int:
         print(f"queue quality: mean_rank={ranks.mean():.1f} max_rank={ranks.max()} "
               f"retries={retries} -> {path}")
         return 0
-    if p["mode"] != "stress":
-        raise ConfigError(f"key 'mode': unknown queue mode {p['mode']!r}")
     threads = p["threads"] or _hardware_threads()
     rows = []
     for rep in range(p["repeats"]):
@@ -457,10 +448,6 @@ def run_queue(cfg: ExperimentConfig) -> int:
 
 def run_stm(cfg: ExperimentConfig) -> int:
     p = cfg.params
-    _at_least(p, "repeats", 1)
-    _at_least(p, "clock_cells", 1)
-    _at_least(p, "delta", 0)  # 0: the default margin
-    _at_least(p, "objects", 1)
     outdir = cfg.outdir
     threads_max = p["threads_max"] or _hardware_threads()
     summary_rows = []
@@ -514,11 +501,9 @@ RUNNERS = {
 
 
 def run(cfg: ExperimentConfig) -> int:
-    """Dispatch to the experiment runner; returns the process exit code."""
-    # keys no experiment takes below zero (a 0 thread count means all CPUs)
-    for key in ("seed", "seeds", "threads", "threads_max", "duration"):
-        if key in cfg.params:
-            _at_least(cfg.params, key, 0)
+    """Check each key's rule, then dispatch to the experiment runner;
+    returns the process exit code."""
+    _check_rules(cfg)
     return RUNNERS[cfg.experiment](cfg)
 
 

@@ -45,8 +45,6 @@ from __future__ import annotations
 import numpy as np
 from numpy.random import Generator, PCG64, SeedSequence
 
-GENERATOR_NAME = "pcg64"
-
 _TWO_32 = 1 << 32
 _LOW_32 = _TWO_32 - 1
 _TWO_M53 = 2.0 ** -53

@@ -75,8 +75,6 @@ def make_cells(count: int) -> list[VersionedCell]:
 class ExactClock:
     """Locked global counter: read is a plain load, stamps are FAI results."""
 
-    kind = "exact"
-
     def __init__(self):
         self._value = 0
         self._lock = threading.Lock()
@@ -92,8 +90,6 @@ class ExactClock:
 
 class RelaxedClock:
     """Shared MultiCounter clock with future-written commit stamps."""
-
-    kind = "multicounter"
 
     def __init__(self, cells: int = 64, delta: int | None = None):
         self.counter = MultiCounter(cells)
@@ -113,14 +109,6 @@ class RelaxedClockView:
         self._shared = shared
         self._rng = PairStream(rng, shared.counter.cells)
         self.t_max = 0
-
-    @property
-    def kind(self) -> str:
-        return self._shared.kind
-
-    @property
-    def delta(self) -> int:
-        return self._shared.delta
 
     def read(self) -> int:
         stamp = self._shared.counter.read(self._rng)

@@ -57,8 +57,6 @@ def simulate_reference(config: SimConfig, schedule: Schedule | None = None,
     a_cont = np.zeros(total, dtype=np.int64)
     a_ci = np.zeros(total, dtype=np.int64)
     a_cj = np.zeros(total, dtype=np.int64)
-    a_vi = np.zeros(total, dtype=np.float64)
-    a_vj = np.zeros(total, dtype=np.float64)
     a_upd = np.zeros(total, dtype=np.int64)
     a_post = np.zeros(total, dtype=np.float64)
     a_corr = np.zeros(total, dtype=np.bool_)
@@ -104,7 +102,7 @@ def simulate_reference(config: SimConfig, schedule: Schedule | None = None,
                 chosen = j
             else:
                 chosen = i
-            w = 1 if unit else float(weight_rngs[t].exponential(config.weight.mean))
+            w = 1 if unit else float(weight_rngs[t].exponential())
             true_min = i if (weights[i], i) <= (weights[j], j) else j
             state.add(chosen, w)
             for u in range(n):
@@ -120,8 +118,6 @@ def simulate_reference(config: SimConfig, schedule: Schedule | None = None,
             a_cont[k] = len(seen)
             a_ci[k] = i
             a_cj[k] = j
-            a_vi[k] = vi
-            a_vj[k] = vj
             a_upd[k] = chosen
             a_post[k] = weights[chosen]
             a_corr[k] = chosen == true_min
@@ -134,7 +130,7 @@ def simulate_reference(config: SimConfig, schedule: Schedule | None = None,
     log = OpLog(
         op=a_op, thread=a_thread, start=a_start, finish=a_finish,
         contention=a_cont, choice_i=a_ci, choice_j=a_cj,
-        value_i=a_vi, value_j=a_vj, updated=a_upd, post_value=a_post,
+        updated=a_upd, post_value=a_post,
         correct=a_corr, untouched=a_unt,
     )
     return SimResult(loads=state.load_vector(), log=log, trajectory=traj.build())

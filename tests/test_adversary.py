@@ -125,11 +125,11 @@ def test_simulation_conservation():
 
 def test_serial_equivalence_with_sequential_process():
     # one thread: reads are fresh, so the replay is the two-choice process
-    exponent = potential_exponent(0.2)
     cfg = SimConfig(bins=16, threads=1, total_ops=4000, adversary=SERIAL, seed=42)
-    res = simulate(cfg, exponent=exponent)
+    res = simulate(cfg)  # its exponent for unit weights is potential_exponent(0.2)
     rng = thread_rngs(42, 1)[0]
-    traj, loads = run_sequential(16, 4000, 1.0, rng=rng, snapshot_every=1, exponent=exponent)
+    traj, loads = run_sequential(16, 4000, 1.0, rng=rng, snapshot_every=1,
+                                 exponent=potential_exponent(0.2))
     assert loads.weights == res.loads.weights
     assert np.array_equal(traj.gamma, res.trajectory.gamma)
     assert np.array_equal(traj.gap, res.trajectory.gap)
@@ -179,9 +179,11 @@ class _ListedSchedule:
 
 
 def test_simulate_rejects_phase_violation():
-    with pytest.raises(ValueError):  # read2 with no read1
-        simulate(SimConfig(bins=4, threads=1, total_ops=1),
-                 schedule=_ListedSchedule(((0, 0, READ2),)))
+    schedule = _ListedSchedule(((0, 0, READ2),))  # read2 with no read1
+    with pytest.raises(ValueError):
+        simulate(SimConfig(bins=4, threads=1, total_ops=1), schedule=schedule)
+    with pytest.raises(ValueError):
+        validate_schedule(schedule)
 
 
 @pytest.mark.parametrize("events", [
@@ -191,11 +193,14 @@ def test_simulate_rejects_phase_violation():
     ((-1, 0, READ1), (-1, 0, READ2), (-1, 0, UPDATE)),              # thread -1
     ((1, 0, READ1), (1, 0, READ2), (1, 0, UPDATE)),                 # thread past the last
     ((0, 0, READ1), (0, 0, READ2), (0, 0, UPDATE), (0, 1, READ1)),  # op left pending
+    ((0, 0, READ1), (0, 0, READ2), (0, 0, UPDATE + 1)),             # unknown phase
 ])
 def test_simulate_rejects_missing_or_repeated_read2(events):
     with pytest.raises(ValueError):
         simulate(SimConfig(bins=4, threads=1, total_ops=1),
                  schedule=_ListedSchedule(events))
+    with pytest.raises(ValueError):
+        validate_schedule(_ListedSchedule(events))
 
 
 def test_simulate_and_validate_reject_reused_op_id():
@@ -205,7 +210,7 @@ def test_simulate_and_validate_reject_reused_op_id():
     schedule = _ListedSchedule(events, threads=2, total_ops=3)
     with pytest.raises(ValueError, match="op id"):
         simulate(SimConfig(bins=4, threads=2, total_ops=3), schedule=schedule)
-    with pytest.raises(AssertionError, match="duplicate read1"):
+    with pytest.raises(ValueError, match="op id"):
         validate_schedule(schedule)
 
 
@@ -350,7 +355,6 @@ def test_classification_threshold():
         start=np.arange(n), finish=np.arange(n) + 10,
         contention=np.array([0, 8, 9, 20]),  # bound is 8
         choice_i=np.zeros(n, dtype=np.int64), choice_j=np.ones(n, dtype=np.int64),
-        value_i=np.zeros(n), value_j=np.zeros(n),
         updated=np.zeros(n, dtype=np.int64), post_value=np.ones(n),
         correct=np.array([True, True, False, False]),
         untouched=np.array([True, False, False, False]),
@@ -376,7 +380,7 @@ def test_wide_regime_gap_example():
     # 6 ln m; value frozen from this process's own run under the seed
     cfg = SimConfig(bins=4096, threads=4, ratio=256, total_ops=1_000_000,
                     adversary=STAMPEDE, seed=1)
-    assert cfg.bin_ratio_met
+    assert cfg.bins >= 4 * cfg.ratio * cfg.threads
     res = simulate(cfg)
     worst = int(res.trajectory.gap.max())
     assert worst <= 6 * math.log(4096)
@@ -389,7 +393,7 @@ def test_untouched_probability_in_wide_regime():
     # untouched; the analyzed floor is 0.7 with 0.03 statistical slack
     cfg = SimConfig(bins=256, threads=4, ratio=16, total_ops=100_000,
                     adversary=STAMPEDE, seed=3)
-    assert cfg.bin_ratio_met
+    assert cfg.bins >= 4 * cfg.ratio * cfg.threads
     res = simulate(cfg)
     _, summary = classify_operations(res.log, cfg)
     assert summary.fraction_good == 1.0

@@ -33,7 +33,7 @@ def test_empty_file_gives_all_defaults(tmp_path):
     f = tmp_path / "empty.cfg"
     f.write_text("# nothing here\n\n")
     cfg = parse_config("seq", config_file=f)
-    for key, (_, default) in SCHEMAS["seq"].items():
+    for key, (_, default, _) in SCHEMAS["seq"].items():
         assert cfg.params[key] == default
         assert cfg.provenance[key] == "default"
 
@@ -314,6 +314,12 @@ def test_quality_config_rejected_naming_key(tmp_path, capsys, argv, key):
     (["counter", "--mode", "throughput", "--threads-max", "1", "--cell-ratios", "2,-1"],
      "cell_ratios"),
     (["sim", "--adversary", "serial", "--block-size", "2"], "block_size"),
+    (["queue", "--mode", "stress", "--threads", "1", "--repeats", "0"], "repeats"),
+    (["sim", "--ops", "300", "--seeds", "1", "--gamma-flag-multiple", "nan"],
+     "gamma_flag_multiple"),
+    (["sim", "--ops", "300", "--seeds", "1", "--gamma-flag-multiple", "-1"],
+     "gamma_flag_multiple"),
+    (["counter", "--mode", "throughput", "--threads-max", "1", "--cells", "0"], "cells"),
 ])
 def test_out_of_range_config_rejected_naming_key(tmp_path, capsys, argv, key):
     assert main(argv + ["--out", str(tmp_path / "r")]) == 2
