@@ -20,6 +20,7 @@ import argparse
 import os
 import statistics
 import sys
+import threading
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
@@ -204,7 +205,9 @@ def parse_config(experiment: str, config_file=None, flag_values: dict | None = N
 
 def _check_rules(cfg: ExperimentConfig) -> None:
     """Reject a value outside its key's rule; a bound also rejects NaN and
-    an empty list."""
+    an empty list. A timed run sleeps for `duration` seconds, so that key
+    is also capped at threading.TIMEOUT_MAX, past which time.sleep
+    overflows."""
     for key, (_, _, rule) in SCHEMAS[cfg.experiment].items():
         value = cfg.params[key]
         if isinstance(rule, tuple):
@@ -214,6 +217,10 @@ def _check_rules(cfg: ExperimentConfig) -> None:
                                           default=rule - 1) >= rule:
             raise ConfigError(f"key {key!r}: must be >= {rule}, "
                               f"got {value if value != [] else 'none'}")
+    duration = cfg.params.get("duration", 0)
+    if not duration <= threading.TIMEOUT_MAX:
+        raise ConfigError(f"key 'duration': must be <= {threading.TIMEOUT_MAX}, "
+                          f"got {duration}")
 
 
 def _hardware_threads() -> int:

@@ -24,21 +24,23 @@ Costs measured this way are a valid witness of the relaxation, not the
 minimum over all admissible reorderings; for small histories the
 brute-force enumerator below explores every ordering that respects the
 real-time order of non-overlapping operations.
+
+A history is one `History` of seven numpy columns, built from the
+simulator's operation log (`history_from_simulation`) or from a
+one-thread queue run (`history_from_serial_queue`). Live threads are not
+captured.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .adversary import OpLog
 from .csvfile import write_csv
-from .multicounter import MultiCounter
 
 COUNTER, QUEUE = "counter", "queue"
 
@@ -46,7 +48,6 @@ INC, READ = "inc", "read"
 ENQ, DEQ = "enq", "deq"
 
 FIELDS = ("seq", "thread", "kind", "invoke", "respond", "arg", "ret")
-HISTORY_HEADER = ",".join(FIELDS)
 COST_FIELDS = ("op", "kind", "cost")
 TAIL_CSV_FIELDS = ("count", "mean", "p50", "p90", "p99", "max")
 DEFAULT_R_VALUES = (4.0, 6.0, 8.0)
@@ -56,55 +57,29 @@ class MalformedHistoryError(ValueError):
     """The history violates well-formedness (e.g. response before invoke)."""
 
 
-@dataclass(frozen=True)
-class HistoryRecord:
-    seq: int
-    thread: int
-    kind: str
-    invoke: int
-    respond: int
-    arg: int
-    ret: int
-
-
-def _columns(rows: list) -> dict[str, np.ndarray]:
-    """Typed columns of rows of field values or their strings; a ragged row raises."""
-    cols = zip(*rows, strict=True) if rows else [()] * len(FIELDS)
-    return {name: np.array(col, dtype=str if name == "kind" else np.int64)
-            for name, col in zip(FIELDS, cols, strict=True)}
-
-
+@dataclass(frozen=True, eq=False)
 class History:
     """Completed operations ordered by linearization sequence number.
 
-    One numpy column per HistoryRecord field (`kind` holds strings, the
-    others int64), built from records or shared with from_columns();
-    `records` converts back on demand.
+    One numpy column per name in FIELDS, all of one length: `kind` holds
+    strings, the others int64.
     """
 
-    def __init__(self, records: Iterable[HistoryRecord], source: str = "simulator"):
-        self.source = source
-        vars(self).update(_columns(list(map(attrgetter(*FIELDS), records))))
-
-    @classmethod
-    def from_columns(cls, source: str, **columns: np.ndarray) -> History:
-        """A history over the given columns, one per name in FIELDS."""
-        history = cls.__new__(cls)
-        vars(history).update(source=source, **{name: columns[name] for name in FIELDS})
-        return history
+    seq: np.ndarray
+    thread: np.ndarray
+    kind: np.ndarray
+    invoke: np.ndarray
+    respond: np.ndarray
+    arg: np.ndarray
+    ret: np.ndarray
 
     def __len__(self) -> int:
         return len(self.seq)
 
-    @property
-    def records(self) -> list[HistoryRecord]:
-        """One HistoryRecord per op, holding Python ints and strings."""
-        return list(map(HistoryRecord, *(getattr(self, name).tolist() for name in FIELDS)))
-
     def validate(self) -> None:
-        """Raise MalformedHistoryError, naming the first bad record, unless
+        """Raise MalformedHistoryError, naming the first bad op, unless
         sequence numbers strictly increase, every response follows its
-        invocation, and no record appears after one whose invocation follows
+        invocation, and no op appears after one whose invocation follows
         its response (the real-time order of non-overlapping operations)."""
         seq, invoke, respond = self.seq, self.invoke, self.respond
         no = np.zeros(min(len(seq), 1), dtype=bool)
@@ -283,8 +258,8 @@ def history_from_simulation(log: OpLog, bins: int) -> History:
     whole = post.astype(np.int64)
     if not np.array_equal(post, whole):
         raise ValueError("counter histories require unit-weight simulations")
-    return History.from_columns(
-        "simulator", seq=np.arange(len(whole)), thread=log.thread, kind=np.full(len(whole), INC),
+    return History(
+        seq=np.arange(len(whole)), thread=log.thread, kind=np.full(len(whole), INC),
         invoke=log.start, respond=log.finish, arg=log.updated, ret=bins * whole)
 
 
@@ -293,88 +268,31 @@ def history_from_serial_queue(enqueued: Sequence[int], dequeued: Sequence[int]) 
     a dequeue returning each key in `dequeued`. Every op finishes before the
     next begins, so program order is the only linearization."""
     n, d = len(enqueued), len(dequeued)
-    return History.from_columns(
-        "serial", seq=np.arange(n + d), thread=np.zeros(n + d, dtype=np.int64),
+    return History(
+        seq=np.arange(n + d), thread=np.zeros(n + d, dtype=np.int64),
         kind=np.repeat(np.array((ENQ, DEQ)), (n, d)),
         invoke=np.arange(0, 2 * (n + d), 2), respond=np.arange(1, 2 * (n + d), 2),
         arg=np.concatenate((np.asarray(enqueued, dtype=np.int64), np.full(d, -1))),
         ret=np.concatenate((np.full(n, -1), np.asarray(dequeued, dtype=np.int64))))
 
 
-def write_history(history: History, path, header_comments: Iterable[str] = ()) -> None:
-    write_csv(path, header_comments, HISTORY_HEADER,
-              [getattr(history, name) for name in FIELDS])
-
-
-def read_history(path, source: str = "file") -> History:
-    with open(path, newline="") as f:
-        rows = [line.split(",") for line in map(str.strip, f)
-                if line and not line.startswith("#") and line != HISTORY_HEADER]
-    return History.from_columns(source, **_columns(rows))
-
-
-class HistoryRecorder:
-    """Capture live-thread counter histories with per-thread append logs.
-
-    One list per thread takes appends without shared-state contention; a
-    single locked counter hands out event indices for invocations and
-    responses and linearization sequence numbers for the atomic writes
-    (drawn inside the cell's critical section, so sequence order agrees
-    with per-cell write order). merge() sorts by sequence number.
-    """
-
-    def __init__(self, threads: int):
-        if threads < 1:
-            raise ValueError("threads must be >= 1")
-        self._logs: list[list[HistoryRecord]] = [[] for _ in range(threads)]
-        self._tick = 0
-        self._lock = threading.Lock()
-
-    def tick(self) -> int:
-        with self._lock:
-            t = self._tick
-            self._tick = t + 1
-        return t
-
-    def record_increment(self, counter: MultiCounter, rng, thread: int) -> int:
-        inv = self.tick()
-        cell, seq, post = counter.increment_timestamped(rng, self.tick)
-        resp = self.tick()
-        self._logs[thread].append(
-            HistoryRecord(seq, thread, INC, inv, resp, cell, counter.cells * post))
-        return cell
-
-    def record_read(self, counter: MultiCounter, rng, thread: int) -> int:
-        # single-thread / quiescent use only: the read has no critical
-        # section, so its sequence number is drawn right before the read
-        inv = self.tick()
-        seq = self.tick()
-        value = counter.read(rng)
-        resp = self.tick()
-        self._logs[thread].append(HistoryRecord(seq, thread, READ, inv, resp, -1, value))
-        return value
-
-    def merge(self) -> History:
-        records = sorted((r for log in self._logs for r in log), key=attrgetter("seq"))
-        return History(records, source="live-threads")
-
-
 # --- brute-force linearization enumeration (small histories) ---------------
 
 
 def enumerate_linearizations(history: History, limit: int = 1_000_000
-                             ) -> Iterator[list[HistoryRecord]]:
-    """Yield every ordering that preserves the real-time order.
+                             ) -> Iterator[list[int]]:
+    """Yield every ordering that preserves the real-time order, as a list of
+    the ops' positions in the history.
 
-    A record may be scheduled next iff no unscheduled record responded
-    before it was invoked. Intended for histories whose overlapping groups
-    hold at most ~8 operations; raises if the enumeration would exceed
-    `limit` orderings.
+    An op may be scheduled next iff no unscheduled op responded before it
+    was invoked. Intended for histories whose overlapping groups hold at
+    most ~8 operations; raises if the enumeration would exceed `limit`
+    orderings.
     """
-    records = sorted(history.records, key=lambda r: r.invoke)
+    invoke, respond = history.invoke.tolist(), history.respond.tolist()
     produced = 0
 
-    def extend(prefix: list[HistoryRecord], remaining: list[HistoryRecord]):
+    def extend(prefix: list[int], remaining: list[int]):
         nonlocal produced
         if not remaining:
             produced += 1
@@ -383,12 +301,12 @@ def enumerate_linearizations(history: History, limit: int = 1_000_000
             yield list(prefix)
             return
         for k, cand in enumerate(remaining):
-            if all(other.respond > cand.invoke for i, other in enumerate(remaining) if i != k):
+            if all(respond[other] > invoke[cand] for i, other in enumerate(remaining) if i != k):
                 prefix.append(cand)
                 yield from extend(prefix, remaining[:k] + remaining[k + 1:])
                 prefix.pop()
 
-    yield from extend([], records)
+    yield from extend([], sorted(range(len(invoke)), key=invoke.__getitem__))
 
 
 def possible_cost_multisets(history: History, kind: str, bins: int,
@@ -401,19 +319,16 @@ def possible_cost_multisets(history: History, kind: str, bins: int,
     impossible and are skipped. Orderings are replayed from the history's
     columns reordered, one ordering per row; counter rows are priced at once.
     """
-    cols = {name: getattr(history, name) for name in FIELDS}
-    index = np.arange(len(history))
-    # enumerate a copy whose sequence numbers are the ops' indices
-    indexed = History.from_columns(history.source, **{**cols, "seq": index})
-    orderings = [[r.seq for r in o] for o in enumerate_linearizations(indexed, limit=limit)]
-    order = np.array(orderings, dtype=np.int64).reshape(len(orderings), len(index))
-    rows = {name: col[order] for name, col in cols.items()}
-    rows["seq"] = np.broadcast_to(index, order.shape)
+    n = len(history)
+    orderings = list(enumerate_linearizations(history, limit=limit))
+    order = np.array(orderings, dtype=np.int64).reshape(len(orderings), n)
+    rows = {name: getattr(history, name)[order] for name in FIELDS}
+    rows["seq"] = np.broadcast_to(np.arange(n), order.shape)
     rows["ret"] = np.where((rows["kind"] == INC) & (kind == COUNTER), -1, rows["ret"])
     out = set()
     # every ordering respects real time, so one counter replay checks them all
     for k in range(min(1, len(order)) if kind == COUNTER else len(order)):
-        replay = History.from_columns(history.source, **{name: c[k] for name, c in rows.items()})
+        replay = History(**{name: c[k] for name, c in rows.items()})
         try:
             out.add(tuple(sorted(linearize_costs(replay, kind, bins).cost.tolist())))
         except KeyError:

@@ -16,7 +16,6 @@ reads, one locked add. There are no retries and no structure-wide lock.
 from __future__ import annotations
 
 import threading
-from typing import Callable
 
 from numpy.random import Generator
 
@@ -41,24 +40,6 @@ class MultiCounter:
         with self._locks[i]:
             values[i] += 1
         return i
-
-    def increment_timestamped(self, rng: Generator, clock: Callable[[], int]) -> tuple[int, int, int]:
-        """Increment and draw a sequence number inside the critical section.
-
-        The clock callable is invoked while the cell lock is held, so the
-        returned sequence number orders this write against all other
-        timestamped writes to the same cell. Returns (cell, seq, new value).
-        """
-        values = self._values
-        i = int(rng.integers(0, self.cells))
-        j = int(rng.integers(0, self.cells))
-        if values[j] < values[i]:
-            i = j
-        with self._locks[i]:
-            values[i] += 1
-            post = values[i]
-            seq = clock()
-        return i, seq, post
 
     def read(self, rng: Generator) -> int:
         """m times one uniformly chosen cell; wait-free."""

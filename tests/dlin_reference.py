@@ -1,29 +1,55 @@
 """The relaxation-cost recorder as it was before histories became columns:
-one frozen `HistoryRecord` per op, validated, priced and summarised one
-object at a time, with the live queue keys in a Fenwick tree. Slow, but
-each rule is spelled out where it applies, so tests use it as the oracle
-that `twochoice.dlin` must match op for op.
+one frozen `HistoryRecord` per op, validated, priced, enumerated and
+summarised one object at a time, with the live queue keys in a Fenwick
+tree. Slow, but each rule is spelled out where it applies, so tests use it
+as the oracle that `twochoice.dlin` must match op for op. `history` and
+`records_of` convert between a list of records and the columns that
+`twochoice.dlin` prices.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
+
+import numpy as np
 
 from twochoice.dlin import (
     COUNTER,
     DEFAULT_R_VALUES,
     DEQ,
     ENQ,
+    FIELDS,
     INC,
     QUEUE,
     READ,
     History,
-    HistoryRecord,
     MalformedHistoryError,
     TailReport,
-    enumerate_linearizations,
 )
+
+
+@dataclass(frozen=True)
+class HistoryRecord:
+    seq: int
+    thread: int
+    kind: str
+    invoke: int
+    respond: int
+    arg: int
+    ret: int
+
+
+def history(records: list[HistoryRecord]) -> History:
+    """The columns of a list of records; `kind` holds strings, the others int64."""
+    cols = zip(*map(astuple, records)) if records else [()] * len(FIELDS)
+    return History(**{name: np.array(col, dtype=str if name == "kind" else np.int64)
+                      for name, col in zip(FIELDS, cols, strict=True)})
+
+
+def records_of(history: History) -> list[HistoryRecord]:
+    """One record per op of a history, holding Python ints and strings."""
+    return list(map(HistoryRecord, *(getattr(history, name).tolist() for name in FIELDS)))
 
 
 class RankOracle:
@@ -181,13 +207,37 @@ def tail_report(samples: list[CostSample], bins: int,
     )
 
 
+def enumerate_linearizations(records: list[HistoryRecord], limit: int = 1_000_000):
+    """Yield every ordering of the records that preserves the real-time
+    order: a record may be scheduled next iff no unscheduled record
+    responded before it was invoked. Raises past `limit` orderings."""
+    records = sorted(records, key=lambda r: r.invoke)
+    produced = 0
+
+    def extend(prefix: list[HistoryRecord], remaining: list[HistoryRecord]):
+        nonlocal produced
+        if not remaining:
+            produced += 1
+            if produced > limit:
+                raise ValueError(f"more than {limit} linearizations")
+            yield list(prefix)
+            return
+        for k, cand in enumerate(remaining):
+            if all(other.respond > cand.invoke for i, other in enumerate(remaining) if i != k):
+                prefix.append(cand)
+                yield from extend(prefix, remaining[:k] + remaining[k + 1:])
+                prefix.pop()
+
+    yield from extend([], records)
+
+
 def possible_cost_multisets(records: list[HistoryRecord], kind: str, bins: int,
                             limit: int = 1_000_000) -> set[tuple[float, ...]]:
     """Every admissible ordering, re-sequenced and replayed on its own;
     counter increments drop their recorded values, and queue orderings that
     dequeue a key before its enqueue are skipped."""
     out = set()
-    for ordering in enumerate_linearizations(History(records), limit=limit):
+    for ordering in enumerate_linearizations(records, limit=limit):
         reseq = [replace(r, seq=k, ret=-1 if (kind == COUNTER and r.kind == INC) else r.ret)
                  for k, r in enumerate(ordering)]
         try:

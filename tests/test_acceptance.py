@@ -18,6 +18,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from dlin_reference import HistoryRecord, history
 from twochoice.adversary import (
     ADVERSARY_KINDS,
     BLOCK_RESET,
@@ -37,8 +38,6 @@ from twochoice.dlin import (
     DEQ,
     INC,
     QUEUE,
-    History,
-    HistoryRecord,
     history_from_serial_queue,
     history_from_simulation,
     linearize_costs,
@@ -385,7 +384,7 @@ SIM_COST_P99_FROZEN = 155.0
 def test_criterion_12_cost_recorder():
     with criterion(12, "cost recorder: serial zeros, sim p99, brute force"):
         # serial histories cost zero, exactly
-        serial_counter = History([
+        serial_counter = history([
             HistoryRecord(seq=k, thread=0, kind=INC, invoke=2 * k,
                           respond=2 * k + 1, arg=0, ret=-1)
             for k in range(100)
@@ -401,7 +400,7 @@ def test_criterion_12_cost_recorder():
             records.append(HistoryRecord(seq=50 + k, thread=0, kind="deq",
                                          invoke=t, respond=t + 1, arg=-1, ret=k))
             t += 2
-        assert all(s.cost == 0.0 for s in linearize_costs(History(records), QUEUE, 1))
+        assert all(s.cost == 0.0 for s in linearize_costs(history(records), QUEUE, 1))
 
         # simulator counter run: p99 within 6 m ln m, frozen per seed
         cfg = SimConfig(bins=64, threads=1, total_ops=1_000_000,
@@ -420,12 +419,12 @@ def test_criterion_12_cost_recorder():
                           respond=100 + k, arg=k % 3, ret=-1)
             for k in range(8)
         ]
-        reference = possible_cost_multisets(History(base), COUNTER, 3)
+        reference = possible_cost_multisets(history(base), COUNTER, 3)
         swapped = [base[3], base[1], base[2], base[0], base[7], base[5], base[6], base[4]]
         reseq = [
             HistoryRecord(seq=k, thread=r.thread, kind=r.kind, invoke=r.invoke,
                           respond=r.respond, arg=r.arg, ret=-1)
             for k, r in enumerate(swapped)
         ]
-        assert possible_cost_multisets(History(reseq), COUNTER, 3) == reference
+        assert possible_cost_multisets(history(reseq), COUNTER, 3) == reference
         assert len(reference) >= 1

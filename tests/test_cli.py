@@ -337,13 +337,21 @@ def _python(args, tmp_path):
                           text=True, timeout=60)
 
 
-@pytest.mark.parametrize("argv", [
+TIMED_RUNS = [
     ["counter", "--mode", "throughput", "--threads-max", "1", "--repeats", "1"],
     ["queue", "--mode", "stress", "--threads", "1", "--repeats", "1"],
     ["stm", "--threads-max", "1", "--objects", "8", "--repeats", "1"],
+]
+
+
+# time.sleep raises on a negative duration and overflows on one past
+# threading.TIMEOUT_MAX; none of these values is ever slept on
+@pytest.mark.parametrize("argv, duration", [
+    pytest.param(argv, duration, id=f"argv{k}" + ("" if duration == "-1" else f"-{duration}"))
+    for duration in ("-1", "inf", "1e300") for k, argv in enumerate(TIMED_RUNS)
 ])
-def test_negative_duration_rejected_naming_key(tmp_path, argv):
-    done = _python(["-m", "twochoice.cli", *argv, "--duration", "-1", "--out", "r"], tmp_path)
+def test_negative_duration_rejected_naming_key(tmp_path, argv, duration):
+    done = _python(["-m", "twochoice.cli", *argv, "--duration", duration, "--out", "r"], tmp_path)
     assert done.returncode == 2
     assert "key 'duration'" in done.stderr
     assert not (tmp_path / "r").exists()

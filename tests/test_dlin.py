@@ -1,4 +1,3 @@
-import threading
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dlin_reference as reference
+from dlin_reference import HistoryRecord, history
 from twochoice.adversary import ADVERSARY_KINDS, SERIAL, STAMPEDE, SimConfig, simulate
 from twochoice.balance import WeightDistribution
 from twochoice.dlin import (
@@ -16,20 +16,13 @@ from twochoice.dlin import (
     INC,
     QUEUE,
     READ,
-    History,
-    HistoryRecord,
-    HistoryRecorder,
     MalformedHistoryError,
     enumerate_linearizations,
     history_from_simulation,
     linearize_costs,
     possible_cost_multisets,
-    read_history,
     tail_report,
-    write_history,
 )
-from twochoice.multicounter import MultiCounter
-from twochoice.rng import make_rng, thread_rngs
 
 
 def _rec(seq, kind, invoke, respond, arg=-1, ret=-1, thread=0):
@@ -49,7 +42,7 @@ def _costs(values):
 # ---------------------------------------------------------------------------
 
 def test_response_before_invocation_rejected():
-    h = History([_rec(0, INC, invoke=5, respond=3, arg=0)])
+    h = history([_rec(0, INC, invoke=5, respond=3, arg=0)])
     with pytest.raises(MalformedHistoryError):
         linearize_costs(h, COUNTER, 1)
 
@@ -57,7 +50,7 @@ def test_response_before_invocation_rejected():
 def test_real_time_order_violation_rejected():
     # op 1 finished (respond=2) before op 0 started (invoke=3), yet it is
     # ordered after op 0
-    h = History([
+    h = history([
         _rec(0, INC, invoke=3, respond=4, arg=0),
         _rec(1, INC, invoke=1, respond=2, arg=0),
     ])
@@ -68,7 +61,7 @@ def test_real_time_order_violation_rejected():
 def test_out_of_order_sequence_numbers_rejected():
     # well formed in real time, but op seq=1 is listed before op seq=0;
     # the replay would price them in list order
-    h = History([
+    h = history([
         _rec(1, INC, invoke=0, respond=5, arg=0),
         _rec(0, INC, invoke=2, respond=7, arg=0),
     ])
@@ -78,11 +71,11 @@ def test_out_of_order_sequence_numbers_rejected():
         linearize_costs(h, COUNTER, 2)
     # a repeated sequence number is rejected too
     with pytest.raises(MalformedHistoryError, match="seq=0"):
-        History([_rec(0, INC, 0, 5, arg=0), _rec(0, INC, 2, 7, arg=0)]).validate()
+        history([_rec(0, INC, 0, 5, arg=0), _rec(0, INC, 2, 7, arg=0)]).validate()
 
 
 def test_wellformed_overlapping_history_passes():
-    h = History([
+    h = history([
         _rec(0, INC, invoke=0, respond=5, arg=0),
         _rec(1, INC, invoke=2, respond=7, arg=0),
         _rec(2, INC, invoke=6, respond=9, arg=0),
@@ -97,7 +90,7 @@ def test_wellformed_overlapping_history_passes():
 def test_serial_exact_counter_costs_zero():
     # m = 1: the counter is exact, every op costs 0
     records = [_rec(k, INC, invoke=2 * k, respond=2 * k + 1, arg=0) for k in range(50)]
-    costs = linearize_costs(History(records), COUNTER, 1)
+    costs = linearize_costs(history(records), COUNTER, 1)
     assert all(s.cost == 0.0 for s in costs)
 
 
@@ -107,7 +100,7 @@ def test_counter_read_cost_is_distance_to_truth():
         _rec(1, INC, invoke=2, respond=3, arg=0),
         _rec(2, READ, invoke=4, respond=5, arg=-1, ret=4),  # true total is 2
     ]
-    costs = linearize_costs(History(records), COUNTER, 2)
+    costs = linearize_costs(history(records), COUNTER, 2)
     assert costs[2].cost == 2.0
 
 
@@ -118,14 +111,14 @@ def test_counter_increment_cost_matches_definition():
         _rec(0, INC, invoke=0, respond=1, arg=0),
         _rec(1, INC, invoke=2, respond=3, arg=0),
     ]
-    costs = linearize_costs(History(records), COUNTER, 2)
+    costs = linearize_costs(history(records), COUNTER, 2)
     assert [s.cost for s in costs] == [1.0, 2.0]
 
 
 def test_counter_replay_crosschecks_recorded_values():
     records = [_rec(0, INC, invoke=0, respond=1, arg=0, ret=999)]
     with pytest.raises(ValueError):
-        linearize_costs(History(records), COUNTER, 2)
+        linearize_costs(history(records), COUNTER, 2)
 
 
 def test_cost_zero_iff_sequentially_exact():
@@ -136,7 +129,7 @@ def test_cost_zero_iff_sequentially_exact():
         _rec(1, INC, invoke=2, respond=3, arg=1),   # cell1=1, k=2, m*x=2 -> cost 0
         _rec(2, INC, invoke=4, respond=5, arg=0),   # cell0=2, k=3, m*x=4 -> cost 1
     ]
-    costs = linearize_costs(History(records), COUNTER, 2)
+    costs = linearize_costs(history(records), COUNTER, 2)
     assert [s.cost for s in costs] == [1.0, 0.0, 1.0]
 
 
@@ -153,7 +146,7 @@ def test_serial_exact_queue_ranks_zero():
     for k in range(10):
         records.append(_rec(20 + k, DEQ, invoke=t, respond=t + 1, ret=k))
         t += 2
-    costs = linearize_costs(History(records), QUEUE, 1)
+    costs = linearize_costs(history(records), QUEUE, 1)
     assert all(s.cost == 0.0 for s in costs)
 
 
@@ -164,19 +157,19 @@ def test_queue_rank_cost():
         _rec(2, ENQ, invoke=4, respond=5, arg=9),
         _rec(3, DEQ, invoke=6, respond=7, ret=9),  # two live keys below
     ]
-    costs = linearize_costs(History(records), QUEUE, 4)
+    costs = linearize_costs(history(records), QUEUE, 4)
     assert costs[3].cost == 2.0
 
 
 def test_queue_unknown_key_rejected():
     records = [_rec(0, DEQ, invoke=0, respond=1, ret=3)]
     with pytest.raises(KeyError):
-        linearize_costs(History(records), QUEUE, 2)
+        linearize_costs(history(records), QUEUE, 2)
 
 
 def _serial_queue(ops):
     """One record per (kind, key), each op finishing before the next begins."""
-    return History([_rec(k, kind, invoke=2 * k, respond=2 * k + 1,
+    return history([_rec(k, kind, invoke=2 * k, respond=2 * k + 1,
                          **({"arg": key} if kind == ENQ else {"ret": key}))
                     for k, (kind, key) in enumerate(ops)])
 
@@ -278,7 +271,7 @@ def test_simulator_history_matches_per_element_conversion():
                       arg=int(log.updated[k]), ret=16 * int(float(log.post_value[k])))
         for k in range(len(log))
     ]
-    got = history_from_simulation(log, 16).records
+    got = reference.records_of(history_from_simulation(log, 16))
     assert got == want
     assert all(type(v) is int for r in got[:5] for v in (r.thread, r.invoke, r.arg, r.ret))
 
@@ -300,49 +293,29 @@ def test_simulator_counter_tail_small():
     assert rep.exceedance[8.0] <= 1e-3
 
 
-def test_history_file_roundtrip(tmp_path):
-    cfg = SimConfig(bins=8, threads=2, total_ops=100, adversary=STAMPEDE, seed=7)
-    res = simulate(cfg)
-    hist = history_from_simulation(res.log, 8)
-    path = tmp_path / "history.csv"
-    write_history(hist, path, header_comments=["source = simulator"])
-    loaded = read_history(path)
-    assert loaded.records == hist.records
-
-
-@pytest.mark.parametrize("rows", ["0,0,inc,0,1,0", "0,0,inc,0,1,0,-1,7",
-                                  "0,0,inc,0,1,0,-1\n1,0,inc,2,3,0"])
-def test_history_file_with_wrong_field_count_rejected(tmp_path, rows):
-    path = tmp_path / "history.csv"
-    path.write_text(f"seq,thread,kind,invoke,respond,arg,ret\n{rows}\n")
-    with pytest.raises(ValueError):
-        read_history(path)
-
-
 # ---------------------------------------------------------------------------
 # brute-force linearizations
 # ---------------------------------------------------------------------------
 
 def test_enumerate_linearizations_counts():
     # two overlapping ops: both orders; a third disjoint op stays last
-    h = History([
+    h = history([
         _rec(0, INC, invoke=0, respond=10, arg=0),
         _rec(1, INC, invoke=1, respond=11, arg=1),
         _rec(2, INC, invoke=20, respond=21, arg=0),
     ])
     orders = list(enumerate_linearizations(h))
     assert len(orders) == 2
-    assert all(o[2].seq == 2 for o in orders)
+    assert all(o[2] == 2 for o in orders)
 
 
 def test_enumerate_respects_real_time():
-    h = History([
+    h = history([
         _rec(0, INC, invoke=0, respond=1, arg=0),
         _rec(1, INC, invoke=2, respond=3, arg=1),
     ])
     orders = list(enumerate_linearizations(h))
-    assert len(orders) == 1
-    assert [r.seq for r in orders[0]] == [0, 1]
+    assert orders == [[0, 1]]
 
 
 def test_possible_costs_invariant_under_overlap_permutation():
@@ -354,7 +327,7 @@ def test_possible_costs_invariant_under_overlap_permutation():
         _rec(2, INC, invoke=2, respond=22, arg=1),
         _rec(3, INC, invoke=3, respond=23, arg=1),
     ]
-    reference = possible_cost_multisets(History(base), COUNTER, 2)
+    reference = possible_cost_multisets(history(base), COUNTER, 2)
     import itertools
     for perm in itertools.permutations(base):
         reordered = [
@@ -362,11 +335,11 @@ def test_possible_costs_invariant_under_overlap_permutation():
                           respond=r.respond, arg=r.arg, ret=-1)
             for k, r in enumerate(perm)
         ]
-        assert possible_cost_multisets(History(reordered), COUNTER, 2) == reference
+        assert possible_cost_multisets(history(reordered), COUNTER, 2) == reference
 
 
 def test_possible_costs_queue_skips_impossible_orders():
-    h = History([
+    h = history([
         _rec(0, ENQ, invoke=0, respond=10, arg=0),
         _rec(1, DEQ, invoke=1, respond=11, ret=0),
     ])
@@ -377,47 +350,7 @@ def test_possible_costs_queue_skips_impossible_orders():
 def test_enumeration_limit_guard():
     records = [_rec(k, INC, invoke=0, respond=100, arg=0) for k in range(9)]
     with pytest.raises(ValueError):
-        list(enumerate_linearizations(History(records), limit=10_000))
-
-
-# ---------------------------------------------------------------------------
-# live capture
-# ---------------------------------------------------------------------------
-
-def test_recorder_single_thread_matches_truth():
-    counter = MultiCounter(4)
-    rec = HistoryRecorder(1)
-    rng = make_rng(3)
-    for _ in range(500):
-        rec.record_increment(counter, rng, 0)
-    value = rec.record_read(counter, rng, 0)
-    hist = rec.merge()
-    hist.validate()
-    assert len(hist) == 501
-    costs = linearize_costs(hist, COUNTER, 4)
-    assert costs[-1].cost == abs(value - 500)
-
-
-def test_recorder_concurrent_capture_is_consistent():
-    counter = MultiCounter(8)
-    rec = HistoryRecorder(4)
-    rngs = thread_rngs(5, 4)
-
-    def worker(k):
-        for _ in range(2000):
-            rec.record_increment(counter, rngs[k], k)
-
-    threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    hist = rec.merge()
-    hist.validate()
-    # replay agrees with every recorded post-increment value
-    costs = linearize_costs(hist, COUNTER, 8)
-    assert len(costs) == 8000
-    assert counter.exact_total() == 8000
+        list(enumerate_linearizations(history(records), limit=10_000))
 
 
 # ---------------------------------------------------------------------------
@@ -438,10 +371,10 @@ def _outcome(price, records_or_history, bins, kind=COUNTER):
 
 
 def _assert_paths_agree(records, bins, kind=COUNTER):
-    history = History(records)
-    assert history.records == records
+    columns = history(records)
+    assert reference.records_of(columns) == records
     want = _outcome(reference.linearize_costs, records, bins, kind)
-    got = _outcome(linearize_costs, history, bins, kind)
+    got = _outcome(linearize_costs, columns, bins, kind)
     assert got == want
 
 
@@ -558,35 +491,12 @@ def test_queue_pricing_matches_object_oracle(case):
     _assert_paths_agree(records, bins, QUEUE)
 
 
-@settings(max_examples=15, deadline=None)
-@given(threads=st.integers(1, 3), per_thread=st.integers(0, 300), reads=st.integers(0, 5),
-       bins=st.sampled_from([1, 2, 3, 64]), seed=st.integers(0, 2**32 - 1))
-def test_live_recorder_merge_matches_object_oracle(threads, per_thread, reads, bins, seed):
-    counter = MultiCounter(bins)
-    rec = HistoryRecorder(threads)
-    rngs = thread_rngs(seed, threads)
-
-    def worker(k):
-        for _ in range(per_thread):
-            rec.record_increment(counter, rngs[k], k)
-
-    workers = [threading.Thread(target=worker, args=(k,)) for k in range(threads)]
-    for t in workers:
-        t.start()
-    for t in workers:
-        t.join(timeout=60)
-        assert not t.is_alive()
-    for _ in range(reads):  # reads are recorded quiescent, from one thread
-        rec.record_read(counter, rngs[0], 0)
-    _assert_paths_agree(rec.merge().records, bins)
-
-
 @pytest.mark.parametrize("adversary", ADVERSARY_KINDS)
 def test_simulator_pricing_matches_object_oracle(adversary):
     cfg = SimConfig(bins=32, threads=8, total_ops=3000, adversary=adversary, seed=12)
-    history = history_from_simulation(simulate(cfg).log, 32)
-    assert (_outcome(linearize_costs, history, 32)
-            == _outcome(reference.linearize_costs, history.records, 32))
+    columns = history_from_simulation(simulate(cfg).log, 32)
+    assert (_outcome(linearize_costs, columns, 32)
+            == _outcome(reference.linearize_costs, reference.records_of(columns), 32))
 
 
 @st.composite
@@ -625,5 +535,26 @@ def test_possible_cost_multisets_match_object_oracle(case):
         except ValueError as exc:
             return type(exc)
 
-    assert (outcome(lambda r, k, b: possible_cost_multisets(History(r), k, b))
+    assert (outcome(lambda r, k, b: possible_cost_multisets(history(r), k, b))
             == outcome(reference.possible_cost_multisets))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_small_histories(), limit=st.integers(1, 5040))
+def test_enumerate_linearizations_match_object_oracle(case, limit):
+    records = case[0]
+
+    def run(orderings):
+        """The orderings yielded, and whether the enumeration then raised."""
+        got = []
+        try:
+            got.extend(orderings)
+        except ValueError:
+            return got, True
+        return got, False
+
+    # a record's seq is its position, so the oracle's orderings read as positions
+    indexed = [replace(r, seq=k) for k, r in enumerate(records)]
+    want, want_raised = run(reference.enumerate_linearizations(indexed, limit=limit))
+    assert (run(enumerate_linearizations(history(records), limit=limit))
+            == ([[r.seq for r in o] for o in want], want_raised))

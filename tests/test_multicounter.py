@@ -188,18 +188,3 @@ def test_read_deviation_large_array():
     bound = 6 * m * math.log(m)
     values = c.snapshot()
     assert all(abs(m * v - total) <= bound for v in values)
-
-
-def test_increment_timestamped_orders_writes():
-    c = MultiCounter(8)
-    rng = make_rng(5)
-    tick = iter(range(10_000))
-    clock = lambda: next(tick)
-    seqs = []
-    for _ in range(100):
-        cell, seq, post = c.increment_timestamped(rng, clock)
-        seqs.append(seq)
-        assert 0 <= cell < 8
-        assert post >= 1
-    assert seqs == sorted(seqs)
-    assert c.exact_total() == 100

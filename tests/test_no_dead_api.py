@@ -1,0 +1,49 @@
+"""Public API that no run calls is dead weight: every public module-level
+function or class, and every public method, in `src/twochoice/*.py` must be
+named somewhere in `src/` or `perfbench/` other than where it is defined.
+A name counts when its word occurs in those files, comments and strings
+included, more often than functions and classes of that name are defined.
+Tests do not count as callers."""
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# oracles that the acceptance criteria read, though no run calls them
+ALLOWED = {
+    "one_plus_beta_probabilities",   # criterion 03: the (1+beta) rank vector
+    "ProbabilityVector.prefix_sums",  # criterion 03: its prefix sums
+    "possible_cost_multisets",       # criterion 12: the brute-force cost sets
+}
+
+
+def _definitions(tree):
+    """(qualified name, bare name) of each public function, class and method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not node.name.startswith("_"):
+                yield node.name, node.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not item.name.startswith("_")):
+                        yield f"{node.name}.{item.name}", item.name
+
+
+def test_every_public_name_has_a_caller():
+    package = sorted((ROOT / "src" / "twochoice").glob("*.py"))
+    assert package
+    texts = {path: path.read_text()
+             for path in package + sorted((ROOT / "perfbench").glob("*.py"))}
+    trees = {path: ast.parse(text, filename=str(path)) for path, text in texts.items()}
+    defined = Counter(node.name for tree in trees.values() for node in ast.walk(tree)
+                      if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)))
+    words = Counter(word for text in texts.values() for word in re.findall(r"\w+", text))
+    dead = [f"{path.stem}.{qualified}"
+            for path in package
+            for qualified, name in _definitions(trees[path])
+            if words[name] <= defined[name] and qualified not in ALLOWED]
+    assert dead == []
