@@ -30,19 +30,12 @@ chosen, with the touch before it at or before the start.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .balance import (
-    LoadState,
-    LoadVector,
-    Trajectory,
-    TrajectoryBuilder,
-    WeightDistribution,
-    potential_exponent,
-)
+from .balance import LoadState, Trajectory, potential_exponent
 from .csvfile import write_csv
 from .rng import PairStream, WordStream, schedule_rng, thread_rngs
 
@@ -74,7 +67,6 @@ class SimConfig:
     adversary: str = RANDOM_INTERLEAVE
     block_size: int | None = None
     seed: int = 0
-    weight: WeightDistribution = field(default_factory=WeightDistribution.unit)
 
     def __post_init__(self):
         if self.bins < 1:
@@ -259,7 +251,7 @@ class OpLog:
 
 @dataclass
 class SimResult:
-    loads: LoadVector
+    loads: list
     log: OpLog
     trajectory: Trajectory
 
@@ -269,7 +261,8 @@ def simulate(config: SimConfig, schedule: Schedule | None = None) -> SimResult:
 
     Choices come from per-thread streams derived from config.seed; a fixed
     schedule with a different seed replays the same event order with
-    different choices. One trajectory row is recorded per update event.
+    different choices. Every update adds one to the bin it chose, and one
+    trajectory row is recorded per update event.
 
     The replay holds the package's only schedule rules, and a malformed
     schedule raises `ValueError`: a thread out of range, an unknown phase, a
@@ -286,24 +279,19 @@ def simulate(config: SimConfig, schedule: Schedule | None = None) -> SimResult:
 
     n = config.threads
     m = config.bins
-    unit = config.weight.is_unit
-    state = LoadState(m, potential_exponent(GOOD_MARGIN, config.weight.moment_bound), unit=unit)
+    state = LoadState(m, potential_exponent(GOOD_MARGIN))
     weights = state.weights
-
-    next_pairs = []
-    weight_rngs = []
-    for rng in thread_rngs(config.seed, n):
-        idx_rng, w_rng = rng.spawn(2)
-        next_pairs.append(PairStream(idx_rng, m).next_pair)
-        weight_rngs.append(w_rng)
+    # a thread draws its pairs from the first of two children of its stream,
+    # the split that run_sequential makes
+    next_pairs = [PairStream(rng.spawn(2)[0], m).next_pair for rng in thread_rngs(config.seed, n)]
 
     total = config.total_ops
-    a_op, a_thread, a_start, a_finish, a_ci, a_cj, a_upd = np.zeros((7, total), dtype=np.int64)
-    a_post = np.zeros(total)
+    a_op, a_thread, a_start, a_finish, a_ci, a_cj, a_upd, a_post = np.zeros((8, total),
+                                                                            dtype=np.int64)
     a_corr = np.zeros(total, dtype=np.bool_)
     # event positions fit int32 below 2**31 events
     a_read2 = np.zeros(total, dtype=np.int32 if 3 * total < 2**31 else np.int64)
-    traj = TrajectoryBuilder(total)
+    rows = np.empty((total, 8))
 
     # per-thread pending op state: [op, start, i, j, vi, vj, read2]; vj is
     # None until the op's second read
@@ -336,9 +324,8 @@ def simulate(config: SimConfig, schedule: Schedule | None = None) -> SimResult:
             _, start, i, j, vi, vj, read2 = cur
             # stale comparison; ties (including i == j) to the lower index
             chosen = j if vj < vi or (vj == vi and j < i) else i
-            w = 1 if unit else float(weight_rngs[t].exponential())
             true_min = i if (weights[i], i) <= (weights[j], j) else j
-            state.add(chosen, w)
+            state.add(chosen, 1)
             k = done
             a_op[k] = op
             a_thread[k] = t
@@ -350,7 +337,7 @@ def simulate(config: SimConfig, schedule: Schedule | None = None) -> SimResult:
             a_upd[k] = chosen
             a_post[k] = weights[chosen]
             a_corr[k] = chosen == true_min
-            traj.append(state.snapshot_row(event_idx))
+            rows[k] = state.snapshot_row(event_idx)
             done += 1
 
     if done != total or event_idx + 1 != 3 * total:
@@ -366,7 +353,7 @@ def simulate(config: SimConfig, schedule: Schedule | None = None) -> SimResult:
         updated=a_upd, post_value=a_post,
         correct=a_corr, untouched=a_unt,
     )
-    return SimResult(loads=state.load_vector(), log=log, trajectory=traj.build())
+    return SimResult(loads=weights, log=log, trajectory=Trajectory.from_rows(rows))
 
 
 def _window_columns(thread, start, read2, finish, choice_i, choice_j, updated,

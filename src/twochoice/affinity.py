@@ -29,18 +29,24 @@ def run_timed_workers(threads: int, work: Callable[[int, threading.Event], None]
     """Run work(k, stop) on threads k = 0..threads-1 for `duration` seconds.
 
     Worker k first tries to pin itself to CPU k when `pin` is set. `stop` is
-    set after the sleep, or when it raises (a negative duration, Ctrl-C), and
-    each worker is expected to return soon after. Returns the wall seconds
-    from before the first start to after the last join, and how many
-    workers' pins stuck.
+    set after the sleep, when it raises (a negative duration, Ctrl-C), or
+    when a worker raises, and each worker is expected to return soon after.
+    Once every worker has joined, the first worker exception is raised
+    again. Returns the wall seconds from before the first start to after
+    the last join, and how many workers' pins stuck.
     """
     stop = threading.Event()
     pinned = [False] * threads
+    errors = []
 
     def run(k: int) -> None:
         if pin:
             pinned[k] = try_pin_current_thread(k)
-        work(k, stop)
+        try:
+            work(k, stop)
+        except BaseException as exc:
+            errors.append(exc)
+            stop.set()
 
     workers = [threading.Thread(target=run, args=(k,)) for k in range(threads)]
     t0 = time.perf_counter()
@@ -53,4 +59,6 @@ def run_timed_workers(threads: int, work: Callable[[int, threading.Event], None]
         for w in workers:
             if w.ident is not None:   # started
                 w.join()
+    if errors:
+        raise errors[0]
     return time.perf_counter() - t0, sum(pinned)

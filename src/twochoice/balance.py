@@ -11,6 +11,9 @@ beta_eff = 2r - 1, so any mixture of such steps is that form at the mixed r.
 The exponential potential instrumentation monitors balance:
 phi = sum exp(a*y_j), psi = sum exp(-a*y_j), gamma = phi + psi, where y_j
 are the mean-centered bin weights and a is `potential_exponent`'s value.
+A run writes one `LoadState.snapshot_row` per snapshot into a (rows, 8)
+array that `Trajectory.from_rows` splits into columns, and returns its
+final loads as a plain list. `adversary.simulate` adds unit weights only.
 
 Everything here is single threaded and deterministic for a fixed seed.
 """
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable
 
 import numpy as np
@@ -35,25 +39,6 @@ TRAJECTORY_HEADER = "step,phi,psi,gamma,gap,max,min,mean"
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class LoadVector:
-    """Final bin weights of a run.
-
-    Unit-weight processes keep integer weights, so after k insertions the
-    total is exactly k with no floating error.
-    """
-
-    weights: list
-
-    def __post_init__(self):
-        if len(self.weights) == 0:
-            raise ValueError("load vector needs at least one bin")
-
-    @property
-    def total(self):
-        return sum(self.weights)
 
 
 @dataclass(frozen=True)
@@ -214,31 +199,18 @@ class LoadState:
             self._rebase()
 
     def _rebase(self) -> None:
-        self.base = self.mean()
+        self.base = self.total / self.bins
         a = self.exponent
         b = self.base
         self.s_phi = math.fsum(math.exp(a * (w - b)) for w in self.weights)
         self.s_psi = math.fsum(math.exp(-a * (w - b)) for w in self.weights)
 
-    def mean(self) -> float:
-        return self.total / self.bins
-
-    def gap(self):
-        return self.max_w - self.min_w
-
-    def phi(self) -> float:
-        return self.s_phi * math.exp(-self.exponent * (self.mean() - self.base))
-
-    def psi(self) -> float:
-        return self.s_psi * math.exp(self.exponent * (self.mean() - self.base))
-
-    def load_vector(self) -> LoadVector:
-        return LoadVector(list(self.weights))
-
     def snapshot_row(self, step: int) -> tuple:
-        phi = self.phi()
-        psi = self.psi()
-        return (step, phi, psi, phi + psi, self.gap(), self.max_w, self.min_w, self.mean())
+        """(step, phi, psi, gamma, gap, max, min, mean): one trajectory row."""
+        mean = self.total / self.bins
+        phi = self.s_phi * math.exp(-self.exponent * (mean - self.base))
+        psi = self.s_psi * math.exp(self.exponent * (mean - self.base))
+        return (step, phi, psi, phi + psi, self.max_w - self.min_w, self.max_w, self.min_w, mean)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +231,11 @@ class Trajectory:
     min_load: np.ndarray
     mean_load: np.ndarray
 
+    @classmethod
+    def from_rows(cls, rows: np.ndarray) -> "Trajectory":
+        """The columns of a (rows, 8) float64 array of `snapshot_row`s."""
+        return cls(rows[:, 0].astype(np.int64), *rows[:, 1:].T)
+
     def __len__(self) -> int:
         return len(self.steps)
 
@@ -266,32 +243,6 @@ class Trajectory:
         cols = (self.steps, self.phi, self.psi, self.gamma, self.gap,
                 self.max_load, self.min_load, self.mean_load)
         write_csv(path, header_comments, TRAJECTORY_HEADER, cols)
-
-
-class TrajectoryBuilder:
-    """Preallocated trajectory sink."""
-
-    def __init__(self, capacity: int):
-        self._steps = np.zeros(capacity, dtype=np.int64)
-        self._cols = [np.zeros(capacity, dtype=np.float64) for _ in range(7)]
-        self._n = 0
-
-    def append(self, row: tuple) -> None:
-        n = self._n
-        self._steps[n] = row[0]
-        cols = self._cols
-        for c in range(7):
-            cols[c][n] = row[c + 1]
-        self._n = n + 1
-
-    def build(self) -> Trajectory:
-        n = self._n
-        c = self._cols
-        return Trajectory(
-            steps=self._steps[:n],
-            phi=c[0][:n], psi=c[1][:n], gamma=c[2][:n], gap=c[3][:n],
-            max_load=c[4][:n], min_load=c[5][:n], mean_load=c[6][:n],
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -318,13 +269,14 @@ def run_sequential(
     rng: Generator | int | None = None,
     snapshot_every: int = 1000,
     exponent: float | None = None,
-) -> tuple[Trajectory, LoadVector]:
+) -> tuple[Trajectory, list]:
     """Run the (1+beta)-choice process and record snapshots at a cadence.
 
     The two-choice branch draws its two bin indices directly (rather than a
     rank) so that a concurrency-free simulated run consumes randomness
     identically and produces the same trajectory step for step. Snapshots
     are taken every snapshot_every steps and always at the final step.
+    Returns the trajectory and the final bin weights.
     """
     if bins < 1:
         raise ValueError("bins must be >= 1")
@@ -343,20 +295,14 @@ def run_sequential(
         exponent = default_params(two_choice_prob, weight)
 
     state = LoadState(bins, exponent, unit=weight.is_unit)
-    cap = steps // snapshot_every + 2
-    traj = TrajectoryBuilder(cap)
+    # a row per full cadence, and one more for a partial last one
+    rows = np.empty((-(-steps // snapshot_every), 8))
     if steps == 0:
-        return traj.build(), state.load_vector()
+        return Trajectory.from_rows(rows), state.weights
 
     idx_rng, w_rng = rng.spawn(2)
     weights = state.weights
-    unit = weight.is_unit
-
-    def ball(k: int):
-        return 1 if unit else w_samples[k]
-
-    if not unit:
-        w_samples = weight.sample_batch(w_rng, steps)
+    balls = repeat(1) if weight.is_unit else iter(weight.sample_batch(w_rng, steps))
 
     if two_choice_prob >= 1.0:
         pairs = PairStream(idx_rng, bins)
@@ -364,15 +310,15 @@ def run_sequential(
             i, j = pairs.next_pair()
             if (weights[j], j) < (weights[i], i):
                 i = j
-            state.add(i, ball(s - 1))
+            state.add(i, next(balls))
             if s % snapshot_every == 0:
-                traj.append(state.snapshot_row(s))
+                rows[s // snapshot_every - 1] = state.snapshot_row(s)
     elif two_choice_prob <= 0.0:
         singles = PairStream(idx_rng, bins)
         for s in range(1, steps + 1):
-            state.add(singles.integers(0, bins), ball(s - 1))
+            state.add(singles.integers(0, bins), next(balls))
             if s % snapshot_every == 0:
-                traj.append(state.snapshot_row(s))
+                rows[s // snapshot_every - 1] = state.snapshot_row(s)
     else:
         b = two_choice_prob
         draws = WordStream(idx_rng)
@@ -384,10 +330,10 @@ def run_sequential(
                     i = j
             else:
                 i = draws.integers(0, bins)
-            state.add(i, ball(s - 1))
+            state.add(i, next(balls))
             if s % snapshot_every == 0:
-                traj.append(state.snapshot_row(s))
+                rows[s // snapshot_every - 1] = state.snapshot_row(s)
 
     if steps % snapshot_every != 0:
-        traj.append(state.snapshot_row(steps))
-    return traj.build(), state.load_vector()
+        rows[-1] = state.snapshot_row(steps)
+    return Trajectory.from_rows(rows), state.weights

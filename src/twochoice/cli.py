@@ -257,9 +257,9 @@ def run_seq(cfg: ExperimentConfig) -> int:
             p["bins"], p["steps"], p["beta"], weight=weight, rng=seed,
             snapshot_every=p["snapshot_every"], exponent=exponent,
         )
-        if weight.is_unit and loads.total != p["steps"]:
+        if weight.is_unit and sum(loads) != p["steps"]:
             return _fail(outdir, "seq",
-                         f"seed {seed}: total {loads.total} != steps {p['steps']}")
+                         f"seed {seed}: total {sum(loads)} != steps {p['steps']}")
         path = outdir / f"seq_b{p['beta']:g}_seed{seed}.csv"
         traj.write_csv(path, header_comments=cfg.header_comments() + [f"seed = {seed}"])
         print(f"seq seed={seed}: gap_max={traj.gap.max():.0f} -> {path}")
@@ -279,9 +279,9 @@ def run_sim(cfg: ExperimentConfig) -> int:
             block_size=p["block_size"] or None, seed=seed,
         )
         res = simulate(sim_cfg)
-        if res.loads.total != p["ops"]:
+        if sum(res.loads) != p["ops"]:
             return _fail(outdir, "sim",
-                         f"seed {seed}: total {res.loads.total} != ops {p['ops']}")
+                         f"seed {seed}: total {sum(res.loads)} != ops {p['ops']}")
         comments = cfg.header_comments() + [f"seed = {seed}"]
         traj_path = outdir / f"sim_{p['adversary']}_seed{seed}_trajectory.csv"
         ops_path = outdir / f"sim_{p['adversary']}_seed{seed}_ops.csv"
@@ -363,7 +363,7 @@ def run_counter(cfg: ExperimentConfig) -> int:
                                  "cell sum != completed increments")
                 rates.append(rate)
             mean = statistics.fmean(rates)
-            std = statistics.pstdev(rates) if len(rates) > 1 else 0.0
+            std = statistics.pstdev(rates)
             rows.append([threads, ratio, cells, repr(mean), repr(std), 1])
             print(f"counter threads={threads} ratio={ratio}: {mean:,.0f} ops/s "
                   f"(pinned {pinned}/{threads})")
@@ -482,7 +482,7 @@ def run_stm(cfg: ExperimentConfig) -> int:
                 summary_rows.append([
                     threads, objects, kind, rows[-1][3],
                     repr(statistics.fmean(rates)),
-                    repr(statistics.pstdev(rates) if len(rates) > 1 else 0.0),
+                    repr(statistics.pstdev(rates)),
                     repr(statistics.fmean(abort_rates)), 1,
                 ])
                 print(f"stm objects={objects} threads={threads} clock={kind}: "

@@ -254,13 +254,10 @@ def history_from_simulation(log: OpLog, bins: int) -> History:
     Operations are already in completion (update-event) order, which is the
     canonical linearization of the replayed run.
     """
-    post = np.asarray(log.post_value)
-    whole = post.astype(np.int64)
-    if not np.array_equal(post, whole):
-        raise ValueError("counter histories require unit-weight simulations")
+    n = len(log)
     return History(
-        seq=np.arange(len(whole)), thread=log.thread, kind=np.full(len(whole), INC),
-        invoke=log.start, respond=log.finish, arg=log.updated, ret=bins * whole)
+        seq=np.arange(n), thread=log.thread, kind=np.full(n, INC),
+        invoke=log.start, respond=log.finish, arg=log.updated, ret=bins * log.post_value)
 
 
 def history_from_serial_queue(enqueued: Sequence[int], dequeued: Sequence[int]) -> History:

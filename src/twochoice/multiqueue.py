@@ -59,6 +59,9 @@ class LogicalClock:
 class MultiQueue:
     """m internally ordered queues with uniform enqueue, two-choice dequeue."""
 
+    #: probe pairs a dequeue tries before it gives up on races
+    DEQUEUE_ATTEMPTS = 8
+
     def __init__(self, queues: int):
         if queues < 1:
             raise ValueError("queues must be >= 1")
@@ -88,7 +91,7 @@ class MultiQueue:
             heap = self._heaps[q]
             return heap[0] if heap else None
 
-    def dequeue(self, rng: Generator, attempts: int = 8):
+    def dequeue(self, rng: Generator):
         """Pop from the smaller-stamped of two probed queues.
 
         Returns EMPTY when both probes find empty queues, or when the
@@ -96,7 +99,7 @@ class MultiQueue:
         """
         heaps = self._heaps
         locks = self._locks
-        for _ in range(attempts):
+        for _ in range(self.DEQUEUE_ATTEMPTS):
             i = int(rng.integers(0, self.queues))
             j = int(rng.integers(0, self.queues))
             top_i = self._peek(i)

@@ -9,8 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from twochoice.balance import LoadVector
-
 # exp() overflows double precision just past 709; stay clear of it.
 MAX_SAFE_EXPONENT = 700.0
 
@@ -33,13 +31,13 @@ class PotentialSnapshot:
     mean_load: float
 
 
-def potential(loads: LoadVector, exponent: float, step: int = 0) -> PotentialSnapshot:
-    """Fresh O(m) evaluation of phi, psi, gamma and the gap."""
+def potential(loads: list, exponent: float, step: int = 0) -> PotentialSnapshot:
+    """Fresh O(m) evaluation of phi, psi, gamma and the gap of the bin loads."""
     a = exponent
-    mu = loads.total / len(loads.weights)
+    mu = sum(loads) / len(loads)
     phi = 0.0
     psi = 0.0
-    for w in loads.weights:
+    for w in loads:
         y = w - mu
         if abs(a * y) > MAX_SAFE_EXPONENT:
             raise PotentialOverflowError(
@@ -47,8 +45,8 @@ def potential(loads: LoadVector, exponent: float, step: int = 0) -> PotentialSna
             )
         phi += math.exp(a * y)
         psi += math.exp(-a * y)
-    mx = max(loads.weights)
-    mn = min(loads.weights)
+    mx = max(loads)
+    mn = min(loads)
     return PotentialSnapshot(
         step=step,
         phi=phi,

@@ -7,29 +7,24 @@ the oracles that the buffered paths must match value for value.
 
 from __future__ import annotations
 
+import numpy as np
+
 from twochoice.adversary import RANDOM_INTERLEAVE, Schedule
-from twochoice.balance import (
-    LoadState,
-    LoadVector,
-    Trajectory,
-    TrajectoryBuilder,
-    WeightDistribution,
-    default_params,
-)
+from twochoice.balance import LoadState, Trajectory, WeightDistribution, default_params
 from twochoice.rng import make_rng, schedule_rng
 
 
 def run_sequential_reference(bins: int, steps: int, two_choice_prob: float,
                              weight: WeightDistribution, seed: int,
-                             snapshot_every: int) -> tuple[Trajectory, LoadVector]:
+                             snapshot_every: int) -> tuple[Trajectory, list]:
     """`run_sequential` with 0 < two_choice_prob < 1, drawing each step's
     coin and bin indices as scalars from the index stream."""
     if not 0.0 < two_choice_prob < 1.0:
         raise ValueError("the reference covers 0 < two_choice_prob < 1 only")
     state = LoadState(bins, default_params(two_choice_prob, weight), unit=weight.is_unit)
-    traj = TrajectoryBuilder(steps // snapshot_every + 2)
+    rows = []
     if steps == 0:
-        return traj.build(), state.load_vector()
+        return _trajectory(rows), state.weights
     idx_rng, w_rng = make_rng(seed).spawn(2)
     balls = weight.sample_batch(w_rng, steps)
     weights = state.weights
@@ -43,10 +38,14 @@ def run_sequential_reference(bins: int, steps: int, two_choice_prob: float,
             i = int(idx_rng.integers(0, bins))
         state.add(i, balls[s - 1])
         if s % snapshot_every == 0:
-            traj.append(state.snapshot_row(s))
+            rows.append(state.snapshot_row(s))
     if steps % snapshot_every != 0:
-        traj.append(state.snapshot_row(steps))
-    return traj.build(), state.load_vector()
+        rows.append(state.snapshot_row(steps))
+    return _trajectory(rows), state.weights
+
+
+def _trajectory(rows: list) -> Trajectory:
+    return Trajectory.from_rows(np.array(rows, dtype=np.float64).reshape(-1, 8))
 
 
 def random_interleave_reference(threads: int, total_ops: int, seed: int

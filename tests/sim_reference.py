@@ -18,7 +18,7 @@ from twochoice.adversary import (
     SimResult,
     generate_schedule,
 )
-from twochoice.balance import LoadState, TrajectoryBuilder, potential_exponent
+from twochoice.balance import LoadState, Trajectory, potential_exponent
 from twochoice.rng import PairStream, thread_rngs
 
 
@@ -35,19 +35,15 @@ def simulate_reference(config: SimConfig, schedule: Schedule | None = None,
 
     n = config.threads
     m = config.bins
-    unit = config.weight.is_unit
     if exponent is None:
-        exponent = potential_exponent(GOOD_MARGIN, config.weight.moment_bound)
-    state = LoadState(m, exponent, unit=unit)
+        exponent = potential_exponent(GOOD_MARGIN)
+    state = LoadState(m, exponent)
     weights = state.weights
 
-    rngs = thread_rngs(config.seed, n)
     pair_streams = []
-    weight_rngs = []
-    for rng in rngs:
-        idx_rng, w_rng = rng.spawn(2)
+    for rng in thread_rngs(config.seed, n):
+        idx_rng, _ = rng.spawn(2)
         pair_streams.append(PairStream(idx_rng, m))
-        weight_rngs.append(w_rng)
 
     total = config.total_ops
     a_op = np.zeros(total, dtype=np.int64)
@@ -58,10 +54,10 @@ def simulate_reference(config: SimConfig, schedule: Schedule | None = None,
     a_ci = np.zeros(total, dtype=np.int64)
     a_cj = np.zeros(total, dtype=np.int64)
     a_upd = np.zeros(total, dtype=np.int64)
-    a_post = np.zeros(total, dtype=np.float64)
+    a_post = np.zeros(total, dtype=np.int64)
     a_corr = np.zeros(total, dtype=np.bool_)
     a_unt = np.zeros(total, dtype=np.bool_)
-    traj = TrajectoryBuilder(total)
+    rows = []
 
     # per-thread pending op state: [op, start, i, j, vi, vj, seen, touched]
     pend: list[list | None] = [None] * n
@@ -102,9 +98,8 @@ def simulate_reference(config: SimConfig, schedule: Schedule | None = None,
                 chosen = j
             else:
                 chosen = i
-            w = 1 if unit else float(weight_rngs[t].exponential())
             true_min = i if (weights[i], i) <= (weights[j], j) else j
-            state.add(chosen, w)
+            state.add(chosen, 1)
             for u in range(n):
                 other = pend[u]
                 if other is not None:
@@ -122,7 +117,7 @@ def simulate_reference(config: SimConfig, schedule: Schedule | None = None,
             a_post[k] = weights[chosen]
             a_corr[k] = chosen == true_min
             a_unt[k] = chosen not in touched
-            traj.append(state.snapshot_row(event_idx))
+            rows.append(state.snapshot_row(event_idx))
             done += 1
 
     if done != total:
@@ -133,4 +128,5 @@ def simulate_reference(config: SimConfig, schedule: Schedule | None = None,
         updated=a_upd, post_value=a_post,
         correct=a_corr, untouched=a_unt,
     )
-    return SimResult(loads=state.load_vector(), log=log, trajectory=traj.build())
+    trajectory = Trajectory.from_rows(np.array(rows, dtype=np.float64).reshape(-1, 8))
+    return SimResult(loads=weights, log=log, trajectory=trajectory)

@@ -76,12 +76,12 @@ def _stress_threads() -> int:
 def test_criterion_01_conservation():
     with criterion(1, "conservation: sequential, simulator, live counter"):
         _, loads = run_sequential(64, 100_000, 1.0, rng=3, snapshot_every=10_000)
-        assert loads.total == 100_000
+        assert sum(loads) == 100_000
 
         cfg = SimConfig(bins=64, threads=4, total_ops=100_000,
                         adversary=STAMPEDE, seed=3)
         res = simulate(cfg)
-        assert res.loads.total == 100_000
+        assert sum(res.loads) == 100_000
         partial = np.cumsum(np.ones(len(res.log)))
         assert float(res.trajectory.mean_load[-1]) * 64 == 100_000
         assert partial[-1] == 100_000
@@ -118,7 +118,7 @@ def test_criterion_02_sequential_quality():
             worst = int(traj.gap.max())
             assert worst <= 8, f"seed {seed}: gap {worst} > 8"
             assert worst == frozen, f"seed {seed}: gap {worst} != frozen {frozen}"
-            assert loads.total == 1_000_000
+            assert sum(loads) == 1_000_000
             assert traj.gamma.max() <= 40 * 64  # potential stays linear in m
 
 

@@ -27,7 +27,7 @@ from twochoice.adversary import (
     simulate,
     validate_schedule,
 )
-from twochoice.balance import WeightDistribution, potential_exponent, run_sequential
+from twochoice.balance import potential_exponent, run_sequential
 from twochoice.rng import make_rng, thread_rngs
 
 
@@ -120,17 +120,17 @@ def test_simulation_conservation():
     for kind in ADVERSARY_KINDS:
         cfg = SimConfig(bins=32, threads=4, total_ops=3000, adversary=kind, seed=2)
         res = simulate(cfg)
-        assert res.loads.total == 3000
+        assert sum(res.loads) == 3000
 
 
 def test_serial_equivalence_with_sequential_process():
     # one thread: reads are fresh, so the replay is the two-choice process
     cfg = SimConfig(bins=16, threads=1, total_ops=4000, adversary=SERIAL, seed=42)
-    res = simulate(cfg)  # its exponent for unit weights is potential_exponent(0.2)
+    res = simulate(cfg)  # its exponent is potential_exponent(0.2)
     rng = thread_rngs(42, 1)[0]
     traj, loads = run_sequential(16, 4000, 1.0, rng=rng, snapshot_every=1,
                                  exponent=potential_exponent(0.2))
-    assert loads.weights == res.loads.weights
+    assert loads == res.loads
     assert np.array_equal(traj.gamma, res.trajectory.gamma)
     assert np.array_equal(traj.gap, res.trajectory.gap)
 
@@ -155,7 +155,7 @@ def test_simulate_determinism():
     cfg = SimConfig(bins=32, threads=3, total_ops=2000, adversary=RANDOM_INTERLEAVE, seed=6)
     r1 = simulate(cfg)
     r2 = simulate(cfg)
-    assert r1.loads.weights == r2.loads.weights
+    assert r1.loads == r2.loads
     assert np.array_equal(r1.log.updated, r2.log.updated)
     assert np.array_equal(r1.trajectory.gamma, r2.trajectory.gamma)
 
@@ -240,7 +240,7 @@ def _assert_same_run(got, want):
     for name in vars(want.trajectory):
         assert np.array_equal(getattr(got.trajectory, name),
                               getattr(want.trajectory, name)), name
-    assert got.loads.weights == want.loads.weights
+    assert got.loads == want.loads
 
 
 @st.composite
@@ -254,8 +254,6 @@ def _sim_configs(draw):
         adversary=kind,
         block_size=draw(st.integers(1, n)) if kind == STAMPEDE else None,
         seed=draw(st.integers(0, 2**32)),
-        weight=draw(st.sampled_from([WeightDistribution.unit(),
-                                     WeightDistribution.exponential()])),
     )
 
 
@@ -294,9 +292,7 @@ def _hand_built_runs(draw):
         t = rnd.choices(busy, [rate[t] for t in busy])[0]
         events.append(left[t].pop(0))
     cfg = SimConfig(bins=draw(st.sampled_from([1, 2, 4])), threads=n, total_ops=ops,
-                    seed=draw(st.integers(0, 2**32)),
-                    weight=draw(st.sampled_from([WeightDistribution.unit(),
-                                                 WeightDistribution.exponential()])))
+                    seed=draw(st.integers(0, 2**32)))
     return cfg, _ListedSchedule(tuple(events), threads=n, total_ops=ops)
 
 
@@ -355,7 +351,7 @@ def test_classification_threshold():
         start=np.arange(n), finish=np.arange(n) + 10,
         contention=np.array([0, 8, 9, 20]),  # bound is 8
         choice_i=np.zeros(n, dtype=np.int64), choice_j=np.ones(n, dtype=np.int64),
-        updated=np.zeros(n, dtype=np.int64), post_value=np.ones(n),
+        updated=np.zeros(n, dtype=np.int64), post_value=np.ones(n, dtype=np.int64),
         correct=np.array([True, True, False, False]),
         untouched=np.array([True, False, False, False]),
     )
@@ -385,7 +381,7 @@ def test_wide_regime_gap_example():
     worst = int(res.trajectory.gap.max())
     assert worst <= 6 * math.log(4096)
     assert worst == 11
-    assert res.loads.total == 1_000_000
+    assert sum(res.loads) == 1_000_000
 
 
 def test_untouched_probability_in_wide_regime():

@@ -9,7 +9,6 @@ from scalar_reference import run_sequential_reference
 
 from twochoice.balance import (
     LoadState,
-    LoadVector,
     ProbabilityVector,
     WeightDistribution,
     default_params,
@@ -102,21 +101,15 @@ def test_pair_step_is_one_plus_beta_at_2r_minus_1(m, r):
 # load vector and weights
 # ---------------------------------------------------------------------------
 
-def test_load_vector_rejects_empty():
-    with pytest.raises(ValueError):
-        LoadVector([])
-
-
 def test_load_vector_centered_sums_to_zero():
     # the potential oracle centers loads on its mean: the y_j sum to zero
     rng = make_rng(11)
     for _ in range(20):
         m = int(rng.integers(1, 50))
         weights = rng.exponential(3.0, size=m).tolist()
-        lv = LoadVector(weights)
-        mu = potential(lv, 1e-3).mean_load
+        mu = potential(weights, 1e-3).mean_load
         tol = 1e-9 * m * max(abs(w) for w in weights)
-        assert abs(math.fsum(w - mu for w in lv.weights)) <= max(tol, 1e-12)
+        assert abs(math.fsum(w - mu for w in weights)) <= max(tol, 1e-12)
 
 
 def test_unit_conservation_is_exact():
@@ -125,7 +118,7 @@ def test_unit_conservation_is_exact():
     for k in range(1, 200):
         state.add(int(rng.integers(0, 5)), 1)
         assert state.total == k  # integer, no tolerance
-        assert state.load_vector().total == k
+        assert sum(state.weights) == k
 
 
 def test_weight_unit_samples_one():
@@ -173,7 +166,7 @@ def test_potential_params_good_margin_coupling():
 
 def test_potential_equal_weights():
     for m in (1, 2, 17):
-        snap = potential(LoadVector([4.0] * m), 1.0 / 6.0)
+        snap = potential([4.0] * m, 1.0 / 6.0)
         assert snap.phi == pytest.approx(m)
         assert snap.psi == pytest.approx(m)
         assert snap.gamma == pytest.approx(2 * m)
@@ -182,7 +175,7 @@ def test_potential_equal_weights():
 
 def test_potential_two_bins_alpha_one():
     # x = (1, -1), alpha = 1: gamma = 2 (e + 1/e)
-    snap = potential(LoadVector([1.0, -1.0]), 1.0)
+    snap = potential([1.0, -1.0], 1.0)
     expected = 2.0 * (math.e + 1.0 / math.e)
     assert snap.gamma == pytest.approx(expected, abs=1e-12)
     assert snap.gamma == pytest.approx(6.172322539260975, abs=1e-12)
@@ -192,8 +185,7 @@ def test_potential_gamma_at_least_2m():
     rng = make_rng(17)
     for _ in range(50):
         m = int(rng.integers(1, 40))
-        lv = LoadVector(rng.normal(0, 5, size=m).tolist())
-        snap = potential(lv, 1.0 / 12.0)
+        snap = potential(rng.normal(0, 5, size=m).tolist(), 1.0 / 12.0)
         assert snap.gamma >= 2 * m - 1e-9 * m
         assert snap.phi >= m * (1 - 1e-12)
         assert snap.psi >= m * (1 - 1e-12)
@@ -202,7 +194,7 @@ def test_potential_gamma_at_least_2m():
 
 def test_potential_overflow_raises():
     with pytest.raises(PotentialOverflowError):
-        potential(LoadVector([0.0, 2000.0]), 1.0)
+        potential([0.0, 2000.0], 1.0)
 
 
 def test_load_state_matches_fresh_potential():
@@ -214,7 +206,7 @@ def test_load_state_matches_fresh_potential():
         state.add(i, 1)
         if k % 4000 == 0:
             row = state.snapshot_row(k)
-            fresh = potential(state.load_vector(), exponent, k)
+            fresh = potential(state.weights, exponent, k)
             assert row[1] == pytest.approx(fresh.phi, rel=1e-9)
             assert row[2] == pytest.approx(fresh.psi, rel=1e-9)
             assert row[4] == fresh.gap
@@ -229,18 +221,18 @@ def test_load_state_matches_fresh_potential():
 def test_run_sequential_zero_steps():
     traj, loads = run_sequential(4, 0, 1.0, rng=0)
     assert len(traj) == 0
-    assert loads.weights == [0, 0, 0, 0]
+    assert loads == [0, 0, 0, 0]
 
 
 def test_run_sequential_conservation():
     _, loads = run_sequential(16, 5000, 0.7, rng=9, snapshot_every=500)
-    assert loads.total == 5000
+    assert sum(loads) == 5000
 
 
 def test_run_sequential_determinism():
     t1, l1 = run_sequential(32, 20_000, 1.0, rng=77, snapshot_every=1000)
     t2, l2 = run_sequential(32, 20_000, 1.0, rng=77, snapshot_every=1000)
-    assert l1.weights == l2.weights
+    assert l1 == l2
     assert np.array_equal(t1.gamma, t2.gamma)
     assert np.array_equal(t1.gap, t2.gap)
     t3, _ = run_sequential(32, 20_000, 1.0, rng=78, snapshot_every=1000)
@@ -248,8 +240,15 @@ def test_run_sequential_determinism():
 
 
 def test_run_sequential_snapshot_cadence():
-    traj, _ = run_sequential(4, 1050, 1.0, rng=1, snapshot_every=100)
-    assert list(traj.steps) == [100 * k for k in range(1, 11)] + [1050]
+    every_100 = [100 * k for k in range(1, 11)]
+    for steps, beta, want in [(1050, 1.0, every_100 + [1050]),
+                              (1000, 1.0, every_100),        # an exact multiple
+                              (50, 1.0, [50]),               # fewer steps than the cadence
+                              (1050, 0.0, every_100 + [1050])]:
+        traj, loads = run_sequential(4, steps, beta, rng=1, snapshot_every=100)
+        assert traj.steps.dtype == np.int64
+        assert list(traj.steps) == want
+        assert traj.max_load[-1] == max(loads) and traj.min_load[-1] == min(loads)
 
 
 # below about 1.5e-321 default_params' exponent underflows to 0 and raises
@@ -272,7 +271,7 @@ def test_run_sequential_beta_matches_scalar_reference(beta, bins, weight, steps,
                                          snapshot_every=snapshot_every)
     want_traj, want_loads = run_sequential_reference(bins, steps, beta, weight, seed,
                                                      snapshot_every)
-    assert got_loads.weights == want_loads.weights
+    assert got_loads == want_loads
     for name in vars(want_traj):
         assert np.array_equal(getattr(got_traj, name), getattr(want_traj, name)), name
 
@@ -314,4 +313,4 @@ def test_exponential_run_total_tracks_mean():
     _, loads = run_sequential(
         32, 50_000, 1.0, weight=WeightDistribution.exponential(), rng=13, snapshot_every=5000
     )
-    assert abs(loads.total / 50_000 - 1.0) < 0.02
+    assert abs(sum(loads) / 50_000 - 1.0) < 0.02

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from twochoice.affinity import run_timed_workers
 from twochoice.cli import (
     ConfigError,
     ExperimentConfig,
@@ -366,6 +367,21 @@ def test_timed_workers_stopped_when_the_sleep_raises(tmp_path):
             "except ValueError:\n"
             "    print('raised')\n")
     assert _python(["-c", code], tmp_path).stdout == "raised\n"
+
+
+def test_timed_workers_raise_a_worker_exception():
+    # a crashed worker must surface as its exception, not as a short run that
+    # the caller's oracle then fails; the other workers are stopped first
+    stopped = []
+
+    def work(k, stop):
+        if k == 0:
+            raise RuntimeError("worker 0 crashed")
+        stopped.append(stop.wait(60))
+
+    with pytest.raises(RuntimeError, match="worker 0 crashed"):
+        run_timed_workers(2, work, 0.2, False)
+    assert stopped == [True]
 
 
 def test_oracle_failure_exit_path(tmp_path, monkeypatch):

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 import dlin_reference as reference
 from dlin_reference import HistoryRecord, history
 from twochoice.adversary import ADVERSARY_KINDS, SERIAL, STAMPEDE, SimConfig, simulate
-from twochoice.balance import WeightDistribution
 from twochoice.dlin import (
     COST_FIELDS,
     COUNTER,
@@ -268,19 +267,12 @@ def test_simulator_history_matches_per_element_conversion():
     want = [
         HistoryRecord(seq=k, thread=int(log.thread[k]), kind=INC,
                       invoke=int(log.start[k]), respond=int(log.finish[k]),
-                      arg=int(log.updated[k]), ret=16 * int(float(log.post_value[k])))
+                      arg=int(log.updated[k]), ret=16 * int(log.post_value[k]))
         for k in range(len(log))
     ]
     got = reference.records_of(history_from_simulation(log, 16))
     assert got == want
     assert all(type(v) is int for r in got[:5] for v in (r.thread, r.invoke, r.arg, r.ret))
-
-
-def test_simulator_history_rejects_weighted_log():
-    cfg = SimConfig(bins=16, threads=2, total_ops=50, adversary=STAMPEDE, seed=5,
-                    weight=WeightDistribution.exponential())
-    with pytest.raises(ValueError, match="unit-weight"):
-        history_from_simulation(simulate(cfg).log, 16)
 
 
 def test_simulator_counter_tail_small():
