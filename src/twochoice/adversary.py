@@ -211,13 +211,6 @@ def generate_schedule(config: SimConfig) -> Schedule:
     )
 
 
-def validate_schedule(schedule: Schedule) -> None:
-    """Check a schedule by replaying it on one bin: a malformed schedule
-    raises the replay's `ValueError` (see `simulate` for the rules)."""
-    simulate(SimConfig(bins=1, threads=schedule.threads, total_ops=schedule.total_ops),
-             schedule)
-
-
 # ---------------------------------------------------------------------------
 # replay
 # ---------------------------------------------------------------------------
@@ -267,8 +260,7 @@ def simulate(config: SimConfig, schedule: Schedule | None = None) -> SimResult:
     The replay holds the package's only schedule rules, and a malformed
     schedule raises `ValueError`: a thread out of range, an unknown phase, a
     phase out of read1, read2, update order on its thread, an op left
-    pending or missing, or an op id used twice. `validate_schedule` applies
-    them to a schedule alone.
+    pending or missing, or an op id used twice.
     """
     if schedule is None:
         schedule = generate_schedule(config)

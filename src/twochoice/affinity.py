@@ -25,23 +25,22 @@ def try_pin_current_thread(cpu: int) -> bool:
 
 
 def run_timed_workers(threads: int, work: Callable[[int, threading.Event], None],
-                      duration: float, pin: bool) -> tuple[float, int]:
+                      duration: float) -> tuple[float, int]:
     """Run work(k, stop) on threads k = 0..threads-1 for `duration` seconds.
 
-    Worker k first tries to pin itself to CPU k when `pin` is set. `stop` is
-    set after the sleep, when it raises (a negative duration, Ctrl-C), or
-    when a worker raises, and each worker is expected to return soon after.
-    Once every worker has joined, the first worker exception is raised
-    again. Returns the wall seconds from before the first start to after
-    the last join, and how many workers' pins stuck.
+    Worker k first tries to pin itself to CPU k. `stop` is set after the
+    sleep, when it raises (a negative duration, Ctrl-C), or when a worker
+    raises, and each worker is expected to return soon after. Once every
+    worker has joined, the first worker exception is raised again. Returns
+    the wall seconds from before the first start to after the last join,
+    and how many workers' pins stuck.
     """
     stop = threading.Event()
     pinned = [False] * threads
     errors = []
 
     def run(k: int) -> None:
-        if pin:
-            pinned[k] = try_pin_current_thread(k)
+        pinned[k] = try_pin_current_thread(k)
         try:
             work(k, stop)
         except BaseException as exc:

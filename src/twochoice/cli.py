@@ -47,15 +47,6 @@ class ConfigError(ValueError):
     """Bad experiment configuration; the message names the offending key."""
 
 
-def _parse_bool(text: str) -> bool:
-    t = text.strip().lower()
-    if t in ("1", "true", "yes", "on"):
-        return True
-    if t in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 def _parse_ints(text: str) -> list[int]:
     return [int(part) for part in str(text).split(",") if part.strip() != ""]
 
@@ -64,7 +55,6 @@ _PARSERS = {
     "int": int,
     "float": float,
     "str": str,
-    "bool": _parse_bool,
     "ints": _parse_ints,
 }
 
@@ -102,7 +92,6 @@ SCHEMAS: dict[str, dict[str, tuple[str, object, object]]] = {
         "increments": ("int", 1_000_000, None),
         "cadence": ("int", 10_000, 1),
         "seed": ("int", 1, 0),
-        "pin": ("bool", True, None),
         "out": ("str", None, None),
     },
     "queue": {
@@ -114,7 +103,6 @@ SCHEMAS: dict[str, dict[str, tuple[str, object, object]]] = {
         "duration": ("float", 1.0, 0),
         "repeats": ("int", 10, 1),
         "seed": ("int", 1, 0),
-        "pin": ("bool", True, None),
         "out": ("str", None, None),
     },
     "stm": {
@@ -125,7 +113,6 @@ SCHEMAS: dict[str, dict[str, tuple[str, object, object]]] = {
         "delta": ("int", 0, 0),  # 0: default margin for the clock size
         "clock_cells": ("int", 64, 1),
         "seed": ("int", 1, 0),
-        "pin": ("bool", True, None),
         "out": ("str", None, None),
     },
 }
@@ -291,8 +278,7 @@ def run_sim(cfg: ExperimentConfig) -> int:
         windows = drift_report(res.trajectory, res.log, sim_cfg.contention_bound,
                                sim_cfg.bins, p["gamma_flag_multiple"])
         flagged = sum(w.flagged for w in windows)
-        costs = linearize_costs(history_from_simulation(res.log, sim_cfg.bins),
-                                "counter", sim_cfg.bins)
+        costs = linearize_costs(history_from_simulation(res.log, sim_cfg.bins), sim_cfg.bins)
         tail = tail_report(costs, sim_cfg.bins)
         tail.write_csv(outdir / f"sim_{p['adversary']}_seed{seed}_tail.csv",
                        header_comments=comments)
@@ -303,7 +289,7 @@ def run_sim(cfg: ExperimentConfig) -> int:
 
 
 def _counter_throughput_once(threads: int, cells: int, duration: float,
-                             seed: int, pin: bool) -> tuple[float, bool, int]:
+                             seed: int) -> tuple[float, bool, int]:
     counter = MultiCounter(cells)
     rngs = [PairStream(g, cells) for g in thread_rngs(seed, threads)]
     counts = [0] * threads
@@ -317,7 +303,7 @@ def _counter_throughput_once(threads: int, cells: int, duration: float,
             n += 1
         counts[k] = n
 
-    elapsed, pinned = run_timed_workers(threads, worker, duration, pin)
+    elapsed, pinned = run_timed_workers(threads, worker, duration)
     total = sum(counts)
     conserved = counter.exact_total() == total
     return total / elapsed, conserved, pinned
@@ -356,7 +342,7 @@ def run_counter(cfg: ExperimentConfig) -> int:
             pinned = 0
             for rep in range(p["repeats"]):
                 rate, conserved, pinned = _counter_throughput_once(
-                    threads, cells, p["duration"], p["seed"] + rep, p["pin"])
+                    threads, cells, p["duration"], p["seed"] + rep)
                 if not conserved:
                     return _fail(outdir, "counter",
                                  f"threads={threads} cells={cells} rep={rep}: "
@@ -400,9 +386,8 @@ def run_queue(cfg: ExperimentConfig) -> int:
             else:
                 return _fail(outdir, "queue", "ran out of elements during quality run")
         del q   # at the default size it holds ~100 MB the pricing can reuse
-        costs = linearize_costs(history_from_serial_queue(stamps, stamps[popped]),
-                                "queue", p["queues"])
-        ranks = costs.cost[costs.kind == DEQ].astype(np.int64)
+        history = history_from_serial_queue(stamps, stamps[popped])
+        ranks = linearize_costs(history, p["queues"])[history.kind == DEQ].astype(np.int64)
         path = outdir / "queue_ranks.csv"
         MultiQueue.write_rank_csv(path, cfg.header_comments(), np.arange(len(popped)),
                                   ranks, queues[popped], stamps[popped])
@@ -431,7 +416,7 @@ def run_queue(cfg: ExperimentConfig) -> int:
                         consumed[k].append(got)
                 step += 1
 
-        _, pinned = run_timed_workers(threads, worker, p["duration"], p["pin"])
+        _, pinned = run_timed_workers(threads, worker, p["duration"])
         leftovers = q.drain()
         want = Counter(x for lane in produced for x in lane)
         got = Counter(x for lane in consumed for x in lane) + Counter(leftovers)
@@ -468,7 +453,7 @@ def run_stm(cfg: ExperimentConfig) -> int:
                     res = run_stm_benchmark(
                         threads, objects, p["duration"], clock_kind=kind,
                         delta=p["delta"] or None, seed=p["seed"] + rep,
-                        clock_cells=p["clock_cells"], pin=p["pin"],
+                        clock_cells=p["clock_cells"],
                     )
                     if not res.consistent:
                         return _fail(

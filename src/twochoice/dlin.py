@@ -25,10 +25,12 @@ minimum over all admissible reorderings; for small histories the
 brute-force enumerator below explores every ordering that respects the
 real-time order of non-overlapping operations.
 
-A history is one `History` of seven numpy columns, built from the
+A history is one `History` of six integer numpy columns, built from the
 simulator's operation log (`history_from_simulation`) or from a
-one-thread queue run (`history_from_serial_queue`). Live threads are not
-captured.
+one-thread queue run (`history_from_serial_queue`). Each op's `kind` is an
+int8 code (INC, READ, ENQ, DEQ); the codes decide whether a history is
+priced as a counter or as a queue, and one history holds one of the two.
+Live threads are not captured.
 """
 
 from __future__ import annotations
@@ -42,13 +44,10 @@ import numpy as np
 from .adversary import OpLog
 from .csvfile import write_csv
 
-COUNTER, QUEUE = "counter", "queue"
+INC, READ, ENQ, DEQ = map(np.int8, range(4))   # op codes: counter ops, then queue ops
+KIND_NAMES = ("inc", "read", "enq", "deq")      # for error messages
 
-INC, READ = "inc", "read"
-ENQ, DEQ = "enq", "deq"
-
-FIELDS = ("seq", "thread", "kind", "invoke", "respond", "arg", "ret")
-COST_FIELDS = ("op", "kind", "cost")
+FIELDS = ("seq", "kind", "invoke", "respond", "arg", "ret")
 TAIL_CSV_FIELDS = ("count", "mean", "p50", "p90", "p99", "max")
 DEFAULT_R_VALUES = (4.0, 6.0, 8.0)
 
@@ -62,11 +61,10 @@ class History:
     """Completed operations ordered by linearization sequence number.
 
     One numpy column per name in FIELDS, all of one length: `kind` holds
-    strings, the others int64.
+    int8 op codes, the others int64.
     """
 
     seq: np.ndarray
-    thread: np.ndarray
     kind: np.ndarray
     invoke: np.ndarray
     respond: np.ndarray
@@ -119,27 +117,32 @@ class TailReport:
 # --- cost computation ------------------------------------------------------
 
 
-def linearize_costs(history: History, kind: str, bins: int) -> np.recarray:
+def linearize_costs(history: History, bins: int) -> np.ndarray:
     """Replay a history in sequence order and price every operation.
 
     The replay reconstructs the exact sequential state, so it is
     independent of any value the recording side may have computed; recorded
     return values are cross-checked against the replay where they are
-    redundant (counter increments), and an inconsistency raises. Returns one
-    record per op with fields COST_FIELDS; `.cost` is the cost column.
+    redundant (counter increments), and an inconsistency raises. The first
+    op's code decides whether the history is priced as a counter or as a
+    queue; an op of the other kind, or with an unknown code, raises.
+    Returns the float64 cost of each op, in history order.
     """
-    if kind not in (COUNTER, QUEUE):
-        raise ValueError(f"kind must be '{COUNTER}' or '{QUEUE}'")
     if bins < 1:
         raise ValueError("bins must be >= 1")
     history.validate()
-    unknown = ~np.isin(history.kind, (INC, READ) if kind == COUNTER else (ENQ, DEQ))
-    if unknown.any():
-        raise ValueError(f"unknown {kind} op kind: {str(history.kind[unknown.argmax()])!r}")
-    cost = (_counter_costs(history.seq, history.kind, history.arg, history.ret, bins)[0]
-            if kind == COUNTER else
-            _queue_costs(history.seq, history.kind, history.arg, history.ret))
-    return np.rec.fromarrays((history.seq, history.kind, cost), names=COST_FIELDS)
+    seq, kind = history.seq, history.kind
+    queue = len(kind) > 0 and kind[0] >= ENQ
+    bad = (kind < INC) | (kind > DEQ) | ((kind >= ENQ) != queue)
+    if bad.any():
+        k = bad.argmax()
+        code = int(kind[k])
+        raise ValueError(f"op seq={seq[k]}: " + (
+            f"{KIND_NAMES[code]} op in a {'queue' if queue else 'counter'} history"
+            if INC <= code <= DEQ else f"unknown op code {code}"))
+    if queue:
+        return _queue_costs(seq, kind, history.arg, history.ret)
+    return _counter_costs(seq, kind, history.arg, history.ret, bins)[0]
 
 
 def _counter_costs(seq, kind, arg, ret, bins: int) -> np.ndarray:
@@ -230,11 +233,11 @@ def _queue_costs(seq, kind, arg, ret) -> np.ndarray:
     return cost
 
 
-def tail_report(samples: np.recarray, bins: int,
+def tail_report(costs: np.ndarray, bins: int,
                 r_values: Iterable[float] = DEFAULT_R_VALUES) -> TailReport:
-    """Nearest-rank quantiles and exceedance of cost > R * m * ln m over the
-    cost column of linearize_costs' result."""
-    costs = np.sort(samples.cost)
+    """Nearest-rank quantiles and exceedance of cost > R * m * ln m over
+    the costs that linearize_costs returns."""
+    costs = np.sort(costs)
     n = len(costs)
     if not n:
         raise ValueError("empty sample set")
@@ -256,7 +259,7 @@ def history_from_simulation(log: OpLog, bins: int) -> History:
     """
     n = len(log)
     return History(
-        seq=np.arange(n), thread=log.thread, kind=np.full(n, INC),
+        seq=np.arange(n), kind=np.full(n, INC),
         invoke=log.start, respond=log.finish, arg=log.updated, ret=bins * log.post_value)
 
 
@@ -266,8 +269,7 @@ def history_from_serial_queue(enqueued: Sequence[int], dequeued: Sequence[int]) 
     next begins, so program order is the only linearization."""
     n, d = len(enqueued), len(dequeued)
     return History(
-        seq=np.arange(n + d), thread=np.zeros(n + d, dtype=np.int64),
-        kind=np.repeat(np.array((ENQ, DEQ)), (n, d)),
+        seq=np.arange(n + d), kind=np.repeat(np.array((ENQ, DEQ)), (n, d)),
         invoke=np.arange(0, 2 * (n + d), 2), respond=np.arange(1, 2 * (n + d), 2),
         arg=np.concatenate((np.asarray(enqueued, dtype=np.int64), np.full(d, -1))),
         ret=np.concatenate((np.full(n, -1), np.asarray(dequeued, dtype=np.int64))))
@@ -306,7 +308,7 @@ def enumerate_linearizations(history: History, limit: int = 1_000_000
     yield from extend([], sorted(range(len(invoke)), key=invoke.__getitem__))
 
 
-def possible_cost_multisets(history: History, kind: str, bins: int,
+def possible_cost_multisets(history: History, bins: int,
                             limit: int = 1_000_000) -> set[tuple[float, ...]]:
     """Sorted cost tuples reachable over all admissible linearizations.
 
@@ -317,20 +319,21 @@ def possible_cost_multisets(history: History, kind: str, bins: int,
     columns reordered, one ordering per row; counter rows are priced at once.
     """
     n = len(history)
+    counter = not n or history.kind[0] < ENQ
     orderings = list(enumerate_linearizations(history, limit=limit))
     order = np.array(orderings, dtype=np.int64).reshape(len(orderings), n)
     rows = {name: getattr(history, name)[order] for name in FIELDS}
     rows["seq"] = np.broadcast_to(np.arange(n), order.shape)
-    rows["ret"] = np.where((rows["kind"] == INC) & (kind == COUNTER), -1, rows["ret"])
+    rows["ret"] = np.where(rows["kind"] == INC, -1, rows["ret"])
     out = set()
     # every ordering respects real time, so one counter replay checks them all
-    for k in range(min(1, len(order)) if kind == COUNTER else len(order)):
+    for k in range(min(1, len(order)) if counter else len(order)):
         replay = History(**{name: c[k] for name, c in rows.items()})
         try:
-            out.add(tuple(sorted(linearize_costs(replay, kind, bins).cost.tolist())))
+            out.add(tuple(sorted(linearize_costs(replay, bins).tolist())))
         except KeyError:
             continue
-    if kind == COUNTER:
+    if counter:
         costs = _counter_costs(rows["seq"], rows["kind"], rows["arg"], rows["ret"], bins)
         out.update(map(tuple, np.sort(costs, axis=1).tolist()))
     return out

@@ -253,7 +253,6 @@ def run_stm_benchmark(
     delta: int | None = None,
     seed: int = 0,
     clock_cells: int = 64,
-    pin: bool = False,
 ) -> StmBenchResult:
     """Spawn workers that each loop begin / increment two random cells /
     commit, retrying on abort, for `duration` seconds.
@@ -313,7 +312,7 @@ def run_stm_benchmark(
         commits[k] = n_commit
         aborts[k] = n_abort
 
-    elapsed, pinned = run_timed_workers(threads, worker, duration, pin)
+    elapsed, pinned = run_timed_workers(threads, worker, duration)
 
     total_commits = sum(commits)
     total_aborts = sum(aborts)

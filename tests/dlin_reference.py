@@ -2,9 +2,9 @@
 one frozen `HistoryRecord` per op, validated, priced, enumerated and
 summarised one object at a time, with the live queue keys in a Fenwick
 tree. Slow, but each rule is spelled out where it applies, so tests use it
-as the oracle that `twochoice.dlin` must match op for op. `history` and
-`records_of` convert between a list of records and the columns that
-`twochoice.dlin` prices.
+as the oracle that `twochoice.dlin` must match op for op. A record names
+its kind with a string; `history` and `records_of` convert between a list
+of records and the columns of op codes that `twochoice.dlin` prices.
 """
 
 from __future__ import annotations
@@ -14,25 +14,16 @@ from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
-from twochoice.dlin import (
-    COUNTER,
-    DEFAULT_R_VALUES,
-    DEQ,
-    ENQ,
-    FIELDS,
-    INC,
-    QUEUE,
-    READ,
-    History,
-    MalformedHistoryError,
-    TailReport,
-)
+from twochoice import dlin
+from twochoice.dlin import DEFAULT_R_VALUES, FIELDS, History, MalformedHistoryError, TailReport
+
+INC, READ, ENQ, DEQ = "inc", "read", "enq", "deq"
+CODES = {INC: dlin.INC, READ: dlin.READ, ENQ: dlin.ENQ, DEQ: dlin.DEQ}
 
 
 @dataclass(frozen=True)
 class HistoryRecord:
     seq: int
-    thread: int
     kind: str
     invoke: int
     respond: int
@@ -41,15 +32,20 @@ class HistoryRecord:
 
 
 def history(records: list[HistoryRecord]) -> History:
-    """The columns of a list of records; `kind` holds strings, the others int64."""
+    """The columns of a list of records: `kind` as int8 op codes, the others
+    int64. A kind name outside CODES may be given as its code."""
     cols = zip(*map(astuple, records)) if records else [()] * len(FIELDS)
-    return History(**{name: np.array(col, dtype=str if name == "kind" else np.int64)
+    return History(**{name: (np.array([CODES.get(k, k) for k in col], dtype=np.int8)
+                             if name == "kind" else np.array(col, dtype=np.int64))
                       for name, col in zip(FIELDS, cols, strict=True)})
 
 
 def records_of(history: History) -> list[HistoryRecord]:
-    """One record per op of a history, holding Python ints and strings."""
-    return list(map(HistoryRecord, *(getattr(history, name).tolist() for name in FIELDS)))
+    """One record per op of a history, holding Python ints and kind names."""
+    names = {code: name for name, code in CODES.items()}
+    cols = {name: getattr(history, name).tolist() for name in FIELDS}
+    cols["kind"] = [names[code] for code in cols["kind"]]
+    return list(map(HistoryRecord, *cols.values()))
 
 
 class RankOracle:
@@ -102,13 +98,6 @@ class RankOracle:
         return total
 
 
-@dataclass(frozen=True)
-class CostSample:
-    op: int
-    kind: str
-    cost: float
-
-
 def validate(records: list[HistoryRecord]) -> None:
     """Sequence numbers strictly increase, every response follows its
     invocation, and no record follows one whose invocation it precedes."""
@@ -131,16 +120,21 @@ def validate(records: list[HistoryRecord]) -> None:
             max_invoke = rec.invoke
 
 
-def linearize_costs(records: list[HistoryRecord], kind: str, bins: int) -> list[CostSample]:
+def linearize_costs(records: list[HistoryRecord], bins: int) -> list[float]:
     """Replay the records in order and price every op against the exact
-    sequential state: counter cells and the true total, or the live keys."""
-    if kind not in (COUNTER, QUEUE):
-        raise ValueError(f"kind must be '{COUNTER}' or '{QUEUE}'")
+    sequential state: counter cells and the true total, or the live keys.
+    The first record's kind decides which; a record of any other kind
+    raises before the replay starts."""
     if bins < 1:
         raise ValueError("bins must be >= 1")
     validate(records)
-    out: list[CostSample] = []
-    if kind == COUNTER:
+    counter = not records or records[0].kind in (INC, READ)
+    for rec in records:
+        if rec.kind not in ((INC, READ) if counter else (ENQ, DEQ)):
+            raise ValueError(f"op seq={rec.seq}: kind {rec.kind!r} in a "
+                             f"{'counter' if counter else 'queue'} history")
+    out: list[float] = []
+    if counter:
         x = [0] * bins
         k = 0
         for rec in records:
@@ -157,11 +151,9 @@ def linearize_costs(records: list[HistoryRecord], kind: str, bins: int) -> list[
                         f"with replay {scaled}"
                     )
                 cost = abs(scaled - k)
-            elif rec.kind == READ:
-                cost = abs(rec.ret - k)
             else:
-                raise ValueError(f"unknown counter op kind: {rec.kind!r}")
-            out.append(CostSample(op=rec.seq, kind=rec.kind, cost=float(cost)))
+                cost = abs(rec.ret - k)
+            out.append(float(cost))
     else:
         capacity = max((r.arg for r in records if r.kind == ENQ), default=0) + 1
         live = RankOracle(capacity=capacity)
@@ -169,13 +161,11 @@ def linearize_costs(records: list[HistoryRecord], kind: str, bins: int) -> list[
             if rec.kind == ENQ:
                 live.add(rec.arg)
                 cost = 0.0
-            elif rec.kind == DEQ:
+            else:
                 key = rec.ret
                 cost = float(live.rank_of(key))
                 live.remove(key)
-            else:
-                raise ValueError(f"unknown queue op kind: {rec.kind!r}")
-            out.append(CostSample(op=rec.seq, kind=rec.kind, cost=cost))
+            out.append(cost)
     return out
 
 
@@ -185,12 +175,12 @@ def _nearest_rank(sorted_costs: list[float], percentile: float) -> float:
     return sorted_costs[idx - 1]
 
 
-def tail_report(samples: list[CostSample], bins: int,
+def tail_report(samples: list[float], bins: int,
                 r_values=DEFAULT_R_VALUES) -> TailReport:
     """Nearest-rank quantiles and exceedance of cost > R * m * ln m."""
     if not samples:
         raise ValueError("empty sample set")
-    costs = sorted(s.cost for s in samples)
+    costs = sorted(samples)
     n = len(costs)
     scale = bins * math.log(bins) if bins > 1 else 1.0
     exceedance = {
@@ -231,18 +221,18 @@ def enumerate_linearizations(records: list[HistoryRecord], limit: int = 1_000_00
     yield from extend([], records)
 
 
-def possible_cost_multisets(records: list[HistoryRecord], kind: str, bins: int,
+def possible_cost_multisets(records: list[HistoryRecord], bins: int,
                             limit: int = 1_000_000) -> set[tuple[float, ...]]:
     """Every admissible ordering, re-sequenced and replayed on its own;
     counter increments drop their recorded values, and queue orderings that
     dequeue a key before its enqueue are skipped."""
     out = set()
     for ordering in enumerate_linearizations(records, limit=limit):
-        reseq = [replace(r, seq=k, ret=-1 if (kind == COUNTER and r.kind == INC) else r.ret)
+        reseq = [replace(r, seq=k, ret=-1 if r.kind == INC else r.ret)
                  for k, r in enumerate(ordering)]
         try:
-            samples = linearize_costs(reseq, kind, bins)
+            costs = linearize_costs(reseq, bins)
         except KeyError:
             continue
-        out.add(tuple(sorted(s.cost for s in samples)))
+        out.add(tuple(sorted(costs)))
     return out

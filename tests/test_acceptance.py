@@ -18,7 +18,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from dlin_reference import HistoryRecord, history
+from dlin_reference import INC, HistoryRecord, history
 from twochoice.adversary import (
     ADVERSARY_KINDS,
     BLOCK_RESET,
@@ -30,14 +30,10 @@ from twochoice.adversary import (
     drift_report,
     generate_schedule,
     simulate,
-    validate_schedule,
 )
 from twochoice.balance import one_plus_beta_probabilities, run_sequential
 from twochoice.dlin import (
-    COUNTER,
     DEQ,
-    INC,
-    QUEUE,
     history_from_serial_queue,
     history_from_simulation,
     linearize_costs,
@@ -170,7 +166,6 @@ def test_criterion_05_consops_property():
                                  if kind == STAMPEDE else None)
                         sched = Schedule(kind=kind, threads=n, total_ops=ops,
                                          seed=seed, block_size=block)
-                        validate_schedule(sched)
                         cfg = SimConfig(bins=16, threads=n, ratio=ratio,
                                         total_ops=ops, adversary=kind,
                                         block_size=block, seed=seed)
@@ -253,8 +248,8 @@ def test_criterion_08_multiqueue_rank():
                 assert got is not EMPTY
                 popped.append(stamps[got])
             # priced offline: program order is this one-thread run's linearization
-            costs = linearize_costs(history_from_serial_queue(stamps, popped), QUEUE, 64)
-            ranks = costs.cost[costs.kind == DEQ].tolist()
+            hist = history_from_serial_queue(stamps, popped)
+            ranks = linearize_costs(hist, 64)[hist.kind == DEQ].tolist()
             mean = sum(ranks) / len(ranks)
             p99 = sorted(ranks)[max(1, math.ceil(0.99 * len(ranks))) - 1]
             assert mean <= 2 * 64, f"seed {seed}: mean rank {mean}"
@@ -385,28 +380,27 @@ def test_criterion_12_cost_recorder():
     with criterion(12, "cost recorder: serial zeros, sim p99, brute force"):
         # serial histories cost zero, exactly
         serial_counter = history([
-            HistoryRecord(seq=k, thread=0, kind=INC, invoke=2 * k,
-                          respond=2 * k + 1, arg=0, ret=-1)
+            HistoryRecord(seq=k, kind=INC, invoke=2 * k, respond=2 * k + 1, arg=0, ret=-1)
             for k in range(100)
         ])
-        assert all(s.cost == 0.0 for s in linearize_costs(serial_counter, COUNTER, 1))
+        assert not linearize_costs(serial_counter, 1).any()
         records = []
         t = 0
         for k in range(50):
-            records.append(HistoryRecord(seq=k, thread=0, kind="enq",
-                                         invoke=t, respond=t + 1, arg=k, ret=-1))
+            records.append(HistoryRecord(seq=k, kind="enq", invoke=t, respond=t + 1,
+                                         arg=k, ret=-1))
             t += 2
         for k in range(50):
-            records.append(HistoryRecord(seq=50 + k, thread=0, kind="deq",
-                                         invoke=t, respond=t + 1, arg=-1, ret=k))
+            records.append(HistoryRecord(seq=50 + k, kind="deq", invoke=t, respond=t + 1,
+                                         arg=-1, ret=k))
             t += 2
-        assert all(s.cost == 0.0 for s in linearize_costs(history(records), QUEUE, 1))
+        assert not linearize_costs(history(records), 1).any()
 
         # simulator counter run: p99 within 6 m ln m, frozen per seed
         cfg = SimConfig(bins=64, threads=1, total_ops=1_000_000,
                         adversary=SERIAL, seed=1)
         res = simulate(cfg)
-        costs = linearize_costs(history_from_simulation(res.log, 64), COUNTER, 64)
+        costs = linearize_costs(history_from_simulation(res.log, 64), 64)
         rep = tail_report(costs, 64, r_values=(8.0,))
         assert rep.p99 <= 6 * 64 * math.log(64)
         assert rep.p99 == SIM_COST_P99_FROZEN
@@ -415,16 +409,15 @@ def test_criterion_12_cost_recorder():
         # brute force: permuting overlapping ops never changes the set of
         # reachable cost multisets (8 mutually overlapping increments)
         base = [
-            HistoryRecord(seq=k, thread=k % 4, kind=INC, invoke=k,
-                          respond=100 + k, arg=k % 3, ret=-1)
+            HistoryRecord(seq=k, kind=INC, invoke=k, respond=100 + k, arg=k % 3, ret=-1)
             for k in range(8)
         ]
-        reference = possible_cost_multisets(history(base), COUNTER, 3)
+        reference = possible_cost_multisets(history(base), 3)
         swapped = [base[3], base[1], base[2], base[0], base[7], base[5], base[6], base[4]]
         reseq = [
-            HistoryRecord(seq=k, thread=r.thread, kind=r.kind, invoke=r.invoke,
-                          respond=r.respond, arg=r.arg, ret=-1)
+            HistoryRecord(seq=k, kind=r.kind, invoke=r.invoke, respond=r.respond,
+                          arg=r.arg, ret=-1)
             for k, r in enumerate(swapped)
         ]
-        assert possible_cost_multisets(history(reseq), COUNTER, 3) == reference
+        assert possible_cost_multisets(history(reseq), 3) == reference
         assert len(reference) >= 1

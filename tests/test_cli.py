@@ -363,7 +363,7 @@ def test_timed_workers_stopped_when_the_sleep_raises(tmp_path):
     # stopped and joined, or the process never exits
     code = ("from twochoice.affinity import run_timed_workers\n"
             "try:\n"
-            "    run_timed_workers(2, lambda k, stop: stop.wait(), -1.0, False)\n"
+            "    run_timed_workers(2, lambda k, stop: stop.wait(), -1.0)\n"
             "except ValueError:\n"
             "    print('raised')\n")
     assert _python(["-c", code], tmp_path).stdout == "raised\n"
@@ -380,7 +380,7 @@ def test_timed_workers_raise_a_worker_exception():
         stopped.append(stop.wait(60))
 
     with pytest.raises(RuntimeError, match="worker 0 crashed"):
-        run_timed_workers(2, work, 0.2, False)
+        run_timed_workers(2, work, 0.2)
     assert stopped == [True]
 
 

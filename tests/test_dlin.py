@@ -5,16 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dlin_reference as reference
-from dlin_reference import HistoryRecord, history
+from dlin_reference import DEQ, ENQ, INC, READ, HistoryRecord, history
 from twochoice.adversary import ADVERSARY_KINDS, SERIAL, STAMPEDE, SimConfig, simulate
 from twochoice.dlin import (
-    COST_FIELDS,
-    COUNTER,
-    DEQ,
-    ENQ,
-    INC,
-    QUEUE,
-    READ,
     MalformedHistoryError,
     enumerate_linearizations,
     history_from_simulation,
@@ -24,16 +17,8 @@ from twochoice.dlin import (
 )
 
 
-def _rec(seq, kind, invoke, respond, arg=-1, ret=-1, thread=0):
-    return HistoryRecord(seq=seq, thread=thread, kind=kind,
-                         invoke=invoke, respond=respond, arg=arg, ret=ret)
-
-
-def _costs(values):
-    """A hand-built cost column, shaped like linearize_costs' result."""
-    n = len(values)
-    return np.rec.fromarrays((np.arange(n), np.full(n, INC), np.array(values, dtype=float)),
-                             names=COST_FIELDS)
+def _rec(seq, kind, invoke, respond, arg=-1, ret=-1):
+    return HistoryRecord(seq=seq, kind=kind, invoke=invoke, respond=respond, arg=arg, ret=ret)
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +28,7 @@ def _costs(values):
 def test_response_before_invocation_rejected():
     h = history([_rec(0, INC, invoke=5, respond=3, arg=0)])
     with pytest.raises(MalformedHistoryError):
-        linearize_costs(h, COUNTER, 1)
+        linearize_costs(h, 1)
 
 
 def test_real_time_order_violation_rejected():
@@ -67,7 +52,7 @@ def test_out_of_order_sequence_numbers_rejected():
     with pytest.raises(MalformedHistoryError, match="seq=0"):
         h.validate()
     with pytest.raises(MalformedHistoryError):
-        linearize_costs(h, COUNTER, 2)
+        linearize_costs(h, 2)
     # a repeated sequence number is rejected too
     with pytest.raises(MalformedHistoryError, match="seq=0"):
         history([_rec(0, INC, 0, 5, arg=0), _rec(0, INC, 2, 7, arg=0)]).validate()
@@ -89,8 +74,8 @@ def test_wellformed_overlapping_history_passes():
 def test_serial_exact_counter_costs_zero():
     # m = 1: the counter is exact, every op costs 0
     records = [_rec(k, INC, invoke=2 * k, respond=2 * k + 1, arg=0) for k in range(50)]
-    costs = linearize_costs(history(records), COUNTER, 1)
-    assert all(s.cost == 0.0 for s in costs)
+    costs = linearize_costs(history(records), 1)
+    assert not costs.any()
 
 
 def test_counter_read_cost_is_distance_to_truth():
@@ -99,8 +84,8 @@ def test_counter_read_cost_is_distance_to_truth():
         _rec(1, INC, invoke=2, respond=3, arg=0),
         _rec(2, READ, invoke=4, respond=5, arg=-1, ret=4),  # true total is 2
     ]
-    costs = linearize_costs(history(records), COUNTER, 2)
-    assert costs[2].cost == 2.0
+    costs = linearize_costs(history(records), 2)
+    assert costs[2] == 2.0
 
 
 def test_counter_increment_cost_matches_definition():
@@ -110,14 +95,14 @@ def test_counter_increment_cost_matches_definition():
         _rec(0, INC, invoke=0, respond=1, arg=0),
         _rec(1, INC, invoke=2, respond=3, arg=0),
     ]
-    costs = linearize_costs(history(records), COUNTER, 2)
-    assert [s.cost for s in costs] == [1.0, 2.0]
+    costs = linearize_costs(history(records), 2)
+    assert costs.tolist() == [1.0, 2.0]
 
 
 def test_counter_replay_crosschecks_recorded_values():
     records = [_rec(0, INC, invoke=0, respond=1, arg=0, ret=999)]
     with pytest.raises(ValueError):
-        linearize_costs(history(records), COUNTER, 2)
+        linearize_costs(history(records), 2)
 
 
 def test_cost_zero_iff_sequentially_exact():
@@ -128,8 +113,8 @@ def test_cost_zero_iff_sequentially_exact():
         _rec(1, INC, invoke=2, respond=3, arg=1),   # cell1=1, k=2, m*x=2 -> cost 0
         _rec(2, INC, invoke=4, respond=5, arg=0),   # cell0=2, k=3, m*x=4 -> cost 1
     ]
-    costs = linearize_costs(history(records), COUNTER, 2)
-    assert [s.cost for s in costs] == [1.0, 0.0, 1.0]
+    costs = linearize_costs(history(records), 2)
+    assert costs.tolist() == [1.0, 0.0, 1.0]
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +130,8 @@ def test_serial_exact_queue_ranks_zero():
     for k in range(10):
         records.append(_rec(20 + k, DEQ, invoke=t, respond=t + 1, ret=k))
         t += 2
-    costs = linearize_costs(history(records), QUEUE, 1)
-    assert all(s.cost == 0.0 for s in costs)
+    costs = linearize_costs(history(records), 1)
+    assert not costs.any()
 
 
 def test_queue_rank_cost():
@@ -156,14 +141,14 @@ def test_queue_rank_cost():
         _rec(2, ENQ, invoke=4, respond=5, arg=9),
         _rec(3, DEQ, invoke=6, respond=7, ret=9),  # two live keys below
     ]
-    costs = linearize_costs(history(records), QUEUE, 4)
-    assert costs[3].cost == 2.0
+    costs = linearize_costs(history(records), 4)
+    assert costs[3] == 2.0
 
 
 def test_queue_unknown_key_rejected():
     records = [_rec(0, DEQ, invoke=0, respond=1, ret=3)]
     with pytest.raises(KeyError):
-        linearize_costs(history(records), QUEUE, 2)
+        linearize_costs(history(records), 2)
 
 
 def _serial_queue(ops):
@@ -181,10 +166,10 @@ def test_queue_costs_depend_only_on_key_order():
     ops = [(ENQ, k) for k in rng.permutation(300)]
     ops += [(DEQ, k) for k in rng.permutation(300)[:200]]
     ops += [(ENQ, k) for k in rng.permutation(300) if (DEQ, k) in ops[300:]]
-    sparse = linearize_costs(_serial_queue([(kind, int(keys[k])) for kind, k in ops]), QUEUE, 8)
-    dense = linearize_costs(_serial_queue(ops), QUEUE, 8)
-    assert sparse.cost.any()
-    assert sparse.cost.tolist() == dense.cost.tolist()
+    sparse = linearize_costs(_serial_queue([(kind, int(keys[k])) for kind, k in ops]), 8)
+    dense = linearize_costs(_serial_queue(ops), 8)
+    assert sparse.any()
+    assert sparse.tolist() == dense.tolist()
 
 
 @pytest.mark.parametrize("ops, error, seq", [
@@ -201,7 +186,34 @@ def test_queue_costs_depend_only_on_key_order():
 ])
 def test_queue_replay_rejects_first_bad_op(ops, error, seq):
     with pytest.raises(error, match=f"op seq={seq}:"):
-        linearize_costs(_serial_queue(ops), QUEUE, 2)
+        linearize_costs(_serial_queue(ops), 2)
+
+
+# ---------------------------------------------------------------------------
+# op codes
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kinds, seq", [
+    ((INC, READ, ENQ, INC), 12),   # a queue op in a counter history
+    ((ENQ, INC, DEQ), 11),         # a counter op in a queue history
+    ((INC, 4), 11),                # codes past DEQ or below INC
+    ((ENQ, -1), 11),
+    ((4, INC), 10),
+    ((-1, ENQ), 10),
+])
+def test_pricing_rejects_mixed_or_unknown_op_codes(kinds, seq):
+    # the first op's code decides the family; the first op outside it is named
+    records = [_rec(10 + k, kind, invoke=2 * k, respond=2 * k + 1, arg=0, ret=0)
+               for k, kind in enumerate(kinds)]
+    with pytest.raises(ValueError, match=f"op seq={seq}:"):
+        linearize_costs(history(records), 2)
+    with pytest.raises(ValueError, match=f"op seq={seq}:"):
+        reference.linearize_costs(records, 2)
+
+
+def test_empty_history_costs_nothing():
+    costs = linearize_costs(history([]), 4)
+    assert type(costs) is np.ndarray and costs.dtype == np.float64 and len(costs) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -209,15 +221,13 @@ def test_queue_replay_rejects_first_bad_op(ops, error, seq):
 # ---------------------------------------------------------------------------
 
 def test_tail_report_all_zero():
-    samples = _costs([0.0] * 10)
-    rep = tail_report(samples, 8)
+    rep = tail_report(np.zeros(10), 8)
     assert rep.p50 == rep.p90 == rep.p99 == rep.max == 0.0
     assert all(v == 0.0 for v in rep.exceedance.values())
 
 
 def test_tail_report_nearest_rank_rule():
-    samples = _costs([float(k) for k in range(100)])
-    rep = tail_report(samples, 8)
+    rep = tail_report(np.arange(100.0), 8)
     assert rep.p50 == 49.0  # nearest-rank: ceil(0.5 * 100) = 50th value
     assert rep.p90 == 89.0
     assert rep.p99 == 98.0
@@ -227,19 +237,17 @@ def test_tail_report_nearest_rank_rule():
 
 def test_tail_report_exceedance():
     # m=1: scale collapses to 1, so exceedance counts cost > R
-    samples = _costs([float(k) for k in range(10)])
-    rep = tail_report(samples, 1, r_values=(4.0,))
+    rep = tail_report(np.arange(10.0), 1, r_values=(4.0,))
     assert rep.exceedance[4.0] == 0.5
 
 
 def test_tail_report_rejects_empty():
     with pytest.raises(ValueError):
-        tail_report(_costs([]), 8)
+        tail_report(np.zeros(0), 8)
 
 
 def test_tail_report_csv(tmp_path):
-    samples = _costs([float(k) for k in range(5)])
-    rep = tail_report(samples, 4, r_values=(8.0,))
+    rep = tail_report(np.arange(5.0), 4, r_values=(8.0,))
     path = tmp_path / "tail.csv"
     rep.write_csv(path, header_comments=["bins = 4"])
     lines = path.read_text().splitlines()
@@ -256,29 +264,29 @@ def test_simulator_history_replay_consistency():
     res = simulate(cfg)
     hist = history_from_simulation(res.log, 16)
     hist.validate()
-    costs = linearize_costs(hist, COUNTER, 16)
+    costs = linearize_costs(hist, 16)
     assert len(costs) == 2000
-    assert all(s.cost >= 0 for s in costs)
+    assert (costs >= 0).all()
 
 
 def test_simulator_history_matches_per_element_conversion():
     cfg = SimConfig(bins=16, threads=4, total_ops=3000, adversary=STAMPEDE, seed=5)
     log = simulate(cfg).log
     want = [
-        HistoryRecord(seq=k, thread=int(log.thread[k]), kind=INC,
-                      invoke=int(log.start[k]), respond=int(log.finish[k]),
-                      arg=int(log.updated[k]), ret=16 * int(log.post_value[k]))
+        HistoryRecord(seq=k, kind=INC, invoke=int(log.start[k]),
+                      respond=int(log.finish[k]), arg=int(log.updated[k]),
+                      ret=16 * int(log.post_value[k]))
         for k in range(len(log))
     ]
     got = reference.records_of(history_from_simulation(log, 16))
     assert got == want
-    assert all(type(v) is int for r in got[:5] for v in (r.thread, r.invoke, r.arg, r.ret))
+    assert all(type(v) is int for r in got[:5] for v in (r.invoke, r.arg, r.ret))
 
 
 def test_simulator_counter_tail_small():
     cfg = SimConfig(bins=64, threads=1, total_ops=100_000, adversary=SERIAL, seed=1)
     res = simulate(cfg)
-    costs = linearize_costs(history_from_simulation(res.log, 64), COUNTER, 64)
+    costs = linearize_costs(history_from_simulation(res.log, 64), 64)
     rep = tail_report(costs, 64, r_values=(8.0,))
     import math
     assert rep.p99 <= 6 * 64 * math.log(64)
@@ -319,15 +327,11 @@ def test_possible_costs_invariant_under_overlap_permutation():
         _rec(2, INC, invoke=2, respond=22, arg=1),
         _rec(3, INC, invoke=3, respond=23, arg=1),
     ]
-    reference = possible_cost_multisets(history(base), COUNTER, 2)
+    reference = possible_cost_multisets(history(base), 2)
     import itertools
     for perm in itertools.permutations(base):
-        reordered = [
-            HistoryRecord(seq=k, thread=r.thread, kind=r.kind, invoke=r.invoke,
-                          respond=r.respond, arg=r.arg, ret=-1)
-            for k, r in enumerate(perm)
-        ]
-        assert possible_cost_multisets(history(reordered), COUNTER, 2) == reference
+        reordered = [replace(r, seq=k, ret=-1) for k, r in enumerate(perm)]
+        assert possible_cost_multisets(history(reordered), 2) == reference
 
 
 def test_possible_costs_queue_skips_impossible_orders():
@@ -335,7 +339,7 @@ def test_possible_costs_queue_skips_impossible_orders():
         _rec(0, ENQ, invoke=0, respond=10, arg=0),
         _rec(1, DEQ, invoke=1, respond=11, ret=0),
     ])
-    sets = possible_cost_multisets(h, QUEUE, 2)
+    sets = possible_cost_multisets(h, 2)
     assert sets == {(0.0, 0.0)}
 
 
@@ -352,21 +356,23 @@ def test_enumeration_limit_guard():
 DEFECTS = ("bad_cell", "wrong_value", "inverted", "late", "unordered")
 
 
-def _outcome(price, records_or_history, bins, kind=COUNTER):
-    """(costs, tail report) of a history, or the exception class."""
+def _outcome(price, records_or_history, bins):
+    """(costs in history order, tail report) of a history, or the exception class."""
     try:
-        costs = price(records_or_history, kind, bins)
+        costs = price(records_or_history, bins)
     except (ValueError, KeyError) as exc:
         return type(exc)
-    tail = reference.tail_report if isinstance(costs, list) else tail_report
-    return [(s.op, s.kind, s.cost) for s in costs], (tail(costs, bins) if len(costs) else None)
+    if isinstance(costs, list):
+        return costs, (reference.tail_report(costs, bins) if costs else None)
+    assert type(costs) is np.ndarray and costs.dtype == np.float64
+    return costs.tolist(), (tail_report(costs, bins) if len(costs) else None)
 
 
-def _assert_paths_agree(records, bins, kind=COUNTER):
+def _assert_paths_agree(records, bins):
     columns = history(records)
     assert reference.records_of(columns) == records
-    want = _outcome(reference.linearize_costs, records, bins, kind)
-    got = _outcome(linearize_costs, columns, bins, kind)
+    want = _outcome(reference.linearize_costs, records, bins)
+    got = _outcome(linearize_costs, columns, bins)
     assert got == want
 
 
@@ -480,7 +486,7 @@ def _queue_histories(draw):
 @given(case=_queue_histories())
 def test_queue_pricing_matches_object_oracle(case):
     records, bins = case
-    _assert_paths_agree(records, bins, QUEUE)
+    _assert_paths_agree(records, bins)
 
 
 @pytest.mark.parametrize("adversary", ADVERSARY_KINDS)
@@ -496,38 +502,38 @@ def _small_histories(draw):
     """Up to 7 ops with overlapping intervals: counter increments and reads
     (a cell may be out of range), or queue enqueues of distinct keys and
     dequeues that may name a key never enqueued."""
-    kind = draw(st.sampled_from([COUNTER, QUEUE]))
+    counter = draw(st.booleans())
     bins = draw(st.sampled_from([1, 2, 3, 64]))
     n = draw(st.integers(0, 7))
     records = []
     for k in range(n):
         invoke = draw(st.integers(0, 12))
         respond = invoke + draw(st.integers(-1, 12))   # -1, 0: a malformed op
-        if kind == COUNTER and draw(st.booleans()):
+        if counter and draw(st.booleans()):
             op = _rec(k, INC, invoke, respond, arg=draw(st.integers(0, bins)),
                       ret=draw(st.sampled_from([-1, bins])))
-        elif kind == COUNTER:
+        elif counter:
             op = _rec(k, READ, invoke, respond, ret=draw(st.integers(0, 4 * bins)))
         elif draw(st.booleans()):
             op = _rec(k, ENQ, invoke, respond, arg=k)
         else:
             op = _rec(k, DEQ, invoke, respond, ret=draw(st.integers(0, n)))
         records.append(op)
-    return records, kind, bins
+    return records, bins
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=_small_histories())
 def test_possible_cost_multisets_match_object_oracle(case):
-    records, kind, bins = case
+    records, bins = case
 
     def outcome(find):
         try:
-            return find(records, kind, bins)
+            return find(records, bins)
         except ValueError as exc:
             return type(exc)
 
-    assert (outcome(lambda r, k, b: possible_cost_multisets(history(r), k, b))
+    assert (outcome(lambda r, b: possible_cost_multisets(history(r), b))
             == outcome(reference.possible_cost_multisets))
 
 

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from dlin_reference import RankOracle
-from twochoice.dlin import DEQ, QUEUE, history_from_serial_queue, linearize_costs
+from twochoice.dlin import DEQ, history_from_serial_queue, linearize_costs
 from twochoice.multiqueue import EMPTY, LogicalClock, MultiQueue
 from twochoice.rng import PairStream, make_rng, thread_rngs
 
@@ -25,8 +25,7 @@ def offline_ranks(placed, popped, queues):
     """The popped elements' ranks, priced by dlin from the serial history."""
     stamps = [stamp for _, stamp in placed]
     history = history_from_serial_queue(stamps, [stamps[x] for x in popped])
-    costs = linearize_costs(history, QUEUE, queues)
-    return costs.cost[costs.kind == DEQ].astype(int).tolist()
+    return linearize_costs(history, queues)[history.kind == DEQ].astype(int).tolist()
 
 
 # ---------------------------------------------------------------------------
