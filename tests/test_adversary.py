@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -65,6 +66,55 @@ def test_schedule_fuzzed_invariants():
 def test_random_interleave_matches_scalar_reference(threads, ops, seed):
     got = list(Schedule(RANDOM_INTERLEAVE, threads, ops, seed).events())
     assert got == random_interleave_reference(threads, ops, seed)
+
+
+# sha256 (first 16 hex digits) of the event lists over ops 0, 1, 2, 7, 64 and
+# 257, seeds 0 and 9, and for stampede on up to 8 threads every block size,
+# in that nesting order: pins the exact event order of every kind
+EVENT_ORDER_DIGESTS = {
+    ("serial", 1): "ed72e07d8f2d1340",
+    ("serial", 2): "67431ee2bb7327ad",
+    ("serial", 3): "96a7b9ec3e063c8d",
+    ("serial", 5): "fae59261300914a5",
+    ("serial", 8): "c182249e389d4dde",
+    ("serial", 64): "9c38a76f49bd0938",
+    ("round-robin", 1): "ed72e07d8f2d1340",
+    ("round-robin", 2): "d91f7dfb9b0ec73e",
+    ("round-robin", 3): "bc006f6110b87e0b",
+    ("round-robin", 5): "c4363f4df2fb873c",
+    ("round-robin", 8): "e852f46e0bdd922b",
+    ("round-robin", 64): "27e1e41c3e601958",
+    ("random-interleave", 1): "ed72e07d8f2d1340",
+    ("random-interleave", 2): "412ab2bd5bf925bf",
+    ("random-interleave", 3): "7cd759e38bc95ce0",
+    ("random-interleave", 5): "89767e8ecb4217ae",
+    ("random-interleave", 8): "3aeaee5006d2b25a",
+    ("random-interleave", 64): "0fab3f9cb877eeb8",
+    ("stampede", 1): "bbbfa3ca587116d6",
+    ("stampede", 2): "e28b4c5849b53833",
+    ("stampede", 3): "ba9c0af1a157126c",
+    ("stampede", 5): "7a70809df501a489",
+    ("stampede", 8): "a6256244a2495451",
+    ("stampede", 64): "9c88b54257ad40c8",
+    ("block-reset", 1): "ed72e07d8f2d1340",
+    ("block-reset", 2): "98a97824a2301f21",
+    ("block-reset", 3): "26d3c0d74bd14e99",
+    ("block-reset", 5): "73db2afd7473aa17",
+    ("block-reset", 8): "b38936c8fee2dc03",
+    ("block-reset", 64): "5997e000287b643a",
+}
+
+
+@pytest.mark.parametrize("kind, threads", sorted(EVENT_ORDER_DIGESTS))
+def test_schedule_event_order_is_pinned(kind, threads):
+    blocks = [None] + (list(range(1, threads + 1)) if kind == STAMPEDE and threads <= 8 else [])
+    digest = hashlib.sha256()
+    for ops in (0, 1, 2, 7, 64, 257):
+        for seed in (0, 9):
+            for block in blocks:
+                events = Schedule(kind, threads, ops, seed, block).events()
+                digest.update(repr([tuple(map(int, e)) for e in events]).encode())
+    assert digest.hexdigest()[:16] == EVENT_ORDER_DIGESTS[kind, threads]
 
 
 def test_serial_schedule_is_strictly_sequential():
