@@ -10,6 +10,10 @@ never sees the random choices, physically copying at the reads is
 observationally equivalent to drawing everything at the update, and it
 keeps the replay single threaded and reproducible.
 
+Schedules come from two generators: one alternates stampedes (all first
+reads, then all second reads, then all updates) with ops run back to back,
+the other advances one op per thread a phase at a time.
+
 Time is the global count of scheduled shared-memory events; potentials are
 sampled at update events only. An operation's contention is the number of
 distinct other operations with at least one event strictly inside its
@@ -30,7 +34,9 @@ chosen, with the touch before it at or before the start.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -92,7 +98,8 @@ class Schedule:
 
     The event order is a pure function of (kind, threads, total_ops, seed,
     block_size): it never consumes simulation randomness, which is what
-    makes the adversary oblivious.
+    makes the adversary oblivious. `_blocks` generates serial, stampede and
+    block-reset schedules, `_interleaved` round-robin and random-interleave.
     """
 
     kind: str
@@ -110,48 +117,40 @@ class Schedule:
                              f"and 1 <= size <= threads, got {self.kind} on {self.threads}")
 
     def events(self) -> Iterator[tuple[int, int, int]]:
-        """Yield raw (thread, op, phase) tuples in schedule order."""
+        """Raw (thread, op, phase) tuples in schedule order."""
+        if self.kind == SERIAL:
+            return self._blocks(0, self.total_ops)
+        if self.kind == STAMPEDE:
+            return self._blocks(self.block_size or self.threads, 0)
+        if self.kind == BLOCK_RESET:
+            return self._blocks(self.threads, self.threads)
+        if self.kind == ROUND_ROBIN:
+            turn = itertools.count()
+            return self._interleaved(lambda k: next(turn) % k)
+        return self._interleaved(partial(WordStream(schedule_rng(self.seed)).integers, 0))
+
+    def _blocks(self, block: int, stretch: int) -> Iterator[tuple[int, int, int]]:
+        """Until the ops run out: a stampede of `block` ops, in which threads
+        0..block-1 make all first reads, then all second reads, then all
+        updates; then `stretch` ops back to back, op k on thread k % threads."""
         n = self.threads
         total = self.total_ops
-        if total == 0:
-            return
-        if self.kind == SERIAL:
-            yield from self._serial(0, total)
-        elif self.kind == ROUND_ROBIN:
-            turn = [0]
+        first = 0
+        while first < total:
+            mid, end = min(first + block, total), min(first + block + stretch, total)
+            for phase in (READ1, READ2, UPDATE):
+                for op in range(first, mid):
+                    yield (op - first, op, phase)
+            for op in range(mid, end):
+                t = op % n
+                yield (t, op, READ1)
+                yield (t, op, READ2)
+                yield (t, op, UPDATE)
+            first = end
 
-            def cyclic(active, rng):
-                slot = turn[0] % len(active)
-                turn[0] += 1
-                return slot
-
-            yield from self._interleaved(cyclic)
-        elif self.kind == RANDOM_INTERLEAVE:
-            rng = WordStream(schedule_rng(self.seed))
-            yield from self._interleaved(lambda active, r: r.integers(0, len(active)), rng)
-        elif self.kind == STAMPEDE:
-            yield from self._stampede_blocks(self.block_size or n, 0)
-        else:  # BLOCK_RESET: n-op stampedes alternating with serial stretches
-            op = 0
-            while op < total:
-                block = min(n, total - op)
-                yield from self._stampede_blocks(block, op, limit=block)
-                op += block
-                stretch = min(n, total - op)
-                yield from self._serial(op, stretch)
-                op += stretch
-
-    def _serial(self, first_op: int, count: int) -> Iterator[tuple[int, int, int]]:
-        """`count` ops back to back from `first_op`, op k on thread k % threads."""
-        n = self.threads
-        for op in range(first_op, first_op + count):
-            t = op % n
-            yield (t, op, READ1)
-            yield (t, op, READ2)
-            yield (t, op, UPDATE)
-
-    def _interleaved(self, pick: Callable, rng=None) -> Iterator[tuple[int, int, int]]:
-        """One op per thread at a time, advanced one phase per visit."""
+    def _interleaved(self, pick: Callable[[int], int]) -> Iterator[tuple[int, int, int]]:
+        """One op per thread at a time, advanced one phase per visit; pick(k)
+        chooses which of the k active threads moves next."""
         n = self.threads
         total = self.total_ops
         next_op = 0
@@ -159,7 +158,7 @@ class Schedule:
         phase = [0] * n
         active = list(range(n))
         while active:
-            slot = pick(active, rng)
+            slot = pick(len(active))
             t = active[slot]
             if current[t] < 0:
                 if next_op >= total:
@@ -177,23 +176,6 @@ class Schedule:
             else:
                 phase[t] = p + 1
 
-    def _stampede_blocks(self, block: int, first_op: int, limit: int | None = None
-                         ) -> Iterator[tuple[int, int, int]]:
-        """Blocks of `block` ops: all first reads, all second reads, then
-        all updates back to back. Threads 0..block-1 serve each block."""
-        total = limit if limit is not None else self.total_ops
-        op = 0
-        while op < total:
-            b = min(block, total - op)
-            ids = [first_op + op + k for k in range(b)]
-            for k in range(b):
-                yield (k, ids[k], READ1)
-            for k in range(b):
-                yield (k, ids[k], READ2)
-            for k in range(b):
-                yield (k, ids[k], UPDATE)
-            op += b
-
 
 def generate_schedule(config: SimConfig) -> Schedule:
     """Build the adversary's schedule for a config.
@@ -202,13 +184,8 @@ def generate_schedule(config: SimConfig) -> Schedule:
     scheduler's dedicated child stream of config.seed, so schedule shape
     and simulation choices are independent.
     """
-    return Schedule(
-        kind=config.adversary,
-        threads=config.threads,
-        total_ops=config.total_ops,
-        seed=config.seed,
-        block_size=config.block_size,
-    )
+    return Schedule(config.adversary, config.threads, config.total_ops, config.seed,
+                    config.block_size)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +428,7 @@ class WindowStats:
 
 
 def drift_report(trajectory: Trajectory, log: OpLog, window: int, bins: int,
-                 gamma_flag_multiple: float = 8.0) -> list[WindowStats]:
+                 gamma_flag_multiple: float) -> list[WindowStats]:
     """Per-window potential statistics over consecutive completed ops.
 
     The window length is the classification bound (ratio * threads), so the

@@ -12,13 +12,20 @@ import time
 from typing import Callable
 
 
-def try_pin_current_thread(cpu: int) -> bool:
-    """Pin the calling thread to one CPU; returns whether it stuck."""
+def usable_cpus() -> list[int]:
+    """The CPUs this process may run on: its affinity mask, else all."""
+    if hasattr(os, "sched_getaffinity"):
+        return sorted(os.sched_getaffinity(0))
+    return list(range(os.cpu_count() or 1))
+
+
+def try_pin_current_thread(k: int) -> bool:
+    """Pin the calling thread to usable CPU k mod their count; returns whether it stuck."""
     if not hasattr(os, "sched_setaffinity"):
         return False
     try:
-        tid = threading.get_native_id()
-        os.sched_setaffinity(tid, {cpu % (os.cpu_count() or 1)})
+        cpus = usable_cpus()
+        os.sched_setaffinity(threading.get_native_id(), {cpus[k % len(cpus)]})
         return True
     except OSError:
         return False
@@ -28,12 +35,12 @@ def run_timed_workers(threads: int, work: Callable[[int, threading.Event], None]
                       duration: float) -> tuple[float, int]:
     """Run work(k, stop) on threads k = 0..threads-1 for `duration` seconds.
 
-    Worker k first tries to pin itself to CPU k. `stop` is set after the
-    sleep, when it raises (a negative duration, Ctrl-C), or when a worker
-    raises, and each worker is expected to return soon after. Once every
-    worker has joined, the first worker exception is raised again. Returns
-    the wall seconds from before the first start to after the last join,
-    and how many workers' pins stuck.
+    Worker k first tries to pin itself to the k-th usable CPU. `stop` is
+    set after the sleep, when it raises (a negative duration, Ctrl-C), or
+    when a worker raises, and each worker is expected to return soon
+    after. Once every worker has joined, the first worker exception is
+    raised again. Returns the wall seconds from before the first start to
+    after the last join, and how many workers' pins stuck.
     """
     stop = threading.Event()
     pinned = [False] * threads

@@ -7,8 +7,8 @@ comment lines at the top of every CSV the run writes. Output goes to the
 directory named by --out, the TWOCHOICE_OUT environment variable, or
 ./results, in that order of defaults.
 
-Measurement experiments (counter, queue, stm) repeat each timed run and
-report mean and standard deviation; simulator and sequential experiments
+Timed runs repeat: counter throughput and stm report mean and standard
+deviation, queue stress one row per repeat; simulator and sequential runs
 are deterministic per seed and write identical files on identical configs.
 A failed consistency oracle makes the process exit nonzero after writing a
 diagnostics dump.
@@ -30,7 +30,7 @@ import numpy as np
 
 from .adversary import (ADVERSARY_KINDS, STAMPEDE, SimConfig, classify_operations, drift_report,
                         simulate)
-from .affinity import run_timed_workers
+from .affinity import run_timed_workers, usable_cpus
 from .balance import WeightDistribution, default_params, run_sequential
 from .csvfile import write_csv as _write_csv  # perfbench/layers.py swaps this name
 from .dlin import (DEQ, history_from_serial_queue, history_from_simulation, linearize_costs,
@@ -84,7 +84,7 @@ SCHEMAS: dict[str, dict[str, tuple[str, object, object]]] = {
     },
     "counter": {
         "mode": ("str", "throughput", ("throughput", "quality")),
-        "threads_max": ("int", 0, 0),  # 0: hardware threads
+        "threads_max": ("int", 0, 0),  # 0: one per usable CPU
         "cell_ratios": ("ints", [1, 2, 4], 1),
         "duration": ("float", 1.0, 0),
         "repeats": ("int", 10, 1),
@@ -99,14 +99,14 @@ SCHEMAS: dict[str, dict[str, tuple[str, object, object]]] = {
         "queues": ("int", 64, 1),
         "prefill": ("int", 1_000_000, None),
         "dequeues": ("int", 500_000, 1),
-        "threads": ("int", 0, 0),  # 0: hardware threads
+        "threads": ("int", 0, 0),  # 0: one per usable CPU
         "duration": ("float", 1.0, 0),
         "repeats": ("int", 10, 1),
         "seed": ("int", 1, 0),
         "out": ("str", None, None),
     },
     "stm": {
-        "threads_max": ("int", 0, 0),  # 0: hardware threads
+        "threads_max": ("int", 0, 0),  # 0: one per usable CPU
         "objects": ("ints", [10_000, 100_000, 1_000_000], 1),
         "duration": ("float", 1.0, 0),
         "repeats": ("int", 10, 1),
@@ -208,10 +208,6 @@ def _check_rules(cfg: ExperimentConfig) -> None:
     if not duration <= threading.TIMEOUT_MAX:
         raise ConfigError(f"key 'duration': must be <= {threading.TIMEOUT_MAX}, "
                           f"got {duration}")
-
-
-def _hardware_threads() -> int:
-    return os.cpu_count() or 1
 
 
 def _fail(outdir: Path, name: str, detail: str) -> int:
@@ -320,12 +316,14 @@ def run_counter(cfg: ExperimentConfig) -> int:
         rng = PairStream(make_rng(p["seed"]), p["cells"])
         read_rng = make_rng(p["seed"] + 1)
         rows = []
-        for k in range(1, p["increments"] + 1):
-            counter.increment(rng)
-            if k % p["cadence"] == 0:
-                values = counter.snapshot()
-                rows.append([k, counter.read(read_rng),
-                             max(values) - min(values)])
+        done = 0
+        # a row every `cadence` increments, and one at the last increment
+        for k in [*range(p["cadence"], p["increments"], p["cadence"]), p["increments"]]:
+            for _ in range(k - done):
+                counter.increment(rng)
+            done = k
+            values = counter.snapshot()
+            rows.append([k, counter.read(read_rng), max(values) - min(values)])
         if counter.exact_total() != p["increments"]:
             return _fail(outdir, "counter",
                          f"total {counter.exact_total()} != {p['increments']}")
@@ -333,7 +331,7 @@ def run_counter(cfg: ExperimentConfig) -> int:
         _write_csv(path, cfg.header_comments(), "increments,scaled_read,gap", list(zip(*rows)))
         print(f"counter quality: final_gap={rows[-1][2]} -> {path}")
         return 0
-    threads_max = p["threads_max"] or _hardware_threads()
+    threads_max = p["threads_max"] or len(usable_cpus())
     rows = []
     for threads in range(1, threads_max + 1):
         for ratio in p["cell_ratios"]:
@@ -394,7 +392,7 @@ def run_queue(cfg: ExperimentConfig) -> int:
         print(f"queue quality: mean_rank={ranks.mean():.1f} max_rank={ranks.max()} "
               f"retries={retries} -> {path}")
         return 0
-    threads = p["threads"] or _hardware_threads()
+    threads = p["threads"] or len(usable_cpus())
     rows = []
     for rep in range(p["repeats"]):
         q = MultiQueue(p["queues"])
@@ -441,7 +439,7 @@ def run_queue(cfg: ExperimentConfig) -> int:
 def run_stm(cfg: ExperimentConfig) -> int:
     p = cfg.params
     outdir = cfg.outdir
-    threads_max = p["threads_max"] or _hardware_threads()
+    threads_max = p["threads_max"] or len(usable_cpus())
     summary_rows = []
     for objects in p["objects"]:
         rows = []
@@ -465,7 +463,7 @@ def run_stm(cfg: ExperimentConfig) -> int:
                     rates.append(res.commits_per_sec)
                     abort_rates.append(res.aborts_per_commit)
                 summary_rows.append([
-                    threads, objects, kind, rows[-1][3],
+                    threads, objects, kind, res.delta,
                     repr(statistics.fmean(rates)),
                     repr(statistics.pstdev(rates)),
                     repr(statistics.fmean(abort_rates)), 1,

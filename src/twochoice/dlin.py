@@ -233,10 +233,9 @@ def _queue_costs(seq, kind, arg, ret) -> np.ndarray:
     return cost
 
 
-def tail_report(costs: np.ndarray, bins: int,
-                r_values: Iterable[float] = DEFAULT_R_VALUES) -> TailReport:
-    """Nearest-rank quantiles and exceedance of cost > R * m * ln m over
-    the costs that linearize_costs returns."""
+def tail_report(costs: np.ndarray, bins: int) -> TailReport:
+    """Nearest-rank quantiles and exceedance of cost > R * m * ln m, for each
+    R in DEFAULT_R_VALUES, over the costs that linearize_costs returns."""
     costs = np.sort(costs)
     n = len(costs)
     if not n:
@@ -245,7 +244,7 @@ def tail_report(costs: np.ndarray, bins: int,
     # nearest rank: the ceil(p/100 * n)-th smallest cost
     p50, p90, p99 = (float(costs[max(1, math.ceil(p / 100.0 * n)) - 1]) for p in (50, 90, 99))
     return TailReport(n, math.fsum(costs.tolist()) / n, p50, p90, p99, float(costs[-1]),
-                      {float(r): np.count_nonzero(costs > r * scale) / n for r in r_values})
+                      {r: np.count_nonzero(costs > r * scale) / n for r in DEFAULT_R_VALUES})
 
 
 # --- history sources -------------------------------------------------------

@@ -59,9 +59,9 @@ class VersionedCell:
 
     __slots__ = ("index", "value", "version", "lock")
 
-    def __init__(self, index: int, value: int = 0):
+    def __init__(self, index: int):
         self.index = index
-        self.value = value
+        self.value = 0
         self.version = 0
         self.lock = threading.Lock()
 

@@ -52,8 +52,6 @@ def random_interleave_reference(threads: int, total_ops: int, seed: int
                                 ) -> list[tuple[int, int, int]]:
     """The random-interleave schedule with each pick a scalar draw from the
     scheduler's stream."""
+    scalar = schedule_rng(seed)
     schedule = Schedule(RANDOM_INTERLEAVE, threads, total_ops, seed)
-    if total_ops == 0:
-        return []
-    return list(schedule._interleaved(lambda active, r: int(r.integers(0, len(active))),
-                                      schedule_rng(seed)))
+    return list(schedule._interleaved(lambda k: int(scalar.integers(0, k))))

@@ -401,7 +401,7 @@ def test_criterion_12_cost_recorder():
                         adversary=SERIAL, seed=1)
         res = simulate(cfg)
         costs = linearize_costs(history_from_simulation(res.log, 64), 64)
-        rep = tail_report(costs, 64, r_values=(8.0,))
+        rep = tail_report(costs, 64)
         assert rep.p99 <= 6 * 64 * math.log(64)
         assert rep.p99 == SIM_COST_P99_FROZEN
         assert rep.exceedance[8.0] <= 1e-3

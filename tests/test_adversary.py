@@ -448,7 +448,7 @@ def test_untouched_probability_in_wide_regime():
 def test_drift_report_windows():
     cfg = SimConfig(bins=8, threads=2, ratio=4, total_ops=64, adversary=SERIAL, seed=4)
     res = simulate(cfg)
-    windows = drift_report(res.trajectory, res.log, cfg.contention_bound, cfg.bins)
+    windows = drift_report(res.trajectory, res.log, cfg.contention_bound, cfg.bins, 8.0)
     assert len(windows) == 64 // 8
     for w in windows:
         assert w.bad_ops == 0

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twochoice.affinity import run_timed_workers
+from twochoice.affinity import run_timed_workers, try_pin_current_thread, usable_cpus
 from twochoice.cli import (
     ConfigError,
     ExperimentConfig,
@@ -162,6 +162,29 @@ def test_counter_quality_run(tmp_path):
     data = [l for l in lines if not l.startswith("#")][1:]
     assert len(data) == 4
     _assert_lf_only(tmp_path / "r")
+
+
+def test_counter_quality_rows_reach_the_last_increment(tmp_path, capsys):
+    cfg = _cfg("counter", mode="quality", cells=16, increments=1500,
+               cadence=1000, out=tmp_path / "r")
+    assert run(cfg) == 0
+    lines = (tmp_path / "r" / "counter_quality.csv").read_text().splitlines()
+    data = [l.split(",") for l in lines if not l.startswith("#")][1:]
+    assert [row[0] for row in data] == ["1000", "1500"]
+    assert f"final_gap={data[-1][2]} " in capsys.readouterr().out
+
+
+def test_threads_and_pins_follow_the_affinity_mask(monkeypatch):
+    # a process confined to CPUs {5, 7} of 64 sweeps 2 threads by default
+    # and pins worker k to the k-th of those CPUs, modulo 2
+    pins = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {7, 5}, raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", lambda tid, cpus: pins.append(cpus),
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert len(usable_cpus()) == 2
+    assert all(try_pin_current_thread(k) for k in range(3))
+    assert pins == [{5}, {7}, {5}]
 
 
 def test_counter_throughput_run(tmp_path):

@@ -237,7 +237,7 @@ def test_tail_report_nearest_rank_rule():
 
 def test_tail_report_exceedance():
     # m=1: scale collapses to 1, so exceedance counts cost > R
-    rep = tail_report(np.arange(10.0), 1, r_values=(4.0,))
+    rep = tail_report(np.arange(10.0), 1)
     assert rep.exceedance[4.0] == 0.5
 
 
@@ -247,11 +247,11 @@ def test_tail_report_rejects_empty():
 
 
 def test_tail_report_csv(tmp_path):
-    rep = tail_report(np.arange(5.0), 4, r_values=(8.0,))
+    rep = tail_report(np.arange(5.0), 4)
     path = tmp_path / "tail.csv"
     rep.write_csv(path, header_comments=["bins = 4"])
     lines = path.read_text().splitlines()
-    assert lines[1] == "count,mean,p50,p90,p99,max,exceed_r8"
+    assert lines[1] == "count,mean,p50,p90,p99,max,exceed_r4,exceed_r6,exceed_r8"
     assert len(lines) == 3
 
 
@@ -287,7 +287,7 @@ def test_simulator_counter_tail_small():
     cfg = SimConfig(bins=64, threads=1, total_ops=100_000, adversary=SERIAL, seed=1)
     res = simulate(cfg)
     costs = linearize_costs(history_from_simulation(res.log, 64), 64)
-    rep = tail_report(costs, 64, r_values=(8.0,))
+    rep = tail_report(costs, 64)
     import math
     assert rep.p99 <= 6 * 64 * math.log(64)
     assert rep.exceedance[8.0] <= 1e-3

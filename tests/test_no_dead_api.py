@@ -62,3 +62,64 @@ def test_every_public_name_has_a_caller():
             for qualified, name in _definitions(trees[path])
             if words[name] <= defined[name] and qualified not in ALLOWED]
     assert dead == []
+
+
+# defaulted parameters that only tests set: seams that swap in a schedule or
+# cap an enumeration
+ALLOWED_DEFAULTS = {
+    "simulate(schedule=)",                # tests replay hand-built schedules
+    "possible_cost_multisets(limit=)",    # tests cap the brute-force enumeration
+}
+
+
+def _defaulted(tree):
+    """(function, parameter, position or None) of each defaulted parameter of
+    a public module-level function, public method or `__init__`; an
+    `__init__` is called by its class name, and a method's position leaves
+    out `self`."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            funcs = [(node.name, node, 0)]
+        elif isinstance(node, ast.ClassDef):
+            funcs = [(node.name if item.name == "__init__" else item.name, item, 1)
+                     for item in node.body if isinstance(item, ast.FunctionDef)]
+        else:
+            continue
+        for name, func, skip in funcs:
+            if name.startswith("_"):
+                continue
+            args = func.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            for k, arg in enumerate(positional[first:], first - skip):
+                yield name, arg.arg, k
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield name, arg.arg, None
+
+
+def _passes(call, param, position):
+    """Whether a call sets the parameter by name or by position."""
+    if any(kw.arg in (param, None) for kw in call.keywords):   # None: **kwargs
+        return True
+    if position is None:
+        return False
+    return (len(call.args) > position
+            or any(isinstance(a, ast.Starred) for a in call.args[:position + 1]))
+
+
+def test_every_defaulted_parameter_is_passed():
+    package = sorted((ROOT / "src" / "twochoice").glob("*.py"))
+    trees = [ast.parse(path.read_text(), filename=str(path))
+             for path in package + sorted((ROOT / "perfbench").glob("*.py"))]
+    calls = [node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Call)]
+
+    def callee(call):
+        return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+    unset = [f"{name}({param}=)"
+             for tree in trees[:len(package)]
+             for name, param, position in _defaulted(tree)
+             if not any(callee(c) == name and _passes(c, param, position) for c in calls)]
+    # both ways: a seam that a run starts to set leaves the allow-list
+    assert sorted(set(unset) ^ ALLOWED_DEFAULTS) == []
