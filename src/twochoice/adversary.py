@@ -14,22 +14,23 @@ Schedules come from two generators: one alternates stampedes (all first
 reads, then all second reads, then all updates) with ops run back to back,
 the other advances one op per thread a phase at a time.
 
-Time is the global count of scheduled shared-memory events; potentials are
-sampled at update events only. An operation's contention is the number of
-distinct other operations with at least one event strictly inside its
-(start, finish) window, and it is `untouched` when no other operation's
-event inside that window touched the bin it updated (a read touches the
-bin it reads, an update the bin it increments).
+Time is the global count of scheduled shared-memory events, and the
+trajectory has one row per update event. An operation's contention is the
+number of distinct other operations with at least one event strictly inside
+its (start, finish) window, and it is `untouched` when no other operation's
+event inside that window touched the bin it updated (a read touches the bin
+it reads, an update the bin it increments).
 
 Both are computed from columns after the replay, which records each op's
-three event positions. A thread's ops never overlap, so its events form
-(read1, read2, update) triples in position order, and a running count of
-each thread's events gives the run of them inside a window; the run spans
-whole ops but for its ends. `untouched` follows from each event's previous
-touch of the same bin, found with one stable sort of the touched bins: the
-last touch of the updated bin before the update must lie at or before the
-op's start, or be the op's own second read when that read's bin was
-chosen, with the touch before it at or before the start.
+three event positions, and so is the trajectory, from each update's bin and
+new load. A thread's ops never overlap, so its events form (read1, read2,
+update) triples in position order, and a running count of each thread's
+events gives the run of them inside a window; the run spans whole ops but
+for its ends. `untouched` follows from each event's previous touch of the
+same bin, found with one stable sort of the touched bins: the last touch of
+the updated bin before the update must lie at or before the op's start, or
+be the op's own second read when that read's bin was chosen, with the touch
+before it at or before the start.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .balance import LoadState, Trajectory, potential_exponent
+from .balance import _CHUNK_ROWS, Trajectory, potential_exponent, trajectory_from_balls
 from .csvfile import write_csv
 from .rng import PairStream, WordStream, schedule_rng, thread_rngs
 
@@ -248,8 +249,7 @@ def simulate(config: SimConfig, schedule: Schedule | None = None) -> SimResult:
 
     n = config.threads
     m = config.bins
-    state = LoadState(m, potential_exponent(GOOD_MARGIN))
-    weights = state.weights
+    weights = [0] * m
     # a thread draws its pairs from the first of two children of its stream,
     # the split that run_sequential makes
     next_pairs = [PairStream(rng.spawn(2)[0], m).next_pair for rng in thread_rngs(config.seed, n)]
@@ -260,7 +260,6 @@ def simulate(config: SimConfig, schedule: Schedule | None = None) -> SimResult:
     a_corr = np.zeros(total, dtype=np.bool_)
     # event positions fit int32 below 2**31 events
     a_read2 = np.zeros(total, dtype=np.int32 if 3 * total < 2**31 else np.int64)
-    rows = np.empty((total, 8))
 
     # per-thread pending op state: [op, start, i, j, vi, vj, read2]; vj is
     # None until the op's second read
@@ -294,7 +293,7 @@ def simulate(config: SimConfig, schedule: Schedule | None = None) -> SimResult:
             # stale comparison; ties (including i == j) to the lower index
             chosen = j if vj < vi or (vj == vi and j < i) else i
             true_min = i if (weights[i], i) <= (weights[j], j) else j
-            state.add(chosen, 1)
+            weights[chosen] = v = weights[chosen] + 1
             k = done
             a_op[k] = op
             a_thread[k] = t
@@ -304,9 +303,8 @@ def simulate(config: SimConfig, schedule: Schedule | None = None) -> SimResult:
             a_ci[k] = i
             a_cj[k] = j
             a_upd[k] = chosen
-            a_post[k] = weights[chosen]
+            a_post[k] = v
             a_corr[k] = chosen == true_min
-            rows[k] = state.snapshot_row(event_idx)
             done += 1
 
     if done != total or event_idx + 1 != 3 * total:
@@ -322,7 +320,11 @@ def simulate(config: SimConfig, schedule: Schedule | None = None) -> SimResult:
         updated=a_upd, post_value=a_post,
         correct=a_corr, untouched=a_unt,
     )
-    return SimResult(loads=weights, log=log, trajectory=Trajectory.from_rows(rows))
+    traj = trajectory_from_balls(m, potential_exponent(GOOD_MARGIN), total, 1,
+                                 ((a_upd[lo:lo + _CHUNK_ROWS], a_post[lo:lo + _CHUNK_ROWS], None)
+                                  for lo in range(0, total, _CHUNK_ROWS)))
+    traj.steps = a_finish   # a row per update, labelled by its event
+    return SimResult(loads=weights, log=log, trajectory=traj)
 
 
 def _window_columns(thread, start, read2, finish, choice_i, choice_j, updated,

@@ -11,9 +11,9 @@ beta_eff = 2r - 1, so any mixture of such steps is that form at the mixed r.
 The exponential potential instrumentation monitors balance:
 phi = sum exp(a*y_j), psi = sum exp(-a*y_j), gamma = phi + psi, where y_j
 are the mean-centered bin weights and a is `potential_exponent`'s value.
-A run writes one `LoadState.snapshot_row` per snapshot into a (rows, 8)
-array that `Trajectory.from_rows` splits into columns, and returns its
-final loads as a plain list. `adversary.simulate` adds unit weights only.
+A run places its balls in one loop over a plain list of loads, recording
+each ball's bin and that bin's new load; `trajectory_from_balls` prices
+those columns afterwards, for `run_sequential` and `adversary.simulate`.
 
 Everything here is single threaded and deterministic for a fixed seed.
 """
@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 from numpy.random import Generator
 
 from .csvfile import write_csv
-from .rng import PairStream, WordStream, make_rng
+from .rng import WordStream, make_rng
 
 PROB_SUM_TOL = 1e-12
 
@@ -98,9 +97,7 @@ class WeightDistribution:
         return 1.0 if self.is_unit else 8.0
 
     def sample_batch(self, rng: Generator, size: int) -> list:
-        if self.is_unit:
-            return [1] * size
-        return rng.exponential(size=size).tolist()
+        return [1] * size if self.is_unit else rng.exponential(size=size).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -148,71 +145,6 @@ def potential_exponent(good_margin: float, moment_bound: float = 1.0) -> float:
     return exponent
 
 
-class LoadState:
-    """Mutable bin state with O(1) gap tracking and incremental potentials.
-
-    Weights only ever increase, so the maximum is tracked directly and the
-    minimum by counting bins at the current minimum level (rescan when the
-    level empties). Potential sums are kept relative to a sliding base so
-    exponents never overflow on long runs.
-    """
-
-    __slots__ = (
-        "weights", "bins", "total", "max_w", "min_w", "min_count",
-        "exponent", "s_phi", "s_psi", "base",
-    )
-
-    def __init__(self, bins: int, exponent: float, unit: bool = True):
-        if bins < 1:
-            raise ValueError("bins must be >= 1")
-        self.bins = bins
-        self.weights = [0] * bins if unit else [0.0] * bins
-        self.total = 0 if unit else 0.0
-        self.max_w = 0
-        self.min_w = 0
-        self.min_count = bins
-        self.exponent = exponent
-        self.s_phi = float(bins)
-        self.s_psi = float(bins)
-        self.base = 0.0
-
-    def add(self, bin_idx: int, w) -> None:
-        old = self.weights[bin_idx]
-        new = old + w
-        self.weights[bin_idx] = new
-        self.total += w
-        a = self.exponent
-        self.s_phi += math.exp(a * (new - self.base)) - math.exp(a * (old - self.base))
-        self.s_psi += math.exp(-a * (new - self.base)) - math.exp(-a * (old - self.base))
-        if new > self.max_w:
-            self.max_w = new
-        if old == self.min_w:
-            self.min_count -= 1
-            if self.min_count == 0:
-                mn = min(self.weights)
-                self.min_w = mn
-                self.min_count = self.weights.count(mn)
-        # Keep the base near the mean: both sums then stay O(bins), which
-        # bounds the relative error of the incremental +/- updates. The
-        # mean only grows, so one-sided checks suffice.
-        if a * (self.total / self.bins - self.base) > 1.0:
-            self._rebase()
-
-    def _rebase(self) -> None:
-        self.base = self.total / self.bins
-        a = self.exponent
-        b = self.base
-        self.s_phi = math.fsum(math.exp(a * (w - b)) for w in self.weights)
-        self.s_psi = math.fsum(math.exp(-a * (w - b)) for w in self.weights)
-
-    def snapshot_row(self, step: int) -> tuple:
-        """(step, phi, psi, gamma, gap, max, min, mean): one trajectory row."""
-        mean = self.total / self.bins
-        phi = self.s_phi * math.exp(-self.exponent * (mean - self.base))
-        psi = self.s_psi * math.exp(self.exponent * (mean - self.base))
-        return (step, phi, psi, phi + psi, self.max_w - self.min_w, self.max_w, self.min_w, mean)
-
-
 # ---------------------------------------------------------------------------
 # trajectories
 # ---------------------------------------------------------------------------
@@ -231,11 +163,6 @@ class Trajectory:
     min_load: np.ndarray
     mean_load: np.ndarray
 
-    @classmethod
-    def from_rows(cls, rows: np.ndarray) -> "Trajectory":
-        """The columns of a (rows, 8) float64 array of `snapshot_row`s."""
-        return cls(rows[:, 0].astype(np.int64), *rows[:, 1:].T)
-
     def __len__(self) -> int:
         return len(self.steps)
 
@@ -243,6 +170,98 @@ class Trajectory:
         cols = (self.steps, self.phi, self.psi, self.gamma, self.gap,
                 self.max_load, self.min_load, self.mean_load)
         write_csv(path, header_comments, TRAJECTORY_HEADER, cols)
+
+
+# balls per chunk of `trajectory_from_balls`: bounds its temporaries on a long run
+_CHUNK_ROWS = 1024
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    """math.exp of each value; numpy's exp differs from it in the last bit."""
+    return np.fromiter(map(math.exp, x.tolist()), np.float64, len(x))
+
+
+def trajectory_from_balls(bins: int, a: float, balls: int, every: int,
+                          chunks: Iterable[tuple]) -> Trajectory:
+    """The trajectory of a run of `balls` balls, whose columns come in
+    consecutive chunks of (updated, post, weights): ball k went to bin
+    updated[k] and left its load at post[k], with weight weights[k] (1 when
+    weights is None; post then holds integers). Rows follow every `every`-th
+    ball and the last; ball k is step k + 1. a is the potential exponent.
+
+    Equal bit for bit to adding the balls one at a time with phi and psi
+    kept relative to a base that moves to the mean, the sums recomputed by
+    math.fsum, at each ball that leaves a * (mean - base) above 1. Between
+    two such balls a sum is a cumsum of exp(a * (new - base)) - exp(a *
+    (old - base)), where a ball's old load is its bin's previous post. The
+    loads, total, base, sums and max carry from one chunk to the next.
+    """
+    taken = np.arange(every - 1, balls, every)
+    if balls % every:
+        taken = np.append(taken, balls - 1)
+    phi, psi, max_load, min_load, mean_load = np.empty((5, len(taken)))
+    loads = np.zeros(bins, dtype=np.int64)
+    total = top = loads[0]
+    base, s_phi, s_psi = 0.0, float(bins), float(bins)
+    lo = 0
+    for upd, new, weights in chunks:
+        c = len(upd)
+        loads = loads.astype(new.dtype, copy=False)   # float loads for weighted balls
+        rows = slice(*np.searchsorted(taken, (lo, lo + c)))
+        at = taken[rows] - lo
+        lo += c
+        # a stable sort by bin pairs each ball with the next ball on its bin
+        order = np.argsort(upd, kind="stable")
+        same = upd[order[1:]] == upd[order[:-1]]
+        prev, ends = np.full(c, -1), np.full(c, c)
+        prev[order[1:][same]] = order[:-1][same]
+        ends[order[:-1][same]] = order[1:][same]
+        old = np.where(prev < 0, loads[upd], new[prev])
+        # a load lives from its ball until the next ball on its bin (carried
+        # loads from the chunk's start), so the min after ball k is the first
+        # load, by value, that lives past k; of the bins without a ball here
+        # only the least load can be it, and none above the chunk's max can
+        firsts = np.flatnonzero(prev < 0)
+        idle = np.min(np.delete(loads, upd[firsts]), initial=new.max(), keepdims=True)
+        values = np.concatenate((old[firsts], idle, new))
+        by_value = np.argsort(values)
+        lives = np.maximum.accumulate(np.concatenate((firsts, (c,), ends))[by_value])
+        min_load[rows] = values[by_value[np.searchsorted(lives, at, side="right")]]
+        w = np.ones(c, loads.dtype) if weights is None else weights
+        total_at = np.cumsum(np.concatenate(((total,), w)))[1:]
+        total = total_at[-1]
+        mean_at = total_at / bins
+        base_at, phi_at, psi_at = np.empty((3, c))
+        s = 0
+        while s < c:
+            # the ball e that moves the base: the loop's own float operations
+            # are monotone in the mean, so a sorted search finds it
+            e = s + int(np.searchsorted(a * (mean_at[s:] - base), 1.0, side="right"))
+            stop = min(e + 1, c)
+            levels, inv = np.unique(np.concatenate((new[s:stop], old[s:stop])),
+                                    return_inverse=True)
+            x = a * (levels - base)
+            for sums, carried, ex in ((phi_at, s_phi, _exp(x)), (psi_at, s_psi, _exp(-x))):
+                step = ex[inv[:stop - s]] - ex[inv[stop - s:]]
+                step[0] += carried
+                np.cumsum(step, out=sums[s:stop])
+            base_at[s:stop] = base
+            s_phi, s_psi = phi_at[stop - 1], psi_at[stop - 1]
+            np.maximum.at(loads, upd[s:stop], new[s:stop])   # a bin's last post wins
+            if e < c:
+                base = float(mean_at[e])
+                x = a * (loads - base)
+                s_phi, s_psi = math.fsum(_exp(x)), math.fsum(_exp(-x))
+                base_at[e], phi_at[e], psi_at[e] = base, s_phi, s_psi
+            s = stop
+        y = a * (mean_at[at] - base_at[at])
+        phi[rows] = phi_at[at] * _exp(-y)
+        psi[rows] = psi_at[at] * _exp(y)
+        mean_load[rows] = mean_at[at]
+        max_load[rows] = np.maximum(np.maximum.accumulate(new)[at], top)
+        top = max(top, new.max())
+    return Trajectory(taken + 1, phi, psi, phi + psi, max_load - min_load, max_load, min_load,
+                      mean_load)
 
 
 # ---------------------------------------------------------------------------
@@ -287,53 +306,34 @@ def run_sequential(
     if snapshot_every < 1:
         raise ValueError("snapshot_every must be >= 1")
     weight = weight or WeightDistribution.unit()
-    if isinstance(rng, int):
-        rng = make_rng(rng)
-    elif rng is None:
-        rng = make_rng(0)
+    if rng is None or isinstance(rng, int):
+        rng = make_rng(rng or 0)
     if exponent is None:
         exponent = default_params(two_choice_prob, weight)
 
-    state = LoadState(bins, exponent, unit=weight.is_unit)
-    # a row per full cadence, and one more for a partial last one
-    rows = np.empty((-(-steps // snapshot_every), 8))
-    if steps == 0:
-        return Trajectory.from_rows(rows), state.weights
-
+    b, unit = two_choice_prob, weight.is_unit
     idx_rng, w_rng = rng.spawn(2)
-    weights = state.weights
-    balls = repeat(1) if weight.is_unit else iter(weight.sample_batch(w_rng, steps))
+    draws = WordStream(idx_rng) if 0.0 < b < 1.0 else None
+    loads = [0] * bins if unit else [0.0] * bins
 
-    if two_choice_prob >= 1.0:
-        pairs = PairStream(idx_rng, bins)
-        for s in range(1, steps + 1):
-            i, j = pairs.next_pair()
-            if (weights[j], j) < (weights[i], i):
-                i = j
-            state.add(i, next(balls))
-            if s % snapshot_every == 0:
-                rows[s // snapshot_every - 1] = state.snapshot_row(s)
-    elif two_choice_prob <= 0.0:
-        singles = PairStream(idx_rng, bins)
-        for s in range(1, steps + 1):
-            state.add(singles.integers(0, bins), next(balls))
-            if s % snapshot_every == 0:
-                rows[s // snapshot_every - 1] = state.snapshot_row(s)
-    else:
-        b = two_choice_prob
-        draws = WordStream(idx_rng)
-        for s in range(1, steps + 1):
-            if draws.random() < b:
-                i = draws.integers(0, bins)
-                j = draws.integers(0, bins)
-                if (weights[j], j) < (weights[i], i):
-                    i = j
+    def placed() -> Iterator[tuple]:
+        # batched draws equal the same scalar draws: chunks change no value
+        for lo in range(0, steps, _CHUNK_ROWS):
+            size = min(_CHUNK_ROWS, steps - lo)
+            if draws is None:   # a uniform ball's pair is (i, i)
+                idx = idx_rng.integers(0, bins, size=2 * size if b else size).tolist()
+                pairs = zip(idx[0::2], idx[1::2]) if b else zip(idx, idx)
             else:
-                i = draws.integers(0, bins)
-            state.add(i, next(balls))
-            if s % snapshot_every == 0:
-                rows[s // snapshot_every - 1] = state.snapshot_row(s)
+                pairs = [(draws.integers(0, bins), draws.integers(0, bins)) if draws.random() < b
+                         else (draws.integers(0, bins),) * 2 for _ in range(size)]
+            weights = weight.sample_batch(w_rng, size)
+            updated, post = [], []
+            for (i, j), w in zip(pairs, weights):
+                if (loads[j], j) < (loads[i], i):
+                    i = j
+                loads[i] = v = loads[i] + w
+                updated.append(i)
+                post.append(v)
+            yield np.array(updated), np.array(post), None if unit else np.array(weights)
 
-    if steps % snapshot_every != 0:
-        rows[-1] = state.snapshot_row(steps)
-    return Trajectory.from_rows(rows), state.weights
+    return trajectory_from_balls(bins, exponent, steps, snapshot_every, placed()), loads

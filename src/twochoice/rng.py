@@ -26,11 +26,11 @@ it), mapped by Lemire's rejection. Its exactness rests on those two numpy
 details, which the tier-1 fuzz in tests/test_rng.py pins. PairStream stays
 the fast path for one fixed range; WordStream serves the draws it cannot.
 
-PairStream: the simulator's per-thread choices and `run_sequential` with
-beta 0 or 1; the increment stream of the counter quality run; the queue
-quality run's enqueue and dequeue stream; each worker of the counter
-throughput, queue stress and transactional runs; and every
-RelaxedClockView.
+PairStream: the simulator's per-thread choices; the increment stream of
+the counter quality run; the queue quality run's enqueue and dequeue
+stream; each worker of the counter throughput, queue stress and
+transactional runs; and every RelaxedClockView. `run_sequential` with
+beta 0 or 1 draws its indices a chunk at a time with batched `integers`.
 
 WordStream: `run_sequential` with 0 < beta < 1, which mixes `random()` with
 `integers()`, and the random-interleave scheduler, whose range

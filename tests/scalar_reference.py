@@ -7,11 +7,11 @@ the oracles that the buffered paths must match value for value.
 
 from __future__ import annotations
 
-import numpy as np
-
 from twochoice.adversary import RANDOM_INTERLEAVE, Schedule
-from twochoice.balance import LoadState, Trajectory, WeightDistribution, default_params
+from twochoice.balance import Trajectory, WeightDistribution, default_params
 from twochoice.rng import make_rng, schedule_rng
+
+from potential_reference import LoadState, trajectory_from_rows
 
 
 def run_sequential_reference(bins: int, steps: int, two_choice_prob: float,
@@ -24,7 +24,7 @@ def run_sequential_reference(bins: int, steps: int, two_choice_prob: float,
     state = LoadState(bins, default_params(two_choice_prob, weight), unit=weight.is_unit)
     rows = []
     if steps == 0:
-        return _trajectory(rows), state.weights
+        return trajectory_from_rows(rows), state.weights
     idx_rng, w_rng = make_rng(seed).spawn(2)
     balls = weight.sample_batch(w_rng, steps)
     weights = state.weights
@@ -41,11 +41,7 @@ def run_sequential_reference(bins: int, steps: int, two_choice_prob: float,
             rows.append(state.snapshot_row(s))
     if steps % snapshot_every != 0:
         rows.append(state.snapshot_row(steps))
-    return _trajectory(rows), state.weights
-
-
-def _trajectory(rows: list) -> Trajectory:
-    return Trajectory.from_rows(np.array(rows, dtype=np.float64).reshape(-1, 8))
+    return trajectory_from_rows(rows), state.weights
 
 
 def random_interleave_reference(threads: int, total_ops: int, seed: int

@@ -18,8 +18,10 @@ from twochoice.adversary import (
     SimResult,
     generate_schedule,
 )
-from twochoice.balance import LoadState, Trajectory, potential_exponent
+from twochoice.balance import potential_exponent
 from twochoice.rng import PairStream, thread_rngs
+
+from potential_reference import LoadState, trajectory_from_rows
 
 
 def simulate_reference(config: SimConfig, schedule: Schedule | None = None,
@@ -128,5 +130,4 @@ def simulate_reference(config: SimConfig, schedule: Schedule | None = None,
         updated=a_upd, post_value=a_post,
         correct=a_corr, untouched=a_unt,
     )
-    trajectory = Trajectory.from_rows(np.array(rows, dtype=np.float64).reshape(-1, 8))
-    return SimResult(loads=weights, log=log, trajectory=trajectory)
+    return SimResult(loads=weights, log=log, trajectory=trajectory_from_rows(rows))

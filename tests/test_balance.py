@@ -4,17 +4,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from potential_reference import PotentialOverflowError, potential
+from potential_reference import LoadState, PotentialOverflowError, potential, trajectory_from_rows
 from scalar_reference import run_sequential_reference
 
+from twochoice import balance
 from twochoice.balance import (
-    LoadState,
     ProbabilityVector,
     WeightDistribution,
     default_params,
     one_plus_beta_probabilities,
     potential_exponent,
     run_sequential,
+    trajectory_from_balls,
 )
 from twochoice.rng import WordStream, make_rng
 
@@ -212,6 +213,49 @@ def test_load_state_matches_fresh_potential():
             assert row[4] == fresh.gap
             assert row[5] == fresh.max_load
             assert row[6] == fresh.min_load
+
+
+CHUNK = balance._CHUNK_ROWS
+
+
+# m = 1 and m = 3 at the exponents of the first two examples move the base
+# on the last ball of every chunk
+@settings(max_examples=40, deadline=None)
+@given(bins=st.integers(1, 1024), unit=st.booleans(), exponent=st.floats(1e-6, 0.5),
+       every=st.integers(1, 5000), balls=st.integers(0, 4 * CHUNK),
+       cuts=st.lists(st.integers(0, 4 * CHUNK), max_size=4), seed=st.integers(0, 2**32))
+@example(bins=1, unit=True, exponent=1 / (CHUNK - 0.5), every=1, balls=3 * CHUNK, cuts=[],
+         seed=1)
+@example(bins=3, unit=True, exponent=3 / (CHUNK - 0.5), every=7, balls=2 * CHUNK + 1,
+         cuts=[], seed=2)
+@example(bins=1, unit=False, exponent=0.5, every=1, balls=2 * CHUNK + 5, cuts=[1, 2, 700],
+         seed=3)
+@example(bins=1024, unit=False, exponent=0.5, every=5000, balls=4 * CHUNK, cuts=[], seed=4)
+def test_trajectory_from_balls_matches_load_state(bins, unit, exponent, every, balls, cuts,
+                                                  seed):
+    # the column pass against the per-ball state it replaced, compared as
+    # bits, over chunks of the callers' size cut further at random points
+    rng = make_rng(seed)
+    updated = rng.integers(0, bins, size=balls)
+    weights = None if unit else rng.exponential(size=balls)
+    state = LoadState(bins, exponent, unit=unit)
+    post, rows = [], []
+    for k, (b, w) in enumerate(zip(updated.tolist(),
+                                   [1] * balls if unit else weights.tolist()), 1):
+        state.add(b, w)
+        post.append(state.weights[b])
+        if k % every == 0 or k == balls:
+            rows.append(state.snapshot_row(k))
+    post = np.array(post, dtype=np.int64 if unit else np.float64)
+    edges = sorted({*range(0, balls, CHUNK), *(c for c in cuts if c < balls), balls})
+    chunks = [(updated[lo:hi], post[lo:hi], None if unit else weights[lo:hi])
+              for lo, hi in zip(edges, edges[1:])]
+    got = trajectory_from_balls(bins, exponent, balls, every, chunks)
+    want = trajectory_from_rows(rows)
+    for name in vars(want):
+        assert getattr(got, name).dtype == getattr(want, name).dtype, name
+        assert np.array_equal(getattr(got, name).view(np.uint64),
+                              getattr(want, name).view(np.uint64)), name
 
 
 # ---------------------------------------------------------------------------

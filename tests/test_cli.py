@@ -174,6 +174,15 @@ def test_counter_quality_rows_reach_the_last_increment(tmp_path, capsys):
     assert f"final_gap={data[-1][2]} " in capsys.readouterr().out
 
 
+def test_counter_quality_under_one_cadence_writes_one_row(tmp_path):
+    # increments below the cadence: the only row is the last increment's
+    assert main(["counter", "--mode", "quality", "--cells", "16", "--increments", "500",
+                 "--out", str(tmp_path / "r")]) == 0
+    lines = (tmp_path / "r" / "counter_quality.csv").read_text().splitlines()
+    data = [l.split(",") for l in lines if not l.startswith("#")][1:]
+    assert [row[0] for row in data] == ["500"]
+
+
 def test_threads_and_pins_follow_the_affinity_mask(monkeypatch):
     # a process confined to CPUs {5, 7} of 64 sweeps 2 threads by default
     # and pins worker k to the k-th of those CPUs, modulo 2
@@ -289,7 +298,7 @@ def test_main_config_error_exit_code():
 
 
 @pytest.mark.parametrize("argv, key", [
-    (["counter", "--mode", "quality", "--increments", "5"], "increments"),
+    (["counter", "--mode", "quality", "--increments", "0"], "increments"),
     (["counter", "--mode", "quality", "--cadence", "0"], "cadence"),
     (["queue", "--mode", "quality", "--dequeues", "0"], "dequeues"),
     (["queue", "--mode", "quality", "--prefill", "10", "--dequeues", "20"], "dequeues"),
