@@ -201,9 +201,8 @@ def trajectory_from_balls(bins: int, a: float, balls: int, every: int,
         taken = np.append(taken, balls - 1)
     phi, psi, max_load, min_load, mean_load = np.empty((5, len(taken)))
     loads = np.zeros(bins, dtype=np.int64)
-    total = top = loads[0]
+    total = top = lo = 0
     base, s_phi, s_psi = 0.0, float(bins), float(bins)
-    lo = 0
     for upd, new, weights in chunks:
         c = len(upd)
         loads = loads.astype(new.dtype, copy=False)   # float loads for weighted balls
@@ -224,7 +223,7 @@ def trajectory_from_balls(bins: int, a: float, balls: int, every: int,
         firsts = np.flatnonzero(prev < 0)
         idle = np.min(np.delete(loads, upd[firsts]), initial=new.max(), keepdims=True)
         values = np.concatenate((old[firsts], idle, new))
-        by_value = np.argsort(values)
+        by_value = np.argsort(values, kind="stable")
         lives = np.maximum.accumulate(np.concatenate((firsts, (c,), ends))[by_value])
         min_load[rows] = values[by_value[np.searchsorted(lives, at, side="right")]]
         w = np.ones(c, loads.dtype) if weights is None else weights
@@ -238,8 +237,9 @@ def trajectory_from_balls(bins: int, a: float, balls: int, every: int,
             # are monotone in the mean, so a sorted search finds it
             e = s + int(np.searchsorted(a * (mean_at[s:] - base), 1.0, side="right"))
             stop = min(e + 1, c)
-            levels, inv = np.unique(np.concatenate((new[s:stop], old[s:stop])),
-                                    return_inverse=True)
+            # return_index makes unique sort stably: one sort kernel for the pass
+            levels, _, inv = np.unique(np.concatenate((new[s:stop], old[s:stop])),
+                                       return_index=True, return_inverse=True)
             x = a * (levels - base)
             for sums, carried, ex in ((phi_at, s_phi, _exp(x)), (psi_at, s_psi, _exp(-x))):
                 step = ex[inv[:stop - s]] - ex[inv[stop - s:]]
