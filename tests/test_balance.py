@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -358,3 +359,23 @@ def test_exponential_run_total_tracks_mean():
         32, 50_000, 1.0, weight=WeightDistribution.exponential(), rng=13, snapshot_every=5000
     )
     assert abs(sum(loads) / 50_000 - 1.0) < 0.02
+
+
+# sha256 (first 16 hex digits) of every trajectory column and the final loads
+# of exponential-weight runs on 64 bins with 3 000 balls, over seeds 1 and 2
+# and snapshot_every 1 and 1 000, in that nesting order: pins the weighted
+# path at every beta kind, where the scalar oracle covers 0 < beta < 1 only
+EXPONENTIAL_DIGESTS = {0.0: "edbd2dfd6f96c6c9", 0.5: "c2770b8f50d8156c", 1.0: "ebea2b9c51da461f"}
+
+
+@pytest.mark.parametrize("beta", sorted(EXPONENTIAL_DIGESTS))
+def test_exponential_run_is_pinned(beta):
+    digest = hashlib.sha256()
+    for seed in (1, 2):
+        for every in (1, 1000):
+            traj, loads = run_sequential(64, 3000, beta, weight=WeightDistribution.exponential(),
+                                         rng=seed, snapshot_every=every)
+            for name in vars(traj):
+                digest.update(getattr(traj, name).tobytes())
+            digest.update(np.array(loads).tobytes())
+    assert digest.hexdigest()[:16] == EXPONENTIAL_DIGESTS[beta]
