@@ -1,12 +1,13 @@
 """Sequential balanced-allocation processes and their instrumentation.
 
-Implements the (1+beta)-choice process over unit or exponential ball
-weights: each ball takes a two-choice step with probability beta and a
-uniform one otherwise. Its rank vector has one closed form, and that form
-also covers the good and bad steps of the asynchronous process: a step that
-picks the lesser bin of a uniform pair with probability r = Pr[correct],
-and the greater one otherwise, has the (1+beta) rank vector at
-beta_eff = 2r - 1, so any mixture of such steps is that form at the mixed r.
+Implements the (1+beta)-choice process over ball weights of kind UNIT or
+EXPONENTIAL, the strings that the CLI's `weight` key takes: each ball takes
+a two-choice step with probability beta and a uniform one otherwise. Its
+rank vector has one closed form, and that form also covers the good and
+bad steps of the asynchronous process: a step that picks the lesser bin of
+a uniform pair with probability r = Pr[correct], and the greater one
+otherwise, has the (1+beta) rank vector at beta_eff = 2r - 1, so any
+mixture of such steps is that form at the mixed r.
 
 The exponential potential instrumentation monitors balance:
 phi = sum exp(a*y_j), psi = sum exp(-a*y_j), gamma = phi + psi, where y_j
@@ -31,6 +32,12 @@ from .csvfile import write_csv
 from .rng import WordStream, make_rng
 
 PROB_SUM_TOL = 1e-12
+
+# ball weight kinds: constant 1, or exponential with mean 1. Mean 1 makes unit
+# and exponential runs directly comparable, and it is the mean that the
+# exponential moment bound of 8 assumes: the weighted potential of Peres,
+# Talwar & Wieder (SODA 2010) at a different mean needs a different exponent.
+UNIT, EXPONENTIAL = "unit", "exponential"
 
 TRAJECTORY_HEADER = "step,phi,psi,gamma,gap,max,min,mean"
 
@@ -58,46 +65,6 @@ class ProbabilityVector:
 
     def prefix_sums(self) -> np.ndarray:
         return np.cumsum(np.asarray(self.probs, dtype=np.float64))
-
-
-@dataclass(frozen=True)
-class WeightDistribution:
-    """Ball weight per insertion: constant 1 or exponential with mean 1.
-
-    Mean 1 makes unit and exponential runs directly comparable, and it is
-    the mean that `moment_bound`'s exponential value assumes: the weighted
-    potential of Peres, Talwar & Wieder (SODA 2010) at a different mean
-    needs a different exponent.
-    """
-
-    kind: str
-
-    UNIT = "unit"
-    EXPONENTIAL = "exponential"
-
-    def __post_init__(self):
-        if self.kind not in (self.UNIT, self.EXPONENTIAL):
-            raise ValueError(f"unknown weight kind: {self.kind!r}")
-
-    @classmethod
-    def unit(cls) -> "WeightDistribution":
-        return cls(cls.UNIT)
-
-    @classmethod
-    def exponential(cls) -> "WeightDistribution":
-        return cls(cls.EXPONENTIAL)
-
-    @property
-    def is_unit(self) -> bool:
-        return self.kind == self.UNIT
-
-    @property
-    def moment_bound(self) -> float:
-        """Second-moment bound for the potential drift: 1 for unit, 8 otherwise."""
-        return 1.0 if self.is_unit else 8.0
-
-    def sample_batch(self, rng: Generator, size: int) -> list:
-        return [1] * size if self.is_unit else rng.exponential(size=size).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -269,22 +236,23 @@ def trajectory_from_balls(bins: int, a: float, balls: int, every: int,
 # ---------------------------------------------------------------------------
 
 
-def default_params(two_choice_prob: float, weight: WeightDistribution) -> float:
-    """Potential exponent for a (1+beta) run.
+def default_params(two_choice_prob: float, weight: str) -> float:
+    """Potential exponent for a (1+beta) run with ball weights of a kind.
 
     Couples the margin to the process via good_margin = beta/2; a pure
     uniform run (beta = 0) has no good margin, so fall back to 1/2 there
     (the instrumentation still tracks gap and gamma, it just is not tuned).
+    The second-moment bound of the weights is 1 for unit balls, 8 otherwise.
     """
     g = two_choice_prob / 2.0 if two_choice_prob > 0 else 0.5
-    return potential_exponent(g, weight.moment_bound)
+    return potential_exponent(g, 1.0 if weight == UNIT else 8.0)
 
 
 def run_sequential(
     bins: int,
     steps: int,
     two_choice_prob: float,
-    weight: WeightDistribution | None = None,
+    weight: str = UNIT,
     rng: Generator | int | None = None,
     snapshot_every: int = 1000,
     exponent: float | None = None,
@@ -295,7 +263,8 @@ def run_sequential(
     rank) so that a concurrency-free simulated run consumes randomness
     identically and produces the same trajectory step for step. Snapshots
     are taken every snapshot_every steps and always at the final step.
-    Returns the trajectory and the final bin weights.
+    Returns the trajectory and the final bin weights. weight is UNIT or
+    EXPONENTIAL; any other kind raises ValueError.
     """
     if bins < 1:
         raise ValueError("bins must be >= 1")
@@ -305,13 +274,14 @@ def run_sequential(
         raise ValueError("two_choice_prob must lie in [0, 1]")
     if snapshot_every < 1:
         raise ValueError("snapshot_every must be >= 1")
-    weight = weight or WeightDistribution.unit()
+    if weight not in (UNIT, EXPONENTIAL):
+        raise ValueError(f"unknown weight kind: {weight!r}")
     if rng is None or isinstance(rng, int):
         rng = make_rng(rng or 0)
     if exponent is None:
         exponent = default_params(two_choice_prob, weight)
 
-    b, unit = two_choice_prob, weight.is_unit
+    b, unit = two_choice_prob, weight == UNIT
     idx_rng, w_rng = rng.spawn(2)
     draws = WordStream(idx_rng) if 0.0 < b < 1.0 else None
     loads = [0] * bins if unit else [0.0] * bins
@@ -326,7 +296,7 @@ def run_sequential(
             else:
                 pairs = [(draws.integers(0, bins), draws.integers(0, bins)) if draws.random() < b
                          else (draws.integers(0, bins),) * 2 for _ in range(size)]
-            weights = weight.sample_batch(w_rng, size)
+            weights = [1] * size if unit else w_rng.exponential(size=size).tolist()
             updated, post = [], []
             for (i, j), w in zip(pairs, weights):
                 if (loads[j], j) < (loads[i], i):

@@ -31,7 +31,7 @@ import numpy as np
 from .adversary import (ADVERSARY_KINDS, STAMPEDE, SimConfig, classify_operations, drift_report,
                         simulate)
 from .affinity import run_timed_workers, usable_cpus
-from .balance import WeightDistribution, default_params, run_sequential
+from .balance import EXPONENTIAL, UNIT, default_params, run_sequential
 from .csvfile import write_csv as _write_csv  # perfbench/layers.py swaps this name
 from .dlin import (DEQ, history_from_serial_queue, history_from_simulation, linearize_costs,
                    tail_report)
@@ -66,7 +66,7 @@ SCHEMAS: dict[str, dict[str, tuple[str, object, object]]] = {
         "bins": ("int", 64, 1),
         "steps": ("int", 100_000, 1),
         "beta": ("float", 1.0, None),
-        "weight": ("str", "unit", (WeightDistribution.UNIT, WeightDistribution.EXPONENTIAL)),
+        "weight": ("str", UNIT, (UNIT, EXPONENTIAL)),
         "seeds": ("ints", [1, 2, 3, 4, 5], 0),
         "snapshot_every": ("int", 1000, 1),
         "out": ("str", None, None),
@@ -97,7 +97,7 @@ SCHEMAS: dict[str, dict[str, tuple[str, object, object]]] = {
     "queue": {
         "mode": ("str", "quality", ("quality", "stress")),
         "queues": ("int", 64, 1),
-        "prefill": ("int", 1_000_000, None),
+        "prefill": ("int", 1_000_000, 0),
         "dequeues": ("int", 500_000, 1),
         "threads": ("int", 0, 0),  # 0: one per usable CPU
         "duration": ("float", 1.0, 0),
@@ -228,19 +228,18 @@ def run_seq(cfg: ExperimentConfig) -> int:
     p = cfg.params
     if not 0.0 <= p["beta"] <= 1.0:
         raise ConfigError(f"key 'beta': must lie in [0, 1], got {p['beta']}")
-    weight = WeightDistribution(p["weight"])
     try:
-        exponent = default_params(p["beta"], weight)
+        exponent = default_params(p["beta"], p["weight"])
     except ValueError:
         raise ConfigError(f"key 'beta': {p['beta']!r} is too small to set the "
                           "potential exponent") from None
     outdir = cfg.outdir
     for seed in p["seeds"]:
         traj, loads = run_sequential(
-            p["bins"], p["steps"], p["beta"], weight=weight, rng=seed,
+            p["bins"], p["steps"], p["beta"], weight=p["weight"], rng=seed,
             snapshot_every=p["snapshot_every"], exponent=exponent,
         )
-        if weight.is_unit and sum(loads) != p["steps"]:
+        if p["weight"] == UNIT and sum(loads) != p["steps"]:
             return _fail(outdir, "seq",
                          f"seed {seed}: total {sum(loads)} != steps {p['steps']}")
         path = outdir / f"seq_b{p['beta']:g}_seed{seed}.csv"

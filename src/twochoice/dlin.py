@@ -16,16 +16,15 @@ Both are priced from columns: one stable sort of the cells counts every
 increment, and a wavelet matrix over the dense keys ("The wavelet matrix",
 SPIRE 2012) ranks every dequeue in one pass per key bit.
 
-The canonical mapping linearizes operations in the order of their recorded
-sequence numbers (the atomic write for counter updates, the internal pop
-for queue dequeues), so a history lists its operations with strictly
-increasing sequence numbers and validation rejects one that does not.
+A history lists its operations in their canonical linearization order
+(the atomic write for counter updates, the internal pop for queue
+dequeues), and every error names an op by its position in that order.
 Costs measured this way are a valid witness of the relaxation, not the
 minimum over all admissible reorderings; for small histories the
 brute-force enumerator below explores every ordering that respects the
 real-time order of non-overlapping operations.
 
-A history is one `History` of six integer numpy columns, built from the
+A history is one `History` of five integer numpy columns, built from the
 simulator's operation log (`history_from_simulation`) or from a
 one-thread queue run (`history_from_serial_queue`). Each op's `kind` is an
 int8 code (INC, READ, ENQ, DEQ); the codes decide whether a history is
@@ -47,7 +46,7 @@ from .csvfile import write_csv
 INC, READ, ENQ, DEQ = map(np.int8, range(4))   # op codes: counter ops, then queue ops
 KIND_NAMES = ("inc", "read", "enq", "deq")      # for error messages
 
-FIELDS = ("seq", "kind", "invoke", "respond", "arg", "ret")
+FIELDS = ("kind", "invoke", "respond", "arg", "ret")
 TAIL_CSV_FIELDS = ("count", "mean", "p50", "p90", "p99", "max")
 DEFAULT_R_VALUES = (4.0, 6.0, 8.0)
 
@@ -58,13 +57,12 @@ class MalformedHistoryError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class History:
-    """Completed operations ordered by linearization sequence number.
+    """Completed operations in linearization order; an op's position names it.
 
     One numpy column per name in FIELDS, all of one length: `kind` holds
     int8 op codes, the others int64.
     """
 
-    seq: np.ndarray
     kind: np.ndarray
     invoke: np.ndarray
     respond: np.ndarray
@@ -72,26 +70,24 @@ class History:
     ret: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.seq)
+        return len(self.kind)
 
     def validate(self) -> None:
-        """Raise MalformedHistoryError, naming the first bad op, unless
-        sequence numbers strictly increase, every response follows its
-        invocation, and no op appears after one whose invocation follows
-        its response (the real-time order of non-overlapping operations)."""
-        seq, invoke, respond = self.seq, self.invoke, self.respond
-        no = np.zeros(min(len(seq), 1), dtype=bool)
-        unordered = np.concatenate((no, seq[1:] <= seq[:-1]))
+        """Raise MalformedHistoryError, naming the first bad op, unless every
+        response follows its invocation and no op appears after one whose
+        invocation follows its response (the real-time order of
+        non-overlapping operations)."""
+        invoke, respond = self.invoke, self.respond
         inverted = respond <= invoke
-        late = np.concatenate((no, respond[1:] < np.maximum.accumulate(invoke)[:-1]))
-        bad = np.flatnonzero(unordered | inverted | late)
+        late = np.zeros_like(inverted)
+        late[1:] = respond[1:] < np.maximum.accumulate(invoke)[:-1]
+        bad = np.flatnonzero(inverted | late)
         if not len(bad):
             return
         k = bad[0]
-        why = (f": sequence number not above the previous {seq[k - 1]}" if unordered[k] else
-               f": response {respond[k]} before invocation {invoke[k]}" if inverted[k] else
+        why = (f": response {respond[k]} before invocation {invoke[k]}" if inverted[k] else
                " finished before an earlier-ordered op began")
-        raise MalformedHistoryError(f"op seq={seq[k]}{why}")
+        raise MalformedHistoryError(f"op {k}{why}")
 
 
 @dataclass(frozen=True)
@@ -118,7 +114,7 @@ class TailReport:
 
 
 def linearize_costs(history: History, bins: int) -> np.ndarray:
-    """Replay a history in sequence order and price every operation.
+    """Replay a history in its order and price every operation.
 
     The replay reconstructs the exact sequential state, so it is
     independent of any value the recording side may have computed; recorded
@@ -131,32 +127,33 @@ def linearize_costs(history: History, bins: int) -> np.ndarray:
     if bins < 1:
         raise ValueError("bins must be >= 1")
     history.validate()
-    seq, kind = history.seq, history.kind
+    kind = history.kind
     queue = len(kind) > 0 and kind[0] >= ENQ
     bad = (kind < INC) | (kind > DEQ) | ((kind >= ENQ) != queue)
     if bad.any():
         k = bad.argmax()
         code = int(kind[k])
-        raise ValueError(f"op seq={seq[k]}: " + (
+        raise ValueError(f"op {k}: " + (
             f"{KIND_NAMES[code]} op in a {'queue' if queue else 'counter'} history"
             if INC <= code <= DEQ else f"unknown op code {code}"))
     if queue:
-        return _queue_costs(seq, kind, history.arg, history.ret)
-    return _counter_costs(seq, kind, history.arg, history.ret, bins)[0]
+        return _queue_costs(kind, history.arg, history.ret)
+    return _counter_costs(kind, history.arg, history.ret, bins)[0]
 
 
-def _counter_costs(seq, kind, arg, ret, bins: int) -> np.ndarray:
+def _counter_costs(kind, arg, ret, bins: int) -> np.ndarray:
     """Increment: |m*c - k|, c its cell's count and k the total after it.
-    Read: |ret - k|. Replays one sequence, or one per row of 2-D columns."""
-    seq, kind, arg, ret = map(np.atleast_2d, (seq, kind, arg, ret))
+    Read: |ret - k|. Replays one sequence, or one per row of 2-D columns; an
+    error names the op by its position in its row."""
+    kind, arg, ret = map(np.atleast_2d, (kind, arg, ret))
     inc = kind == INC
-    seq, cells, rets = seq[inc], arg[inc], ret[inc]
+    cells, rets = arg[inc], ret[inc]
     outside = (cells < 0) | (cells >= bins)
     if outside.any():
         k = outside.argmax()
-        raise ValueError(f"op seq={seq[k]}: cell {cells[k]} out of range")
+        raise ValueError(f"op {np.nonzero(inc)[1][k]}: cell {cells[k]} out of range")
     # a stable sort of (replay, cell) keys keeps each cell's increments in
-    # sequence order, so an increment's place in its key's run is the cell's
+    # replay order, so an increment's place in its key's run is the cell's
     # count after it (narrow keys: numpy radix-sorts 8- and 16-bit integers)
     keys = np.repeat(np.arange(len(inc)) * bins, np.count_nonzero(inc, axis=1)) + cells
     order = np.argsort(keys.astype(np.min_scalar_type(keys.max(initial=0))), kind="stable")
@@ -168,7 +165,7 @@ def _counter_costs(seq, kind, arg, ret, bins: int) -> np.ndarray:
     wrong = (rets >= 0) & (rets != scaled)
     if wrong.any():
         k = wrong.argmax()
-        raise ValueError(f"op seq={seq[k]}: recorded value {rets[k]} disagrees "
+        raise ValueError(f"op {np.nonzero(inc)[1][k]}: recorded value {rets[k]} disagrees "
                          f"with replay {scaled[k]}")
     total = np.cumsum(inc, axis=1)
     cost = np.abs(ret - total)
@@ -176,7 +173,7 @@ def _counter_costs(seq, kind, arg, ret, bins: int) -> np.ndarray:
     return cost.astype(np.float64)
 
 
-def _queue_costs(seq, kind, arg, ret) -> np.ndarray:
+def _queue_costs(kind, arg, ret) -> np.ndarray:
     """Enqueue: 0. Dequeue: how many live keys lie below its key, i.e. the
     earlier ops on smaller keys counted +1 per enqueue and -1 per dequeue,
     which a wavelet matrix over the dense keys counts for every dequeue at once."""
@@ -189,7 +186,7 @@ def _queue_costs(seq, kind, arg, ret) -> np.ndarray:
     keys = keys[order]
     new_key = np.concatenate((np.ones(min(n, 1), dtype=bool), keys[1:] != keys[:-1]))
     dense = np.cumsum(new_key, dtype=np.int32) - 1
-    # a key's ops, in sequence order, alternate enqueue, dequeue, enqueue, ...;
+    # a key's ops, in history order, alternate enqueue, dequeue, enqueue, ...;
     # the replay stops at the first op that breaks this or has a negative key
     enq_sorted = enq[order]
     repeat = enq_sorted == np.roll(enq_sorted, 1)   # a run's first op is checked apart
@@ -199,9 +196,9 @@ def _queue_costs(seq, kind, arg, ret) -> np.ndarray:
         k, key = order[at], keys[at]
         why = "negative" if key < 0 else "already live" if enq[k] else "not live"
         raise (ValueError if enq[k] else KeyError)(
-            f"op seq={seq[k]}: {'en' if enq[k] else 'de'}queue of key {key}, which is {why}")
+            f"op {k}: {'en' if enq[k] else 'de'}queue of key {key}, which is {why}")
     del keys, new_key, enq_sorted, repeat, bad
-    # each op as (dense key << 1) | is_enqueue, in sequence order
+    # each op as (dense key << 1) | is_enqueue, in history order
     v = np.empty(n, dtype=np.int32)
     dense <<= 1
     v[order] = dense
@@ -256,10 +253,8 @@ def history_from_simulation(log: OpLog, bins: int) -> History:
     Operations are already in completion (update-event) order, which is the
     canonical linearization of the replayed run.
     """
-    n = len(log)
-    return History(
-        seq=np.arange(n), kind=np.full(n, INC),
-        invoke=log.start, respond=log.finish, arg=log.updated, ret=bins * log.post_value)
+    return History(kind=np.full(len(log), INC), invoke=log.start, respond=log.finish,
+                   arg=log.updated, ret=bins * log.post_value)
 
 
 def history_from_serial_queue(enqueued: Sequence[int], dequeued: Sequence[int]) -> History:
@@ -268,7 +263,7 @@ def history_from_serial_queue(enqueued: Sequence[int], dequeued: Sequence[int]) 
     next begins, so program order is the only linearization."""
     n, d = len(enqueued), len(dequeued)
     return History(
-        seq=np.arange(n + d), kind=np.repeat(np.array((ENQ, DEQ)), (n, d)),
+        kind=np.repeat(np.array((ENQ, DEQ)), (n, d)),
         invoke=np.arange(0, 2 * (n + d), 2), respond=np.arange(1, 2 * (n + d), 2),
         arg=np.concatenate((np.asarray(enqueued, dtype=np.int64), np.full(d, -1))),
         ret=np.concatenate((np.full(n, -1), np.asarray(dequeued, dtype=np.int64))))
@@ -322,7 +317,6 @@ def possible_cost_multisets(history: History, bins: int,
     orderings = list(enumerate_linearizations(history, limit=limit))
     order = np.array(orderings, dtype=np.int64).reshape(len(orderings), n)
     rows = {name: getattr(history, name)[order] for name in FIELDS}
-    rows["seq"] = np.broadcast_to(np.arange(n), order.shape)
     rows["ret"] = np.where(rows["kind"] == INC, -1, rows["ret"])
     out = set()
     # every ordering respects real time, so one counter replay checks them all
@@ -333,6 +327,6 @@ def possible_cost_multisets(history: History, bins: int,
         except KeyError:
             continue
     if counter:
-        costs = _counter_costs(rows["seq"], rows["kind"], rows["arg"], rows["ret"], bins)
+        costs = _counter_costs(rows["kind"], rows["arg"], rows["ret"], bins)
         out.update(map(tuple, np.sort(costs, axis=1).tolist()))
     return out

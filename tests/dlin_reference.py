@@ -4,7 +4,10 @@ summarised one object at a time, with the live queue keys in a Fenwick
 tree. Slow, but each rule is spelled out where it applies, so tests use it
 as the oracle that `twochoice.dlin` must match op for op. A record names
 its kind with a string; `history` and `records_of` convert between a list
-of records and the columns of op codes that `twochoice.dlin` prices.
+of records and the columns of op codes that `twochoice.dlin` prices. A
+history's order is its ops' linearization order, and errors name an op by
+its position in the list; a record's `seq` is a label that `history`
+drops and `records_of` sets to the op's position.
 """
 
 from __future__ import annotations
@@ -32,20 +35,22 @@ class HistoryRecord:
 
 
 def history(records: list[HistoryRecord]) -> History:
-    """The columns of a list of records: `kind` as int8 op codes, the others
-    int64. A kind name outside CODES may be given as its code."""
-    cols = zip(*map(astuple, records)) if records else [()] * len(FIELDS)
+    """The columns of a list of records, without `seq`: `kind` as int8 op
+    codes, the others int64. A kind name outside CODES may be given as its
+    code."""
+    cols = zip(*(astuple(r)[1:] for r in records)) if records else [()] * len(FIELDS)
     return History(**{name: (np.array([CODES.get(k, k) for k in col], dtype=np.int8)
                              if name == "kind" else np.array(col, dtype=np.int64))
                       for name, col in zip(FIELDS, cols, strict=True)})
 
 
 def records_of(history: History) -> list[HistoryRecord]:
-    """One record per op of a history, holding Python ints and kind names."""
+    """One record per op of a history, holding Python ints and kind names,
+    with the op's position as its `seq`."""
     names = {code: name for name, code in CODES.items()}
     cols = {name: getattr(history, name).tolist() for name in FIELDS}
     cols["kind"] = [names[code] for code in cols["kind"]]
-    return list(map(HistoryRecord, *cols.values()))
+    return list(map(HistoryRecord, range(len(history)), *cols.values()))
 
 
 class RankOracle:
@@ -99,22 +104,17 @@ class RankOracle:
 
 
 def validate(records: list[HistoryRecord]) -> None:
-    """Sequence numbers strictly increase, every response follows its
-    invocation, and no record follows one whose invocation it precedes."""
+    """Every response follows its invocation, and no record follows one
+    whose invocation it precedes."""
     max_invoke = None
-    last_seq = None
-    for rec in records:
-        if last_seq is not None and rec.seq <= last_seq:
-            raise MalformedHistoryError(
-                f"op seq={rec.seq}: sequence number not above the previous {last_seq}")
-        last_seq = rec.seq
+    for k, rec in enumerate(records):
         if rec.respond <= rec.invoke:
             raise MalformedHistoryError(
-                f"op seq={rec.seq}: response {rec.respond} before invocation {rec.invoke}"
+                f"op {k}: response {rec.respond} before invocation {rec.invoke}"
             )
         if max_invoke is not None and rec.respond < max_invoke:
             raise MalformedHistoryError(
-                f"op seq={rec.seq} finished before an earlier-ordered op began"
+                f"op {k} finished before an earlier-ordered op began"
             )
         if max_invoke is None or rec.invoke > max_invoke:
             max_invoke = rec.invoke
@@ -129,25 +129,25 @@ def linearize_costs(records: list[HistoryRecord], bins: int) -> list[float]:
         raise ValueError("bins must be >= 1")
     validate(records)
     counter = not records or records[0].kind in (INC, READ)
-    for rec in records:
+    for k, rec in enumerate(records):
         if rec.kind not in ((INC, READ) if counter else (ENQ, DEQ)):
-            raise ValueError(f"op seq={rec.seq}: kind {rec.kind!r} in a "
+            raise ValueError(f"op {k}: kind {rec.kind!r} in a "
                              f"{'counter' if counter else 'queue'} history")
     out: list[float] = []
     if counter:
         x = [0] * bins
         k = 0
-        for rec in records:
+        for pos, rec in enumerate(records):
             if rec.kind == INC:
                 cell = rec.arg
                 if not 0 <= cell < bins:
-                    raise ValueError(f"op seq={rec.seq}: cell {cell} out of range")
+                    raise ValueError(f"op {pos}: cell {cell} out of range")
                 x[cell] += 1
                 k += 1
                 scaled = bins * x[cell]
                 if rec.ret >= 0 and rec.ret != scaled:
                     raise ValueError(
-                        f"op seq={rec.seq}: recorded value {rec.ret} disagrees "
+                        f"op {pos}: recorded value {rec.ret} disagrees "
                         f"with replay {scaled}"
                     )
                 cost = abs(scaled - k)

@@ -8,25 +8,25 @@ the oracles that the buffered paths must match value for value.
 from __future__ import annotations
 
 from twochoice.adversary import RANDOM_INTERLEAVE, Schedule
-from twochoice.balance import Trajectory, WeightDistribution, default_params
+from twochoice.balance import UNIT, Trajectory, default_params
 from twochoice.rng import make_rng, schedule_rng
 
 from potential_reference import LoadState, trajectory_from_rows
 
 
 def run_sequential_reference(bins: int, steps: int, two_choice_prob: float,
-                             weight: WeightDistribution, seed: int,
+                             weight: str, seed: int,
                              snapshot_every: int) -> tuple[Trajectory, list]:
     """`run_sequential` with 0 < two_choice_prob < 1, drawing each step's
     coin and bin indices as scalars from the index stream."""
     if not 0.0 < two_choice_prob < 1.0:
         raise ValueError("the reference covers 0 < two_choice_prob < 1 only")
-    state = LoadState(bins, default_params(two_choice_prob, weight), unit=weight.is_unit)
+    state = LoadState(bins, default_params(two_choice_prob, weight), unit=weight == UNIT)
     rows = []
     if steps == 0:
         return trajectory_from_rows(rows), state.weights
     idx_rng, w_rng = make_rng(seed).spawn(2)
-    balls = weight.sample_batch(w_rng, steps)
+    balls = [1] * steps if weight == UNIT else w_rng.exponential(size=steps).tolist()
     weights = state.weights
     for s in range(1, steps + 1):
         if idx_rng.random() < two_choice_prob:

@@ -10,8 +10,9 @@ from scalar_reference import run_sequential_reference
 
 from twochoice import balance
 from twochoice.balance import (
+    EXPONENTIAL,
+    UNIT,
     ProbabilityVector,
-    WeightDistribution,
     default_params,
     one_plus_beta_probabilities,
     potential_exponent,
@@ -115,7 +116,7 @@ def test_load_vector_centered_sums_to_zero():
 
 
 def test_unit_conservation_is_exact():
-    state = LoadState(5, default_params(1.0, WeightDistribution.unit()), unit=True)
+    state = LoadState(5, default_params(1.0, UNIT), unit=True)
     rng = make_rng(3)
     for k in range(1, 200):
         state.add(int(rng.integers(0, 5)), 1)
@@ -124,23 +125,19 @@ def test_unit_conservation_is_exact():
 
 
 def test_weight_unit_samples_one():
-    w = WeightDistribution.unit()
-    assert w.sample_batch(make_rng(0), 4) == [1, 1, 1, 1]
-    assert w.moment_bound == 1.0
+    _, loads = run_sequential(4, 4, 1.0, weight=UNIT, rng=0)
+    assert sum(loads) == 4 and all(type(x) is int for x in loads)
 
 
 def test_weight_exponential_mean_and_positivity():
-    w = WeightDistribution.exponential()
-    assert w.moment_bound == 8.0
-    rng = make_rng(5)
-    samples = np.asarray(w.sample_batch(rng, 1_000_000))
-    assert np.all(samples > 0)
-    assert abs(samples.mean() - 1.0) <= 0.02
+    traj, _ = run_sequential(8, 100_000, 1.0, weight=EXPONENTIAL, rng=5, snapshot_every=1)
+    assert np.all(np.diff(traj.mean_load) > 0)   # every ball weighs more than 0
+    assert abs(traj.mean_load[-1] * 8 / 100_000 - 1.0) <= 0.02
 
 
 def test_weight_rejects_bad_kind():
-    with pytest.raises(ValueError):
-        WeightDistribution("gaussian")
+    with pytest.raises(ValueError, match="gaussian"):
+        run_sequential(4, 10, 1.0, weight="gaussian", rng=0)
 
 
 # ---------------------------------------------------------------------------
@@ -158,12 +155,13 @@ def test_potential_params_exponent_derivation():
 
 def test_potential_params_good_margin_coupling():
     # a (1+beta) run's good margin is beta/2, and 1/2 at beta = 0
-    unit, expo = WeightDistribution.unit(), WeightDistribution.exponential()
-    assert default_params(0.6, unit) == potential_exponent(0.3)
-    assert default_params(0.6, expo) == potential_exponent(0.3, moment_bound=8.0)
-    assert default_params(0.0, unit) == potential_exponent(0.5)
+    # and the weights' second-moment bound is 1 for unit balls, 8 otherwise
+    assert default_params(0.6, UNIT) == potential_exponent(0.3)
+    assert default_params(0.6, EXPONENTIAL) == potential_exponent(0.3, moment_bound=8.0)
+    assert default_params(0.0, UNIT) == potential_exponent(0.5)
+    assert default_params(0.0, EXPONENTIAL) == potential_exponent(0.5, moment_bound=8.0)
     with pytest.raises(ValueError):
-        default_params(5e-324, unit)
+        default_params(5e-324, UNIT)
 
 
 def test_potential_equal_weights():
@@ -200,7 +198,7 @@ def test_potential_overflow_raises():
 
 
 def test_load_state_matches_fresh_potential():
-    exponent = default_params(1.0, WeightDistribution.unit())
+    exponent = default_params(1.0, UNIT)
     state = LoadState(16, exponent, unit=True)
     rng = make_rng(23)
     for k in range(1, 20_001):
@@ -300,15 +298,15 @@ def test_run_sequential_snapshot_cadence():
 @settings(max_examples=40, deadline=None)
 @given(beta=st.floats(1e-12, 1.0, exclude_max=True),
        bins=st.sampled_from([1, 2, 3, 64, 100]),
-       weight=st.sampled_from([WeightDistribution.unit(), WeightDistribution.exponential()]),
+       weight=st.sampled_from([UNIT, EXPONENTIAL]),
        steps=st.integers(0, 3000),
        snapshot_every=st.sampled_from([1, 7, 100, 1000, 5000]),
        seed=st.integers(0, 2**32))
-@example(beta=0.5, bins=64, weight=WeightDistribution.unit(), steps=4 * WordStream.BLOCK,
+@example(beta=0.5, bins=64, weight=UNIT, steps=4 * WordStream.BLOCK,
          snapshot_every=1000, seed=3)
-@example(beta=1e-9, bins=3, weight=WeightDistribution.exponential(),
+@example(beta=1e-9, bins=3, weight=EXPONENTIAL,
          steps=2 * WordStream.BLOCK + 1, snapshot_every=7, seed=4)
-@example(beta=1 - 1e-9, bins=100, weight=WeightDistribution.unit(),
+@example(beta=1 - 1e-9, bins=100, weight=UNIT,
          steps=2 * WordStream.BLOCK, snapshot_every=1, seed=5)
 def test_run_sequential_beta_matches_scalar_reference(beta, bins, weight, steps,
                                                       snapshot_every, seed):
@@ -356,7 +354,7 @@ def test_trajectory_csv_roundtrip(tmp_path):
 
 def test_exponential_run_total_tracks_mean():
     _, loads = run_sequential(
-        32, 50_000, 1.0, weight=WeightDistribution.exponential(), rng=13, snapshot_every=5000
+        32, 50_000, 1.0, weight=EXPONENTIAL, rng=13, snapshot_every=5000
     )
     assert abs(sum(loads) / 50_000 - 1.0) < 0.02
 
@@ -373,7 +371,7 @@ def test_exponential_run_is_pinned(beta):
     digest = hashlib.sha256()
     for seed in (1, 2):
         for every in (1, 1000):
-            traj, loads = run_sequential(64, 3000, beta, weight=WeightDistribution.exponential(),
+            traj, loads = run_sequential(64, 3000, beta, weight=EXPONENTIAL,
                                          rng=seed, snapshot_every=every)
             for name in vars(traj):
                 digest.update(getattr(traj, name).tobytes())

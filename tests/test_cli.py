@@ -353,6 +353,9 @@ def test_quality_config_rejected_naming_key(tmp_path, capsys, argv, key):
     (["sim", "--ops", "300", "--seeds", "1", "--gamma-flag-multiple", "-1"],
      "gamma_flag_multiple"),
     (["counter", "--mode", "throughput", "--threads-max", "1", "--cells", "0"], "cells"),
+    (["queue", "--mode", "quality", "--prefill", "-3", "--dequeues", "1"], "prefill"),
+    (["queue", "--mode", "stress", "--prefill", "-3", "--threads", "1", "--duration", "0.01",
+      "--repeats", "1"], "prefill"),
 ])
 def test_out_of_range_config_rejected_naming_key(tmp_path, capsys, argv, key):
     assert main(argv + ["--out", str(tmp_path / "r")]) == 2

@@ -27,7 +27,7 @@ def _rec(seq, kind, invoke, respond, arg=-1, ret=-1):
 
 def test_response_before_invocation_rejected():
     h = history([_rec(0, INC, invoke=5, respond=3, arg=0)])
-    with pytest.raises(MalformedHistoryError):
+    with pytest.raises(MalformedHistoryError, match="^op 0: response 3 before invocation 5"):
         linearize_costs(h, 1)
 
 
@@ -38,24 +38,8 @@ def test_real_time_order_violation_rejected():
         _rec(0, INC, invoke=3, respond=4, arg=0),
         _rec(1, INC, invoke=1, respond=2, arg=0),
     ])
-    with pytest.raises(MalformedHistoryError):
+    with pytest.raises(MalformedHistoryError, match="^op 1 finished"):
         h.validate()
-
-
-def test_out_of_order_sequence_numbers_rejected():
-    # well formed in real time, but op seq=1 is listed before op seq=0;
-    # the replay would price them in list order
-    h = history([
-        _rec(1, INC, invoke=0, respond=5, arg=0),
-        _rec(0, INC, invoke=2, respond=7, arg=0),
-    ])
-    with pytest.raises(MalformedHistoryError, match="seq=0"):
-        h.validate()
-    with pytest.raises(MalformedHistoryError):
-        linearize_costs(h, 2)
-    # a repeated sequence number is rejected too
-    with pytest.raises(MalformedHistoryError, match="seq=0"):
-        history([_rec(0, INC, 0, 5, arg=0), _rec(0, INC, 2, 7, arg=0)]).validate()
 
 
 def test_wellformed_overlapping_history_passes():
@@ -172,7 +156,7 @@ def test_queue_costs_depend_only_on_key_order():
     assert sparse.tolist() == dense.tolist()
 
 
-@pytest.mark.parametrize("ops, error, seq", [
+@pytest.mark.parametrize("ops, error, pos", [
     ([(ENQ, 4), (ENQ, 2), (ENQ, 4)], ValueError, 2),             # enqueue of a live key
     ([(ENQ, 4), (DEQ, 4), (DEQ, 4)], KeyError, 2),               # dequeue of a popped key
     ([(ENQ, 4), (DEQ, 7), (ENQ, 7)], KeyError, 1),               # dequeue before its enqueue
@@ -184,8 +168,8 @@ def test_queue_costs_depend_only_on_key_order():
     # keys a float cannot tell apart, beside a negative key
     ([(ENQ, 2**62), (ENQ, 2**62 + 1), (DEQ, 2**62), (ENQ, -1)], ValueError, 3),
 ])
-def test_queue_replay_rejects_first_bad_op(ops, error, seq):
-    with pytest.raises(error, match=f"op seq={seq}:"):
+def test_queue_replay_rejects_first_bad_op(ops, error, pos):
+    with pytest.raises(error, match=f"op {pos}:"):
         linearize_costs(_serial_queue(ops), 2)
 
 
@@ -193,7 +177,7 @@ def test_queue_replay_rejects_first_bad_op(ops, error, seq):
 # op codes
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("kinds, seq", [
+@pytest.mark.parametrize("kinds, label", [
     ((INC, READ, ENQ, INC), 12),   # a queue op in a counter history
     ((ENQ, INC, DEQ), 11),         # a counter op in a queue history
     ((INC, 4), 11),                # codes past DEQ or below INC
@@ -201,13 +185,14 @@ def test_queue_replay_rejects_first_bad_op(ops, error, seq):
     ((4, INC), 10),
     ((-1, ENQ), 10),
 ])
-def test_pricing_rejects_mixed_or_unknown_op_codes(kinds, seq):
-    # the first op's code decides the family; the first op outside it is named
+def test_pricing_rejects_mixed_or_unknown_op_codes(kinds, label):
+    # the first op's code decides the family; the first op outside it is
+    # named by its position, not by the label (position + 10) of its record
     records = [_rec(10 + k, kind, invoke=2 * k, respond=2 * k + 1, arg=0, ret=0)
                for k, kind in enumerate(kinds)]
-    with pytest.raises(ValueError, match=f"op seq={seq}:"):
+    with pytest.raises(ValueError, match=f"op {label - 10}:"):
         linearize_costs(history(records), 2)
-    with pytest.raises(ValueError, match=f"op seq={seq}:"):
+    with pytest.raises(ValueError, match=f"op {label - 10}:"):
         reference.linearize_costs(records, 2)
 
 
@@ -353,7 +338,7 @@ def test_enumeration_limit_guard():
 # columnar path against the object oracle (tests/dlin_reference.py)
 # ---------------------------------------------------------------------------
 
-DEFECTS = ("bad_cell", "wrong_value", "inverted", "late", "unordered")
+DEFECTS = ("bad_cell", "wrong_value", "inverted", "late")
 
 
 def _outcome(price, records_or_history, bins):
@@ -385,17 +370,15 @@ def _timing(rng, n):
 
 
 def _break_timing(draw, records, defect):
-    """Apply an inverted, late or unordered defect to one record past the first."""
+    """Apply an inverted or late defect to one record past the first."""
     k = draw(st.integers(1, len(records) - 1))
     r = records[k]
     if defect == "inverted":
         records[k] = replace(r, respond=r.invoke - draw(st.integers(0, 2)))
-    elif defect == "late":
+    else:
         # finishes before an op listed earlier began
         end = max(q.invoke for q in records[:k]) - 1
         records[k] = replace(r, invoke=end - 1, respond=end)
-    else:
-        records[k] = replace(r, seq=records[k - 1].seq - draw(st.integers(0, 1)))
 
 
 @st.composite
@@ -427,7 +410,7 @@ def _counter_histories(draw):
         k = incs[draw(st.integers(0, len(incs) - 1))]
         records[k] = (replace(records[k], arg=draw(st.sampled_from([-1, bins])))
                       if defect == "bad_cell" else replace(records[k], ret=bins * (n + 1)))
-    elif defect in ("inverted", "late", "unordered"):
+    elif defect in ("inverted", "late"):
         _break_timing(draw, records, defect)
     return records, bins
 
@@ -439,7 +422,7 @@ def test_columnar_pricing_matches_object_oracle(case):
     _assert_paths_agree(records, bins)
 
 
-QUEUE_DEFECTS = ("double_enqueue", "bad_dequeue", "negative_key", "inverted", "late", "unordered")
+QUEUE_DEFECTS = ("double_enqueue", "bad_dequeue", "negative_key", "inverted", "late")
 
 
 @st.composite
@@ -447,7 +430,7 @@ def _queue_histories(draw):
     """A queue history of enqueues and dequeues of sparse keys below 10**5,
     where a popped key may be enqueued again, with at most one defect: an
     enqueue of a live key, a dequeue of a key that is not live, a negative
-    key, or a broken real-time or sequence order."""
+    key, or a broken real-time order."""
     n = draw(st.integers(0, 2000))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     p_enq = draw(st.sampled_from([0.5, 0.6, 0.9, 1.0]))
@@ -477,7 +460,7 @@ def _queue_histories(draw):
                    next(key for key in map(int, rng.integers(0, 10**5, 64)) if key not in live))
             live.append(key)
             records.append(_rec(kind=ENQ, arg=key, **op))
-    if defect in ("inverted", "late", "unordered"):
+    if defect in ("inverted", "late"):
         _break_timing(draw, records, defect)
     return records, draw(st.sampled_from([1, 2, 64]))
 
