@@ -2,35 +2,24 @@
 
 An oblivious adversary fixes an interleaving of the low-level steps of
 increment operations (first read, second read, update) before the run; the
-simulator then replays that schedule. Each operation draws its two bin
-indices from its thread's private stream at the read events and copies the
-bin weights it sees there; at the update event it increments the bin whose
-copied value was smaller (ties to the lower index). Because the adversary
-never sees the random choices, physically copying at the reads is
-observationally equivalent to drawing everything at the update, and it
-keeps the replay single threaded and reproducible.
+simulator then replays that schedule. Each operation copies the weights of
+its two bins at its read events, and at its update it increments the bin
+whose copied value was smaller (ties to the lower index). The adversary
+never sees the random choices, so they can all be drawn before the replay:
+thread t's k-th op takes the k-th pair of t's own stream.
 
-Schedules come from two generators: one alternates stampedes (all first
-reads, then all second reads, then all updates) with ops run back to back,
-the other advances one op per thread a phase at a time.
+A schedule is three columns, the thread, op and phase of every event in
+order (`Schedule.columns`). `simulate` checks them, draws each thread's
+pairs in one batch, and walks the events a chunk at a time in one tight
+loop that copies at reads and compares and increments at updates.
 
 Time is the global count of scheduled shared-memory events, and the
 trajectory has one row per update event. An operation's contention is the
 number of distinct other operations with at least one event strictly inside
 its (start, finish) window, and it is `untouched` when no other operation's
 event inside that window touched the bin it updated (a read touches the bin
-it reads, an update the bin it increments).
-
-Both are computed from columns after the replay, which records each op's
-three event positions, and so is the trajectory, from each update's bin and
-new load. A thread's ops never overlap, so its events form (read1, read2,
-update) triples in position order, and a running count of each thread's
-events gives the run of them inside a window; the run spans whole ops but
-for its ends. `untouched` follows from each event's previous touch of the
-same bin, found with one stable sort of the touched bins: the last touch of
-the updated bin before the update must lie at or before the op's start, or
-be the op's own second read when that read's bin was chosen, with the touch
-before it at or before the start.
+it reads, an update the bin it increments). Both come from columns after
+the replay (`_window_columns`).
 """
 
 from __future__ import annotations
@@ -44,7 +33,7 @@ import numpy as np
 
 from .balance import _CHUNK_ROWS, Trajectory, potential_exponent, trajectory_from_balls
 from .csvfile import write_csv
-from .rng import PairStream, WordStream, schedule_rng, thread_rngs
+from .rng import WordStream, schedule_rng, thread_rngs
 
 READ1, READ2, UPDATE = 0, 1, 2
 
@@ -76,16 +65,9 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.bins < 1:
-            raise ValueError("bins must be >= 1")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
-        if self.ratio < 1:
-            raise ValueError("ratio must be >= 1")
-        if self.total_ops < 0:
-            raise ValueError("total_ops must be >= 0")
-        if self.adversary not in ADVERSARY_KINDS:
-            raise ValueError(f"unknown adversary kind: {self.adversary!r}")
+        if self.bins < 1 or self.ratio < 1:
+            raise ValueError(f"bins and ratio must be >= 1, got {self.bins} and {self.ratio}")
+        generate_schedule(self)   # the schedule's rules check the rest
 
     @property
     def contention_bound(self) -> int:
@@ -95,13 +77,9 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class Schedule:
-    """A lazily generated total order of (thread, op, phase) events.
-
-    The event order is a pure function of (kind, threads, total_ops, seed,
-    block_size): it never consumes simulation randomness, which is what
-    makes the adversary oblivious. `_blocks` generates serial, stampede and
-    block-reset schedules, `_interleaved` round-robin and random-interleave.
-    """
+    """A total order of (thread, op, phase) events, built as columns: a pure
+    function of its fields that never consumes simulation randomness, which
+    makes the adversary oblivious."""
 
     kind: str
     threads: int
@@ -112,79 +90,118 @@ class Schedule:
     def __post_init__(self):
         if self.kind not in ADVERSARY_KINDS:
             raise ValueError(f"unknown adversary kind: {self.kind!r}")
+        if self.threads < 1:
+            raise ValueError("threads must be >= 1")
+        if self.total_ops < 0:
+            raise ValueError("total_ops must be >= 0")
         if self.block_size is not None and not (self.kind == STAMPEDE
                                                 and 1 <= self.block_size <= self.threads):
             raise ValueError(f"block size {self.block_size} needs a {STAMPEDE} schedule "
                              f"and 1 <= size <= threads, got {self.kind} on {self.threads}")
 
-    def events(self) -> Iterator[tuple[int, int, int]]:
-        """Raw (thread, op, phase) tuples in schedule order."""
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(thread, op, phase) of every event in schedule order: threads in
+        the narrowest unsigned type, ops in `_index_type`, phases int8."""
+        n, total = self.threads, self.total_ops
         if self.kind == SERIAL:
-            return self._blocks(0, self.total_ops)
+            return self._blocks(0, total)
         if self.kind == STAMPEDE:
-            return self._blocks(self.block_size or self.threads, 0)
+            return self._blocks(self.block_size or n, 0)
         if self.kind == BLOCK_RESET:
-            return self._blocks(self.threads, self.threads)
+            return self._blocks(n, n)
         if self.kind == ROUND_ROBIN:
-            turn = itertools.count()
-            return self._interleaved(lambda k: next(turn) % k)
-        return self._interleaved(partial(WordStream(schedule_rng(self.seed)).integers, 0))
+            turns = (np.arange(3 * total) % n).astype(np.min_scalar_type(n - 1))
+            # after `used` picks, the turns count on from `used`
+            return self._interleaved(turns, lambda used: (
+                lambda k, turn=itertools.count(used): next(turn) % k))
+        return self._interleaved(*self._random_picks())
 
-    def _blocks(self, block: int, stretch: int) -> Iterator[tuple[int, int, int]]:
-        """Until the ops run out: a stampede of `block` ops, in which threads
-        0..block-1 make all first reads, then all second reads, then all
-        updates; then `stretch` ops back to back, op k on thread k % threads."""
-        n = self.threads
-        total = self.total_ops
-        first = 0
-        while first < total:
-            mid, end = min(first + block, total), min(first + block + stretch, total)
-            for phase in (READ1, READ2, UPDATE):
-                for op in range(first, mid):
-                    yield (op - first, op, phase)
-            for op in range(mid, end):
-                t = op % n
-                yield (t, op, READ1)
-                yield (t, op, READ2)
-                yield (t, op, UPDATE)
-            first = end
+    def events(self) -> Iterator[tuple[int, int, int]]:
+        """Raw (thread, op, phase) tuples in schedule order, read from `columns()`."""
+        cols = self.columns()
+        for lo in range(0, len(cols[0]), _CHUNK_ROWS):
+            yield from zip(*(col[lo:lo + _CHUNK_ROWS].tolist() for col in cols))
 
-    def _interleaved(self, pick: Callable[[int], int]) -> Iterator[tuple[int, int, int]]:
-        """One op per thread at a time, advanced one phase per visit; pick(k)
-        chooses which of the k active threads moves next."""
-        n = self.threads
-        total = self.total_ops
-        next_op = 0
-        current = [-1] * n   # op id per thread, -1 when idle
-        phase = [0] * n
-        active = list(range(n))
+    def _blocks(self, block: int, stretch: int) -> tuple[np.ndarray, ...]:
+        """Until the ops run out, segments of a stampede of `block` ops (all
+        first reads, then all second reads, then all updates) and `stretch`
+        ops back to back; an op runs on its place in its segment mod threads.
+        Full segments tile one pattern; the last may be cut short."""
+        n, total, size = self.threads, self.total_ops, block + stretch
+        idx, phases = _index_type(total), np.array((READ1, READ2, UPDATE), dtype=np.int8)
+        full, cut = divmod(total, size) if size else (0, 0)
+        parts = []
+        for copies, first, b, s in ((full, 0, block, stretch),
+                                    (1, full * size, min(block, cut), max(cut - block, 0))):
+            op = np.concatenate((np.tile(np.arange(b, dtype=idx), 3),
+                                 np.repeat(np.arange(b, b + s, dtype=idx), 3)))
+            shift = np.repeat(np.arange(copies, dtype=idx) * size + first, len(op))
+            parts.append((np.tile(op % n, copies), np.tile(op, copies) + shift, np.tile(
+                np.concatenate((np.repeat(phases, b), np.tile(phases, s))), copies)))
+        thread, op, phase = map(np.concatenate, zip(*parts))
+        return thread.astype(np.min_scalar_type(n - 1)), op, phase
+
+    def _random_picks(self) -> tuple[np.ndarray, Callable]:
+        """Up to 3 * total_ops picks `integers(0, threads)`, by WordStream's
+        Lemire rule in one numpy pass over the scheduler stream's 32-bit
+        halves, and resume(used), its picker from the used-th pick on."""
+        n, need, seed = self.threads, 3 * self.total_ops, self.seed
+        words = schedule_rng(seed).bit_generator.random_raw((need + 1) // 2)
+        draws = words.astype("<u8").view("<u4") * np.uint64(n)
+        kept = np.flatnonzero((draws & np.uint64(0xFFFFFFFF)) >= np.uint64((2**32 - n) % n))
+
+        def resume(used: int) -> Callable[[int], int]:
+            half = int(kept[used - 1]) + 1 if used else 0
+            rng = schedule_rng(seed)
+            rng.bit_generator.advance(half // 2)
+            if half % 2:   # draw a low half, which leaves its high half pending
+                rng.integers(0, 2**32)
+            return partial(WordStream(rng).integers, 0)
+
+        return (draws[kept[:need]] >> np.uint64(32)).astype(np.min_scalar_type(n - 1)), resume
+
+    def _interleaved(self, picks: np.ndarray, resume: Callable) -> tuple[np.ndarray, ...]:
+        """One op per thread at a time, advanced one phase per visit. While
+        every thread is active, picks[k] is the k-th visit's thread; after the
+        last op starts (or the picks run out) resume(used) returns pick(k),
+        which picks one of the k active threads; idle threads retire once
+        no op is left."""
+        n, total, idx = self.threads, self.total_ops, _index_type(self.total_ops)
+        order, _, head, nth = _by_thread(picks, n, idx)
+        phase = np.empty(len(picks), np.int8)
+        phase[order] = nth
+        started = np.cumsum(phase == READ1, dtype=idx)
+        op = np.empty(len(picks), idx)
+        op[order] = started[order[np.arange(len(picks)) - nth]] - 1
+        used = min(int(np.searchsorted(started, total)) + 1, len(picks))
+        visits = np.bincount(picks[:used], minlength=n)
+        steps, current = (visits % 3).tolist(), [-1] * n   # next phase, op id or -1 if idle
+        for t in np.flatnonzero(visits % 3).tolist():
+            current[t] = int(op[order[head[t] + visits[t] - 1]])
+        next_op = int(started[used - 1]) if used else 0
+        pick, active, tail = resume(used), list(range(n)), []
         while active:
             slot = pick(len(active))
             t = active[slot]
-            if current[t] < 0:
-                if next_op >= total:
-                    active.pop(slot)
-                    continue
-                current[t] = next_op
-                next_op += 1
-            p = phase[t]
-            yield (t, current[t], p)
-            if p == UPDATE:
-                current[t] = -1
-                phase[t] = 0
-                if next_op >= total:
-                    active.pop(slot)
-            else:
-                phase[t] = p + 1
+            if current[t] < 0 and next_op < total:
+                current[t], next_op = next_op, next_op + 1
+            if current[t] >= 0:
+                tail.append((t, current[t], steps[t]))
+                current[t], steps[t] = (current[t], steps[t] + 1) if steps[t] < UPDATE else (-1, 0)
+            if current[t] < 0 and next_op == total:
+                active.pop(slot)
+        return tuple(np.concatenate((col[:used], more)).astype(col.dtype) for col, more
+                     in zip((picks, op, phase), np.array(tail, dtype=idx).reshape(-1, 3).T))
+
+
+def _index_type(total_ops: int) -> type:
+    return np.int32 if 3 * total_ops < 2**31 else np.int64   # event positions and op ids
 
 
 def generate_schedule(config: SimConfig) -> Schedule:
-    """Build the adversary's schedule for a config.
-
-    The schedule derives its randomness (random-interleave only) from the
-    scheduler's dedicated child stream of config.seed, so schedule shape
-    and simulation choices are independent.
-    """
+    """The adversary's schedule for a config. Its randomness (random-interleave
+    only) comes from the scheduler's own child stream of config.seed, so
+    schedule shape and simulation choices are independent."""
     return Schedule(config.adversary, config.threads, config.total_ops, config.seed,
                     config.block_size)
 
@@ -196,7 +213,8 @@ def generate_schedule(config: SimConfig) -> Schedule:
 
 @dataclass
 class OpLog:
-    """Columnar log of completed operations, in completion order."""
+    """Columnar log of completed operations, in completion order; integer
+    columns but `op` (the schedule's ids) are `_index_type` of the op count."""
 
     op: np.ndarray
     thread: np.ndarray
@@ -242,109 +260,120 @@ def simulate(config: SimConfig, schedule: Schedule | None = None) -> SimResult:
     """
     if schedule is None:
         schedule = generate_schedule(config)
-    if schedule.threads != config.threads:
-        raise ValueError("schedule was generated for a different thread count")
-    if schedule.total_ops != config.total_ops:
-        raise ValueError("schedule was generated for a different op budget")
+    if (schedule.threads, schedule.total_ops) != (config.threads, config.total_ops):
+        raise ValueError("schedule was generated for a different thread count or op budget")
 
-    n = config.threads
-    m = config.bins
-    weights = [0] * m
-    # a thread draws its pairs from the first of two children of its stream,
-    # the split that run_sequential makes
-    next_pairs = [PairStream(rng.spawn(2)[0], m).next_pair for rng in thread_rngs(config.seed, n)]
-
-    total = config.total_ops
-    a_op, a_thread, a_start, a_finish, a_ci, a_cj, a_upd, a_post = np.zeros((8, total),
-                                                                            dtype=np.int64)
-    a_corr = np.zeros(total, dtype=np.bool_)
-    # event positions fit int32 below 2**31 events
-    a_read2 = np.zeros(total, dtype=np.int32 if 3 * total < 2**31 else np.int64)
-
-    # per-thread pending op state: [op, start, i, j, vi, vj, read2]; vj is
-    # None until the op's second read
-    pend: list[list | None] = [None] * n
-    done = 0
-    event_idx = -1
-
-    for t, op, phase in schedule.events():
-        event_idx += 1
-        if not 0 <= t < n:
-            raise ValueError(f"schedule event {event_idx}: thread {t} out of range")
-        if phase == READ1:
-            if pend[t] is not None:
-                raise ValueError(f"schedule event {event_idx}: read1 on a busy thread {t}")
-            i, j = next_pairs[t]()
-            pend[t] = [op, event_idx, i, j, weights[i], None, None]
-        elif phase == READ2:
-            cur = pend[t]
-            if cur is None or cur[0] != op or cur[5] is not None:
-                raise ValueError(f"schedule event {event_idx}: read2 out of order")
-            cur[5] = weights[cur[3]]
-            cur[6] = event_idx
-        elif phase != UPDATE:
-            raise ValueError(f"schedule event {event_idx}: unknown phase {phase!r}")
-        else:
-            cur = pend[t]
-            if cur is None or cur[0] != op or cur[5] is None:
-                raise ValueError(f"schedule event {event_idx}: update without both reads")
-            pend[t] = None
-            _, start, i, j, vi, vj, read2 = cur
-            # stale comparison; ties (including i == j) to the lower index
-            chosen = j if vj < vi or (vj == vi and j < i) else i
-            true_min = i if (weights[i], i) <= (weights[j], j) else j
-            weights[chosen] = v = weights[chosen] + 1
-            k = done
-            a_op[k] = op
-            a_thread[k] = t
-            a_start[k] = start
-            a_read2[k] = read2
-            a_finish[k] = event_idx
-            a_ci[k] = i
-            a_cj[k] = j
-            a_upd[k] = chosen
-            a_post[k] = v
-            a_corr[k] = chosen == true_min
-            done += 1
-
-    if done != total or event_idx + 1 != 3 * total:
-        raise ValueError(f"schedule completed {done} of {total} operations "
-                         f"in {event_idx + 1} events")
+    n, m, total, idx = config.threads, config.bins, config.total_ops, _index_type(config.total_ops)
+    thread, op, phase = schedule.columns()
+    order, seen, head = _thread_order(thread, op, phase, n, total)
+    # the adversary is oblivious, so thread t's k-th op takes the k-th pair of
+    # t's stream, the first of two children (the split run_sequential makes)
+    touched = np.zeros(len(phase), dtype=np.min_scalar_type(m - 1))   # the bin of each event
+    for rng, lo, k in zip(thread_rngs(config.seed, n), head.tolist(), seen.tolist()):
+        mine = order[lo:lo + k]   # the thread's events, in triples
+        touched[mine[0::3]], touched[mine[1::3]] = rng.spawn(2)[0].integers(0, m, (k // 3, 2)).T
+    prior = np.empty(len(phase), dtype=idx)   # the thread's previous event
+    prior[order[1:]] = order[:-1]
+    a_finish = np.flatnonzero(phase == UPDATE).astype(idx)
+    a_read2 = prior[a_finish]
+    a_start = prior[a_read2]
+    a_ci, a_cj = touched[a_start].astype(idx), touched[a_read2].astype(idx)
+    a_op, a_thread = op[a_finish], thread[a_finish].astype(idx)   # op ids keep their type
+    del order, prior, op
     if (np.diff(np.sort(a_op)) == 0).any():
         raise ValueError("schedule gives two operations the same op id")
-    a_cont, a_unt = _window_columns(a_thread, a_start, a_read2, a_finish, a_ci, a_cj,
-                                    a_upd, n, m)
-    log = OpLog(
-        op=a_op, thread=a_thread, start=a_start, finish=a_finish,
-        contention=a_cont, choice_i=a_ci, choice_j=a_cj,
-        updated=a_upd, post_value=a_post,
-        correct=a_corr, untouched=a_unt,
-    )
+
+    a_upd, a_post, a_corr, loads = _replay(thread, phase, touched, n, m, idx)
+    touched[a_finish] = a_upd
+    a_cont, a_unt = _window_columns(thread, touched, a_start, a_read2, a_finish, a_cj, a_upd, n)
+    del thread, phase, touched
+    log = OpLog(op=a_op, thread=a_thread, start=a_start, finish=a_finish, contention=a_cont,
+                choice_i=a_ci, choice_j=a_cj, updated=a_upd, post_value=a_post,
+                correct=a_corr, untouched=a_unt)
     traj = trajectory_from_balls(m, potential_exponent(GOOD_MARGIN), total, 1,
                                  ((a_upd[lo:lo + _CHUNK_ROWS], a_post[lo:lo + _CHUNK_ROWS], None)
                                   for lo in range(0, total, _CHUNK_ROWS)))
     traj.steps = a_finish   # a row per update, labelled by its event
-    return SimResult(loads=weights, log=log, trajectory=traj)
+    return SimResult(loads=loads, log=log, trajectory=traj)
 
 
-def _window_columns(thread, start, read2, finish, choice_i, choice_j, updated,
-                    threads: int, bins: int) -> tuple[np.ndarray, np.ndarray]:
-    """Contention and `untouched` of every op, from its event positions.
+def _by_thread(thread: np.ndarray, threads: int, idx: type) -> tuple[np.ndarray, ...]:
+    """A stable order of the events by thread, each thread's event count and
+    first place in it, and each place's index among its thread's, mod 3."""
+    order = np.argsort(thread, kind="stable").astype(idx)
+    seen = np.bincount(thread, minlength=threads)
+    head = np.cumsum(seen) - seen
+    return order, seen, head, (np.arange(len(order), dtype=idx)
+                               - np.repeat(head.astype(idx), seen)) % 3
+
+
+def _thread_order(thread, op, phase, threads: int, total: int) -> tuple[np.ndarray, ...]:
+    """`_by_thread`'s order, event counts and first places. Raises ValueError
+    unless a thread's events are (read1, read2, update) triples of one op id
+    each, `total` of them in all."""
+    events = len(phase)
+    bad = np.flatnonzero((thread < 0) | (thread >= threads) | (phase < READ1) | (phase > UPDATE))
+    if len(bad):
+        raise ValueError(f"schedule event {bad[0]}: thread {thread[bad[0]]} "
+                         f"or phase {phase[bad[0]]!r} out of range")
+    order, seen, head, step = _by_thread(thread, threads, np.int32 if events < 2**31 else np.int64)
+    first = order[np.arange(events, dtype=step.dtype) - step]   # each event's op's read1
+    bad = order[(phase[order] != step) | (op[order] != op[first])]
+    if len(bad):
+        e = bad.min()
+        raise ValueError(f"schedule event {e}: phase {phase[e]} of op {op[e]} "
+                         f"out of order on thread {thread[e]}")
+    if (seen % 3).any() or events != 3 * total:
+        raise ValueError(f"schedule completed {(seen // 3).sum()} of {total} operations "
+                         f"in {events} events")
+    return order, seen, head
+
+
+def _replay(thread, phase, touched, threads: int, bins: int, idx: type) -> tuple:
+    """Walk the events a chunk at a time against fresh bins, read e reading
+    bin touched[e]. A bin's key is load * bins + bin, so the lesser key is
+    the lesser load, ties to the lower index. Returns per update the bin of
+    its lesser copied key, that bin's new load and whether the fresh keys
+    agree, then the final loads."""
+    m, rows = bins, 3 * _CHUNK_ROWS
+    keys, copies, codes = list(range(m)), [0] * (2 * threads), [np.zeros(0, dtype=np.int64)]
+    for lo in range(0, len(phase), rows):
+        t2, ph = 2 * thread[lo:lo + rows].astype(np.int64), phase[lo:lo + rows]
+        out = []
+        record = out.append
+        for s, b in zip(np.where(ph == UPDATE, ~t2, t2 + ph).tolist(),
+                        touched[lo:lo + rows].tolist()):
+            if s >= 0:
+                copies[s] = keys[b]
+            else:
+                s = ~s
+                lesser, other = copies[s], copies[s + 1]
+                if other < lesser:
+                    lesser, other = other, lesser
+                c = lesser % m
+                keys[c] = key = keys[c] + m
+                record(key if key - m < keys[other % m] else ~key)
+        codes.append(np.array(out, dtype=np.int64))
+    code = np.concatenate(codes)
+    key = np.where(code >= 0, code, ~code)
+    return (key % m).astype(idx), (key // m).astype(idx), code >= 0, [k // m for k in keys]
+
+
+def _window_columns(owner, touched, start, read2, finish, choice_j, updated,
+                    threads: int) -> tuple[np.ndarray, np.ndarray]:
+    """Contention and `untouched` of every op, from its event positions,
+    the thread of every event, and the bin every event touched.
 
     The replay has checked that a thread's ops are disjoint, so its events,
     in position order, are (read1, read2, update) triples.
     """
-    total = len(start)
-    s, f = start.astype(read2.dtype), finish.astype(read2.dtype)
+    total, s, f = len(start), start, finish
 
     # untouched: a stable sort of the touched bins (narrow, so numpy radix
     # sorts it) lists each bin's events in position order, which gives every
     # event the previous touch of its bin, or -1
-    touched = np.empty(3 * total, dtype=np.min_scalar_type(bins - 1))
-    touched[s], touched[read2], touched[f] = choice_i, choice_j, updated
     order = np.argsort(touched, kind="stable")
     firsts = np.flatnonzero(np.diff(touched[order])) + 1
-    del touched
     prev = np.full(3 * total, -1, dtype=read2.dtype)
     prev[order[1:]] = order[:-1]
     prev[order[firsts]] = -1
@@ -359,11 +388,9 @@ def _window_columns(thread, start, read2, finish, choice_i, choice_j, updated,
     # [lo, hi) of its event list, lo its events up to s and hi its events
     # before f; they come in triples, so the run spans ops lo // 3 to
     # (hi - 1) // 3
-    owner = np.empty(3 * total, dtype=np.min_scalar_type(threads - 1))
-    owner[s] = owner[read2] = owner[f] = thread
     before = np.zeros(3 * total + 1, dtype=read2.dtype)  # the thread's events before each position
     after_start = s + 1
-    contention = np.full(total, -1, dtype=np.int64)  # less the op's own read2
+    contention = np.full(total, -1, dtype=read2.dtype)  # less the op's own read2
     for t in range(threads):
         np.cumsum(owner == t, out=before[1:])
         lo, hi = before[after_start], before[f]
@@ -394,27 +421,19 @@ def classify_operations(log: OpLog, config: SimConfig) -> tuple[np.ndarray, Clas
     updated bin was the true lesser of the pair, split by class, and how
     often a good op's bin went untouched during the op.
     """
-    bound = config.contention_bound
-    good = np.asarray(log.contention) <= bound
-    total = len(good)
-    ngood = int(good.sum())
-    nbad = total - ngood
-    correct = np.asarray(log.correct)
-    untouched = np.asarray(log.untouched)
+    good = np.asarray(log.contention) <= config.contention_bound
+    total, ngood = len(good), int(good.sum())
+    correct, untouched = np.asarray(log.correct), np.asarray(log.untouched)
 
     def frac(mask_num, mask_den) -> float:
         d = int(mask_den.sum())
         return float((mask_num & mask_den).sum() / d) if d else float("nan")
 
     summary = ClassificationSummary(
-        total=total,
-        good=ngood,
-        bad=nbad,
+        total=total, good=ngood, bad=total - ngood,
         fraction_good=ngood / total if total else float("nan"),
-        fraction_correct_good=frac(correct, good),
-        fraction_correct_bad=frac(correct, ~good),
-        fraction_untouched_good=frac(untouched, good),
-    )
+        fraction_correct_good=frac(correct, good), fraction_correct_bad=frac(correct, ~good),
+        fraction_untouched_good=frac(untouched, good))
     return good, summary
 
 
@@ -445,13 +464,10 @@ def drift_report(trajectory: Trajectory, log: OpLog, window: int, bins: int,
         raise ValueError("trajectory and log must cover the same operations")
     out = []
     for w, lo in enumerate(range(0, len(gamma), window)):
-        hi = min(lo + window, len(gamma))
-        seg = gamma[lo:hi]
-        end = float(seg[-1])
-        bad = int((cont[lo:hi] > window).sum())
+        seg = gamma[lo:lo + window]
         out.append(WindowStats(
-            index=w, first_op=lo, last_op=hi - 1,
-            max_gamma=float(seg.max()), end_gamma=end,
-            bad_ops=bad, flagged=end > gamma_flag_multiple * bins,
-        ))
+            index=w, first_op=lo, last_op=lo + len(seg) - 1,
+            max_gamma=float(seg.max()), end_gamma=float(seg[-1]),
+            bad_ops=int((cont[lo:lo + window] > window).sum()),
+            flagged=float(seg[-1]) > gamma_flag_multiple * bins))
     return out

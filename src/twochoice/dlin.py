@@ -60,7 +60,7 @@ class History:
     """Completed operations in linearization order; an op's position names it.
 
     One numpy column per name in FIELDS, all of one length: `kind` holds
-    int8 op codes, the others int64.
+    int8 op codes, the others integers (`arg` and `ret` int64).
     """
 
     kind: np.ndarray
@@ -254,7 +254,7 @@ def history_from_simulation(log: OpLog, bins: int) -> History:
     canonical linearization of the replayed run.
     """
     return History(kind=np.full(len(log), INC), invoke=log.start, respond=log.finish,
-                   arg=log.updated, ret=bins * log.post_value)
+                   arg=log.updated.astype(np.int64), ret=bins * log.post_value.astype(np.int64))
 
 
 def history_from_serial_queue(enqueued: Sequence[int], dequeued: Sequence[int]) -> History:

@@ -6,35 +6,23 @@ reproducible and schedule randomness stays independent of simulation
 randomness (one stream for the scheduler, one per simulated thread).
 
 A scalar Generator call costs several times a MultiCounter increment's
-lock, so hot loops draw from one of two buffered sources instead. Both
-return exactly what the same scalar calls on the Generator would, so
-neither buffering nor the block size ever changes a value.
+lock, so hot paths draw in batches or from one of two buffered sources.
+Each returns exactly what the same scalar calls on the Generator would, so
+no batch or block size ever changes a value.
 
-PairStream serves one fixed range `[0, bins)`, as `(i, j)` pairs or single
-indices, from a block that one batched `integers` call fills; numpy batches
-and scalar calls consume the PCG64 stream identically. The first block
-holds 64 indices and each refill doubles it, up to 65 536, so a
-short-lived stream (one of a simulated stampede's 64 threads) prefetches
-about what it draws. It raises ValueError for any other range, because a
-block holds values for one range only.
+Batched `integers` calls: the simulator's choices, one call per thread for
+all of its ops, and `run_sequential` with beta 0 or 1, a chunk at a time.
 
-WordStream serves any mix of `random()` and `integers(lo, hi)` calls from a
-block of raw 64-bit PCG64 words, redoing numpy's own arithmetic in Python:
-a double takes one word, and a range of up to 2**32 values takes one half
-of a word (the other half is kept for the next range draw, as numpy keeps
-it), mapped by Lemire's rejection. Its exactness rests on those two numpy
-details, which the tier-1 fuzz in tests/test_rng.py pins. PairStream stays
-the fast path for one fixed range; WordStream serves the draws it cannot.
+PairStream, one fixed range `[0, bins)` as pairs or single indices: the
+counter quality run's increments; the queue quality run's enqueues and
+dequeues; each worker of the counter throughput, queue stress and
+transactional runs; and every RelaxedClockView.
 
-PairStream: the simulator's per-thread choices; the increment stream of
-the counter quality run; the queue quality run's enqueue and dequeue
-stream; each worker of the counter throughput, queue stress and
-transactional runs; and every RelaxedClockView. `run_sequential` with
-beta 0 or 1 draws its indices a chunk at a time with batched `integers`.
-
-WordStream: `run_sequential` with 0 < beta < 1, which mixes `random()` with
-`integers()`, and the random-interleave scheduler, whose range
-`len(active)` changes from draw to draw.
+WordStream, any mix of `random()` and `integers(lo, hi)`, redoing numpy's
+arithmetic on raw words (tests/test_rng.py pins it): `run_sequential` with
+0 < beta < 1, and the random-interleave scheduler once threads retire and
+its range changes from draw to draw. Before that the scheduler applies the
+same arithmetic with numpy to a block of words.
 
 Scalar on purpose: the counter quality run's read stream, which makes one
 draw per cadence point, where a prefetch would cost more than it saves.
@@ -74,15 +62,11 @@ def thread_rngs(seed: int, threads: int) -> list[Generator]:
 class PairStream:
     """Buffered uniform indices in [0, bins) from one generator, served as
     (i, j) pairs or one at a time through the Generator-compatible
-    `integers(0, bins)`.
-
-    Batched draws of Generator.integers consume the underlying bit stream
-    exactly like repeated scalar draws, so the block size does not change
-    the sampled sequence. The first block holds FIRST_BLOCK indices and each
-    refill doubles it up to MAX_BLOCK, so a stream that is used briefly
-    draws about what it uses. A stream serves either pairs or single
-    indices: every block holds an even count, so pairs never straddle a
-    refill.
+    `integers(0, bins)`, from blocks that one batched `integers` call each
+    fills. The first block holds FIRST_BLOCK indices and each refill
+    doubles it up to MAX_BLOCK, so a stream that is used briefly draws
+    about what it uses. A stream serves either pairs or single indices:
+    every block holds an even count, so pairs never straddle a refill.
     """
 
     FIRST_BLOCK = 64

@@ -7,11 +7,11 @@ the oracles that the buffered paths must match value for value.
 
 from __future__ import annotations
 
-from twochoice.adversary import RANDOM_INTERLEAVE, Schedule
 from twochoice.balance import UNIT, Trajectory, default_params
 from twochoice.rng import make_rng, schedule_rng
 
 from potential_reference import LoadState, trajectory_from_rows
+from schedule_reference import interleaved
 
 
 def run_sequential_reference(bins: int, steps: int, two_choice_prob: float,
@@ -49,5 +49,4 @@ def random_interleave_reference(threads: int, total_ops: int, seed: int
     """The random-interleave schedule with each pick a scalar draw from the
     scheduler's stream."""
     scalar = schedule_rng(seed)
-    schedule = Schedule(RANDOM_INTERLEAVE, threads, total_ops, seed)
-    return list(schedule._interleaved(lambda k: int(scalar.integers(0, k))))
+    return list(interleaved(threads, total_ops, lambda k: int(scalar.integers(0, k))))

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scalar_reference import random_interleave_reference
+from schedule_reference import events_reference
 from sim_reference import simulate_reference
 
 from twochoice import balance
@@ -67,6 +69,53 @@ def test_schedule_fuzzed_invariants():
 def test_random_interleave_matches_scalar_reference(threads, ops, seed):
     got = list(Schedule(RANDOM_INTERLEAVE, threads, ops, seed).events())
     assert got == random_interleave_reference(threads, ops, seed)
+
+
+@st.composite
+def _schedules(draw):
+    kind = draw(st.sampled_from(ADVERSARY_KINDS))
+    n = draw(st.one_of(st.integers(1, 8), st.sampled_from([16, 64])))
+    block = draw(st.one_of(st.none(), st.integers(1, n))) if kind == STAMPEDE else None
+    return Schedule(kind, n, draw(st.integers(0, 3000)), draw(st.integers(0, 2**64 - 1)), block)
+
+
+@settings(max_examples=150, deadline=None)
+@given(schedule=_schedules())
+@example(schedule=Schedule(RANDOM_INTERLEAVE, 64, 5, 3))         # more threads than ops
+@example(schedule=Schedule(RANDOM_INTERLEAVE, 7, 3000, 11))      # Lemire thresholds above 0
+@example(schedule=Schedule(ROUND_ROBIN, 5, 13, 0))               # a cut last round
+@example(schedule=Schedule(BLOCK_RESET, 3, 2000, 0))             # a cut last segment
+# n = 4100 rejects the scheduler's 14th half, a pick of the vector pass
+@example(schedule=Schedule(RANDOM_INTERLEAVE, 4100, 20, 43270))
+def test_schedule_columns_match_reference(schedule):
+    thread, op, phase = schedule.columns()
+    assert (thread.dtype, op.dtype, phase.dtype) == (
+        np.min_scalar_type(schedule.threads - 1), np.int32, np.int8)
+    got = list(zip(thread.tolist(), op.tolist(), phase.tolist()))
+    assert got == list(events_reference(schedule))
+
+
+@pytest.mark.parametrize("threads, ops", [(1, 4), (3, 5), (4, 8), (8, 3)])
+def test_interleaved_hands_over_at_any_pick(threads, ops):
+    # rejected draws can leave the vector pass short of the last op's start;
+    # the scalar tail then starts the remaining ops itself
+    schedule = Schedule(ROUND_ROBIN, threads, ops)
+    want = list(events_reference(schedule))
+    turns = (np.arange(3 * ops) % threads).astype(np.uint8)
+    for cut in range(3 * ops + 1):
+        cols = schedule._interleaved(turns[:cut], lambda used: (
+            lambda k, turn=itertools.count(used): next(turn) % k))
+        assert list(zip(*(col.tolist() for col in cols))) == want, cut
+
+
+@pytest.mark.parametrize("kind", ADVERSARY_KINDS)
+def test_schedule_rejects_no_threads_and_negative_ops(kind):
+    # checked at construction: neither schedule could be built, and the
+    # block kinds once looped forever on zero threads
+    with pytest.raises(ValueError, match="threads"):
+        Schedule(kind, 0, 5)
+    with pytest.raises(ValueError, match="total_ops"):
+        Schedule(kind, 2, -1)
 
 
 # sha256 (first 16 hex digits) of the event lists over ops 0, 1, 2, 7, 64 and
@@ -236,6 +285,10 @@ class _ListedSchedule:
 
     def events(self):
         yield from self.events_list
+
+    def columns(self):
+        thread, op, phase = np.array(self.events_list, dtype=np.int64).reshape(-1, 3).T
+        return thread, op, phase
 
 
 def test_simulate_rejects_phase_violation():
