@@ -142,30 +142,25 @@ class Schedule:
         return thread.astype(np.min_scalar_type(n - 1)), op, phase
 
     def _random_picks(self) -> tuple[np.ndarray, Callable]:
-        """Up to 3 * total_ops picks `integers(0, threads)`, by WordStream's
-        Lemire rule in one numpy pass over the scheduler stream's 32-bit
-        halves, and resume(used), its picker from the used-th pick on."""
-        n, need, seed = self.threads, 3 * self.total_ops, self.seed
-        words = schedule_rng(seed).bit_generator.random_raw((need + 1) // 2)
-        draws = words.astype("<u8").view("<u4") * np.uint64(n)
-        kept = np.flatnonzero((draws & np.uint64(0xFFFFFFFF)) >= np.uint64((2**32 - n) % n))
+        """The 3 * total_ops picks `integers(0, threads)` of one batched call
+        on the scheduler stream, and resume(used), its picker from the
+        used-th pick on. numpy's batch leaves the stream where the same
+        scalar calls would, so resume discards a batch of `used` picks."""
+        n, seed = self.threads, self.seed
+        picks = schedule_rng(seed).integers(0, n, size=3 * self.total_ops)
 
         def resume(used: int) -> Callable[[int], int]:
-            half = int(kept[used - 1]) + 1 if used else 0
             rng = schedule_rng(seed)
-            rng.bit_generator.advance(half // 2)
-            if half % 2:   # draw a low half, which leaves its high half pending
-                rng.integers(0, 2**32)
+            rng.integers(0, n, size=used)
             return partial(WordStream(rng).integers, 0)
 
-        return (draws[kept[:need]] >> np.uint64(32)).astype(np.min_scalar_type(n - 1)), resume
+        return picks.astype(np.min_scalar_type(n - 1)), resume
 
     def _interleaved(self, picks: np.ndarray, resume: Callable) -> tuple[np.ndarray, ...]:
         """One op per thread at a time, advanced one phase per visit. While
         every thread is active, picks[k] is the k-th visit's thread; after the
-        last op starts (or the picks run out) resume(used) returns pick(k),
-        which picks one of the k active threads; idle threads retire once
-        no op is left."""
+        last op starts resume(used) returns pick(k), which picks one of the k
+        active threads; idle threads retire, since no op is left."""
         n, total, idx = self.threads, self.total_ops, _index_type(self.total_ops)
         order, _, head, nth = _by_thread(picks, n, idx)
         phase = np.empty(len(picks), np.int8)
@@ -173,22 +168,20 @@ class Schedule:
         started = np.cumsum(phase == READ1, dtype=idx)
         op = np.empty(len(picks), idx)
         op[order] = started[order[np.arange(len(picks)) - nth]] - 1
-        used = min(int(np.searchsorted(started, total)) + 1, len(picks))
+        # 3 * total visits start every op: a thread's k visits start ceil(k / 3)
+        used = int(np.searchsorted(started, total)) + 1 if total else 0
         visits = np.bincount(picks[:used], minlength=n)
         steps, current = (visits % 3).tolist(), [-1] * n   # next phase, op id or -1 if idle
         for t in np.flatnonzero(visits % 3).tolist():
             current[t] = int(op[order[head[t] + visits[t] - 1]])
-        next_op = int(started[used - 1]) if used else 0
         pick, active, tail = resume(used), list(range(n)), []
         while active:
             slot = pick(len(active))
             t = active[slot]
-            if current[t] < 0 and next_op < total:
-                current[t], next_op = next_op, next_op + 1
             if current[t] >= 0:
                 tail.append((t, current[t], steps[t]))
                 current[t], steps[t] = (current[t], steps[t] + 1) if steps[t] < UPDATE else (-1, 0)
-            if current[t] < 0 and next_op == total:
+            if current[t] < 0:
                 active.pop(slot)
         return tuple(np.concatenate((col[:used], more)).astype(col.dtype) for col, more
                      in zip((picks, op, phase), np.array(tail, dtype=idx).reshape(-1, 3).T))

@@ -60,7 +60,8 @@ class History:
     """Completed operations in linearization order; an op's position names it.
 
     One numpy column per name in FIELDS, all of one length: `kind` holds
-    int8 op codes, the others integers (`arg` and `ret` int64).
+    int8 op codes, the others integers (`arg` and `ret` int64; `invoke` and
+    `respond` may be int32).
     """
 
     kind: np.ndarray
@@ -262,9 +263,11 @@ def history_from_serial_queue(enqueued: Sequence[int], dequeued: Sequence[int]) 
     a dequeue returning each key in `dequeued`. Every op finishes before the
     next begins, so program order is the only linearization."""
     n, d = len(enqueued), len(dequeued)
+    stamp = np.int32 if 2 * (n + d) < 2**31 else np.int64   # pricing reads them only to validate
     return History(
         kind=np.repeat(np.array((ENQ, DEQ)), (n, d)),
-        invoke=np.arange(0, 2 * (n + d), 2), respond=np.arange(1, 2 * (n + d), 2),
+        invoke=np.arange(0, 2 * (n + d), 2, dtype=stamp),
+        respond=np.arange(1, 2 * (n + d), 2, dtype=stamp),
         arg=np.concatenate((np.asarray(enqueued, dtype=np.int64), np.full(d, -1))),
         ret=np.concatenate((np.full(n, -1), np.asarray(dequeued, dtype=np.int64))))
 

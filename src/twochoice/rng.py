@@ -11,18 +11,19 @@ Each returns exactly what the same scalar calls on the Generator would, so
 no batch or block size ever changes a value.
 
 Batched `integers` calls: the simulator's choices, one call per thread for
-all of its ops, and `run_sequential` with beta 0 or 1, a chunk at a time.
+all of its ops; the random-interleave scheduler's picks while every thread
+is active; and `run_sequential` with beta 0 or 1, a chunk at a time.
 
-PairStream, one fixed range `[0, bins)` as pairs or single indices: the
-counter quality run's increments; the queue quality run's enqueues and
-dequeues; each worker of the counter throughput, queue stress and
-transactional runs; and every RelaxedClockView.
+PairStream, one fixed range `[0, bins)` as pairs or single indices, in
+fixed blocks of 1 024: the counter quality run's increments; the queue
+quality run's enqueues and dequeues; each worker of the counter throughput,
+queue stress and transactional runs; and every RelaxedClockView.
 
 WordStream, any mix of `random()` and `integers(lo, hi)`, redoing numpy's
-arithmetic on raw words (tests/test_rng.py pins it): `run_sequential` with
-0 < beta < 1, and the random-interleave scheduler once threads retire and
-its range changes from draw to draw. Before that the scheduler applies the
-same arithmetic with numpy to a block of words.
+arithmetic on raw words (tests/test_rng.py pins it, and no other module
+touches raw words): `run_sequential` with 0 < beta < 1, and the
+random-interleave scheduler's tail, once threads retire and its range
+changes from draw to draw.
 
 Scalar on purpose: the counter quality run's read stream, which makes one
 draw per cadence point, where a prefetch would cost more than it saves.
@@ -62,27 +63,22 @@ def thread_rngs(seed: int, threads: int) -> list[Generator]:
 class PairStream:
     """Buffered uniform indices in [0, bins) from one generator, served as
     (i, j) pairs or one at a time through the Generator-compatible
-    `integers(0, bins)`, from blocks that one batched `integers` call each
-    fills. The first block holds FIRST_BLOCK indices and each refill
-    doubles it up to MAX_BLOCK, so a stream that is used briefly draws
-    about what it uses. A stream serves either pairs or single indices:
-    every block holds an even count, so pairs never straddle a refill.
+    `integers(0, bins)`, from blocks of BLOCK that one batched `integers`
+    call each fills. A stream serves either pairs or single indices: BLOCK
+    is even, so pairs never straddle a refill.
     """
 
-    FIRST_BLOCK = 64
-    MAX_BLOCK = 1 << 16
+    BLOCK = 1024
 
     def __init__(self, rng: Generator, bins: int):
         self._rng = rng
         self._bins = bins
-        self._block = self.FIRST_BLOCK
         self._buf: list[int] = []
         self._pos = 0
 
     def _refill(self) -> None:
-        self._buf = self._rng.integers(0, self._bins, size=self._block).tolist()
+        self._buf = self._rng.integers(0, self._bins, size=self.BLOCK).tolist()
         self._pos = 0
-        self._block = min(2 * self._block, self.MAX_BLOCK)
 
     def next_pair(self) -> tuple[int, int]:
         if self._pos >= len(self._buf):

@@ -269,12 +269,7 @@ def run_stm_benchmark(
         raise ValueError(f"unknown clock kind: {clock_kind!r}")
 
     cells = make_cells(objects)
-    shared_relaxed = None
-    if clock_kind == "multicounter":
-        shared_relaxed = RelaxedClock(clock_cells, delta)
-        effective_delta = shared_relaxed.delta
-    else:
-        effective_delta = 0
+    relaxed = RelaxedClock(clock_cells, delta) if clock_kind == "multicounter" else None
     exact = ExactClock()
 
     rngs = thread_rngs(seed, threads)
@@ -283,25 +278,21 @@ def run_stm_benchmark(
 
     def worker(k: int, stop: threading.Event) -> None:
         rng = rngs[k]
-        clock = exact if shared_relaxed is None else shared_relaxed.view(rng.spawn(1)[0])
+        clock = exact if relaxed is None else relaxed.view(rng.spawn(1)[0])
         draws = PairStream(rng, objects)
         n_commit = 0
         n_abort = 0
         while not stop.is_set():
             tx = tx_begin(clock)
             try:
-                i = draws.integers(0, objects)
-                if objects > 1:
-                    j = i
-                    while j == i:
-                        j = draws.integers(0, objects)
-                    vi = tx_read(tx, cells[i])
-                    tx_write(tx, cells[i], vi + 1)
-                    vj = tx_read(tx, cells[j])
-                    tx_write(tx, cells[j], vj + 1)
-                else:
-                    vi = tx_read(tx, cells[i])
-                    tx_write(tx, cells[i], vi + 2)
+                # one object: j == i, whose second read sees the pending write
+                i = j = draws.integers(0, objects)
+                while objects > 1 and j == i:
+                    j = draws.integers(0, objects)
+                vi = tx_read(tx, cells[i])
+                tx_write(tx, cells[i], vi + 1)
+                vj = tx_read(tx, cells[j])
+                tx_write(tx, cells[j], vj + 1)
             except TxAborted:
                 n_abort += 1
                 continue
@@ -321,7 +312,7 @@ def run_stm_benchmark(
         threads=threads,
         objects=objects,
         clock_kind=clock_kind,
-        delta=effective_delta,
+        delta=0 if relaxed is None else relaxed.delta,
         duration=elapsed,
         commits=total_commits,
         aborts=total_aborts,

@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -85,7 +84,7 @@ def _schedules(draw):
 @example(schedule=Schedule(RANDOM_INTERLEAVE, 7, 3000, 11))      # Lemire thresholds above 0
 @example(schedule=Schedule(ROUND_ROBIN, 5, 13, 0))               # a cut last round
 @example(schedule=Schedule(BLOCK_RESET, 3, 2000, 0))             # a cut last segment
-# n = 4100 rejects the scheduler's 14th half, a pick of the vector pass
+# n = 4100 rejects the scheduler's 14th half, a pick of the batch
 @example(schedule=Schedule(RANDOM_INTERLEAVE, 4100, 20, 43270))
 def test_schedule_columns_match_reference(schedule):
     thread, op, phase = schedule.columns()
@@ -93,19 +92,6 @@ def test_schedule_columns_match_reference(schedule):
         np.min_scalar_type(schedule.threads - 1), np.int32, np.int8)
     got = list(zip(thread.tolist(), op.tolist(), phase.tolist()))
     assert got == list(events_reference(schedule))
-
-
-@pytest.mark.parametrize("threads, ops", [(1, 4), (3, 5), (4, 8), (8, 3)])
-def test_interleaved_hands_over_at_any_pick(threads, ops):
-    # rejected draws can leave the vector pass short of the last op's start;
-    # the scalar tail then starts the remaining ops itself
-    schedule = Schedule(ROUND_ROBIN, threads, ops)
-    want = list(events_reference(schedule))
-    turns = (np.arange(3 * ops) % threads).astype(np.uint8)
-    for cut in range(3 * ops + 1):
-        cols = schedule._interleaved(turns[:cut], lambda used: (
-            lambda k, turn=itertools.count(used): next(turn) % k))
-        assert list(zip(*(col.tolist() for col in cols))) == want, cut
 
 
 @pytest.mark.parametrize("kind", ADVERSARY_KINDS)

@@ -1,7 +1,6 @@
 """PairStream and WordStream against the scalar Generator draws they stand in for."""
 
 import tracemalloc
-from itertools import accumulate
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -9,11 +8,8 @@ from numpy.random import MT19937, Generator
 
 from twochoice.rng import PairStream, WordStream, make_rng, thread_rngs
 
-# values drawn when each refill happens: the blocks double from
-# FIRST_BLOCK until they reach MAX_BLOCK
-BLOCKS = [min(PairStream.FIRST_BLOCK << r, PairStream.MAX_BLOCK) for r in range(13)]
-EDGES = list(accumulate(BLOCKS))
-FULL = EDGES[BLOCKS.index(PairStream.MAX_BLOCK)]  # end of the first full-size block
+# values drawn when each refill happens: a refill every BLOCK values
+EDGES = [r * PairStream.BLOCK for r in range(1, 6)]
 
 RANGES = st.one_of(
     st.just(1),
@@ -30,11 +26,11 @@ def near(edges):
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**64 - 1), bins=RANGES,
-       k=st.one_of(st.integers(0, 500), near(EDGES[:7]), near([FULL])))
-@example(seed=7, bins=1, k=FULL + 1)
-@example(seed=7, bins=64, k=EDGES[BLOCKS.index(PairStream.MAX_BLOCK) + 1] + 3)
-@example(seed=7, bins=100, k=FULL + 1)
-@example(seed=7, bins=2**33 + 5, k=FULL + 1)
+       k=st.one_of(st.integers(0, 500), near(EDGES)))
+@example(seed=7, bins=1, k=EDGES[0] + 1)
+@example(seed=7, bins=64, k=EDGES[2] + 3)
+@example(seed=7, bins=100, k=EDGES[0] + 1)
+@example(seed=7, bins=2**33 + 5, k=EDGES[0] + 1)
 def test_buffered_integers_match_scalar_draws(seed, bins, k):
     stream = PairStream(make_rng(seed), bins)
     scalar = make_rng(seed)
@@ -44,8 +40,8 @@ def test_buffered_integers_match_scalar_draws(seed, bins, k):
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**64 - 1), bins=RANGES,
-       k=st.one_of(st.integers(0, 250), near([e // 2 for e in EDGES[:7]])))
-@example(seed=7, bins=64, k=FULL // 2 + 1)
+       k=st.one_of(st.integers(0, 250), near([e // 2 for e in EDGES])))
+@example(seed=7, bins=64, k=EDGES[0] // 2 + 1)
 @example(seed=7, bins=2**33 + 5, k=EDGES[3] // 2 + 1)
 def test_buffered_pairs_match_scalar_draws(seed, bins, k):
     stream = PairStream(make_rng(seed), bins)
@@ -56,8 +52,8 @@ def test_buffered_pairs_match_scalar_draws(seed, bins, k):
 
 
 def test_many_short_streams_stay_small():
-    # a stampede of 64 simulated threads that each draw one pair must not
-    # prefetch a full block per stream
+    # a stream prefetches one fixed block: 64 streams that each draw one
+    # pair stay well under a megabyte
     gens = thread_rngs(3, 64)
     tracemalloc.start()
     try:
@@ -106,6 +102,29 @@ def test_word_stream_matches_scalar_draws(seed, primed, pattern, k):
         else:
             lo, m = call
             assert stream.integers(lo, lo + m) == int(scalar.integers(lo, lo + m)), n
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), n=st.one_of(st.integers(1, 70), st.integers(2**31, 2**32)),
+       k=st.integers(0, 3000), pattern=st.lists(CALLS, min_size=1, max_size=8))
+@example(seed=7, n=3, k=2999, pattern=[(0, 5)])              # odd: a high half left pending
+@example(seed=7, n=3, k=3000, pattern=[(0, 5)])
+@example(seed=7, n=2**31 + 1, k=2999, pattern=[None, (0, 2**32)])
+@example(seed=7, n=2**32, k=1, pattern=[(0, 3)])
+def test_batched_integers_then_word_stream_match_scalar_draws(seed, n, k, pattern):
+    """A batch of `integers(0, n)` equals the same scalar calls and leaves the
+    generator where they do, so a WordStream that takes over after it
+    continues them: the random-interleave scheduler's hand-over."""
+    batched, scalar = make_rng(seed), make_rng(seed)
+    assert (batched.integers(0, n, size=k).tolist()
+            == [int(scalar.integers(0, n)) for _ in range(k)])
+    stream = WordStream(batched)
+    for step, call in enumerate(pattern * 8):
+        if call is None:
+            assert stream.random() == scalar.random(), step
+        else:
+            lo, m = call
+            assert stream.integers(lo, lo + m) == int(scalar.integers(lo, lo + m)), step
 
 
 @pytest.mark.parametrize("lo, hi", [(0, 0), (5, 4), (0, 2**32 + 1), (-1, 2**32)])
