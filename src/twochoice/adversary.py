@@ -31,7 +31,8 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .balance import _CHUNK_ROWS, Trajectory, potential_exponent, trajectory_from_balls
+from .balance import (_CHUNK_ROWS, Trajectory, potential_exponent, split_keys,
+                      trajectory_from_balls)
 from .csvfile import write_csv
 from .rng import WordStream, schedule_rng, thread_rngs
 
@@ -348,8 +349,8 @@ def _replay(thread, phase, touched, threads: int, bins: int, idx: type) -> tuple
                 record(key if key - m < keys[other % m] else ~key)
         codes.append(np.array(out, dtype=np.int64))
     code = np.concatenate(codes)
-    key = np.where(code >= 0, code, ~code)
-    return (key % m).astype(idx), (key // m).astype(idx), code >= 0, [k // m for k in keys]
+    at, load = split_keys(np.where(code >= 0, code, ~code), m)
+    return at.astype(idx), load.astype(idx), code >= 0, [k // m for k in keys]
 
 
 def _window_columns(owner, touched, start, read2, finish, choice_j, updated,

@@ -12,9 +12,14 @@ mixture of such steps is that form at the mixed r.
 The exponential potential instrumentation monitors balance:
 phi = sum exp(a*y_j), psi = sum exp(-a*y_j), gamma = phi + psi, where y_j
 are the mean-centered bin weights and a is `potential_exponent`'s value.
-A run places its balls in one loop over a plain list of loads, recording
-each ball's bin and that bin's new load; `trajectory_from_balls` prices
-those columns afterwards, for `run_sequential` and `adversary.simulate`.
+A unit-weight run places its balls in one loop over a plain list of
+integer keys, load * bins + bin, so that the lesser key is the lesser load
+with ties to the lower index; it records each ball's new key, and
+`split_keys` turns a chunk of keys into each ball's bin and that bin's new
+load. Only exponential weights, whose float loads no key can hold, keep a
+loop over (load, bin) pairs. `trajectory_from_balls` prices those columns
+afterwards, for `run_sequential` and `adversary.simulate`, sorting bins and
+unit loads as their narrowest unsigned type, which numpy radix-sorts.
 
 Everything here is single threaded and deterministic for a fixed seed.
 """
@@ -143,6 +148,12 @@ class Trajectory:
 _CHUNK_ROWS = 1024
 
 
+def split_keys(keys: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """The bins and loads of keys load * bins + bin."""
+    loads, at = np.divmod(keys, bins)
+    return at, loads
+
+
 def _exp(x: np.ndarray) -> np.ndarray:
     """math.exp of each value; numpy's exp differs from it in the last bit."""
     return np.fromiter(map(math.exp, x.tolist()), np.float64, len(x))
@@ -171,13 +182,18 @@ def trajectory_from_balls(bins: int, a: float, balls: int, every: int,
     total = top = lo = 0
     base, s_phi, s_psi = 0.0, float(bins), float(bins)
     for upd, new, weights in chunks:
-        c = len(upd)
+        c, high = len(upd), new.max()
         loads = loads.astype(new.dtype, copy=False)   # float loads for weighted balls
+        # the stable sorts see bins and unit loads (at most the chunk's max)
+        # as their narrowest unsigned type: the same order, which numpy
+        # radix-sorts up to 16 bits. Only sorts get the narrow copies, as
+        # ufunc.at runs many times slower on mixed types
+        level = new.dtype if weights is not None else np.min_scalar_type(high)
         rows = slice(*np.searchsorted(taken, (lo, lo + c)))
         at = taken[rows] - lo
         lo += c
         # a stable sort by bin pairs each ball with the next ball on its bin
-        order = np.argsort(upd, kind="stable")
+        order = np.argsort(upd.astype(np.min_scalar_type(bins - 1)), kind="stable")
         same = upd[order[1:]] == upd[order[:-1]]
         prev, ends = np.full(c, -1), np.full(c, c)
         prev[order[1:][same]] = order[:-1][same]
@@ -188,8 +204,8 @@ def trajectory_from_balls(bins: int, a: float, balls: int, every: int,
         # load, by value, that lives past k; of the bins without a ball here
         # only the least load can be it, and none above the chunk's max can
         firsts = np.flatnonzero(prev < 0)
-        idle = np.min(np.delete(loads, upd[firsts]), initial=new.max(), keepdims=True)
-        values = np.concatenate((old[firsts], idle, new))
+        idle = np.min(np.delete(loads, upd[firsts]), initial=high, keepdims=True)
+        values = np.concatenate((old[firsts], idle, new)).astype(level, copy=False)
         by_value = np.argsort(values, kind="stable")
         lives = np.maximum.accumulate(np.concatenate((firsts, (c,), ends))[by_value])
         min_load[rows] = values[by_value[np.searchsorted(lives, at, side="right")]]
@@ -205,8 +221,9 @@ def trajectory_from_balls(bins: int, a: float, balls: int, every: int,
             e = s + int(np.searchsorted(a * (mean_at[s:] - base), 1.0, side="right"))
             stop = min(e + 1, c)
             # return_index makes unique sort stably: one sort kernel for the pass
-            levels, _, inv = np.unique(np.concatenate((new[s:stop], old[s:stop])),
-                                       return_index=True, return_inverse=True)
+            levels, _, inv = np.unique(
+                np.concatenate((new[s:stop], old[s:stop])).astype(level, copy=False),
+                return_index=True, return_inverse=True)
             x = a * (levels - base)
             for sums, carried, ex in ((phi_at, s_phi, _exp(x)), (psi_at, s_psi, _exp(-x))):
                 step = ex[inv[:stop - s]] - ex[inv[stop - s:]]
@@ -226,7 +243,7 @@ def trajectory_from_balls(bins: int, a: float, balls: int, every: int,
         psi[rows] = psi_at[at] * _exp(y)
         mean_load[rows] = mean_at[at]
         max_load[rows] = np.maximum(np.maximum.accumulate(new)[at], top)
-        top = max(top, new.max())
+        top = max(top, high)
     return Trajectory(taken + 1, phi, psi, phi + psi, max_load - min_load, max_load, min_load,
                       mean_load)
 
@@ -284,26 +301,41 @@ def run_sequential(
     b, unit = two_choice_prob, weight == UNIT
     idx_rng, w_rng = rng.spawn(2)
     draws = WordStream(idx_rng) if 0.0 < b < 1.0 else None
-    loads = [0] * bins if unit else [0.0] * bins
+
+    def pairs(size: int) -> Iterable[tuple]:
+        # batched draws equal the same scalar draws: chunks change no value
+        if draws is None:   # a uniform ball's pair is (i, i)
+            idx = idx_rng.integers(0, bins, size=2 * size if b else size).tolist()
+            return zip(idx[0::2], idx[1::2]) if b else zip(idx, idx)
+        return [(draws.integers(0, bins), draws.integers(0, bins)) if draws.random() < b
+                else (draws.integers(0, bins),) * 2 for _ in range(size)]
+
+    # a unit ball goes to the lesser key load * bins + bin, ties to the lower bin
+    keys = list(range(bins))
+    loads = [0.0] * bins
 
     def placed() -> Iterator[tuple]:
-        # batched draws equal the same scalar draws: chunks change no value
         for lo in range(0, steps, _CHUNK_ROWS):
             size = min(_CHUNK_ROWS, steps - lo)
-            if draws is None:   # a uniform ball's pair is (i, i)
-                idx = idx_rng.integers(0, bins, size=2 * size if b else size).tolist()
-                pairs = zip(idx[0::2], idx[1::2]) if b else zip(idx, idx)
-            else:
-                pairs = [(draws.integers(0, bins), draws.integers(0, bins)) if draws.random() < b
-                         else (draws.integers(0, bins),) * 2 for _ in range(size)]
-            weights = [1] * size if unit else w_rng.exponential(size=size).tolist()
-            updated, post = [], []
-            for (i, j), w in zip(pairs, weights):
-                if (loads[j], j) < (loads[i], i):
-                    i = j
-                loads[i] = v = loads[i] + w
-                updated.append(i)
-                post.append(v)
-            yield np.array(updated), np.array(post), None if unit else np.array(weights)
+            if unit:
+                out = []
+                record = out.append
+                for i, j in pairs(size):
+                    if keys[j] < keys[i]:
+                        i = j
+                    keys[i] = k = keys[i] + bins
+                    record(k)
+                yield *split_keys(np.array(out), bins), None
+            else:   # float loads: compare (load, bin) pairs
+                weights = w_rng.exponential(size=size).tolist()
+                updated, post = [], []
+                for (i, j), w in zip(pairs(size), weights):
+                    if (loads[j], j) < (loads[i], i):
+                        i = j
+                    loads[i] = v = loads[i] + w
+                    updated.append(i)
+                    post.append(v)
+                yield np.array(updated), np.array(post), np.array(weights)
 
-    return trajectory_from_balls(bins, exponent, steps, snapshot_every, placed()), loads
+    trajectory = trajectory_from_balls(bins, exponent, steps, snapshot_every, placed())
+    return trajectory, [k // bins for k in keys] if unit else loads

@@ -1,8 +1,10 @@
-"""The two draw paths that made one scalar numpy call per draw before
-`twochoice.rng.WordStream` served them: the (1+beta) loop of
-`run_sequential` for 0 < beta < 1, and the random-interleave scheduler's
-picker. Slow, but every draw is a plain Generator call, so tests use them as
-the oracles that the buffered paths must match value for value.
+"""The two draw paths of the package as one scalar numpy call per draw:
+the (1+beta) loop of `run_sequential`, which draws in batches at beta 0 and
+1 and from a `twochoice.rng.WordStream` in between, and the
+random-interleave scheduler's picker. Slow, but every draw is a plain
+Generator call and every load a plain number, so tests use them as the
+oracles that the batched, buffered and key-coded paths must match value
+for value.
 """
 
 from __future__ import annotations
@@ -17,10 +19,9 @@ from schedule_reference import interleaved
 def run_sequential_reference(bins: int, steps: int, two_choice_prob: float,
                              weight: str, seed: int,
                              snapshot_every: int) -> tuple[Trajectory, list]:
-    """`run_sequential` with 0 < two_choice_prob < 1, drawing each step's
-    coin and bin indices as scalars from the index stream."""
-    if not 0.0 < two_choice_prob < 1.0:
-        raise ValueError("the reference covers 0 < two_choice_prob < 1 only")
+    """`run_sequential`, drawing each step's bin indices as scalars from the
+    index stream: two at two_choice_prob 1, one at 0, and in between a coin
+    first, then two or one."""
     state = LoadState(bins, default_params(two_choice_prob, weight), unit=weight == UNIT)
     rows = []
     if steps == 0:
@@ -28,8 +29,9 @@ def run_sequential_reference(bins: int, steps: int, two_choice_prob: float,
     idx_rng, w_rng = make_rng(seed).spawn(2)
     balls = [1] * steps if weight == UNIT else w_rng.exponential(size=steps).tolist()
     weights = state.weights
+    coin = 0.0 < two_choice_prob < 1.0   # only a mixed run draws a coin
     for s in range(1, steps + 1):
-        if idx_rng.random() < two_choice_prob:
+        if idx_rng.random() < two_choice_prob if coin else two_choice_prob == 1.0:
             i = int(idx_rng.integers(0, bins))
             j = int(idx_rng.integers(0, bins))
             if (weights[j], j) < (weights[i], i):

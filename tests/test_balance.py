@@ -219,23 +219,37 @@ CHUNK = balance._CHUNK_ROWS
 
 # m = 1 and m = 3 at the exponents of the first two examples move the base
 # on the last ball of every chunk
+# unit loads sort as uint8 up to 255, then uint16 and past 65 535 uint32
+# (which numpy does not radix-sort): the fifth to seventh examples cross each
+# width within and between chunks; the last passes int32 columns, as
+# adversary.simulate does
 @settings(max_examples=40, deadline=None)
 @given(bins=st.integers(1, 1024), unit=st.booleans(), exponent=st.floats(1e-6, 0.5),
        every=st.integers(1, 5000), balls=st.integers(0, 4 * CHUNK),
-       cuts=st.lists(st.integers(0, 4 * CHUNK), max_size=4), seed=st.integers(0, 2**32))
+       cuts=st.lists(st.integers(0, 4 * CHUNK), max_size=4), seed=st.integers(0, 2**32),
+       index=st.sampled_from([np.int64, np.int32]))
 @example(bins=1, unit=True, exponent=1 / (CHUNK - 0.5), every=1, balls=3 * CHUNK, cuts=[],
-         seed=1)
+         seed=1, index=np.int64)
 @example(bins=3, unit=True, exponent=3 / (CHUNK - 0.5), every=7, balls=2 * CHUNK + 1,
-         cuts=[], seed=2)
+         cuts=[], seed=2, index=np.int64)
 @example(bins=1, unit=False, exponent=0.5, every=1, balls=2 * CHUNK + 5, cuts=[1, 2, 700],
-         seed=3)
-@example(bins=1024, unit=False, exponent=0.5, every=5000, balls=4 * CHUNK, cuts=[], seed=4)
+         seed=3, index=np.int64)
+@example(bins=1024, unit=False, exponent=0.5, every=5000, balls=4 * CHUNK, cuts=[], seed=4,
+         index=np.int64)
+@example(bins=1, unit=True, exponent=1e-3, every=1, balls=300, cuts=[255, 256], seed=5,
+         index=np.int64)
+@example(bins=2, unit=True, exponent=0.5, every=3, balls=4 * CHUNK, cuts=[509, 513], seed=6,
+         index=np.int64)
+@example(bins=1, unit=True, exponent=1e-6, every=997, balls=64 * CHUNK + 7,
+         cuts=[65_535, 65_536], seed=7, index=np.int64)
+@example(bins=300, unit=True, exponent=0.25, every=1, balls=4 * CHUNK, cuts=[100], seed=8,
+         index=np.int32)
 def test_trajectory_from_balls_matches_load_state(bins, unit, exponent, every, balls, cuts,
-                                                  seed):
+                                                  seed, index):
     # the column pass against the per-ball state it replaced, compared as
     # bits, over chunks of the callers' size cut further at random points
     rng = make_rng(seed)
-    updated = rng.integers(0, bins, size=balls)
+    updated = rng.integers(0, bins, size=balls).astype(index)
     weights = None if unit else rng.exponential(size=balls)
     state = LoadState(bins, exponent, unit=unit)
     post, rows = [], []
@@ -245,7 +259,7 @@ def test_trajectory_from_balls_matches_load_state(bins, unit, exponent, every, b
         post.append(state.weights[b])
         if k % every == 0 or k == balls:
             rows.append(state.snapshot_row(k))
-    post = np.array(post, dtype=np.int64 if unit else np.float64)
+    post = np.array(post, dtype=index if unit else np.float64)
     edges = sorted({*range(0, balls, CHUNK), *(c for c in cuts if c < balls), balls})
     chunks = [(updated[lo:hi], post[lo:hi], None if unit else weights[lo:hi])
               for lo, hi in zip(edges, edges[1:])]
@@ -296,7 +310,7 @@ def test_run_sequential_snapshot_cadence():
 
 # below about 1.5e-321 default_params' exponent underflows to 0 and raises
 @settings(max_examples=40, deadline=None)
-@given(beta=st.floats(1e-12, 1.0, exclude_max=True),
+@given(beta=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(1e-12, 1.0, exclude_max=True)),
        bins=st.sampled_from([1, 2, 3, 64, 100]),
        weight=st.sampled_from([UNIT, EXPONENTIAL]),
        steps=st.integers(0, 3000),
@@ -308,6 +322,10 @@ def test_run_sequential_snapshot_cadence():
          steps=2 * WordStream.BLOCK + 1, snapshot_every=7, seed=4)
 @example(beta=1 - 1e-9, bins=100, weight=UNIT,
          steps=2 * WordStream.BLOCK, snapshot_every=1, seed=5)
+@example(beta=1.0, bins=64, weight=UNIT, steps=3 * CHUNK + 5, snapshot_every=7, seed=6)
+@example(beta=1.0, bins=1, weight=UNIT, steps=CHUNK + 1, snapshot_every=1, seed=7)
+@example(beta=0.0, bins=64, weight=UNIT, steps=3 * CHUNK + 5, snapshot_every=100, seed=8)
+@example(beta=1.0, bins=64, weight=EXPONENTIAL, steps=CHUNK + 1, snapshot_every=7, seed=9)
 def test_run_sequential_beta_matches_scalar_reference(beta, bins, weight, steps,
                                                       snapshot_every, seed):
     got_traj, got_loads = run_sequential(bins, steps, beta, weight=weight, rng=seed,
@@ -362,7 +380,7 @@ def test_exponential_run_total_tracks_mean():
 # sha256 (first 16 hex digits) of every trajectory column and the final loads
 # of exponential-weight runs on 64 bins with 3 000 balls, over seeds 1 and 2
 # and snapshot_every 1 and 1 000, in that nesting order: pins the weighted
-# path at every beta kind, where the scalar oracle covers 0 < beta < 1 only
+# path at every beta kind, beside the scalar oracle
 EXPONENTIAL_DIGESTS = {0.0: "edbd2dfd6f96c6c9", 0.5: "c2770b8f50d8156c", 1.0: "ebea2b9c51da461f"}
 
 
