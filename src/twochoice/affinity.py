@@ -1,14 +1,12 @@
-"""Timed benchmark worker threads with best-effort CPU pinning.
-
-Pinning is attempted and reported, never required: platforms without
-sched_setaffinity (or with restricted masks) simply run unpinned.
-"""
+"""Timed benchmark worker threads that stop at one deadline and time
+themselves: while workers hold the GIL the main thread may wait seconds to
+run again (the GIL convoy), so it only starts, joins and cleans up."""
 
 from __future__ import annotations
 
 import os
 import threading
-import time
+from time import perf_counter
 from typing import Callable
 
 
@@ -19,47 +17,51 @@ def usable_cpus() -> list[int]:
     return list(range(os.cpu_count() or 1))
 
 
-def try_pin_current_thread(k: int) -> bool:
-    """Pin the calling thread to usable CPU k mod their count; returns whether it stuck."""
-    if not hasattr(os, "sched_setaffinity"):
-        return False
-    try:
-        cpus = usable_cpus()
-        os.sched_setaffinity(threading.get_native_id(), {cpus[k % len(cpus)]})
-        return True
-    except OSError:
-        return False
+class _Deadline(threading.Event):
+    """An Event that also reads as set once perf_counter() reaches `at`.
+    Only set() wakes a thread blocked in wait(); the deadline does not."""
+
+    def __init__(self, at: float) -> None:
+        super().__init__()
+        self.at = at
+
+    def is_set(self) -> bool:
+        # Event's own flag, read directly: half the cost of super().is_set()
+        return self._flag or perf_counter() >= self.at
 
 
 def run_timed_workers(threads: int, work: Callable[[int, threading.Event], None],
-                      duration: float) -> tuple[float, int]:
+                      duration: float) -> float:
     """Run work(k, stop) on threads k = 0..threads-1 for `duration` seconds.
 
-    Worker k first tries to pin itself to the k-th usable CPU. `stop` is
-    set after the sleep, when it raises (a negative duration, Ctrl-C), or
-    when a worker raises, and each worker is expected to return soon
-    after. Once every worker has joined, the first worker exception is
-    raised again. Returns the wall seconds from before the first start to
-    after the last join, and how many workers' pins stuck.
+    `stop.is_set()` turns true `duration` seconds after a start fixed just
+    before the first worker starts; each worker polls it and returns. A
+    worker blocked in `stop.wait()` wakes only when `stop` is set: when a
+    worker raises, or when starting or joining the workers raises (Ctrl-C).
+    The first worker exception is raised again once all have joined. A
+    negative or NaN `duration` raises ValueError before any thread starts.
+    Returns the seconds from the first worker's start to the last one's end.
     """
-    stop = threading.Event()
-    pinned = [False] * threads
-    errors = []
+    if not duration >= 0:
+        raise ValueError(f"duration must be >= 0, got {duration}")
+    starts, ends, errors = [], [], []
 
     def run(k: int) -> None:
-        pinned[k] = try_pin_current_thread(k)
+        starts.append(perf_counter())
         try:
             work(k, stop)
         except BaseException as exc:
             errors.append(exc)
             stop.set()
+        ends.append(perf_counter())
 
     workers = [threading.Thread(target=run, args=(k,)) for k in range(threads)]
-    t0 = time.perf_counter()
+    stop = _Deadline(perf_counter() + duration)
     try:
         for w in workers:
             w.start()
-        time.sleep(duration)
+        for w in workers:
+            w.join()
     finally:
         stop.set()
         for w in workers:
@@ -67,4 +69,4 @@ def run_timed_workers(threads: int, work: Callable[[int, threading.Event], None]
                 w.join()
     if errors:
         raise errors[0]
-    return time.perf_counter() - t0, sum(pinned)
+    return max(ends) - min(starts)

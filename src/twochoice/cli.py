@@ -192,9 +192,10 @@ def parse_config(experiment: str, config_file=None, flag_values: dict | None = N
 
 def _check_rules(cfg: ExperimentConfig) -> None:
     """Reject a value outside its key's rule; a bound also rejects NaN and
-    an empty list. A timed run sleeps for `duration` seconds, so that key
-    is also capped at threading.TIMEOUT_MAX, past which time.sleep
-    overflows."""
+    an empty list. `duration` is also capped at threading.TIMEOUT_MAX, the
+    longest wait the threading module supports, so a run that could never
+    end (inf, 1e300) is a config error rather than a run stopped only by
+    Ctrl-C."""
     for key, (_, _, rule) in SCHEMAS[cfg.experiment].items():
         value = cfg.params[key]
         if isinstance(rule, tuple):
@@ -284,7 +285,7 @@ def run_sim(cfg: ExperimentConfig) -> int:
 
 
 def _counter_throughput_once(threads: int, cells: int, duration: float,
-                             seed: int) -> tuple[float, bool, int]:
+                             seed: int) -> tuple[float, bool]:
     counter = MultiCounter(cells)
     rngs = [PairStream(g, cells) for g in thread_rngs(seed, threads)]
     counts = [0] * threads
@@ -298,10 +299,10 @@ def _counter_throughput_once(threads: int, cells: int, duration: float,
             n += 1
         counts[k] = n
 
-    elapsed, pinned = run_timed_workers(threads, worker, duration)
+    elapsed = run_timed_workers(threads, worker, duration)
     total = sum(counts)
     conserved = counter.exact_total() == total
-    return total / elapsed, conserved, pinned
+    return total / elapsed, conserved
 
 
 def run_counter(cfg: ExperimentConfig) -> int:
@@ -333,9 +334,8 @@ def run_counter(cfg: ExperimentConfig) -> int:
         for ratio in p["cell_ratios"]:
             cells = ratio * threads
             rates = []
-            pinned = 0
             for rep in range(p["repeats"]):
-                rate, conserved, pinned = _counter_throughput_once(
+                rate, conserved = _counter_throughput_once(
                     threads, cells, p["duration"], p["seed"] + rep)
                 if not conserved:
                     return _fail(outdir, "counter",
@@ -345,8 +345,7 @@ def run_counter(cfg: ExperimentConfig) -> int:
             mean = statistics.fmean(rates)
             std = statistics.pstdev(rates)
             rows.append([threads, ratio, cells, repr(mean), repr(std), 1])
-            print(f"counter threads={threads} ratio={ratio}: {mean:,.0f} ops/s "
-                  f"(pinned {pinned}/{threads})")
+            print(f"counter threads={threads} ratio={ratio}: {mean:,.0f} ops/s")
     path = outdir / "counter_throughput.csv"
     _write_csv(path, cfg.header_comments(),
                "threads,ratio,cells,ops_per_sec_mean,ops_per_sec_std,conserved", list(zip(*rows)))
@@ -410,7 +409,7 @@ def run_queue(cfg: ExperimentConfig) -> int:
                         consumed[k].append(got)
                 step += 1
 
-        _, pinned = run_timed_workers(threads, worker, p["duration"])
+        run_timed_workers(threads, worker, p["duration"])
         leftovers = q.drain()
         want = Counter(x for lane in produced for x in lane)
         got = Counter(x for lane in consumed for x in lane) + Counter(leftovers)
@@ -425,7 +424,7 @@ def run_queue(cfg: ExperimentConfig) -> int:
         rows.append([threads, p["queues"], repr(p["duration"]), total_in,
                      dequeued, len(leftovers), 1])
         print(f"queue stress rep={rep}: enq={total_in} deq={dequeued} "
-              f"left={len(leftovers)} (pinned {pinned}/{threads})")
+              f"left={len(leftovers)}")
     path = outdir / "queue_stress.csv"
     _write_csv(path, cfg.header_comments(),
                "threads,queues,duration,enqueued,dequeued,drained,consistent", list(zip(*rows)))
@@ -466,8 +465,7 @@ def run_stm(cfg: ExperimentConfig) -> int:
                 ])
                 print(f"stm objects={objects} threads={threads} clock={kind}: "
                       f"{statistics.fmean(rates):,.0f} commits/s "
-                      f"aborts/commit={statistics.fmean(abort_rates):.3f} "
-                      f"(pinned {res.pinned_threads}/{threads})")
+                      f"aborts/commit={statistics.fmean(abort_rates):.3f}")
         _write_csv(outdir / f"stm_objects{objects}.csv", cfg.header_comments(),
                    STM_CSV_HEADER, list(zip(*rows)))
     _write_csv(outdir / "stm_summary.csv", cfg.header_comments(),

@@ -235,7 +235,6 @@ class StmBenchResult:
     commits_per_sec: float
     aborts_per_commit: float
     consistent: bool
-    pinned_threads: int
 
     def csv_row(self) -> list:
         return [
@@ -303,7 +302,7 @@ def run_stm_benchmark(
         commits[k] = n_commit
         aborts[k] = n_abort
 
-    elapsed, pinned = run_timed_workers(threads, worker, duration)
+    elapsed = run_timed_workers(threads, worker, duration)
 
     total_commits = sum(commits)
     total_aborts = sum(aborts)
@@ -319,5 +318,4 @@ def run_stm_benchmark(
         commits_per_sec=total_commits / elapsed if elapsed > 0 else 0.0,
         aborts_per_commit=total_aborts / total_commits if total_commits else float("inf"),
         consistent=final_sum == 2 * total_commits,
-        pinned_threads=pinned,
     )

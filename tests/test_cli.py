@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twochoice.affinity import run_timed_workers, try_pin_current_thread, usable_cpus
+from twochoice.affinity import run_timed_workers, usable_cpus
 from twochoice.cli import (
     ConfigError,
     ExperimentConfig,
@@ -183,17 +184,11 @@ def test_counter_quality_under_one_cadence_writes_one_row(tmp_path):
     assert [row[0] for row in data] == ["500"]
 
 
-def test_threads_and_pins_follow_the_affinity_mask(monkeypatch):
+def test_threads_follow_the_affinity_mask(monkeypatch):
     # a process confined to CPUs {5, 7} of 64 sweeps 2 threads by default
-    # and pins worker k to the k-th of those CPUs, modulo 2
-    pins = []
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {7, 5}, raising=False)
-    monkeypatch.setattr(os, "sched_setaffinity", lambda tid, cpus: pins.append(cpus),
-                        raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     assert len(usable_cpus()) == 2
-    assert all(try_pin_current_thread(k) for k in range(3))
-    assert pins == [{5}, {7}, {5}]
 
 
 def test_counter_throughput_run(tmp_path):
@@ -380,8 +375,8 @@ TIMED_RUNS = [
 ]
 
 
-# time.sleep raises on a negative duration and overflows on one past
-# threading.TIMEOUT_MAX; none of these values is ever slept on
+# a negative duration is not a run, and none past threading.TIMEOUT_MAX
+# (inf, 1e300) could ever end; none of these values reaches a worker
 @pytest.mark.parametrize("argv, duration", [
     pytest.param(argv, duration, id=f"argv{k}" + ("" if duration == "-1" else f"-{duration}"))
     for duration in ("-1", "inf", "1e300") for k, argv in enumerate(TIMED_RUNS)
@@ -419,6 +414,26 @@ def test_timed_workers_raise_a_worker_exception():
     assert stopped == [True]
 
 
+def test_timed_workers_stop_at_the_deadline():
+    # nothing sets `stop`, so the worker must see it turn true by itself:
+    # not at its first poll, and not before `duration` has passed; the
+    # 10 s guard fails a deadline that never comes instead of hanging
+    duration = 0.1
+    seen = []
+
+    def work(k, stop):
+        seen.append(stop.is_set())
+        while not stop.is_set() and time.perf_counter() < t0 + 10:
+            pass
+        seen.append(time.perf_counter())
+
+    t0 = time.perf_counter()
+    elapsed = run_timed_workers(1, work, duration)
+    assert seen[0] is False
+    assert duration <= seen[1] - t0 <= duration + 0.25
+    assert elapsed <= duration + 0.25
+
+
 def test_oracle_failure_exit_path(tmp_path, monkeypatch):
     # force the stm oracle to trip and check the nonzero exit + dump
     from twochoice import cli as climod
@@ -428,7 +443,7 @@ def test_oracle_failure_exit_path(tmp_path, monkeypatch):
         return StmBenchResult(
             threads=1, objects=8, clock_kind="exact", delta=0, duration=0.1,
             commits=10, aborts=0, commits_per_sec=100.0, aborts_per_commit=0.0,
-            consistent=False, pinned_threads=0)
+            consistent=False)
 
     monkeypatch.setattr(climod, "run_stm_benchmark", fake_bench)
     cfg = _cfg("stm", threads_max=1, objects="8", duration=0.01, repeats=1,
