@@ -261,11 +261,11 @@ def simulate(config: SimConfig, schedule: Schedule | None = None) -> SimResult:
     thread, op, phase = schedule.columns()
     order, seen, head = _thread_order(thread, op, phase, n, total)
     # the adversary is oblivious, so thread t's k-th op takes the k-th pair of
-    # t's stream, the first of two children (the split run_sequential makes)
+    # t's stream's first child, the first of the two run_sequential splits off
     touched = np.zeros(len(phase), dtype=np.min_scalar_type(m - 1))   # the bin of each event
     for rng, lo, k in zip(thread_rngs(config.seed, n), head.tolist(), seen.tolist()):
         mine = order[lo:lo + k]   # the thread's events, in triples
-        touched[mine[0::3]], touched[mine[1::3]] = rng.spawn(2)[0].integers(0, m, (k // 3, 2)).T
+        touched[mine[0::3]], touched[mine[1::3]] = rng.spawn(1)[0].integers(0, m, (k // 3, 2)).T
     prior = np.empty(len(phase), dtype=idx)   # the thread's previous event
     prior[order[1:]] = order[:-1]
     a_finish = np.flatnonzero(phase == UPDATE).astype(idx)

@@ -18,8 +18,9 @@ with ties to the lower index; it records each ball's new key, and
 `split_keys` turns a chunk of keys into each ball's bin and that bin's new
 load. Only exponential weights, whose float loads no key can hold, keep a
 loop over (load, bin) pairs. `trajectory_from_balls` prices those columns
-afterwards, for `run_sequential` and `adversary.simulate`, sorting bins and
-unit loads as their narrowest unsigned type, which numpy radix-sorts.
+afterwards, for `run_sequential` and `adversary.simulate`, with running
+minima for the least load and radix sorts (by bin, and in `np.unique`) of
+bins and unit loads as their narrowest unsigned type.
 
 Everything here is single threaded and deterministic for a fixed seed.
 """
@@ -172,7 +173,7 @@ def trajectory_from_balls(bins: int, a: float, balls: int, every: int,
     math.fsum, at each ball that leaves a * (mean - base) above 1. Between
     two such balls a sum is a cumsum of exp(a * (new - base)) - exp(a *
     (old - base)), where a ball's old load is its bin's previous post. The
-    loads, total, base, sums and max carry from one chunk to the next.
+    loads and every running quantity carry from one chunk to the next.
     """
     taken = np.arange(every - 1, balls, every)
     if balls % every:
@@ -180,13 +181,14 @@ def trajectory_from_balls(bins: int, a: float, balls: int, every: int,
     phi, psi, max_load, min_load, mean_load = np.empty((5, len(taken)))
     loads = np.zeros(bins, dtype=np.int64)
     total = top = lo = 0
+    low, at_low = 0, bins   # the least load and how many bins hold it
     base, s_phi, s_psi = 0.0, float(bins), float(bins)
     for upd, new, weights in chunks:
         c, high = len(upd), new.max()
         loads = loads.astype(new.dtype, copy=False)   # float loads for weighted balls
-        # the stable sorts see bins and unit loads (at most the chunk's max)
-        # as their narrowest unsigned type: the same order, which numpy
-        # radix-sorts up to 16 bits. Only sorts get the narrow copies, as
+        # the bin sort and np.unique see bins and unit loads (at most the
+        # chunk's max) as their narrowest unsigned type: the same order, which
+        # numpy radix-sorts up to 16 bits. Only sorts get the narrow copies, as
         # ufunc.at runs many times slower on mixed types
         level = new.dtype if weights is not None else np.min_scalar_type(high)
         rows = slice(*np.searchsorted(taken, (lo, lo + c)))
@@ -195,20 +197,21 @@ def trajectory_from_balls(bins: int, a: float, balls: int, every: int,
         # a stable sort by bin pairs each ball with the next ball on its bin
         order = np.argsort(upd.astype(np.min_scalar_type(bins - 1)), kind="stable")
         same = upd[order[1:]] == upd[order[:-1]]
-        prev, ends = np.full(c, -1), np.full(c, c)
+        prev, last = np.full(c, -1), np.ones(c, bool)
         prev[order[1:][same]] = order[:-1][same]
-        ends[order[:-1][same]] = order[1:][same]
+        last[order[:-1][same]] = False
         old = np.where(prev < 0, loads[upd], new[prev])
-        # a load lives from its ball until the next ball on its bin (carried
-        # loads from the chunk's start), so the min after ball k is the first
-        # load, by value, that lives past k; of the bins without a ball here
-        # only the least load can be it, and none above the chunk's max can
+        # of the bins without a ball here (idle) only the least load counts,
+        # and that is `low` while some bin at `low` is idle
         firsts = np.flatnonzero(prev < 0)
-        idle = np.min(np.delete(loads, upd[firsts]), initial=high, keepdims=True)
-        values = np.concatenate((old[firsts], idle, new)).astype(level, copy=False)
-        by_value = np.argsort(values, kind="stable")
-        lives = np.maximum.accumulate(np.concatenate((firsts, (c,), ends))[by_value])
-        min_load[rows] = values[by_value[np.searchsorted(lives, at, side="right")]]
+        hit = np.count_nonzero(old[firsts] == low)
+        idle = low if hit < at_low else np.min(np.delete(loads, upd[firsts]), initial=high)
+        # loads never fall, so the min after ball k is the least of idle, the
+        # last loads here of bins whose last ball is at or before k, and the
+        # loads that balls after k find (the chunk's max fills an empty set)
+        done = np.minimum.accumulate(np.where(last, new, high))
+        ahead = np.append(np.minimum.accumulate(old[:0:-1])[::-1], high)
+        min_load[rows] = np.minimum(np.minimum(done, ahead)[at], idle)
         w = np.ones(c, loads.dtype) if weights is None else weights
         total_at = np.cumsum(np.concatenate(((total,), w)))[1:]
         total = total_at[-1]
@@ -238,6 +241,11 @@ def trajectory_from_balls(bins: int, a: float, balls: int, every: int,
                 s_phi, s_psi = math.fsum(_exp(x)), math.fsum(_exp(-x))
                 base_at[e], phi_at[e], psi_at[e] = base, s_phi, s_psi
             s = stop
+        least = min(idle, done[-1])
+        if least == low:   # a zero weight can leave a bin that got a ball at low
+            at_low += np.count_nonzero(new[last] == low) - hit
+        else:
+            low, at_low = least, np.count_nonzero(loads == least)
         y = a * (mean_at[at] - base_at[at])
         phi[rows] = phi_at[at] * _exp(-y)
         psi[rows] = psi_at[at] * _exp(y)

@@ -221,36 +221,51 @@ CHUNK = balance._CHUNK_ROWS
 # on the last ball of every chunk
 # unit loads sort as uint8 up to 255, then uint16 and past 65 535 uint32
 # (which numpy does not radix-sort): the fifth to seventh examples cross each
-# width within and between chunks; the last passes int32 columns, as
+# width within and between chunks; the eighth passes int32 columns, as
 # adversary.simulate does
+# the least load comes from the carried count of bins at it at m = 1e5 (the
+# ninth example); in five-ball chunks on 16 bins the last bin at it often
+# gets its ball mid-chunk while idle bins sit higher, so the idle bins are
+# scanned (the tenth); a zero weight leaves a bin that got a ball at the
+# least load (the last)
 @settings(max_examples=40, deadline=None)
 @given(bins=st.integers(1, 1024), unit=st.booleans(), exponent=st.floats(1e-6, 0.5),
        every=st.integers(1, 5000), balls=st.integers(0, 4 * CHUNK),
        cuts=st.lists(st.integers(0, 4 * CHUNK), max_size=4), seed=st.integers(0, 2**32),
-       index=st.sampled_from([np.int64, np.int32]))
+       index=st.sampled_from([np.int64, np.int32]),
+       zeros=st.lists(st.integers(0, 4 * CHUNK), max_size=4))
 @example(bins=1, unit=True, exponent=1 / (CHUNK - 0.5), every=1, balls=3 * CHUNK, cuts=[],
-         seed=1, index=np.int64)
+         seed=1, index=np.int64, zeros=[])
 @example(bins=3, unit=True, exponent=3 / (CHUNK - 0.5), every=7, balls=2 * CHUNK + 1,
-         cuts=[], seed=2, index=np.int64)
+         cuts=[], seed=2, index=np.int64, zeros=[])
 @example(bins=1, unit=False, exponent=0.5, every=1, balls=2 * CHUNK + 5, cuts=[1, 2, 700],
-         seed=3, index=np.int64)
+         seed=3, index=np.int64, zeros=[])
 @example(bins=1024, unit=False, exponent=0.5, every=5000, balls=4 * CHUNK, cuts=[], seed=4,
-         index=np.int64)
+         index=np.int64, zeros=[])
 @example(bins=1, unit=True, exponent=1e-3, every=1, balls=300, cuts=[255, 256], seed=5,
-         index=np.int64)
+         index=np.int64, zeros=[])
 @example(bins=2, unit=True, exponent=0.5, every=3, balls=4 * CHUNK, cuts=[509, 513], seed=6,
-         index=np.int64)
+         index=np.int64, zeros=[])
 @example(bins=1, unit=True, exponent=1e-6, every=997, balls=64 * CHUNK + 7,
-         cuts=[65_535, 65_536], seed=7, index=np.int64)
+         cuts=[65_535, 65_536], seed=7, index=np.int64, zeros=[])
 @example(bins=300, unit=True, exponent=0.25, every=1, balls=4 * CHUNK, cuts=[100], seed=8,
-         index=np.int32)
+         index=np.int32, zeros=[])
+@example(bins=100_000, unit=True, exponent=0.5, every=1, balls=4 * CHUNK, cuts=[], seed=9,
+         index=np.int64, zeros=[])
+@example(bins=16, unit=True, exponent=0.5, every=1, balls=600, cuts=list(range(5, 600, 5)),
+         seed=10, index=np.int64, zeros=[])
+@example(bins=4, unit=False, exponent=0.5, every=1, balls=2 * CHUNK, cuts=[2, 5, 9],
+         seed=11, index=np.int64, zeros=[0, 1, 6, 700])
 def test_trajectory_from_balls_matches_load_state(bins, unit, exponent, every, balls, cuts,
-                                                  seed, index):
+                                                  seed, index, zeros):
     # the column pass against the per-ball state it replaced, compared as
-    # bits, over chunks of the callers' size cut further at random points
+    # bits, over chunks of the callers' size cut further at random points;
+    # weighted balls at the `zeros` indices weigh 0.0
     rng = make_rng(seed)
     updated = rng.integers(0, bins, size=balls).astype(index)
     weights = None if unit else rng.exponential(size=balls)
+    if not unit:
+        weights[[z for z in zeros if z < balls]] = 0.0
     state = LoadState(bins, exponent, unit=unit)
     post, rows = [], []
     for k, (b, w) in enumerate(zip(updated.tolist(),

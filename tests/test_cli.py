@@ -388,9 +388,9 @@ def test_negative_duration_rejected_naming_key(tmp_path, argv, duration):
     assert not (tmp_path / "r").exists()
 
 
-def test_timed_workers_stopped_when_the_sleep_raises(tmp_path):
-    # time.sleep raises at a negative duration; the workers must still be
-    # stopped and joined, or the process never exits
+def test_timed_workers_reject_a_negative_duration(tmp_path):
+    # run_timed_workers checks its duration before any worker starts; a
+    # worker left blocked in stop.wait() would time the child process out
     code = ("from twochoice.affinity import run_timed_workers\n"
             "try:\n"
             "    run_timed_workers(2, lambda k, stop: stop.wait(), -1.0)\n"
