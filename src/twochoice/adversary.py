@@ -18,8 +18,8 @@ trajectory has one row per update event. An operation's contention is the
 number of distinct other operations with at least one event strictly inside
 its (start, finish) window, and it is `untouched` when no other operation's
 event inside that window touched the bin it updated (a read touches the bin
-it reads, an update the bin it increments). Both come from columns after
-the replay (`_window_columns`).
+it reads, an update the bin it increments). After the replay, one pass over
+each window's events counts both (`_window_columns`).
 """
 
 from __future__ import annotations
@@ -51,6 +51,9 @@ OPLOG_HEADER = "op,thread,start,finish,contention,choice_i,choice_j,updated,corr
 # contention <= ratio * threads pick the lesser bin with probability
 # >= 1/2 + 1/5 in the analyzed regime
 GOOD_MARGIN = 0.2
+
+# the most events `_window_columns` gathers at once, short of one longer window
+_WINDOW_EVENTS = 16 * _CHUNK_ROWS
 
 
 @dataclass(frozen=True)
@@ -279,7 +282,7 @@ def simulate(config: SimConfig, schedule: Schedule | None = None) -> SimResult:
 
     a_upd, a_post, a_corr, loads = _replay(thread, phase, touched, n, m, idx)
     touched[a_finish] = a_upd
-    a_cont, a_unt = _window_columns(thread, touched, a_start, a_read2, a_finish, a_cj, a_upd, n)
+    a_cont, a_unt = _window_columns(touched, a_start, a_read2, a_finish, a_cj, a_upd)
     del thread, phase, touched
     log = OpLog(op=a_op, thread=a_thread, start=a_start, finish=a_finish, contention=a_cont,
                 choice_i=a_ci, choice_j=a_cj, updated=a_upd, post_value=a_post,
@@ -353,43 +356,34 @@ def _replay(thread, phase, touched, threads: int, bins: int, idx: type) -> tuple
     return at.astype(idx), load.astype(idx), code >= 0, [k // m for k in keys]
 
 
-def _window_columns(owner, touched, start, read2, finish, choice_j, updated,
-                    threads: int) -> tuple[np.ndarray, np.ndarray]:
-    """Contention and `untouched` of every op, from its event positions,
-    the thread of every event, and the bin every event touched.
-
-    The replay has checked that a thread's ops are disjoint, so its events,
-    in position order, are (read1, read2, update) triples.
+def _window_columns(touched, start, read2, finish, choice_j, updated) -> tuple:
+    """Contention and `untouched` of every op, from its event positions and
+    the bin every event touched, by counting the events strictly inside its
+    (start, finish) window, its own read2 among them. Such an event is its
+    op's first there when the op's previous event (a read2's read1, an
+    update's read2; a read1 has none) is at or before start, so contention
+    is that count less one. The own read2 touched choice_j, so the op is
+    untouched when the events there that touched its bin number
+    `choice_j == updated`. Runs of ops whose windows hold at most
+    `_WINDOW_EVENTS` events, or one longer window, are gathered at a time.
     """
-    total, s, f = len(start), start, finish
-
-    # untouched: a stable sort of the touched bins (narrow, so numpy radix
-    # sorts it) lists each bin's events in position order, which gives every
-    # event the previous touch of its bin, or -1
-    order = np.argsort(touched, kind="stable")
-    firsts = np.flatnonzero(np.diff(touched[order])) + 1
-    prev = np.full(3 * total, -1, dtype=read2.dtype)
-    prev[order[1:]] = order[:-1]
-    prev[order[firsts]] = -1
-    del order
-    last = prev[f]
-    # when the update's bin is the op's own read2 bin, that read is the last
-    # touch before the update, and the touch before it decides
-    untouched = np.where(updated == choice_j, (last == read2) & (prev[read2] <= s), last <= s)
-    del prev, last
-
-    # contention: a thread's events strictly inside (s, f) are the run
-    # [lo, hi) of its event list, lo its events up to s and hi its events
-    # before f; they come in triples, so the run spans ops lo // 3 to
-    # (hi - 1) // 3
-    before = np.zeros(3 * total + 1, dtype=read2.dtype)  # the thread's events before each position
-    after_start = s + 1
-    contention = np.full(total, -1, dtype=read2.dtype)  # less the op's own read2
-    for t in range(threads):
-        np.cumsum(owner == t, out=before[1:])
-        lo, hi = before[after_start], before[f]
-        contention += np.where(hi > lo, (hi - 1) // 3 - lo // 3 + 1, 0)
-    return contention, untouched
+    prev = np.full(len(touched), -1, dtype=start.dtype)   # the op's previous event
+    prev[read2], prev[finish] = start, read2
+    size = finish - start - 1
+    ends = np.cumsum(size, dtype=np.int64)
+    contention, hits = np.empty_like(start), np.empty_like(start)
+    lo = 0
+    while lo < len(start):
+        base = ends[lo] - size[lo]
+        hi = max(int(np.searchsorted(ends, base + _WINDOW_EVENTS, "right")), lo + 1)
+        run = size[lo:hi]
+        heads = ends[lo:hi] - run - base   # each window's place in the run
+        inside = np.repeat(start[lo:hi] + 1 - heads, run)
+        inside += np.arange(len(inside))
+        contention[lo:hi] = np.add.reduceat(prev[inside] <= np.repeat(start[lo:hi], run), heads)
+        hits[lo:hi] = np.add.reduceat(touched[inside] == np.repeat(updated[lo:hi], run), heads)
+        lo = hi
+    return contention - 1, hits == (choice_j == updated)
 
 
 # ---------------------------------------------------------------------------

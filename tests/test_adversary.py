@@ -9,7 +9,7 @@ from scalar_reference import random_interleave_reference
 from schedule_reference import events_reference
 from sim_reference import simulate_reference
 
-from twochoice import balance
+from twochoice import adversary, balance
 from twochoice.adversary import (
     ADVERSARY_KINDS,
     BLOCK_RESET,
@@ -350,10 +350,18 @@ def _sim_configs(draw):
     )
 
 
+# budgets for the window pass's runs: at 1 and 7 windows outgrow a run and
+# runs end mid-sequence even in short schedules
+WINDOW_BUDGETS = [1, 7, adversary._WINDOW_EVENTS]
+
+
+@pytest.mark.parametrize("budget", WINDOW_BUDGETS)
 @settings(max_examples=60, deadline=None)
 @given(cfg=_sim_configs())
-def test_simulate_matches_reference_fuzzed(cfg):
-    _assert_same_run(simulate(cfg), simulate_reference(cfg))
+def test_simulate_matches_reference_fuzzed(budget, cfg):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(adversary, "_WINDOW_EVENTS", budget)
+        _assert_same_run(simulate(cfg), simulate_reference(cfg))
 
 
 @pytest.mark.parametrize("kind, threads", [(STAMPEDE, 64), (RANDOM_INTERLEAVE, 4),
@@ -389,20 +397,42 @@ def _hand_built_runs(draw):
     return cfg, _ListedSchedule(tuple(events), threads=n, total_ops=ops)
 
 
+@pytest.mark.parametrize("budget", WINDOW_BUDGETS)
 @settings(max_examples=150, deadline=None)
 @given(run=_hand_built_runs())
-def test_simulate_matches_reference_on_hand_built_schedules(run):
+def test_simulate_matches_reference_on_hand_built_schedules(budget, run):
     cfg, schedule = run
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(adversary, "_WINDOW_EVENTS", budget)
+        _assert_same_run(simulate(cfg, schedule), simulate_reference(cfg, schedule))
+
+
+def test_simulate_matches_reference_on_a_window_longer_than_a_run():
+    # thread 1 runs 6 000 ops inside thread 0's first op, whose window then
+    # holds more events than a run of the window pass
+    events = ((0, 0, READ1), *((1, op, phase) for op in range(1, 6_001)
+                                for phase in (READ1, READ2, UPDATE)),
+              (0, 0, READ2), (0, 0, UPDATE))
+    assert len(events) - 3 > adversary._WINDOW_EVENTS
+    cfg = SimConfig(bins=4, threads=2, total_ops=6_001, seed=3)
+    schedule = _ListedSchedule(events, threads=2, total_ops=6_001)
     _assert_same_run(simulate(cfg, schedule), simulate_reference(cfg, schedule))
 
 
-@pytest.mark.parametrize("kind, threads, total", [(STAMPEDE, 64, 377_232),
-                                                  (RANDOM_INTERLEAVE, 4, 21_196)])
-def test_contention_total_frozen(kind, threads, total):
-    # the perfbench `sim` configs at seed 5
+FROZEN_TOTALS = [(STAMPEDE, 64, 377_232, 3_801), (RANDOM_INTERLEAVE, 4, 21_196, 5_866),
+                 (ROUND_ROBIN, 16, 90_000, 5_396), (BLOCK_RESET, 8, 21_000, 5_851),
+                 (SERIAL, 4, 0, 6_000)]
+
+
+# ids name kind, threads and contention total
+@pytest.mark.parametrize("kind, threads, total, untouched", FROZEN_TOTALS,
+                         ids=[f"{k}-{n}-{c}" for k, n, c, _ in FROZEN_TOTALS])
+def test_contention_total_frozen(kind, threads, total, untouched):
+    # the first two are the perfbench `sim` configs at seed 5
     cfg = SimConfig(bins=256, threads=threads, ratio=16, total_ops=6_000, adversary=kind,
                     seed=5)
-    assert int(simulate(cfg).log.contention.sum()) == total
+    log = simulate(cfg).log
+    assert (int(log.contention.sum()), int(log.untouched.sum())) == (total, untouched)
 
 
 # ---------------------------------------------------------------------------
