@@ -23,7 +23,6 @@ import sys
 import threading
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -310,14 +309,13 @@ def run_counter(cfg: ExperimentConfig) -> int:
     outdir = cfg.outdir
     if p["mode"] == "quality":
         counter = MultiCounter(p["cells"])
-        rng = PairStream(make_rng(p["seed"]), p["cells"])
+        rng = make_rng(p["seed"])
         read_rng = make_rng(p["seed"] + 1)
         rows = []
         done = 0
         # a row every `cadence` increments, and one at the last increment
         for k in [*range(p["cadence"], p["increments"], p["cadence"]), p["increments"]]:
-            for _ in range(k - done):
-                counter.increment(rng)
+            counter.increment_many(rng, k - done)
             done = k
             values = counter.snapshot()
             rows.append([k, counter.read(read_rng), max(values) - min(values)])
@@ -359,26 +357,31 @@ def run_queue(cfg: ExperimentConfig) -> int:
         if p["dequeues"] > p["prefill"]:
             raise ConfigError(f"key 'dequeues': must be <= prefill ({p['prefill']}), "
                               f"got {p['dequeues']}")
-        rng = PairStream(make_rng(p["seed"]), p["queues"])
+        rng = make_rng(p["seed"])
         q = MultiQueue(p["queues"])
         # program order is the linearization of this one-thread run; the
         # element is its enqueue's index into `queues` and `stamps`
-        placed = np.fromiter(chain.from_iterable(q.enqueue(k, rng) for k in range(p["prefill"])),
-                             dtype=np.int64, count=2 * p["prefill"])
-        queues, stamps = placed[0::2], placed[1::2]
+        queues, stamps = q.enqueue_many(range(p["prefill"]), rng)
         # EMPTY means both probed queues were empty; others may still hold
-        # elements, so retry until the whole queue is empty
+        # elements, so retry until `dequeues` pops. Once the whole queue is
+        # empty every later dequeue is EMPTY too, so a batch ran out of
+        # elements iff it ends in EMPTY with nothing left.
         popped = []
         retries = 0
         while len(popped) < p["dequeues"]:
-            got = q.dequeue(rng)
-            if got is not EMPTY:
-                popped.append(got)
-            elif q.live_count() > 0:
-                retries += 1
-            else:
+            got = q.dequeue_many(rng, p["dequeues"] - len(popped))
+            if got[-1] is EMPTY and q.live_count() == 0:
                 return _fail(outdir, "queue", "ran out of elements during quality run")
-        del q   # at the default size it holds ~100 MB the pricing can reuse
+            misses = got.count(EMPTY)
+            if misses:
+                retries += misses
+                got = [x for x in got if x is not EMPTY]
+            # the first batch's list becomes `popped`: a copy would raise the peak RSS
+            popped = popped + got if popped else got
+        # at the default size q still holds ~66 MB, in memory blocks that
+        # the popped ints share; as an array they let the pricing reuse it
+        popped = np.array(popped, dtype=np.int64)
+        del q, got
         history = history_from_serial_queue(stamps, stamps[popped])
         ranks = linearize_costs(history, p["queues"])[history.kind == DEQ].astype(np.int64)
         path = outdir / "queue_ranks.csv"

@@ -18,6 +18,15 @@ number of times.
 The clock is a locked counter rather than a hardware timestamp: portable,
 and reads-after-increments are strictly monotone by construction, which
 gives the cross-thread stamp consistency enqueues rely on.
+
+There is no structure-wide lock, but the serial runs' batch methods hold
+several (at small m, every queue's): `enqueue_many` and `dequeue_many`
+draw the indices of up to BATCH ops at once and hold the locks of the
+distinct queues they name, taken in ascending order
+(`multicounter.locked_slots`), while they apply them. An
+enqueue batch then takes the clock's lock once to reserve its stamps. The
+order is queues, then clock, as in `enqueue`, so no two of these methods
+can deadlock, and with its queues held a batch needs no retries.
 """
 
 from __future__ import annotations
@@ -26,9 +35,11 @@ import threading
 from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
+import numpy as np
 from numpy.random import Generator
 
 from .csvfile import write_csv
+from .multicounter import BATCH, locked_slots
 
 
 class _Empty:
@@ -53,6 +64,13 @@ class LogicalClock:
         with self._lock:
             v = self._value
             self._value = v + 1
+        return v
+
+    def reserve(self, count: int) -> int:
+        """Hand out `count` consecutive stamps at once; returns the first."""
+        with self._lock:
+            v = self._value
+            self._value = v + count
         return v
 
 
@@ -85,6 +103,25 @@ class MultiQueue:
             stamp = self._clock.next()
             heappush(self._heaps[q], (stamp, thread, element))
         return q, stamp
+
+    def enqueue_many(self, elements: Sequence, rng: Generator) -> tuple[np.ndarray, np.ndarray]:
+        """Enqueue each element in turn, as `enqueue(element, rng)` calls in
+        a row would; returns the queues and stamps as int64 columns."""
+        n = len(elements)
+        queues = np.empty(n, dtype=np.int64)
+        stamps = np.empty(n, dtype=np.int64)
+        heaps = self._heaps
+        for start in range(0, n, BATCH):
+            stop = min(start + BATCH, n)
+            drawn = rng.integers(0, self.queues, size=stop - start)
+            with locked_slots(self._locks, drawn):
+                first = self._clock.reserve(stop - start)
+                for stamp, q, element in zip(range(first, first + stop - start),
+                                             drawn.tolist(), elements[start:stop]):
+                    heappush(heaps[q], (stamp, 0, element))
+            queues[start:stop] = drawn
+            stamps[start:stop] = np.arange(first, first + stop - start)
+        return queues, stamps
 
     def _peek(self, q: int):
         with self._locks[q]:
@@ -123,6 +160,30 @@ class MultiQueue:
                 lock.release()
             return entry[2]
         return EMPTY
+
+    def dequeue_many(self, rng: Generator, count: int) -> list:
+        """`count` dequeues, as that many `dequeue(rng)` calls in a row
+        would make them: the popped elements, EMPTY where both probed
+        queues were empty."""
+        heaps, last = self._heaps, self._last_stamp
+        out = []
+        for start in range(0, count, BATCH):
+            drawn = rng.integers(0, self.queues, size=2 * min(BATCH, count - start))
+            with locked_slots(self._locks, drawn):
+                pairs = iter(drawn.tolist())
+                for i, j in zip(pairs, pairs):
+                    heap, other = heaps[i], heaps[j]
+                    if not heap or (other and other[0] < heap[0]):
+                        if not other:
+                            out.append(EMPTY)
+                            continue
+                        i, heap = j, other
+                    stamp, _, element = heappop(heap)
+                    if stamp <= last[i]:
+                        self._check_pop_order(i, stamp)   # raises
+                    last[i] = stamp
+                    out.append(element)
+        return out
 
     def _check_pop_order(self, q: int, stamp: int) -> None:
         """Record the stamp popped from queue q (its lock held); raises unless

@@ -12,12 +12,14 @@ no batch or block size ever changes a value.
 
 Batched `integers` calls: the simulator's choices, one call per thread for
 all of its ops; the random-interleave scheduler's picks while every thread
-is active; and `run_sequential` with beta 0 or 1, a chunk at a time.
+is active; `run_sequential` with beta 0 or 1, a chunk at a time; and the
+quality runs' batch methods (`MultiCounter.increment_many`,
+`MultiQueue.enqueue_many` and `dequeue_many`), which take a Generator and
+draw up to 1 024 ops' indices per call.
 
 PairStream, one fixed range `[0, bins)` as pairs or single indices, in
-fixed blocks of 1 024: the counter quality run's increments; the queue
-quality run's enqueues and dequeues; each worker of the counter throughput,
-queue stress and transactional runs; and every RelaxedClockView.
+fixed blocks of 1 024: each worker of the counter throughput, queue stress
+and transactional runs, and every RelaxedClockView.
 
 WordStream, any mix of `random()` and `integers(lo, hi)`, redoing numpy's
 arithmetic on raw words (tests/test_rng.py pins it, and no other module

@@ -43,7 +43,7 @@ from twochoice.dlin import (
 )
 from twochoice.multicounter import MultiCounter
 from twochoice.multiqueue import EMPTY, MultiQueue
-from twochoice.rng import PairStream, make_rng, thread_rngs
+from twochoice.rng import make_rng, thread_rngs
 from twochoice.stm import run_stm_benchmark
 
 
@@ -240,14 +240,12 @@ def test_criterion_08_multiqueue_rank():
     with criterion(8, "queue ranks: mean <= 2m, p99 <= 8 m ln m (m=64)"):
         p99_bound = 8 * 64 * math.log(64)
         for seed, (frozen_mean, frozen_p99) in sorted(QUEUE_RANK_FROZEN.items()):
-            rng = PairStream(make_rng(seed), 64)  # as `queue --mode quality` draws
+            rng = make_rng(seed)  # as `queue --mode quality` draws
             q = MultiQueue(64)
-            stamps = [q.enqueue(k, rng)[1] for k in range(1_000_000)]
-            popped = []
-            for _ in range(500_000):
-                got = q.dequeue(rng)
-                assert got is not EMPTY
-                popped.append(stamps[got])
+            _, stamps = q.enqueue_many(range(1_000_000), rng)
+            got = q.dequeue_many(rng, 500_000)
+            assert all(x is not EMPTY for x in got)
+            popped = stamps[got]
             # priced offline: program order is this one-thread run's linearization
             hist = history_from_serial_queue(stamps, popped)
             ranks = linearize_costs(hist, 64)[hist.kind == DEQ].tolist()

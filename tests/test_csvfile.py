@@ -14,7 +14,9 @@ output directory differs per run). The digests were taken from the
 `str()`-per-cell writer that `tests/csv_reference.py` keeps, so any
 formatting change fails here even where the numeric digests in
 `perfbench/expected.json` (which parse the values back) would pass, such
-as `1.0` written as `1`.
+as `1.0` written as `1`. Four more quality runs, at shapes the benchmark
+does not reach, and the quality runs' stdout were pinned from the
+single-op code that the batched quality runs replaced.
 """
 
 import hashlib
@@ -54,6 +56,18 @@ RUNS = {
                         "--increments", "50000", "--seed", "7"],
     "quality.queue": ["queue", "--mode", "quality", "--queues", "64", "--prefill", "16000",
                       "--dequeues", "8000", "--seed", "7"],
+    # quality configs the benchmark's shapes do not reach: dequeues that find
+    # both probes empty and a run that drains the queue; batches that cross
+    # the 1 024-op batch size; one and three cells with a cadence that does
+    # not divide the increments
+    "quality.queue.drain": ["queue", "--mode", "quality", "--queues", "64", "--prefill", "40",
+                            "--dequeues", "40", "--seed", "7"],
+    "quality.queue.m3": ["queue", "--mode", "quality", "--queues", "3", "--prefill", "2500",
+                         "--dequeues", "2500", "--seed", "7"],
+    "quality.counter.m1": ["counter", "--mode", "quality", "--cells", "1",
+                           "--increments", "5000", "--cadence", "777", "--seed", "7"],
+    "quality.counter.m3": ["counter", "--mode", "quality", "--cells", "3",
+                           "--increments", "7000", "--cadence", "2500", "--seed", "7"],
 }
 
 PINNED = {
@@ -82,6 +96,28 @@ PINNED = {
     "quality.queue": {
         "queue_ranks.csv": "52aa2b8ecaff580f98d14e7ebc487fb2382fe66e81773891a8ae7766d8e2a354",
     },
+    "quality.queue.drain": {
+        "queue_ranks.csv": "215194d6c6ddfe85f1efaa0ced5ab3b6e1657190279d7982959d31cf85ebe6bd",
+    },
+    "quality.queue.m3": {
+        "queue_ranks.csv": "dbc6fb3a644392f879f302754e4037b2127d94933a48d203d22ceb2f9d3ecf82",
+    },
+    "quality.counter.m1": {
+        "counter_quality.csv": "c540e3ee95db0162078ed03a1b47d209ad18b123ce28cc7bdc643f913f912bd6",
+    },
+    "quality.counter.m3": {
+        "counter_quality.csv": "0be9701c4b32f88d8d9118f3633cd98b0edc83eb7f0ee597f4af9b732b07b36f",
+    },
+}
+
+# the quality runs' stdout up to the output path: the retry counts too
+PINNED_STDOUT = {
+    "quality.counter": "counter quality: final_gap=6",
+    "quality.queue": "queue quality: mean_rank=53.9 max_rank=414 retries=0",
+    "quality.queue.drain": "queue quality: mean_rank=8.7 max_rank=36 retries=236",
+    "quality.queue.m3": "queue quality: mean_rank=1.4 max_rank=23 retries=2",
+    "quality.counter.m1": "counter quality: final_gap=0",
+    "quality.counter.m3": "counter quality: final_gap=2",
 }
 
 
@@ -95,9 +131,11 @@ def _digests(outdir):
 
 
 @pytest.mark.parametrize("name", RUNS)
-def test_cli_csv_bytes_are_pinned(name, tmp_path):
+def test_cli_csv_bytes_are_pinned(name, tmp_path, capsys):
     assert cli.main(RUNS[name] + ["--out", str(tmp_path)]) == 0
     assert _digests(tmp_path) == PINNED[name]
+    if name in PINNED_STDOUT:
+        assert capsys.readouterr().out.split(" -> ")[0] == PINNED_STDOUT[name]
 
 
 def _both(columns, header="h", comments=("a = 1",)):

@@ -2,7 +2,10 @@ import math
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from thread_pair import run_pair
 from twochoice.multicounter import MultiCounter
 from twochoice.rng import PairStream, make_rng, thread_rngs
 
@@ -71,6 +74,55 @@ def test_buffered_stream_matches_generator():
     for _ in range(70_000):
         assert fast.increment(stream) == slow.increment(rng)
     assert fast.snapshot() == slow.snapshot()
+
+
+# cell counts and batch lengths around the batch size (1 024 ops)
+BATCH_CELLS = [1, 2, 3, 64, 1000, 2**16 + 1]
+BATCH_COUNTS = [0, 1, 1023, 1024, 1025, 2049]
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.sampled_from(BATCH_CELLS),
+       counts=st.lists(st.sampled_from(BATCH_COUNTS), min_size=1, max_size=3),
+       seed=st.integers(0, 2**32 - 1), pending=st.booleans())
+def test_increment_many_matches_increments(m, counts, seed, pending):
+    # the loop of single increments is the reference: same cells and the
+    # same generator state after each batch. Cells start uneven, so both
+    # the strict comparison and ties decide; a first odd draw leaves half
+    # a generator word pending.
+    start = make_rng(seed + 1).integers(0, 4, size=m).tolist()
+    fast, slow = MultiCounter(m), MultiCounter(m)
+    fast._values, slow._values = list(start), list(start)
+    a, b = make_rng(seed), make_rng(seed)
+    if pending:
+        a.integers(0, 3)
+        b.integers(0, 3)
+    for count in counts:
+        fast.increment_many(a, count)
+        for _ in range(count):
+            slow.increment(b)
+        assert fast.snapshot() == slow.snapshot()
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+@pytest.mark.parametrize("cells", [4, 1000])
+def test_increment_many_beside_single_ops(cells):
+    # one thread increments in batches while the other increments and reads
+    # one op at a time: no increment is lost
+    c = MultiCounter(cells)
+    a, b = thread_rngs(13, 2)
+
+    def batches():
+        for _ in range(20):
+            c.increment_many(a, 1500)
+
+    def singles():
+        for _ in range(20_000):
+            c.increment(b)
+            c.read(b)
+
+    assert run_pair(batches, singles) == []
+    assert c.exact_total() == 20 * 1500 + 20_000
 
 
 def test_single_threaded_conservation():
@@ -166,10 +218,7 @@ def test_concurrent_conservation_eight_threads():
 def test_single_threaded_skew_64_cells():
     # mirror of the sequential quality setup: 64 cells, 1e6 increments
     c = MultiCounter(64)
-    rng = make_rng(1)
-    inc = c.increment
-    for _ in range(1_000_000):
-        inc(rng)
+    c.increment_many(make_rng(1), 1_000_000)
     values = c.snapshot()
     assert c.exact_total() == 1_000_000
     assert max(values) - min(values) <= 8
@@ -180,11 +229,8 @@ def test_read_deviation_large_array():
     # 6 m ln m of the true total
     m = 4096 * 4
     c = MultiCounter(m)
-    rng = make_rng(2)
-    inc = c.increment
     total = 1_000_000
-    for _ in range(total):
-        inc(rng)
+    c.increment_many(make_rng(2), total)
     bound = 6 * m * math.log(m)
     values = c.snapshot()
     assert all(abs(m * v - total) <= bound for v in values)

@@ -1,9 +1,13 @@
 import threading
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dlin_reference import RankOracle
+from thread_pair import run_pair
 from twochoice.dlin import DEQ, history_from_serial_queue, linearize_costs
 from twochoice.multiqueue import EMPTY, LogicalClock, MultiQueue
 from twochoice.rng import PairStream, make_rng, thread_rngs
@@ -37,6 +41,14 @@ def test_clock_monotone_and_unique():
     stamps = [clk.next() for _ in range(1000)]
     assert stamps == sorted(stamps)
     assert len(set(stamps)) == 1000
+
+
+def test_clock_reserve_hands_out_consecutive_stamps():
+    clk = LogicalClock()
+    assert clk.next() == 0
+    assert clk.reserve(5) == 1
+    assert clk.reserve(0) == 6
+    assert clk.next() == 6
 
 
 def test_clock_unique_under_threads():
@@ -189,6 +201,117 @@ def test_buffered_stream_matches_generator():
         placed, out = serial_run(MultiQueue(16), rng, 30_000, 20_000)
         logs.append((placed, out, offline_ranks(placed, out, 16)))
     assert logs[0] == logs[1]
+
+
+# queue counts and batch lengths around the batch size (1 024 ops)
+BATCH_QUEUES = [1, 2, 3, 64, 1000, 2**16 + 1]
+BATCH_COUNTS = [0, 1, 1023, 1024, 1025, 2049]
+
+
+def _assert_same_state(fast, slow, a, b):
+    assert fast._heaps == slow._heaps
+    assert fast._last_stamp == slow._last_stamp
+    assert fast._clock._value == slow._clock._value
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.sampled_from(BATCH_QUEUES),
+       steps=st.lists(st.tuples(st.booleans(), st.sampled_from(BATCH_COUNTS)),
+                      min_size=1, max_size=4),
+       seed=st.integers(0, 2**32 - 1), pending=st.booleans())
+def test_batches_match_single_ops(m, steps, seed, pending):
+    # each step is an enqueue or a dequeue batch, against the loop of its
+    # single op on an equal stream: the same results, heaps, pop records,
+    # clock and generator state. Dequeue steps may find both probes empty
+    # and may drain the queue; a first odd draw leaves half a word pending.
+    fast, slow = MultiQueue(m), MultiQueue(m)
+    a, b = make_rng(seed), make_rng(seed)
+    if pending:
+        a.integers(0, 3)
+        b.integers(0, 3)
+    element = 0
+    for enqueue, count in steps:
+        if enqueue:
+            elements = range(element, element + count)
+            element += count
+            queues, stamps = fast.enqueue_many(elements, a)
+            assert queues.dtype == stamps.dtype == np.int64
+            assert list(zip(queues.tolist(), stamps.tolist())) == [
+                slow.enqueue(x, b) for x in elements]
+        else:
+            assert fast.dequeue_many(a, count) == [slow.dequeue(b) for _ in range(count)]
+        _assert_same_state(fast, slow, a, b)
+
+
+def test_dequeue_many_misses_and_drains():
+    # 40 elements over 64 queues: dequeues find both probes empty while
+    # other queues still hold elements, and the batch drains the queue
+    fast, slow = MultiQueue(64), MultiQueue(64)
+    a, b = make_rng(7), make_rng(7)
+    fast.enqueue_many(range(40), a)
+    for k in range(40):
+        slow.enqueue(k, b)
+    want, misses_with_elements = [], 0
+    for _ in range(2049):
+        live = slow.live_count()
+        want.append(slow.dequeue(b))
+        misses_with_elements += want[-1] is EMPTY and live > 0
+    got = fast.dequeue_many(a, 2049)
+    assert got == want
+    assert misses_with_elements > 0
+    assert fast.live_count() == 0
+    assert sorted(x for x in got if x is not EMPTY) == list(range(40))
+    _assert_same_state(fast, slow, a, b)
+
+
+def test_batched_quality_run_matches_serial_run():
+    # the CLI's quality run in batches against serial_run, the single-op oracle
+    placed, popped = serial_run(MultiQueue(16), make_rng(21), 30_000, 20_000)
+    q, rng = MultiQueue(16), make_rng(21)
+    queues, stamps = q.enqueue_many(range(30_000), rng)
+    got = []
+    while len(got) < 20_000:
+        got += [x for x in q.dequeue_many(rng, 20_000 - len(got)) if x is not EMPTY]
+    assert list(zip(queues.tolist(), stamps.tolist())) == placed
+    assert got == popped
+
+
+def test_batches_beside_single_ops_lose_nothing():
+    # one thread enqueues and dequeues in batches, the other one op at a
+    # time, on 3 queues: nothing is lost or duplicated, no pop leaves a
+    # queue out of stamp order (that raises), and both threads finish (no
+    # deadlock). Mostly short batches, so the batch thread takes its locks
+    # often.
+    q = MultiQueue(3)
+    a, b = thread_rngs(23, 2)
+    produced: list[list] = [[], []]
+    consumed: list[list] = [[], []]
+
+    def batches():
+        for r in range(3000):
+            size = 1025 if r % 500 == 0 else 1 + r % 4
+            items = [(0, r, k) for k in range(size)]
+            q.enqueue_many(items, a)
+            produced[0] += items
+            consumed[0] += [x for x in q.dequeue_many(a, size) if x is not EMPTY]
+
+    def singles():
+        for step in range(20_000):
+            if step % 2 == 0:
+                item = (1, step)
+                q.enqueue(item, b, thread=1)
+                produced[1].append(item)
+            else:
+                x = q.dequeue(b)
+                if x is not EMPTY:
+                    consumed[1].append(x)
+
+    assert run_pair(batches, singles) == []
+    leftovers = q.drain()
+    want = Counter(x for lane in produced for x in lane)
+    got = Counter(x for lane in consumed for x in lane) + Counter(leftovers)
+    assert want == got
 
 
 def test_rejects_zero_queues():

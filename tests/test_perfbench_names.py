@@ -47,8 +47,10 @@ def test_traced_benchmark_names_exist(monkeypatch, tmp_path):
         assert rc == 0
     spans = tracer.spans()
     assert len(spans.select("cli.csv_write")) == 1   # the rank CSV
-    assert len(spans.select("multiqueue.enqueue")) == 40
-    assert len(spans.select("multiqueue.dequeue")) >= 20
+    # the quality run's ops go through the batch methods, which no swap
+    # times; the single ops stay swapped for the live workload's workers
+    assert len(spans.select("multiqueue.enqueue")) == 0
+    assert len(spans.select("multiqueue.dequeue")) == 0
     assert len(spans.select("dlin.linearize")) == 1
     for owner, attr, original in originals:
         assert owner.__dict__[attr] is original, f"{owner.__name__}.{attr} not restored"
