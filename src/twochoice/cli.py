@@ -342,7 +342,7 @@ def run_counter(cfg: ExperimentConfig) -> int:
                 rates.append(rate)
             mean = statistics.fmean(rates)
             std = statistics.pstdev(rates)
-            rows.append([threads, ratio, cells, repr(mean), repr(std), 1])
+            rows.append([threads, ratio, cells, mean, std, 1])
             print(f"counter threads={threads} ratio={ratio}: {mean:,.0f} ops/s")
     path = outdir / "counter_throughput.csv"
     _write_csv(path, cfg.header_comments(),
@@ -424,7 +424,7 @@ def run_queue(cfg: ExperimentConfig) -> int:
                          f"duplicated_or_invented={sum(extra.values())}")
         total_in = sum(len(lane) for lane in produced)
         dequeued = sum(len(lane) for lane in consumed)
-        rows.append([threads, p["queues"], repr(p["duration"]), total_in,
+        rows.append([threads, p["queues"], p["duration"], total_in,
                      dequeued, len(leftovers), 1])
         print(f"queue stress rep={rep}: enq={total_in} deq={dequeued} "
               f"left={len(leftovers)}")
@@ -462,9 +462,9 @@ def run_stm(cfg: ExperimentConfig) -> int:
                     abort_rates.append(res.aborts_per_commit)
                 summary_rows.append([
                     threads, objects, kind, res.delta,
-                    repr(statistics.fmean(rates)),
-                    repr(statistics.pstdev(rates)),
-                    repr(statistics.fmean(abort_rates)), 1,
+                    statistics.fmean(rates),
+                    statistics.pstdev(rates),
+                    statistics.fmean(abort_rates), 1,
                 ])
                 print(f"stm objects={objects} threads={threads} clock={kind}: "
                       f"{statistics.fmean(rates):,.0f} commits/s "

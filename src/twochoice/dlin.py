@@ -20,9 +20,10 @@ A history lists its operations in their canonical linearization order
 (the atomic write for counter updates, the internal pop for queue
 dequeues), and every error names an op by its position in that order.
 Costs measured this way are a valid witness of the relaxation, not the
-minimum over all admissible reorderings; for small histories the
-brute-force enumerator below explores every ordering that respects the
-real-time order of non-overlapping operations.
+minimum over all admissible reorderings. The brute force that replays every
+ordering respecting the real-time order of non-overlapping operations is a
+test oracle for small histories (tests/dlin_reference.py), not part of the
+package.
 
 A history is one `History` of five integer numpy columns, built from the
 simulator's operation log (`history_from_simulation`) or from a
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -46,7 +47,6 @@ from .csvfile import write_csv
 INC, READ, ENQ, DEQ = map(np.int8, range(4))   # op codes: counter ops, then queue ops
 KIND_NAMES = ("inc", "read", "enq", "deq")      # for error messages
 
-FIELDS = ("kind", "invoke", "respond", "arg", "ret")
 TAIL_CSV_FIELDS = ("count", "mean", "p50", "p90", "p99", "max")
 DEFAULT_R_VALUES = (4.0, 6.0, 8.0)
 
@@ -59,7 +59,7 @@ class MalformedHistoryError(ValueError):
 class History:
     """Completed operations in linearization order; an op's position names it.
 
-    One numpy column per name in FIELDS, all of one length: `kind` holds
+    One numpy column per field, all of one length: `kind` holds
     int8 op codes, the others integers (`arg` and `ret` int64; `invoke` and
     `respond` may be int32).
     """
@@ -139,36 +139,33 @@ def linearize_costs(history: History, bins: int) -> np.ndarray:
             if INC <= code <= DEQ else f"unknown op code {code}"))
     if queue:
         return _queue_costs(kind, history.arg, history.ret)
-    return _counter_costs(kind, history.arg, history.ret, bins)[0]
+    return _counter_costs(kind, history.arg, history.ret, bins)
 
 
 def _counter_costs(kind, arg, ret, bins: int) -> np.ndarray:
     """Increment: |m*c - k|, c its cell's count and k the total after it.
-    Read: |ret - k|. Replays one sequence, or one per row of 2-D columns; an
-    error names the op by its position in its row."""
-    kind, arg, ret = map(np.atleast_2d, (kind, arg, ret))
+    Read: |ret - k|."""
     inc = kind == INC
     cells, rets = arg[inc], ret[inc]
     outside = (cells < 0) | (cells >= bins)
     if outside.any():
         k = outside.argmax()
-        raise ValueError(f"op {np.nonzero(inc)[1][k]}: cell {cells[k]} out of range")
-    # a stable sort of (replay, cell) keys keeps each cell's increments in
-    # replay order, so an increment's place in its key's run is the cell's
-    # count after it (narrow keys: numpy radix-sorts 8- and 16-bit integers)
-    keys = np.repeat(np.arange(len(inc)) * bins, np.count_nonzero(inc, axis=1)) + cells
-    order = np.argsort(keys.astype(np.min_scalar_type(keys.max(initial=0))), kind="stable")
-    per_key = np.bincount(keys)
-    run_start = np.cumsum(per_key) - per_key   # each key's first place in `order`
+        raise ValueError(f"op {np.flatnonzero(inc)[k]}: cell {cells[k]} out of range")
+    # a stable sort of the cells keeps each cell's increments in replay
+    # order, so an increment's place in its cell's run is the cell's count
+    # after it (narrow cells: numpy radix-sorts 8- and 16-bit integers)
+    order = np.argsort(cells.astype(np.min_scalar_type(bins - 1)), kind="stable")
+    per_cell = np.bincount(cells, minlength=bins)
+    run_start = np.cumsum(per_cell) - per_cell   # each cell's first place in `order`
     count = np.empty_like(cells)
-    count[order] = np.arange(1, len(cells) + 1) - run_start[keys[order]]
+    count[order] = np.arange(1, len(cells) + 1) - run_start[cells[order]]
     scaled = bins * count
     wrong = (rets >= 0) & (rets != scaled)
     if wrong.any():
         k = wrong.argmax()
-        raise ValueError(f"op {np.nonzero(inc)[1][k]}: recorded value {rets[k]} disagrees "
+        raise ValueError(f"op {np.flatnonzero(inc)[k]}: recorded value {rets[k]} disagrees "
                          f"with replay {scaled[k]}")
-    total = np.cumsum(inc, axis=1)
+    total = np.cumsum(inc)
     cost = np.abs(ret - total)
     cost[inc] = np.abs(scaled - total[inc])
     return cost.astype(np.float64)
@@ -271,65 +268,3 @@ def history_from_serial_queue(enqueued: Sequence[int], dequeued: Sequence[int]) 
         arg=np.concatenate((np.asarray(enqueued, dtype=np.int64), np.full(d, -1))),
         ret=np.concatenate((np.full(n, -1), np.asarray(dequeued, dtype=np.int64))))
 
-
-# --- brute-force linearization enumeration (small histories) ---------------
-
-
-def enumerate_linearizations(history: History, limit: int = 1_000_000
-                             ) -> Iterator[list[int]]:
-    """Yield every ordering that preserves the real-time order, as a list of
-    the ops' positions in the history.
-
-    An op may be scheduled next iff no unscheduled op responded before it
-    was invoked. Intended for histories whose overlapping groups hold at
-    most ~8 operations; raises if the enumeration would exceed `limit`
-    orderings.
-    """
-    invoke, respond = history.invoke.tolist(), history.respond.tolist()
-    produced = 0
-
-    def extend(prefix: list[int], remaining: list[int]):
-        nonlocal produced
-        if not remaining:
-            produced += 1
-            if produced > limit:
-                raise ValueError(f"more than {limit} linearizations")
-            yield list(prefix)
-            return
-        for k, cand in enumerate(remaining):
-            if all(respond[other] > invoke[cand] for i, other in enumerate(remaining) if i != k):
-                prefix.append(cand)
-                yield from extend(prefix, remaining[:k] + remaining[k + 1:])
-                prefix.pop()
-
-    yield from extend([], sorted(range(len(invoke)), key=invoke.__getitem__))
-
-
-def possible_cost_multisets(history: History, bins: int,
-                            limit: int = 1_000_000) -> set[tuple[float, ...]]:
-    """Sorted cost tuples reachable over all admissible linearizations.
-
-    Counter increments drop their recorded values before replay (a
-    hypothetical order implies different intermediate cell values); queue
-    orderings that would dequeue a key before its enqueue are semantically
-    impossible and are skipped. Orderings are replayed from the history's
-    columns reordered, one ordering per row; counter rows are priced at once.
-    """
-    n = len(history)
-    counter = not n or history.kind[0] < ENQ
-    orderings = list(enumerate_linearizations(history, limit=limit))
-    order = np.array(orderings, dtype=np.int64).reshape(len(orderings), n)
-    rows = {name: getattr(history, name)[order] for name in FIELDS}
-    rows["ret"] = np.where(rows["kind"] == INC, -1, rows["ret"])
-    out = set()
-    # every ordering respects real time, so one counter replay checks them all
-    for k in range(min(1, len(order)) if counter else len(order)):
-        replay = History(**{name: c[k] for name, c in rows.items()})
-        try:
-            out.add(tuple(sorted(linearize_costs(replay, bins).tolist())))
-        except KeyError:
-            continue
-    if counter:
-        costs = _counter_costs(rows["kind"], rows["arg"], rows["ret"], bins)
-        out.update(map(tuple, np.sort(costs, axis=1).tolist()))
-    return out

@@ -239,7 +239,7 @@ class StmBenchResult:
     def csv_row(self) -> list:
         return [
             self.threads, self.objects, self.clock_kind, self.delta,
-            repr(self.commits_per_sec), repr(self.aborts_per_commit),
+            self.commits_per_sec, self.aborts_per_commit,
             int(self.consistent),
         ]
 

@@ -7,21 +7,25 @@ its kind with a string; `history` and `records_of` convert between a list
 of records and the columns of op codes that `twochoice.dlin` prices. A
 history's order is its ops' linearization order, and errors name an op by
 its position in the list; a record's `seq` is a label that `history`
-drops and `records_of` sets to the op's position.
+drops and `records_of` sets to the op's position. The brute force over
+every admissible ordering (`enumerate_linearizations`,
+`possible_cost_multisets`) lives only here: the package prices the
+canonical order alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
 from twochoice import dlin
-from twochoice.dlin import DEFAULT_R_VALUES, FIELDS, History, MalformedHistoryError, TailReport
+from twochoice.dlin import DEFAULT_R_VALUES, History, MalformedHistoryError, TailReport
 
 INC, READ, ENQ, DEQ = "inc", "read", "enq", "deq"
 CODES = {INC: dlin.INC, READ: dlin.READ, ENQ: dlin.ENQ, DEQ: dlin.DEQ}
+FIELDS = tuple(f.name for f in fields(History))   # the column names, in order
 
 
 @dataclass(frozen=True)

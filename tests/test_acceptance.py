@@ -18,7 +18,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from dlin_reference import INC, HistoryRecord, history
+from dlin_reference import INC, HistoryRecord, history, possible_cost_multisets
 from twochoice.adversary import (
     ADVERSARY_KINDS,
     BLOCK_RESET,
@@ -38,7 +38,6 @@ from twochoice.dlin import (
     history_from_serial_queue,
     history_from_simulation,
     linearize_costs,
-    possible_cost_multisets,
     tail_report,
 )
 from twochoice.multicounter import MultiCounter
@@ -405,18 +404,19 @@ def test_criterion_12_cost_recorder():
         assert rep.p99 == SIM_COST_P99_FROZEN
         assert rep.exceedance[8.0] <= 1e-3
 
-        # brute force: permuting overlapping ops never changes the set of
-        # reachable cost multisets (8 mutually overlapping increments)
+        # brute force (the object oracle's): permuting overlapping ops never
+        # changes the set of reachable cost multisets (8 mutually
+        # overlapping increments)
         base = [
             HistoryRecord(seq=k, kind=INC, invoke=k, respond=100 + k, arg=k % 3, ret=-1)
             for k in range(8)
         ]
-        reference = possible_cost_multisets(history(base), 3)
+        reference = possible_cost_multisets(base, 3)
         swapped = [base[3], base[1], base[2], base[0], base[7], base[5], base[6], base[4]]
         reseq = [
             HistoryRecord(seq=k, kind=r.kind, invoke=r.invoke, respond=r.respond,
                           arg=r.arg, ret=-1)
             for k, r in enumerate(swapped)
         ]
-        assert possible_cost_multisets(history(reseq), 3) == reference
+        assert possible_cost_multisets(reseq, 3) == reference
         assert len(reference) >= 1

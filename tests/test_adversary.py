@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -315,6 +316,23 @@ def test_update_uses_stale_values():
     res = simulate(cfg)
     assert not bool(res.log.correct.all())  # some wrong picks must occur
     assert bool(res.log.correct.any())
+
+
+def test_stampede_pair_law_is_pinned():
+    # m = 2, one stampede block of 2 ops from zero loads: both ops read
+    # before either updates, so each takes the lower index of its two equal
+    # loads. They share a bin iff min(i0, j0) == min(i1, j1), in 10 of the 16
+    # draws (5/8); taking the first choice on a tie would give 8 (1/2)
+    thread, _, phase = Schedule(STAMPEDE, 2, 2).columns()
+    read1, read2 = ([np.flatnonzero((thread == t) & (phase == p))[0] for t in (0, 1)]
+                    for p in (READ1, READ2))
+    shared = 0
+    for i0, i1, j0, j1 in itertools.product(range(2), repeat=4):
+        touched = np.zeros(len(phase), dtype=np.uint8)
+        touched[read1], touched[read2] = (i0, i1), (j0, j1)
+        updated = adversary._replay(thread, phase, touched, 2, 2, np.int64)[0]
+        shared += int(updated[0] == updated[1])
+    assert shared == 10
 
 
 def test_record_view_matches_columns():

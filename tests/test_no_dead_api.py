@@ -16,7 +16,6 @@ ROOT = Path(__file__).resolve().parents[1]
 ALLOWED = {
     "one_plus_beta_probabilities",   # criterion 03: the (1+beta) rank vector
     "ProbabilityVector.prefix_sums",  # criterion 03: its prefix sums
-    "possible_cost_multisets",       # criterion 12: the brute-force cost sets
 }
 
 
@@ -64,11 +63,9 @@ def test_every_public_name_has_a_caller():
     assert dead == []
 
 
-# defaulted parameters that only tests set: seams that swap in a schedule or
-# cap an enumeration
+# defaulted parameters that only tests set: a seam that swaps in a schedule
 ALLOWED_DEFAULTS = {
     "simulate(schedule=)",                # tests replay hand-built schedules
-    "possible_cost_multisets(limit=)",    # tests cap the brute-force enumeration
 }
 
 
