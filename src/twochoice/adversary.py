@@ -8,10 +8,11 @@ whose copied value was smaller (ties to the lower index). The adversary
 never sees the random choices, so they can all be drawn before the replay:
 thread t's k-th op takes the k-th pair of t's own stream.
 
-A schedule is three columns, the thread, op and phase of every event in
-order (`Schedule.columns`). `simulate` checks them, draws each thread's
-pairs in one batch, and walks the events a chunk at a time in one tight
-loop that copies at reads and compares and increments at updates.
+A schedule is the thread of every event in order (`Schedule.event_threads`),
+and a thread runs its ops' read1, read2 and update in turn. `simulate`
+checks it, draws each thread's pairs in one batch, and walks the events a
+chunk at a time in one tight loop that copies at reads and compares and
+increments at updates.
 
 Time is the global count of scheduled shared-memory events, and the
 trajectory has one row per update event. An operation's contention is the
@@ -81,7 +82,7 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class Schedule:
-    """A total order of (thread, op, phase) events, built as columns: a pure
+    """A total order of events, built as the column of their threads: a pure
     function of its fields that never consumes simulation randomness, which
     makes the adversary oblivious."""
 
@@ -103,9 +104,10 @@ class Schedule:
             raise ValueError(f"block size {self.block_size} needs a {STAMPEDE} schedule "
                              f"and 1 <= size <= threads, got {self.kind} on {self.threads}")
 
-    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(thread, op, phase) of every event in schedule order: threads in
-        the narrowest unsigned type, ops in `_index_type`, phases int8."""
+    def event_threads(self) -> np.ndarray:
+        """The thread of every event in schedule order, in the narrowest
+        unsigned type. A thread runs its ops' read1, read2 and update in
+        turn, so the column is the whole schedule."""
         n, total = self.threads, self.total_ops
         if self.kind == SERIAL:
             return self._blocks(0, total)
@@ -121,29 +123,30 @@ class Schedule:
         return self._interleaved(*self._random_picks())
 
     def events(self) -> Iterator[tuple[int, int, int]]:
-        """Raw (thread, op, phase) tuples in schedule order, read from `columns()`."""
-        cols = self.columns()
-        for lo in range(0, len(cols[0]), _CHUNK_ROWS):
-            yield from zip(*(col[lo:lo + _CHUNK_ROWS].tolist() for col in cols))
+        """(thread, op, phase) of every event in schedule order: each thread
+        steps through its phases, and ops are numbered in read1 order."""
+        steps, ops, started = [READ1] * self.threads, [0] * self.threads, 0
+        for t in self.event_threads().tolist():
+            phase = steps[t]
+            if phase == READ1:
+                ops[t], started = started, started + 1
+            steps[t] = (phase + 1) % 3
+            yield t, ops[t], phase
 
-    def _blocks(self, block: int, stretch: int) -> tuple[np.ndarray, ...]:
+    def _blocks(self, block: int, stretch: int) -> np.ndarray:
         """Until the ops run out, segments of a stampede of `block` ops (all
         first reads, then all second reads, then all updates) and `stretch`
         ops back to back; an op runs on its place in its segment mod threads.
         Full segments tile one pattern; the last may be cut short."""
         n, total, size = self.threads, self.total_ops, block + stretch
-        idx, phases = _index_type(total), np.array((READ1, READ2, UPDATE), dtype=np.int8)
+        idx, thread = _index_type(total), np.min_scalar_type(n - 1)
         full, cut = divmod(total, size) if size else (0, 0)
         parts = []
-        for copies, first, b, s in ((full, 0, block, stretch),
-                                    (1, full * size, min(block, cut), max(cut - block, 0))):
-            op = np.concatenate((np.tile(np.arange(b, dtype=idx), 3),
-                                 np.repeat(np.arange(b, b + s, dtype=idx), 3)))
-            shift = np.repeat(np.arange(copies, dtype=idx) * size + first, len(op))
-            parts.append((np.tile(op % n, copies), np.tile(op, copies) + shift, np.tile(
-                np.concatenate((np.repeat(phases, b), np.tile(phases, s))), copies)))
-        thread, op, phase = map(np.concatenate, zip(*parts))
-        return thread.astype(np.min_scalar_type(n - 1)), op, phase
+        for copies, b, s in ((full, block, stretch), (1, min(block, cut), max(cut - block, 0))):
+            place = np.concatenate((np.tile(np.arange(b, dtype=idx), 3),
+                                    np.repeat(np.arange(b, b + s, dtype=idx), 3)))
+            parts.append(np.tile((place % n).astype(thread), copies))
+        return np.concatenate(parts)
 
     def _random_picks(self) -> tuple[np.ndarray, Callable]:
         """The 3 * total_ops picks `integers(0, threads)` of one batched call
@@ -160,35 +163,26 @@ class Schedule:
 
         return picks.astype(np.min_scalar_type(n - 1)), resume
 
-    def _interleaved(self, picks: np.ndarray, resume: Callable) -> tuple[np.ndarray, ...]:
+    def _interleaved(self, picks: np.ndarray, resume: Callable) -> np.ndarray:
         """One op per thread at a time, advanced one phase per visit. While
         every thread is active, picks[k] is the k-th visit's thread; after the
         last op starts resume(used) returns pick(k), which picks one of the k
         active threads; idle threads retire, since no op is left."""
         n, total, idx = self.threads, self.total_ops, _index_type(self.total_ops)
-        order, _, head, nth = _by_thread(picks, n, idx)
-        phase = np.empty(len(picks), np.int8)
-        phase[order] = nth
-        started = np.cumsum(phase == READ1, dtype=idx)
-        op = np.empty(len(picks), idx)
-        op[order] = started[order[np.arange(len(picks)) - nth]] - 1
+        started = np.cumsum(_by_thread(picks, n, idx)[3] == READ1, dtype=idx)
         # 3 * total visits start every op: a thread's k visits start ceil(k / 3)
         used = int(np.searchsorted(started, total)) + 1 if total else 0
-        visits = np.bincount(picks[:used], minlength=n)
-        steps, current = (visits % 3).tolist(), [-1] * n   # next phase, op id or -1 if idle
-        for t in np.flatnonzero(visits % 3).tolist():
-            current[t] = int(op[order[head[t] + visits[t] - 1]])
+        steps = (np.bincount(picks[:used], minlength=n) % 3).tolist()   # next phase; 0 is idle
         pick, active, tail = resume(used), list(range(n)), []
         while active:
             slot = pick(len(active))
             t = active[slot]
-            if current[t] >= 0:
-                tail.append((t, current[t], steps[t]))
-                current[t], steps[t] = (current[t], steps[t] + 1) if steps[t] < UPDATE else (-1, 0)
-            if current[t] < 0:
+            if steps[t]:
+                tail.append(t)
+                steps[t] = (steps[t] + 1) % 3
+            if not steps[t]:
                 active.pop(slot)
-        return tuple(np.concatenate((col[:used], more)).astype(col.dtype) for col, more
-                     in zip((picks, op, phase), np.array(tail, dtype=idx).reshape(-1, 3).T))
+        return np.concatenate((picks[:used], np.array(tail, dtype=picks.dtype)))
 
 
 def _index_type(total_ops: int) -> type:
@@ -210,8 +204,8 @@ def generate_schedule(config: SimConfig) -> Schedule:
 
 @dataclass
 class OpLog:
-    """Columnar log of completed operations, in completion order; integer
-    columns but `op` (the schedule's ids) are `_index_type` of the op count."""
+    """Columnar log of completed operations, in completion order, ops
+    numbered by read1; integer columns are `_index_type` of the op count."""
 
     op: np.ndarray
     thread: np.ndarray
@@ -251,9 +245,9 @@ def simulate(config: SimConfig, schedule: Schedule | None = None) -> SimResult:
     trajectory row is recorded per update event.
 
     The replay holds the package's only schedule rules, and a malformed
-    schedule raises `ValueError`: a thread out of range, an unknown phase, a
-    phase out of read1, read2, update order on its thread, an op left
-    pending or missing, or an op id used twice.
+    schedule raises `ValueError`: a thread out of range, or a thread whose
+    events are not whole (read1, read2, update) triples, or not `total_ops`
+    of them in all.
     """
     if schedule is None:
         schedule = generate_schedule(config)
@@ -261,8 +255,8 @@ def simulate(config: SimConfig, schedule: Schedule | None = None) -> SimResult:
         raise ValueError("schedule was generated for a different thread count or op budget")
 
     n, m, total, idx = config.threads, config.bins, config.total_ops, _index_type(config.total_ops)
-    thread, op, phase = schedule.columns()
-    order, seen, head = _thread_order(thread, op, phase, n, total)
+    thread = schedule.event_threads()
+    order, seen, head, phase = _thread_order(thread, n, total)
     # the adversary is oblivious, so thread t's k-th op takes the k-th pair of
     # t's stream's first child, the first of the two run_sequential splits off
     touched = np.zeros(len(phase), dtype=np.min_scalar_type(m - 1))   # the bin of each event
@@ -275,10 +269,9 @@ def simulate(config: SimConfig, schedule: Schedule | None = None) -> SimResult:
     a_read2 = prior[a_finish]
     a_start = prior[a_read2]
     a_ci, a_cj = touched[a_start].astype(idx), touched[a_read2].astype(idx)
-    a_op, a_thread = op[a_finish], thread[a_finish].astype(idx)   # op ids keep their type
-    del order, prior, op
-    if (np.diff(np.sort(a_op)) == 0).any():
-        raise ValueError("schedule gives two operations the same op id")
+    a_op = (np.cumsum(phase == READ1, dtype=idx) - 1)[a_start]
+    a_thread = thread[a_finish].astype(idx)
+    del order, prior
 
     a_upd, a_post, a_corr, loads = _replay(thread, phase, touched, n, m, idx)
     touched[a_finish] = a_upd
@@ -296,34 +289,29 @@ def simulate(config: SimConfig, schedule: Schedule | None = None) -> SimResult:
 
 def _by_thread(thread: np.ndarray, threads: int, idx: type) -> tuple[np.ndarray, ...]:
     """A stable order of the events by thread, each thread's event count and
-    first place in it, and each place's index among its thread's, mod 3."""
+    first place in it, and each event's phase (int8): its index among its
+    thread's events, mod 3."""
     order = np.argsort(thread, kind="stable").astype(idx)
     seen = np.bincount(thread, minlength=threads)
     head = np.cumsum(seen) - seen
-    return order, seen, head, (np.arange(len(order), dtype=idx)
-                               - np.repeat(head.astype(idx), seen)) % 3
+    phase = np.empty(len(order), np.int8)
+    phase[order] = (np.arange(len(order), dtype=idx) - np.repeat(head.astype(idx), seen)) % 3
+    return order, seen, head, phase
 
 
-def _thread_order(thread, op, phase, threads: int, total: int) -> tuple[np.ndarray, ...]:
-    """`_by_thread`'s order, event counts and first places. Raises ValueError
-    unless a thread's events are (read1, read2, update) triples of one op id
-    each, `total` of them in all."""
-    events = len(phase)
-    bad = np.flatnonzero((thread < 0) | (thread >= threads) | (phase < READ1) | (phase > UPDATE))
+def _thread_order(thread, threads: int, total: int) -> tuple[np.ndarray, ...]:
+    """`_by_thread` of a thread column. Raises ValueError unless every thread
+    is in range and has whole triples of events, `total` of them in all."""
+    events = len(thread)
+    bad = np.flatnonzero((thread < 0) | (thread >= threads))
     if len(bad):
-        raise ValueError(f"schedule event {bad[0]}: thread {thread[bad[0]]} "
-                         f"or phase {phase[bad[0]]!r} out of range")
-    order, seen, head, step = _by_thread(thread, threads, np.int32 if events < 2**31 else np.int64)
-    first = order[np.arange(events, dtype=step.dtype) - step]   # each event's op's read1
-    bad = order[(phase[order] != step) | (op[order] != op[first])]
-    if len(bad):
-        e = bad.min()
-        raise ValueError(f"schedule event {e}: phase {phase[e]} of op {op[e]} "
-                         f"out of order on thread {thread[e]}")
+        raise ValueError(f"schedule event {bad[0]}: thread {thread[bad[0]]} out of range")
+    idx = np.int32 if events < 2**31 else np.int64
+    order, seen, head, phase = _by_thread(thread, threads, idx)
     if (seen % 3).any() or events != 3 * total:
         raise ValueError(f"schedule completed {(seen // 3).sum()} of {total} operations "
                          f"in {events} events")
-    return order, seen, head
+    return order, seen, head, phase
 
 
 def _replay(thread, phase, touched, threads: int, bins: int, idx: type) -> tuple:

@@ -54,17 +54,11 @@ EMPTY = _Empty()
 
 
 class LogicalClock:
-    """Shared monotone counter; next() hands out distinct increasing stamps."""
+    """Shared monotone counter; reserve() hands out distinct increasing stamps."""
 
     def __init__(self):
         self._value = 0
         self._lock = threading.Lock()
-
-    def next(self) -> int:
-        with self._lock:
-            v = self._value
-            self._value = v + 1
-        return v
 
     def reserve(self, count: int) -> int:
         """Hand out `count` consecutive stamps at once; returns the first."""
@@ -100,7 +94,7 @@ class MultiQueue:
         """
         q = int(rng.integers(0, self.queues))
         with self._locks[q]:
-            stamp = self._clock.next()
+            stamp = self._clock.reserve(1)
             heappush(self._heaps[q], (stamp, thread, element))
         return q, stamp
 

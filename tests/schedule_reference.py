@@ -1,7 +1,7 @@
-"""The schedule generators as they were before `Schedule.columns()` built
-schedules as numpy columns: one event at a time, with each rule spelled out
-where it applies. Slow, but simple, so tests use them as the oracle that the
-columns must match event for event.
+"""The schedule generators as they were before schedules were built as
+numpy columns: one (thread, op, phase) event at a time, with each rule
+spelled out where it applies. Slow, but simple, so tests use them as the
+oracle that `Schedule.events()` must match event for event.
 """
 
 from __future__ import annotations

@@ -88,11 +88,8 @@ def _schedules(draw):
 # n = 4100 rejects the scheduler's 14th half, a pick of the batch
 @example(schedule=Schedule(RANDOM_INTERLEAVE, 4100, 20, 43270))
 def test_schedule_columns_match_reference(schedule):
-    thread, op, phase = schedule.columns()
-    assert (thread.dtype, op.dtype, phase.dtype) == (
-        np.min_scalar_type(schedule.threads - 1), np.int32, np.int8)
-    got = list(zip(thread.tolist(), op.tolist(), phase.tolist()))
-    assert got == list(events_reference(schedule))
+    assert schedule.event_threads().dtype == np.min_scalar_type(schedule.threads - 1)
+    assert list(schedule.events()) == list(events_reference(schedule))
 
 
 @pytest.mark.parametrize("kind", ADVERSARY_KINDS)
@@ -265,47 +262,28 @@ def test_simulate_rejects_mismatched_schedule():
 
 
 @dataclass(frozen=True)
-class _ListedSchedule:
-    events_list: tuple
-    threads: int = 1
-    total_ops: int = 1
+class _ListedSchedule(Schedule):
+    """A schedule given as the listed thread of each of its events."""
 
-    def events(self):
-        yield from self.events_list
+    listed: tuple = ()
 
-    def columns(self):
-        thread, op, phase = np.array(self.events_list, dtype=np.int64).reshape(-1, 3).T
-        return thread, op, phase
+    def event_threads(self):
+        return np.array(self.listed, dtype=np.int64)
 
 
-def test_simulate_rejects_phase_violation():
-    schedule = _ListedSchedule(((0, 0, READ2),))  # read2 with no read1
-    with pytest.raises(ValueError):
-        simulate(SimConfig(bins=4, threads=1, total_ops=1), schedule=schedule)
-
-
+# thread columns for one op on one thread
 @pytest.mark.parametrize("events", [
-    ((0, 0, READ1), (0, 0, UPDATE)),                                # no read2
-    ((0, 0, READ1), (0, 0, READ2), (0, 0, READ2), (0, 0, UPDATE)),  # read2 twice
-    ((0, 0, READ1), (0, 1, READ1), (0, 1, READ2), (0, 1, UPDATE)),  # read1 over a pending op
-    ((-1, 0, READ1), (-1, 0, READ2), (-1, 0, UPDATE)),              # thread -1
-    ((1, 0, READ1), (1, 0, READ2), (1, 0, UPDATE)),                 # thread past the last
-    ((0, 0, READ1), (0, 0, READ2), (0, 0, UPDATE), (0, 1, READ1)),  # op left pending
-    ((0, 0, READ1), (0, 0, READ2), (0, 0, UPDATE + 1)),             # unknown phase
+    (0,),         # read1 only
+    (0, 0),       # no update
+    (0,) * 4,     # a second op left pending
+    (-1,) * 3,    # thread -1
+    (1,) * 3,     # thread past the last
+    (0,) * 6,     # two ops for a budget of one
 ])
 def test_simulate_rejects_missing_or_repeated_read2(events):
     with pytest.raises(ValueError):
         simulate(SimConfig(bins=4, threads=1, total_ops=1),
-                 schedule=_ListedSchedule(events))
-
-
-def test_simulate_rejects_reused_op_id():
-    # op 5 runs twice on thread 1, both times inside op 0's window
-    events = ((0, 0, READ1), (1, 5, READ1), (1, 5, READ2), (1, 5, UPDATE),
-              (1, 5, READ1), (1, 5, READ2), (1, 5, UPDATE), (0, 0, READ2), (0, 0, UPDATE))
-    schedule = _ListedSchedule(events, threads=2, total_ops=3)
-    with pytest.raises(ValueError, match="op id"):
-        simulate(SimConfig(bins=4, threads=2, total_ops=3), schedule=schedule)
+                 schedule=_ListedSchedule(SERIAL, 1, 1, listed=events))
 
 
 def test_update_uses_stale_values():
@@ -323,7 +301,8 @@ def test_stampede_pair_law_is_pinned():
     # before either updates, so each takes the lower index of its two equal
     # loads. They share a bin iff min(i0, j0) == min(i1, j1), in 10 of the 16
     # draws (5/8); taking the first choice on a tie would give 8 (1/2)
-    thread, _, phase = Schedule(STAMPEDE, 2, 2).columns()
+    thread = Schedule(STAMPEDE, 2, 2).event_threads()
+    phase = adversary._by_thread(thread, 2, np.int64)[3]
     read1, read2 = ([np.flatnonzero((thread == t) & (phase == p))[0] for t in (0, 1)]
                     for p in (READ1, READ2))
     shared = 0
@@ -391,28 +370,25 @@ def test_simulate_matches_reference_long_runs(kind, threads):
 
 @st.composite
 def _hand_built_runs(draw):
-    """A valid schedule whose per-thread (read1, read2, update) triples are
-    interleaved in arbitrary order: threads advance at rates up to 1000x
-    apart, so starved threads hold long windows and ops finish out of start
-    order, and op ids are a shuffle, not start order."""
+    """A valid thread column whose threads' events are interleaved in
+    arbitrary order: threads advance at rates up to 1000x apart, so starved
+    threads hold long windows and ops finish out of start order."""
     rnd = draw(st.randoms(use_true_random=False))
     n = draw(st.one_of(st.integers(1, 8), st.integers(9, 64)))
     ops = draw(st.integers(0, 150))
-    ids = rnd.sample(range(10 * ops), ops)
-    mine: list[list[int]] = [[] for _ in range(n)]
-    for op in ids:
-        mine[rnd.randrange(n)].append(op)
+    left = [0] * n   # events each thread has yet to take
+    for _ in range(ops):
+        left[rnd.randrange(n)] += 3
     rate = [rnd.choice((0.01, 1.0, 10.0)) for _ in range(n)]
-    left = [[(t, op, phase) for op in mine[t] for phase in (READ1, READ2, UPDATE)]
-            for t in range(n)]
     events = []
     while any(left):
         busy = [t for t in range(n) if left[t]]
         t = rnd.choices(busy, [rate[t] for t in busy])[0]
-        events.append(left[t].pop(0))
+        left[t] -= 1
+        events.append(t)
     cfg = SimConfig(bins=draw(st.sampled_from([1, 2, 4])), threads=n, total_ops=ops,
                     seed=draw(st.integers(0, 2**32)))
-    return cfg, _ListedSchedule(tuple(events), threads=n, total_ops=ops)
+    return cfg, _ListedSchedule(SERIAL, n, ops, listed=tuple(events))
 
 
 @pytest.mark.parametrize("budget", WINDOW_BUDGETS)
@@ -422,18 +398,18 @@ def test_simulate_matches_reference_on_hand_built_schedules(budget, run):
     cfg, schedule = run
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(adversary, "_WINDOW_EVENTS", budget)
-        _assert_same_run(simulate(cfg, schedule), simulate_reference(cfg, schedule))
+        got = simulate(cfg, schedule)
+        _assert_same_run(got, simulate_reference(cfg, schedule))
+    assert np.array_equal(got.log.op[np.argsort(got.log.start)], np.arange(cfg.total_ops))
 
 
 def test_simulate_matches_reference_on_a_window_longer_than_a_run():
     # thread 1 runs 6 000 ops inside thread 0's first op, whose window then
     # holds more events than a run of the window pass
-    events = ((0, 0, READ1), *((1, op, phase) for op in range(1, 6_001)
-                                for phase in (READ1, READ2, UPDATE)),
-              (0, 0, READ2), (0, 0, UPDATE))
+    events = (0, *(1,) * 18_000, 0, 0)
     assert len(events) - 3 > adversary._WINDOW_EVENTS
     cfg = SimConfig(bins=4, threads=2, total_ops=6_001, seed=3)
-    schedule = _ListedSchedule(events, threads=2, total_ops=6_001)
+    schedule = _ListedSchedule(SERIAL, 2, 6_001, listed=events)
     _assert_same_run(simulate(cfg, schedule), simulate_reference(cfg, schedule))
 
 

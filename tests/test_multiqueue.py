@@ -38,17 +38,17 @@ def offline_ranks(placed, popped, queues):
 
 def test_clock_monotone_and_unique():
     clk = LogicalClock()
-    stamps = [clk.next() for _ in range(1000)]
+    stamps = [clk.reserve(1) for _ in range(1000)]
     assert stamps == sorted(stamps)
     assert len(set(stamps)) == 1000
 
 
 def test_clock_reserve_hands_out_consecutive_stamps():
     clk = LogicalClock()
-    assert clk.next() == 0
+    assert clk.reserve(1) == 0
     assert clk.reserve(5) == 1
     assert clk.reserve(0) == 6
-    assert clk.next() == 6
+    assert clk.reserve(1) == 6
 
 
 def test_clock_unique_under_threads():
@@ -57,7 +57,7 @@ def test_clock_unique_under_threads():
 
     def worker(k):
         for _ in range(5000):
-            out[k].append(clk.next())
+            out[k].append(clk.reserve(1))
 
     threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
     for t in threads:
