@@ -8,7 +8,7 @@ Modules:
   multiqueue   thread-safe relaxed queue over m timestamp-ordered queues
   dlin         relaxation-cost recorder for concurrent histories
   stm          toy word-based transactional memory with a pluggable clock
-  affinity     timed worker threads that stop at one deadline
+  timed        timed worker threads that return their tallies; usable CPUs
   csvfile      the one CSV writer: comment lines, header, columns
   cli          experiment driver writing CSV artifacts
 """

@@ -416,7 +416,6 @@ def classify_operations(log: OpLog, config: SimConfig) -> tuple[np.ndarray, Clas
 @dataclass(frozen=True)
 class WindowStats:
     index: int
-    first_op: int
     last_op: int
     max_gamma: float
     end_gamma: float
@@ -442,7 +441,7 @@ def drift_report(trajectory: Trajectory, log: OpLog, window: int, bins: int,
     for w, lo in enumerate(range(0, len(gamma), window)):
         seg = gamma[lo:lo + window]
         out.append(WindowStats(
-            index=w, first_op=lo, last_op=lo + len(seg) - 1,
+            index=w, last_op=lo + len(seg) - 1,
             max_gamma=float(seg.max()), end_gamma=float(seg[-1]),
             bad_ops=int((cont[lo:lo + window] > window).sum()),
             flagged=float(seg[-1]) > gamma_flag_multiple * bins))

@@ -29,7 +29,6 @@ import numpy as np
 
 from .adversary import (ADVERSARY_KINDS, STAMPEDE, SimConfig, classify_operations, drift_report,
                         simulate)
-from .affinity import run_timed_workers, usable_cpus
 from .balance import EXPONENTIAL, UNIT, default_params, run_sequential
 from .csvfile import write_csv as _write_csv  # perfbench/layers.py swaps this name
 from .dlin import (DEQ, history_from_serial_queue, history_from_simulation, linearize_costs,
@@ -37,7 +36,8 @@ from .dlin import (DEQ, history_from_serial_queue, history_from_simulation, line
 from .multicounter import MultiCounter
 from .multiqueue import EMPTY, MultiQueue
 from .rng import PairStream, make_rng, thread_rngs
-from .stm import STM_CSV_HEADER, run_stm_benchmark
+from .stm import run_stm_benchmark
+from .timed import run_timed_workers, usable_cpu_count
 
 ENV_OUTDIR = "TWOCHOICE_OUT"
 
@@ -287,18 +287,17 @@ def _counter_throughput_once(threads: int, cells: int, duration: float,
                              seed: int) -> tuple[float, bool]:
     counter = MultiCounter(cells)
     rngs = [PairStream(g, cells) for g in thread_rngs(seed, threads)]
-    counts = [0] * threads
 
-    def worker(k: int, stop) -> None:
+    def worker(k: int, stop) -> int:
         rng = rngs[k]
         inc = counter.increment
         n = 0
         while not stop.is_set():
             inc(rng)
             n += 1
-        counts[k] = n
+        return n
 
-    elapsed = run_timed_workers(threads, worker, duration)
+    elapsed, counts = run_timed_workers(threads, worker, duration)
     total = sum(counts)
     conserved = counter.exact_total() == total
     return total / elapsed, conserved
@@ -326,7 +325,7 @@ def run_counter(cfg: ExperimentConfig) -> int:
         _write_csv(path, cfg.header_comments(), "increments,scaled_read,gap", list(zip(*rows)))
         print(f"counter quality: final_gap={rows[-1][2]} -> {path}")
         return 0
-    threads_max = p["threads_max"] or len(usable_cpus())
+    threads_max = p["threads_max"] or usable_cpu_count()
     rows = []
     for threads in range(1, threads_max + 1):
         for ratio in p["cell_ratios"]:
@@ -390,40 +389,40 @@ def run_queue(cfg: ExperimentConfig) -> int:
         print(f"queue quality: mean_rank={ranks.mean():.1f} max_rank={ranks.max()} "
               f"retries={retries} -> {path}")
         return 0
-    threads = p["threads"] or len(usable_cpus())
+    threads = p["threads"] or usable_cpu_count()
     rows = []
     for rep in range(p["repeats"]):
         q = MultiQueue(p["queues"])
         rngs = [PairStream(g, p["queues"]) for g in thread_rngs(p["seed"] + rep, threads)]
-        produced: list[list] = [[] for _ in range(threads)]
-        consumed: list[list] = [[] for _ in range(threads)]
 
-        def worker(k: int, stop) -> None:
+        def worker(k: int, stop) -> tuple[list, list]:
             rng = rngs[k]
+            produced, consumed = [], []
             step = 0
             while not stop.is_set():
                 if step % 2 == 0:
                     item = (k, step)
                     q.enqueue(item, rng, thread=k)
-                    produced[k].append(item)
+                    produced.append(item)
                 else:
                     got = q.dequeue(rng)
                     if got is not EMPTY:
-                        consumed[k].append(got)
+                        consumed.append(got)
                 step += 1
+            return produced, consumed
 
-        run_timed_workers(threads, worker, p["duration"])
+        _, lanes = run_timed_workers(threads, worker, p["duration"])
         leftovers = q.drain()
-        want = Counter(x for lane in produced for x in lane)
-        got = Counter(x for lane in consumed for x in lane) + Counter(leftovers)
+        want = Counter(x for produced, _ in lanes for x in produced)
+        got = Counter(x for _, consumed in lanes for x in consumed) + Counter(leftovers)
         if want != got:
             missing = want - got
             extra = got - want
             return _fail(outdir, "queue",
                          f"rep={rep}: lost={sum(missing.values())} "
                          f"duplicated_or_invented={sum(extra.values())}")
-        total_in = sum(len(lane) for lane in produced)
-        dequeued = sum(len(lane) for lane in consumed)
+        total_in = sum(len(produced) for produced, _ in lanes)
+        dequeued = sum(len(consumed) for _, consumed in lanes)
         rows.append([threads, p["queues"], p["duration"], total_in,
                      dequeued, len(leftovers), 1])
         print(f"queue stress rep={rep}: enq={total_in} deq={dequeued} "
@@ -437,7 +436,7 @@ def run_queue(cfg: ExperimentConfig) -> int:
 def run_stm(cfg: ExperimentConfig) -> int:
     p = cfg.params
     outdir = cfg.outdir
-    threads_max = p["threads_max"] or len(usable_cpus())
+    threads_max = p["threads_max"] or usable_cpu_count()
     summary_rows = []
     for objects in p["objects"]:
         rows = []
@@ -457,7 +456,8 @@ def run_stm(cfg: ExperimentConfig) -> int:
                             f"objects={objects} threads={threads} clock={kind} "
                             f"rep={rep}: cell sum != 2 * commits "
                             f"(commits={res.commits})")
-                    rows.append(res.csv_row())
+                    rows.append([threads, objects, kind, res.delta, res.commits_per_sec,
+                                 res.aborts_per_commit, 1])
                     rates.append(res.commits_per_sec)
                     abort_rates.append(res.aborts_per_commit)
                 summary_rows.append([
@@ -470,7 +470,8 @@ def run_stm(cfg: ExperimentConfig) -> int:
                       f"{statistics.fmean(rates):,.0f} commits/s "
                       f"aborts/commit={statistics.fmean(abort_rates):.3f}")
         _write_csv(outdir / f"stm_objects{objects}.csv", cfg.header_comments(),
-                   STM_CSV_HEADER, list(zip(*rows)))
+                   "threads,objects,clock,delta,commits_per_sec,aborts_per_commit,consistent",
+                   list(zip(*rows)))
     _write_csv(outdir / "stm_summary.csv", cfg.header_comments(),
                "threads,objects,clock,delta,commits_per_sec_mean,"
                "commits_per_sec_std,aborts_per_commit_mean,consistent",

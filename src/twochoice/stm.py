@@ -11,19 +11,22 @@ The version source is pluggable:
   ExactClock        a locked counter; commit stamps are fetch-and-increment
                     results, which gives strict serializability.
   RelaxedClock      a sharded MultiCounter read as an approximate clock.
-                    Commit stamps are written "in the future": the writer's
-                    running maximum observed timestamp, its rv, and every
-                    version it saw are topped by a margin delta chosen to
-                    exceed the counter's likely skew. This removes the
-                    central clock bottleneck but makes isolation
-                    probabilistic: if the skew ever exceeds delta, a stale
-                    read can slip through validation. Runs must therefore
-                    check the final-state oracle (cell sums versus
-                    committed increments), which the benchmark reports.
+                    Commit stamps are written "in the future": the newest
+                    of the writer's running maximum t_max (every clock read,
+                    rv included, and every stamp it wrote) and the versions
+                    on its locked write cells, topped by a margin delta
+                    chosen to exceed the counter's likely skew. Every
+                    version a transaction reads is at most its rv, so reads
+                    add nothing to the stamp. This removes the central
+                    clock bottleneck but makes isolation probabilistic: if
+                    the skew ever exceeds delta, a stale read can slip
+                    through validation. Runs must therefore check the
+                    final-state oracle (cell sums versus committed
+                    increments), which the benchmark reports.
 
 Each cell's version changes only while its lock is held, and versions are
 monotone: exact stamps strictly increase, and relaxed stamps top every
-version the writer saw on its locked cells.
+version on the writer's locked cells.
 """
 
 from __future__ import annotations
@@ -31,17 +34,14 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from numpy.random import Generator
 
-from .affinity import run_timed_workers
 from .multicounter import MultiCounter
 from .rng import PairStream, thread_rngs
+from .timed import run_timed_workers
 
 ACTIVE, COMMITTED, ABORTED = "active", "committed", "aborted"
-
-STM_CSV_HEADER = "threads,objects,clock,delta,commits_per_sec,aborts_per_commit,consistent"
 
 
 class TxAborted(Exception):
@@ -82,7 +82,7 @@ class ExactClock:
     def read(self) -> int:
         return self._value
 
-    def write_version(self, rv: int, max_seen: int) -> int:
+    def write_version(self, floor: int) -> int:
         with self._lock:
             self._value += 1
             return self._value
@@ -116,10 +116,11 @@ class RelaxedClockView:
             self.t_max = stamp
         return stamp
 
-    def write_version(self, rv: int, max_seen: int) -> int:
-        # write in the future: top everything this thread has observed by
-        # delta, and advance the shared counter so readers catch up
-        wv = max(self.t_max, rv, max_seen) + self._shared.delta
+    def write_version(self, floor: int) -> int:
+        # write in the future: top every clock value this thread has read or
+        # stamped and the newest version on the locked cells (`floor`) by delta,
+        # and advance the shared counter so readers catch up
+        wv = max(self.t_max, floor) + self._shared.delta
         self.t_max = wv
         self._shared.counter.increment(self._rng)
         return wv
@@ -134,11 +135,14 @@ def default_delta(clock_cells: int) -> int:
 
 @dataclass
 class Transaction:
+    # the commit stamp needs neither rv nor the versions read: rv is a clock
+    # read, so a relaxed view's t_max already covers it, and tx_read aborts
+    # on any version above rv. A relaxed stamp is max(t_max, newest version
+    # on the locked write cells) + delta.
     rv: int
     status: str = ACTIVE
     read_set: list = field(default_factory=list)      # (cell, version seen)
     write_set: dict = field(default_factory=dict)     # index -> (cell, value)
-    max_version_seen: int = 0
 
 
 def tx_begin(clock) -> Transaction:
@@ -167,8 +171,6 @@ def tx_read(tx: Transaction, cell: VersionedCell) -> int:
         tx.status = ABORTED
         raise TxAborted()
     tx.read_set.append((cell, version))
-    if version > tx.max_version_seen:
-        tx.max_version_seen = version
     return value
 
 
@@ -189,15 +191,15 @@ def tx_commit(tx: Transaction, clock) -> str:
 
     ordered = sorted(tx.write_set.values(), key=lambda cv: cv[0].index)
     acquired: list[VersionedCell] = []
-    max_seen = tx.max_version_seen
+    floor = 0   # the newest version on the locked cells
     try:
         for cell, _ in ordered:
             if not cell.lock.acquire(blocking=False):
                 tx.status = ABORTED
                 return ABORTED
             acquired.append(cell)
-            if cell.version > max_seen:
-                max_seen = cell.version
+            if cell.version > floor:
+                floor = cell.version
         write_indices = tx.write_set.keys()
         for cell, seen in tx.read_set:
             if cell.index in write_indices:
@@ -207,7 +209,7 @@ def tx_commit(tx: Transaction, clock) -> str:
             elif cell.lock.locked() or cell.version != seen:
                 tx.status = ABORTED
                 return ABORTED
-        wv = clock.write_version(tx.rv, max_seen)
+        wv = clock.write_version(floor)
         for cell, value in ordered:
             cell.value = value
             cell.version = wv
@@ -225,23 +227,12 @@ def tx_commit(tx: Transaction, clock) -> str:
 
 @dataclass(frozen=True)
 class StmBenchResult:
-    threads: int
-    objects: int
-    clock_kind: str
     delta: int
-    duration: float
     commits: int
     aborts: int
     commits_per_sec: float
     aborts_per_commit: float
     consistent: bool
-
-    def csv_row(self) -> list:
-        return [
-            self.threads, self.objects, self.clock_kind, self.delta,
-            self.commits_per_sec, self.aborts_per_commit,
-            int(self.consistent),
-        ]
 
 
 def run_stm_benchmark(
@@ -272,10 +263,8 @@ def run_stm_benchmark(
     exact = ExactClock()
 
     rngs = thread_rngs(seed, threads)
-    commits = [0] * threads
-    aborts = [0] * threads
 
-    def worker(k: int, stop: threading.Event) -> None:
+    def worker(k: int, stop: threading.Event) -> tuple[int, int]:
         rng = rngs[k]
         clock = exact if relaxed is None else relaxed.view(rng.spawn(1)[0])
         draws = PairStream(rng, objects)
@@ -299,20 +288,13 @@ def run_stm_benchmark(
                 n_commit += 1
             else:
                 n_abort += 1
-        commits[k] = n_commit
-        aborts[k] = n_abort
+        return n_commit, n_abort
 
-    elapsed = run_timed_workers(threads, worker, duration)
-
-    total_commits = sum(commits)
-    total_aborts = sum(aborts)
+    elapsed, tallies = run_timed_workers(threads, worker, duration)
+    total_commits, total_aborts = map(sum, zip(*tallies))
     final_sum = sum(c.value for c in cells)
     return StmBenchResult(
-        threads=threads,
-        objects=objects,
-        clock_kind=clock_kind,
         delta=0 if relaxed is None else relaxed.delta,
-        duration=elapsed,
         commits=total_commits,
         aborts=total_aborts,
         commits_per_sec=total_commits / elapsed if elapsed > 0 else 0.0,

@@ -1,6 +1,7 @@
-"""Timed benchmark worker threads that stop at one deadline and time
-themselves: while workers hold the GIL the main thread may wait seconds to
-run again (the GIL convoy), so it only starts, joins and cleans up."""
+"""Timed benchmark worker threads that stop at one deadline, time
+themselves and return their tallies: while workers hold the GIL the main
+thread may wait seconds to run again (the GIL convoy), so it only starts,
+joins and cleans up. Also the count of CPUs a run may use."""
 
 from __future__ import annotations
 
@@ -10,11 +11,11 @@ from time import perf_counter
 from typing import Callable
 
 
-def usable_cpus() -> list[int]:
-    """The CPUs this process may run on: its affinity mask, else all."""
+def usable_cpu_count() -> int:
+    """How many CPUs this process may run on: its affinity mask, else all."""
     if hasattr(os, "sched_getaffinity"):
-        return sorted(os.sched_getaffinity(0))
-    return list(range(os.cpu_count() or 1))
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 class _Deadline(threading.Event):
@@ -30,8 +31,8 @@ class _Deadline(threading.Event):
         return self._flag or perf_counter() >= self.at
 
 
-def run_timed_workers(threads: int, work: Callable[[int, threading.Event], None],
-                      duration: float) -> float:
+def run_timed_workers(threads: int, work: Callable[[int, threading.Event], object],
+                      duration: float) -> tuple[float, list]:
     """Run work(k, stop) on threads k = 0..threads-1 for `duration` seconds.
 
     `stop.is_set()` turns true `duration` seconds after a start fixed just
@@ -40,16 +41,18 @@ def run_timed_workers(threads: int, work: Callable[[int, threading.Event], None]
     worker raises, or when starting or joining the workers raises (Ctrl-C).
     The first worker exception is raised again once all have joined. A
     negative or NaN `duration` raises ValueError before any thread starts.
-    Returns the seconds from the first worker's start to the last one's end.
+    Returns the seconds from the first worker's start to the last one's end,
+    and what each worker returned, in order of k.
     """
     if not duration >= 0:
         raise ValueError(f"duration must be >= 0, got {duration}")
     starts, ends, errors = [], [], []
+    results = [None] * threads
 
     def run(k: int) -> None:
         starts.append(perf_counter())
         try:
-            work(k, stop)
+            results[k] = work(k, stop)
         except BaseException as exc:
             errors.append(exc)
             stop.set()
@@ -69,4 +72,4 @@ def run_timed_workers(threads: int, work: Callable[[int, threading.Event], None]
                 w.join()
     if errors:
         raise errors[0]
-    return max(ends) - min(starts)
+    return max(ends) - min(starts), results

@@ -31,7 +31,6 @@ from twochoice.adversary import (
     generate_schedule,
     simulate,
 )
-from twochoice.affinity import usable_cpus
 from twochoice.balance import one_plus_beta_probabilities, run_sequential
 from twochoice.dlin import (
     DEQ,
@@ -44,6 +43,7 @@ from twochoice.multicounter import MultiCounter
 from twochoice.multiqueue import EMPTY, MultiQueue
 from twochoice.rng import make_rng, thread_rngs
 from twochoice.stm import run_stm_benchmark
+from twochoice.timed import usable_cpu_count
 
 
 @contextmanager
@@ -342,7 +342,7 @@ def test_criterion_10_stm_safety_oracle(stm_grid):
 
 def test_criterion_11_stm_scaling_direction():
     with criterion(11, "stm throughput direction at >= 8 hardware threads"):
-        cpus = len(usable_cpus())   # the affinity mask, not the host's count
+        cpus = usable_cpu_count()   # the affinity mask, not the host's count
         if cpus < 8:
             pytest.skip(
                 f"direction clause requires >= 8 hardware threads, process may use {cpus}: "

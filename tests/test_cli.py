@@ -11,7 +11,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twochoice.affinity import run_timed_workers, usable_cpus
 from twochoice.cli import (
     ConfigError,
     ExperimentConfig,
@@ -23,6 +22,7 @@ from twochoice.cli import (
 )
 from twochoice.multiqueue import EMPTY, MultiQueue
 from twochoice.rng import PairStream, make_rng
+from twochoice.timed import run_timed_workers, usable_cpu_count
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -188,7 +188,7 @@ def test_threads_follow_the_affinity_mask(monkeypatch):
     # a process confined to CPUs {5, 7} of 64 sweeps 2 threads by default
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {7, 5}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    assert len(usable_cpus()) == 2
+    assert usable_cpu_count() == 2
 
 
 def test_counter_throughput_run(tmp_path):
@@ -391,7 +391,7 @@ def test_negative_duration_rejected_naming_key(tmp_path, argv, duration):
 def test_timed_workers_reject_a_negative_duration(tmp_path):
     # run_timed_workers checks its duration before any worker starts; a
     # worker left blocked in stop.wait() would time the child process out
-    code = ("from twochoice.affinity import run_timed_workers\n"
+    code = ("from twochoice.timed import run_timed_workers\n"
             "try:\n"
             "    run_timed_workers(2, lambda k, stop: stop.wait(), -1.0)\n"
             "except ValueError:\n"
@@ -415,23 +415,29 @@ def test_timed_workers_raise_a_worker_exception():
 
 
 def test_timed_workers_stop_at_the_deadline():
-    # nothing sets `stop`, so the worker must see it turn true by itself:
-    # not at its first poll, and not before `duration` has passed; the
-    # 10 s guard fails a deadline that never comes instead of hanging
+    # nothing sets `stop`, so each worker must see it turn true by itself:
+    # the first worker not at its first poll (a later one may start only
+    # after the deadline), and none before `duration` has passed; the 10 s
+    # guard fails a deadline that never comes instead of hanging. What the
+    # workers return comes back in order of k.
     duration = 0.1
-    seen = []
+    for threads in (1, 2):
+        first_poll, ends = {}, {}
 
-    def work(k, stop):
-        seen.append(stop.is_set())
-        while not stop.is_set() and time.perf_counter() < t0 + 10:
-            pass
-        seen.append(time.perf_counter())
+        def work(k, stop):
+            first_poll[k] = stop.is_set()
+            while not stop.is_set() and time.perf_counter() < t0 + 10:
+                pass
+            ends[k] = time.perf_counter()
+            return k
 
-    t0 = time.perf_counter()
-    elapsed = run_timed_workers(1, work, duration)
-    assert seen[0] is False
-    assert duration <= seen[1] - t0 <= duration + 0.25
-    assert elapsed <= duration + 0.25
+        t0 = time.perf_counter()
+        elapsed, results = run_timed_workers(threads, work, duration)
+        assert results == list(range(threads))
+        assert first_poll[0] is False
+        for end in ends.values():
+            assert duration <= end - t0 <= duration + 0.25
+        assert elapsed <= duration + 0.25
 
 
 def test_oracle_failure_exit_path(tmp_path, monkeypatch):
@@ -441,9 +447,8 @@ def test_oracle_failure_exit_path(tmp_path, monkeypatch):
 
     def fake_bench(*args, **kwargs):
         return StmBenchResult(
-            threads=1, objects=8, clock_kind="exact", delta=0, duration=0.1,
-            commits=10, aborts=0, commits_per_sec=100.0, aborts_per_commit=0.0,
-            consistent=False)
+            delta=0, commits=10, aborts=0, commits_per_sec=100.0,
+            aborts_per_commit=0.0, consistent=False)
 
     monkeypatch.setattr(climod, "run_stm_benchmark", fake_bench)
     cfg = _cfg("stm", threads_max=1, objects="8", duration=0.01, repeats=1,

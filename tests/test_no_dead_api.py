@@ -3,7 +3,9 @@ function or class, and every public method, in `src/twochoice/*.py` must be
 named somewhere in `src/` or `perfbench/` other than where it is defined.
 A name counts when its word occurs in the code or string literals of those
 files more often than functions and classes of that name are defined.
-Comments and docstrings do not count, and neither do tests."""
+Comments and docstrings do not count, and neither do tests. Defaulted
+parameters must be passed by some run, and every dataclass field must be
+read by some code, tests included."""
 
 import ast
 import re
@@ -120,3 +122,26 @@ def test_every_defaulted_parameter_is_passed():
              if not any(callee(c) == name and _passes(c, param, position) for c in calls)]
     # both ways: a seam that a run starts to set leaves the allow-list
     assert sorted(set(unset) ^ ALLOWED_DEFAULTS) == []
+
+
+def _is_dataclass(decorator):
+    return getattr(decorator, "id", None) == "dataclass" or (
+        isinstance(decorator, ast.Call) and getattr(decorator.func, "id", None) == "dataclass")
+
+
+def test_every_dataclass_field_is_read():
+    # a field counts as read when an attribute of its name is loaded anywhere
+    # in src/, perfbench/ or tests/; a field that is only ever set, or that
+    # echoes an input, is dead weight
+    package = sorted((ROOT / "src" / "twochoice").glob("*.py"))
+    readers = package + sorted((ROOT / "perfbench").glob("*.py")) + sorted(
+        (ROOT / "tests").glob("*.py"))
+    loaded = {node.attr for path in readers for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    fields = [(f"{path.stem}.{node.name}", item.target.id)
+              for path in package for node in ast.parse(path.read_text()).body
+              if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list))
+              for item in node.body
+              if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+    assert fields
+    assert [f"{cls}.{name}" for cls, name in fields if name not in loaded] == []

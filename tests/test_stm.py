@@ -2,6 +2,8 @@ import itertools
 import threading
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twochoice.rng import make_rng
 from twochoice.stm import (
@@ -9,7 +11,6 @@ from twochoice.stm import (
     COMMITTED,
     ExactClock,
     RelaxedClock,
-    StmBenchResult,
     Transaction,
     TxAborted,
     VersionedCell,
@@ -237,9 +238,60 @@ def test_relaxed_view_buffered_matches_generator():
                 rv = view.read()
                 stamps.append(rv)
             else:
-                stamps.append(view.write_version(rv, rv // 2))
+                stamps.append(view.write_version(rv // 2))
         results.append((stamps, clock.counter.snapshot(), view.t_max))
     assert results[0] == results[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_cells=st.integers(3, 4), seed=st.integers(0, 2**32 - 1),
+       script=st.lists(st.tuples(st.sampled_from(
+           ["begin", "read", "rmw", "blind", "foreign", "commit"]), st.integers(0, 3)),
+           max_size=60))
+# blind writes after three foreign commits: onto a fresh cell, whose stamp
+# comes from rv alone; onto a cell stamped above the view's t_max; onto two
+# cells, the newer of them the higher one
+@example(n_cells=4, seed=0, script=[("foreign", 0)] * 3 + [("blind", 3), ("commit", 0)])
+@example(n_cells=4, seed=0, script=[("foreign", 0)] * 3 + [("blind", 0), ("commit", 0)])
+@example(n_cells=4, seed=0, script=[("foreign", 1)] * 3 + [("blind", 0), ("blind", 1),
+                                                           ("commit", 0)])
+def test_relaxed_stamp_tops_everything_the_transaction_saw(n_cells, seed, script):
+    # the oracle is the rule that also counted rv and the versions read:
+    # max(t_max before, rv, versions read, versions on the locked cells)
+    # + delta; `foreign` commits a blind write from a second view
+    delta = 5
+    clock = RelaxedClock(cells=2, delta=delta)
+    view, foreign = clock.view(make_rng(seed)), clock.view(make_rng(seed + 1))
+    cells = make_cells(n_cells)
+    tx = None
+    for action, c in script:
+        cell = cells[c % n_cells]
+        if action == "foreign":
+            other = tx_begin(foreign)
+            tx_write(other, cell, -1)
+            assert tx_commit(other, foreign) == COMMITTED
+            continue
+        if tx is None or action == "begin":
+            tx, seen = tx_begin(view), []
+        if action in ("read", "rmw"):
+            if cell.index not in tx.write_set:   # own writes come from the redo log
+                seen.append(cell.version)
+            try:
+                value = tx_read(tx, cell)
+            except TxAborted:
+                tx = None
+                continue
+            if action == "rmw":
+                tx_write(tx, cell, value + 1)
+        elif action == "blind":
+            tx_write(tx, cell, c)
+        elif action == "commit":
+            written = [cell for cell, _ in tx.write_set.values()]
+            stamp = max([view.t_max, tx.rv, *seen, *(cell.version for cell in written)]) + delta
+            if tx_commit(tx, view) == COMMITTED and written:
+                assert [cell.version for cell in written] == [stamp] * len(written)
+                assert view.t_max == stamp
+            tx = None
 
 
 def test_relaxed_view_tmax_monotone():
