@@ -3,11 +3,12 @@
 Implements the (1+beta)-choice process over ball weights of kind UNIT or
 EXPONENTIAL, the strings that the CLI's `weight` key takes: each ball takes
 a two-choice step with probability beta and a uniform one otherwise. Its
-rank vector has one closed form, and that form also covers the good and
-bad steps of the asynchronous process: a step that picks the lesser bin of
-a uniform pair with probability r = Pr[correct], and the greater one
-otherwise, has the (1+beta) rank vector at beta_eff = 2r - 1, so any
-mixture of such steps is that form at the mixed r.
+rank vector has one closed form, a float64 array from
+`one_plus_beta_probabilities`, which also covers the good and bad steps of
+the asynchronous process: a step that picks the lesser bin of a uniform
+pair with probability r = Pr[correct], and the greater one otherwise, has
+the (1+beta) rank vector at beta_eff = 2r - 1, so any mixture of such
+steps is that form at the mixed r.
 
 The exponential potential instrumentation monitors balance:
 phi = sum exp(a*y_j), psi = sum exp(-a*y_j), gamma = phi + psi, where y_j
@@ -37,8 +38,6 @@ from numpy.random import Generator
 from .csvfile import write_csv
 from .rng import WordStream, make_rng
 
-PROB_SUM_TOL = 1e-12
-
 # ball weight kinds: constant 1, or exponential with mean 1. Mean 1 makes unit
 # and exponential runs directly comparable, and it is the mean that the
 # exponential moment bound of 8 assumes: the weighted potential of Peres,
@@ -49,37 +48,12 @@ TRAJECTORY_HEADER = "step,phi,psi,gamma,gap,max,min,mean"
 
 
 # ---------------------------------------------------------------------------
-# domain types
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ProbabilityVector:
-    """p[i] = probability of inserting into the i-th least-loaded bin."""
-
-    probs: tuple
-
-    def __post_init__(self):
-        if len(self.probs) == 0:
-            raise ValueError("empty probability vector")
-        for p in self.probs:
-            if p < -PROB_SUM_TOL or p > 1.0 + PROB_SUM_TOL:
-                raise ValueError(f"probability out of range: {p}")
-        total = math.fsum(self.probs)
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise ValueError(f"probabilities sum to {total}, not 1")
-
-    def prefix_sums(self) -> np.ndarray:
-        return np.cumsum(np.asarray(self.probs, dtype=np.float64))
-
-
-# ---------------------------------------------------------------------------
 # probability vectors
 # ---------------------------------------------------------------------------
 
 
-def one_plus_beta_probabilities(bins: int, two_choice_prob: float) -> ProbabilityVector:
-    """Rank probabilities of the (1+beta)-choice process.
+def one_plus_beta_probabilities(bins: int, two_choice_prob: float) -> np.ndarray:
+    """Rank probabilities of the (1+beta)-choice process, a float64 array:
 
     p_i = (1-b)/m + b * ((2/m) * (1 - (i-1)/m) - 1/m^2) for ranks i = 1..m,
     least loaded first. b=0 is uniform insertion, b=1 pure two-choice.
@@ -93,11 +67,8 @@ def one_plus_beta_probabilities(bins: int, two_choice_prob: float) -> Probabilit
         raise ValueError("two_choice_prob must lie in [0, 1]")
     m = bins
     b = two_choice_prob
-    probs = tuple(
-        (1.0 - b) / m + b * ((2.0 / m) * (1.0 - (i - 1) / m) - 1.0 / (m * m))
-        for i in range(1, m + 1)
-    )
-    return ProbabilityVector(probs)
+    i = np.arange(1, m + 1)
+    return (1.0 - b) / m + b * ((2.0 / m) * (1.0 - (i - 1) / m) - 1.0 / (m * m))
 
 
 # ---------------------------------------------------------------------------

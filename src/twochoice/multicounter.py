@@ -1,6 +1,7 @@
-"""Thread-safe sharded approximate counter.
+"""Thread-safe counters: the sharded approximate MultiCounter, and the
+exact LogicalClock that stamps MultiQueue elements and exact STM commits.
 
-The counter distributes contention over m cells. An increment draws two
+The MultiCounter distributes contention over m cells. An increment draws two
 cell indices, reads both cells without synchronization (the algorithm
 tolerates stale values by design), then atomically increments the cell
 whose read value was smaller; ties and repeated indices go to the first
@@ -46,6 +47,25 @@ def locked_slots(locks: list, slots: np.ndarray):
     finally:
         for lock in held:
             lock.release()
+
+
+class LogicalClock:
+    """Shared monotone counter; reserve() hands out distinct increasing
+    stamps under its lock, and read() is a plain load."""
+
+    def __init__(self):
+        self._value = 0
+        self._lock = threading.Lock()
+
+    def read(self) -> int:
+        return self._value
+
+    def reserve(self, count: int) -> int:
+        """Hand out `count` consecutive stamps at once; returns the first."""
+        with self._lock:
+            v = self._value
+            self._value = v + count
+        return v
 
 
 class MultiCounter:

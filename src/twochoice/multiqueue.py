@@ -15,9 +15,10 @@ teardown. If a probed queue empties between the peek and the pop (or its
 lock is held), the dequeue retries with fresh random queues a bounded
 number of times.
 
-The clock is a locked counter rather than a hardware timestamp: portable,
-and reads-after-increments are strictly monotone by construction, which
-gives the cross-thread stamp consistency enqueues rely on.
+The clock is `multicounter.LogicalClock`, which also stamps the STM's
+exact commits: a locked counter rather than a hardware timestamp, portable,
+and strictly monotone by construction, which gives the cross-thread stamp
+consistency enqueues rely on.
 
 There is no structure-wide lock, but the serial runs' batch methods hold
 several (at small m, every queue's): `enqueue_many` and `dequeue_many`
@@ -39,7 +40,7 @@ import numpy as np
 from numpy.random import Generator
 
 from .csvfile import write_csv
-from .multicounter import BATCH, locked_slots
+from .multicounter import BATCH, LogicalClock, locked_slots
 
 
 class _Empty:
@@ -51,21 +52,6 @@ class _Empty:
 
 #: returned by dequeue when both probed queues were empty
 EMPTY = _Empty()
-
-
-class LogicalClock:
-    """Shared monotone counter; reserve() hands out distinct increasing stamps."""
-
-    def __init__(self):
-        self._value = 0
-        self._lock = threading.Lock()
-
-    def reserve(self, count: int) -> int:
-        """Hand out `count` consecutive stamps at once; returns the first."""
-        with self._lock:
-            v = self._value
-            self._value = v + count
-        return v
 
 
 class MultiQueue:

@@ -17,7 +17,7 @@ quality runs' batch methods (`MultiCounter.increment_many`,
 `MultiQueue.enqueue_many` and `dequeue_many`), which take a Generator and
 draw up to 1 024 ops' indices per call.
 
-PairStream, one fixed range `[0, bins)` as pairs or single indices, in
+PairStream, one fixed range `[0, bins)`, one index or a pair at a time, in
 fixed blocks of 1 024: each worker of the counter throughput, queue stress
 and transactional runs, and every RelaxedClockView.
 
@@ -63,11 +63,10 @@ def thread_rngs(seed: int, threads: int) -> list[Generator]:
 
 
 class PairStream:
-    """Buffered uniform indices in [0, bins) from one generator, served as
-    (i, j) pairs or one at a time through the Generator-compatible
-    `integers(0, bins)`, from blocks of BLOCK that one batched `integers`
-    call each fills. A stream serves either pairs or single indices: BLOCK
-    is even, so pairs never straddle a refill.
+    """Buffered uniform indices in [0, bins) from one generator, served one
+    at a time through the Generator-compatible `integers(0, bins)`, or two
+    at a time by `next_pair()`, in any mix, from blocks of BLOCK that one
+    batched `integers` call each fills.
     """
 
     BLOCK = 1024
@@ -83,12 +82,7 @@ class PairStream:
         self._pos = 0
 
     def next_pair(self) -> tuple[int, int]:
-        if self._pos >= len(self._buf):
-            self._refill()
-        i = self._buf[self._pos]
-        j = self._buf[self._pos + 1]
-        self._pos += 2
-        return i, j
+        return self.integers(0, self._bins), self.integers(0, self._bins)
 
     def integers(self, lo: int, hi: int) -> int:
         """The next index; the range must be this stream's own [0, bins)."""

@@ -8,8 +8,9 @@ releases. Any failed check aborts; the caller retries with a fresh begin.
 
 The version source is pluggable:
 
-  ExactClock        a locked counter; commit stamps are fetch-and-increment
-                    results, which gives strict serializability.
+  ExactClock        a LogicalClock, the locked counter that stamps MultiQueue
+                    elements; commit stamps are fetch-and-increment results,
+                    which gives strict serializability.
   RelaxedClock      a sharded MultiCounter read as an approximate clock.
                     Commit stamps are written "in the future": the newest
                     of the writer's running maximum t_max (every clock read,
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 
 from numpy.random import Generator
 
-from .multicounter import MultiCounter
+from .multicounter import LogicalClock, MultiCounter
 from .rng import PairStream, thread_rngs
 from .timed import run_timed_workers
 
@@ -72,20 +73,11 @@ def make_cells(count: int) -> list[VersionedCell]:
     return [VersionedCell(k) for k in range(count)]
 
 
-class ExactClock:
-    """Locked global counter: read is a plain load, stamps are FAI results."""
-
-    def __init__(self):
-        self._value = 0
-        self._lock = threading.Lock()
-
-    def read(self) -> int:
-        return self._value
+class ExactClock(LogicalClock):
+    """The locked global counter; commit stamps are FAI results 1, 2, 3, ..."""
 
     def write_version(self, floor: int) -> int:
-        with self._lock:
-            self._value += 1
-            return self._value
+        return self.reserve(1) + 1
 
 
 class RelaxedClock:
@@ -253,8 +245,6 @@ def run_stm_benchmark(
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    if objects < 1:
-        raise ValueError("objects must be >= 1")
     if clock_kind not in ("exact", "multicounter"):
         raise ValueError(f"unknown clock kind: {clock_kind!r}")
 

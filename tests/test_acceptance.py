@@ -127,8 +127,8 @@ def test_criterion_03_one_plus_beta_formula():
         for beta in (0.0, 0.25, 0.5, 1.0):
             for m in range(1, 1025):
                 v = one_plus_beta_probabilities(m, beta)
-                assert abs(math.fsum(v.probs) - 1.0) <= 1e-12
-                prefixes = v.prefix_sums()
+                assert abs(math.fsum(v) - 1.0) <= 1e-12
+                prefixes = np.cumsum(v)
                 k = np.arange(1, m + 1, dtype=np.float64)
                 closed = (k / m) * (1.0 + beta - (k / m) * beta)
                 assert np.max(np.abs(prefixes - closed)) <= 2.0 / (m * m)

@@ -1,5 +1,6 @@
 import threading
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from hypothesis import strategies as st
 from dlin_reference import RankOracle
 from thread_pair import run_pair
 from twochoice.dlin import DEQ, history_from_serial_queue, linearize_costs
-from twochoice.multiqueue import EMPTY, LogicalClock, MultiQueue
+from twochoice.multicounter import LogicalClock
+from twochoice.multiqueue import EMPTY, MultiQueue
 from twochoice.rng import PairStream, make_rng, thread_rngs
+from twochoice.stm import ExactClock
 
 
 def serial_run(q, rng, prefill, dequeues):
@@ -45,29 +48,35 @@ def test_clock_monotone_and_unique():
 
 def test_clock_reserve_hands_out_consecutive_stamps():
     clk = LogicalClock()
+    assert clk.read() == 0
     assert clk.reserve(1) == 0
+    assert clk.read() == 1
     assert clk.reserve(5) == 1
+    assert clk.read() == 6
     assert clk.reserve(0) == 6
+    assert clk.read() == 6
     assert clk.reserve(1) == 6
+    assert clk.read() == 7
 
 
 def test_clock_unique_under_threads():
-    clk = LogicalClock()
-    out = [[] for _ in range(4)]
+    # the queue's enqueue stamps, and the exact STM clock's commit stamps
+    for stamp in (partial(LogicalClock().reserve, 1), partial(ExactClock().write_version, 0)):
+        out = [[] for _ in range(4)]
 
-    def worker(k):
-        for _ in range(5000):
-            out[k].append(clk.reserve(1))
+        def worker(k):
+            for _ in range(5000):
+                out[k].append(stamp())
 
-    threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    allstamps = [s for lane in out for s in lane]
-    assert len(set(allstamps)) == 20_000
-    for lane in out:
-        assert lane == sorted(lane)  # per-thread monotone
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        allstamps = [s for lane in out for s in lane]
+        assert len(set(allstamps)) == 20_000
+        for lane in out:
+            assert lane == sorted(lane)  # per-thread monotone
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ A name counts when its word occurs in the code or string literals of those
 files more often than functions and classes of that name are defined.
 Comments and docstrings do not count, and neither do tests. Defaulted
 parameters must be passed by some run, and every dataclass field must be
-read by some code, tests included."""
+read by some code, tests included. Both exemption lists are checked both
+ways: an entry whose name is no longer dead fails as well."""
 
 import ast
 import re
@@ -17,7 +18,6 @@ ROOT = Path(__file__).resolve().parents[1]
 # oracles that the acceptance criteria read, though no run calls them
 ALLOWED = {
     "one_plus_beta_probabilities",   # criterion 03: the (1+beta) rank vector
-    "ProbabilityVector.prefix_sums",  # criterion 03: its prefix sums
 }
 
 
@@ -58,11 +58,12 @@ def test_every_public_name_has_a_caller():
     defined = Counter(node.name for tree in trees.values() for node in ast.walk(tree)
                       if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)))
     words = Counter(word for tree in trees.values() for word in _words(tree))
-    dead = [f"{path.stem}.{qualified}"
+    dead = {qualified
             for path in package
             for qualified, name in _definitions(trees[path])
-            if words[name] <= defined[name] and qualified not in ALLOWED]
-    assert dead == []
+            if words[name] <= defined[name]}
+    # both ways: an exempt name that gains a caller, or goes, leaves the list
+    assert sorted(dead ^ ALLOWED) == []
 
 
 # defaulted parameters that only tests set: a seam that swaps in a schedule

@@ -49,6 +49,14 @@ def test_buffered_pairs_match_scalar_draws(seed, bins, k):
     assert ([stream.next_pair() for _ in range(k)]
             == [(int(scalar.integers(0, bins)), int(scalar.integers(0, bins)))
                 for _ in range(k)])
+    # pairs and single indices mix in one stream: after a single index,
+    # pair 512 r - 1 straddles the r-th refill
+    stream = PairStream(make_rng(seed), bins)
+    scalar = make_rng(seed)
+    mixed = [stream.integers(0, bins), *(stream.next_pair() for _ in range(k)),
+             stream.integers(0, bins)]
+    draws = [int(scalar.integers(0, bins)) for _ in range(2 * k + 2)]
+    assert mixed == [draws[0], *zip(draws[1:-1:2], draws[2::2]), draws[-1]]
 
 
 def test_many_short_streams_stay_small():
