@@ -36,7 +36,7 @@ from .dlin import (DEQ, history_from_serial_queue, history_from_simulation, line
 from .multicounter import MultiCounter
 from .multiqueue import EMPTY, MultiQueue
 from .rng import PairStream, make_rng, thread_rngs
-from .stm import run_stm_benchmark
+from .stm import ExactClock, RelaxedClock, run_stm_benchmark
 from .timed import run_timed_workers, usable_cpu_count
 
 ENV_OUTDIR = "TWOCHOICE_OUT"
@@ -445,30 +445,25 @@ def run_stm(cfg: ExperimentConfig) -> int:
                 rates = []
                 abort_rates = []
                 for rep in range(p["repeats"]):
-                    res = run_stm_benchmark(
-                        threads, objects, p["duration"], clock_kind=kind,
-                        delta=p["delta"] or None, seed=p["seed"] + rep,
-                        clock_cells=p["clock_cells"],
-                    )
+                    clock = (ExactClock() if kind == "exact"
+                             else RelaxedClock(p["clock_cells"], p["delta"] or None))
+                    res = run_stm_benchmark(threads, objects, p["duration"], clock,
+                                            p["seed"] + rep)
                     if not res.consistent:
                         return _fail(
                             outdir, "stm",
                             f"objects={objects} threads={threads} clock={kind} "
                             f"rep={rep}: cell sum != 2 * commits "
                             f"(commits={res.commits})")
-                    rows.append([threads, objects, kind, res.delta, res.commits_per_sec,
+                    rows.append([threads, objects, kind, clock.delta, res.commits_per_sec,
                                  res.aborts_per_commit, 1])
                     rates.append(res.commits_per_sec)
                     abort_rates.append(res.aborts_per_commit)
-                summary_rows.append([
-                    threads, objects, kind, res.delta,
-                    statistics.fmean(rates),
-                    statistics.pstdev(rates),
-                    statistics.fmean(abort_rates), 1,
-                ])
+                rate, abort_rate = statistics.fmean(rates), statistics.fmean(abort_rates)
+                summary_rows.append([threads, objects, kind, clock.delta, rate,
+                                     statistics.pstdev(rates), abort_rate, 1])
                 print(f"stm objects={objects} threads={threads} clock={kind}: "
-                      f"{statistics.fmean(rates):,.0f} commits/s "
-                      f"aborts/commit={statistics.fmean(abort_rates):.3f}")
+                      f"{rate:,.0f} commits/s aborts/commit={abort_rate:.3f}")
         _write_csv(outdir / f"stm_objects{objects}.csv", cfg.header_comments(),
                    "threads,objects,clock,delta,commits_per_sec,aborts_per_commit,consistent",
                    list(zip(*rows)))

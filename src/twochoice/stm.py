@@ -6,11 +6,13 @@ buffers writes in a redo log, and at commit locks its write set in index
 order, validates its read set, stamps the writes with a new version, and
 releases. Any failed check aborts; the caller retries with a fresh begin.
 
-The version source is pluggable:
+The version source is pluggable: a benchmark run is handed its clock, and
+each worker stamps through the clock's view(rng).
 
   ExactClock        a LogicalClock, the locked counter that stamps MultiQueue
                     elements; commit stamps are fetch-and-increment results,
-                    which gives strict serializability.
+                    which gives strict serializability. Every thread shares
+                    it, so its view is itself.
   RelaxedClock      a sharded MultiCounter read as an approximate clock.
                     Commit stamps are written "in the future": the newest
                     of the writer's running maximum t_max (every clock read,
@@ -74,7 +76,13 @@ def make_cells(count: int) -> list[VersionedCell]:
 
 
 class ExactClock(LogicalClock):
-    """The locked global counter; commit stamps are FAI results 1, 2, 3, ..."""
+    """The locked global counter; commit stamps are FAI results 1, 2, 3, ...
+    Every thread shares it, and no stamp is written ahead of it."""
+
+    delta = 0
+
+    def view(self, rng: Generator) -> "ExactClock":
+        return self
 
     def write_version(self, floor: int) -> int:
         return self.reserve(1) + 1
@@ -219,7 +227,6 @@ def tx_commit(tx: Transaction, clock) -> str:
 
 @dataclass(frozen=True)
 class StmBenchResult:
-    delta: int
     commits: int
     aborts: int
     commits_per_sec: float
@@ -227,41 +234,30 @@ class StmBenchResult:
     consistent: bool
 
 
-def run_stm_benchmark(
-    threads: int,
-    objects: int,
-    duration: float,
-    clock_kind: str = "exact",
-    delta: int | None = None,
-    seed: int = 0,
-    clock_cells: int = 64,
-) -> StmBenchResult:
+def run_stm_benchmark(threads: int, objects: int, duration: float,
+                      clock: ExactClock | RelaxedClock, seed: int) -> StmBenchResult:
     """Spawn workers that each loop begin / increment two random cells /
-    commit, retrying on abort, for `duration` seconds.
+    commit, retrying on abort, for `duration` seconds; every worker stamps
+    through its own `clock.view`.
 
     Afterwards the final-state oracle is evaluated: the sum of all cell
     values must equal twice the number of committed transactions, exactly,
-    for either clock kind.
+    for either clock.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    if clock_kind not in ("exact", "multicounter"):
-        raise ValueError(f"unknown clock kind: {clock_kind!r}")
 
     cells = make_cells(objects)
-    relaxed = RelaxedClock(clock_cells, delta) if clock_kind == "multicounter" else None
-    exact = ExactClock()
-
     rngs = thread_rngs(seed, threads)
 
     def worker(k: int, stop: threading.Event) -> tuple[int, int]:
         rng = rngs[k]
-        clock = exact if relaxed is None else relaxed.view(rng.spawn(1)[0])
+        view = clock.view(rng.spawn(1)[0])
         draws = PairStream(rng, objects)
         n_commit = 0
         n_abort = 0
         while not stop.is_set():
-            tx = tx_begin(clock)
+            tx = tx_begin(view)
             try:
                 # one object: j == i, whose second read sees the pending write
                 i = j = draws.integers(0, objects)
@@ -274,7 +270,7 @@ def run_stm_benchmark(
             except TxAborted:
                 n_abort += 1
                 continue
-            if tx_commit(tx, clock) == COMMITTED:
+            if tx_commit(tx, view) == COMMITTED:
                 n_commit += 1
             else:
                 n_abort += 1
@@ -284,7 +280,6 @@ def run_stm_benchmark(
     total_commits, total_aborts = map(sum, zip(*tallies))
     final_sum = sum(c.value for c in cells)
     return StmBenchResult(
-        delta=0 if relaxed is None else relaxed.delta,
         commits=total_commits,
         aborts=total_aborts,
         commits_per_sec=total_commits / elapsed if elapsed > 0 else 0.0,

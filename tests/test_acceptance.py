@@ -10,15 +10,15 @@ stated bounds; identical seeds must reproduce them bit for bit.
 import itertools
 import math
 import os
-import sys
-import threading
 from collections import Counter
 from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 import pytest
 
 from dlin_reference import INC, HistoryRecord, history, possible_cost_multisets
+from thread_pair import run_pair, switch_interval
 from twochoice.adversary import (
     ADVERSARY_KINDS,
     BLOCK_RESET,
@@ -42,8 +42,8 @@ from twochoice.dlin import (
 from twochoice.multicounter import MultiCounter
 from twochoice.multiqueue import EMPTY, MultiQueue
 from twochoice.rng import make_rng, thread_rngs
-from twochoice.stm import run_stm_benchmark
-from twochoice.timed import usable_cpu_count
+from twochoice.stm import ExactClock, RelaxedClock, run_stm_benchmark
+from twochoice.timed import run_timed_workers, usable_cpu_count
 
 
 @contextmanager
@@ -78,9 +78,8 @@ def test_criterion_01_conservation():
                         adversary=STAMPEDE, seed=3)
         res = simulate(cfg)
         assert sum(res.loads) == 100_000
-        partial = np.cumsum(np.ones(len(res.log)))
+        assert len(res.log) == 100_000
         assert float(res.trajectory.mean_load[-1]) * 64 == 100_000
-        assert partial[-1] == 100_000
 
         counter = MultiCounter(64)
         per_thread = 25_000
@@ -91,11 +90,7 @@ def test_criterion_01_conservation():
             for _ in range(per_thread):
                 inc(rng)
 
-        threads = [threading.Thread(target=worker, args=(r,)) for r in rngs]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        assert run_pair(*(partial(worker, r) for r in rngs)) == []
         assert counter.exact_total() == 8 * per_thread
 
 
@@ -265,37 +260,26 @@ def test_criterion_09_multiqueue_integrity():
         threads = _stress_threads()
         q = MultiQueue(64)
         rngs = thread_rngs(17, threads)
-        produced = [[] for _ in range(threads)]
-        consumed = [[] for _ in range(threads)]
-        stop = threading.Event()
-        old_interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-4)
 
-        def worker(k):
+        def worker(k, stop):
             rng = rngs[k]
+            produced, consumed = [], []
             step = 0
             while not stop.is_set():
                 if step % 2 == 0:
                     item = (k, step)
                     q.enqueue(item, rng, thread=k)
-                    produced[k].append(item)
+                    produced.append(item)
                 else:
                     got = q.dequeue(rng)
                     if got is not EMPTY:
-                        consumed[k].append(got)
+                        consumed.append(got)
                 step += 1
+            return produced, consumed
 
-        try:
-            workers = [threading.Thread(target=worker, args=(k,))
-                       for k in range(threads)]
-            for w in workers:
-                w.start()
-            stop.wait(10.0)
-            stop.set()
-            for w in workers:
-                w.join()
-        finally:
-            sys.setswitchinterval(old_interval)
+        with switch_interval(1e-4):
+            _, lanes = run_timed_workers(threads, worker, 10.0)
+        produced, consumed = zip(*lanes)
         leftovers = q.drain()  # also re-checks per-queue pop order
         want = Counter(x for lane in produced for x in lane)
         got = Counter(x for lane in consumed for x in lane) + Counter(leftovers)
@@ -310,20 +294,15 @@ def test_criterion_09_multiqueue_integrity():
 @pytest.fixture(scope="module")
 def stm_grid():
     threads = _stress_threads()
-    old_interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-4)
+    clocks = {"exact": ExactClock, "multicounter": RelaxedClock}
     grid = {}
-    try:
+    with switch_interval(1e-4):
         for objects in (10_000, 100_000):
-            for kind in ("exact", "multicounter"):
-                runs = [
-                    run_stm_benchmark(threads, objects, 1.0, clock_kind=kind,
-                                      seed=100 + rep)
+            for kind, clock in clocks.items():
+                grid[(objects, kind)] = [
+                    run_stm_benchmark(threads, objects, 1.0, clock(), 100 + rep)
                     for rep in range(10)
                 ]
-                grid[(objects, kind)] = runs
-    finally:
-        sys.setswitchinterval(old_interval)
     return grid
 
 
@@ -348,11 +327,9 @@ def test_criterion_11_stm_scaling_direction():
                 f"direction clause requires >= 8 hardware threads, process may use {cpus}: "
                 "with no parallelism the relaxed clock only adds per-op work")
         threads = max(8, cpus)
-        relaxed = [run_stm_benchmark(threads, 100_000, 1.0,
-                                     clock_kind="multicounter", seed=300 + rep)
+        relaxed = [run_stm_benchmark(threads, 100_000, 1.0, RelaxedClock(), 300 + rep)
                    for rep in range(5)]
-        exact = [run_stm_benchmark(threads, 100_000, 1.0,
-                                   clock_kind="exact", seed=300 + rep)
+        exact = [run_stm_benchmark(threads, 100_000, 1.0, ExactClock(), 300 + rep)
                  for rep in range(5)]
         mean = lambda rs: sum(r.commits_per_sec for r in rs) / len(rs)
         assert mean(relaxed) >= mean(exact)

@@ -445,9 +445,9 @@ def test_oracle_failure_exit_path(tmp_path, monkeypatch):
     from twochoice import cli as climod
     from twochoice.stm import StmBenchResult
 
-    def fake_bench(*args, **kwargs):
+    def fake_bench(threads, objects, duration, clock, seed):
         return StmBenchResult(
-            delta=0, commits=10, aborts=0, commits_per_sec=100.0,
+            commits=10, aborts=0, commits_per_sec=100.0,
             aborts_per_commit=0.0, consistent=False)
 
     monkeypatch.setattr(climod, "run_stm_benchmark", fake_bench)

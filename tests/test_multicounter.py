@@ -1,5 +1,5 @@
 import math
-import threading
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -166,12 +166,13 @@ def test_increment_contract_exact_step_counts():
 
 def test_monotone_cells_under_concurrency():
     c = MultiCounter(4)
-    stop = threading.Event()
+    rngs = thread_rngs(7, 3)
+    done = []   # one entry per finished writer; the reader stops at all
     seen = []
 
     def reader():
         last = [0] * 4
-        while not stop.is_set():
+        while len(done) < len(rngs):
             for k in range(4):
                 v = c.snapshot()[k]
                 if v < last[k]:
@@ -179,19 +180,13 @@ def test_monotone_cells_under_concurrency():
                 last[k] = v
 
     def writer(rng):
-        for _ in range(20_000):
-            c.increment(rng)
+        try:
+            for _ in range(20_000):
+                c.increment(rng)
+        finally:
+            done.append(rng)
 
-    rngs = thread_rngs(7, 3)
-    threads = [threading.Thread(target=writer, args=(r,)) for r in rngs]
-    obs = threading.Thread(target=reader)
-    obs.start()
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    stop.set()
-    obs.join()
+    assert run_pair(reader, *(partial(writer, r) for r in rngs)) == []
     assert seen == []  # no cell ever observed decreasing
     assert c.exact_total() == 3 * 20_000
 
@@ -207,11 +202,7 @@ def test_concurrent_conservation_eight_threads():
         for _ in range(per_thread):
             inc(rng)
 
-    threads = [threading.Thread(target=worker, args=(r,)) for r in rngs]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    assert run_pair(*(partial(worker, r) for r in rngs)) == []
     assert c.exact_total() == 8 * per_thread
 
 

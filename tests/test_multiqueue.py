@@ -1,4 +1,3 @@
-import threading
 from collections import Counter
 from functools import partial
 
@@ -64,15 +63,11 @@ def test_clock_unique_under_threads():
     for stamp in (partial(LogicalClock().reserve, 1), partial(ExactClock().write_version, 0)):
         out = [[] for _ in range(4)]
 
-        def worker(k):
+        def worker(lane):
             for _ in range(5000):
-                out[k].append(stamp())
+                lane.append(stamp())
 
-        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        assert run_pair(*(partial(worker, lane) for lane in out)) == []
         allstamps = [s for lane in out for s in lane]
         assert len(set(allstamps)) == 20_000
         for lane in out:
@@ -413,11 +408,7 @@ def test_mixed_concurrent_integrity():
                 if e is not EMPTY:
                     consumed[k].append(e)
 
-    threads = [threading.Thread(target=worker, args=(k, rngs[k])) for k in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    assert run_pair(*(partial(worker, k, rngs[k]) for k in range(4))) == []
     leftovers = q.drain()
     want = Counter(x for lane in produced for x in lane)
     got = Counter(x for lane in consumed for x in lane) + Counter(leftovers)

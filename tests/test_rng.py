@@ -59,6 +59,15 @@ def test_buffered_pairs_match_scalar_draws(seed, bins, k):
     assert mixed == [draws[0], *zip(draws[1:-1:2], draws[2::2]), draws[-1]]
 
 
+@pytest.mark.parametrize("seed", [0, 3, 2**40 + 7])
+def test_spawn_leaves_later_draws_unchanged(seed):
+    # the STM worker spawns its clock view's generator from the thread's own
+    # before drawing objects; either clock must see the same object draws
+    spawned, plain = thread_rngs(seed, 2)[1], thread_rngs(seed, 2)[1]
+    spawned.spawn(1)
+    assert spawned.integers(0, 10**6, 100).tolist() == plain.integers(0, 10**6, 100).tolist()
+
+
 def test_many_short_streams_stay_small():
     # a stream prefetches one fixed block: 64 streams that each draw one
     # pair stay well under a megabyte

@@ -1,10 +1,10 @@
 import itertools
-import threading
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from thread_pair import switch_interval
 from twochoice.rng import make_rng
 from twochoice.stm import (
     ABORTED,
@@ -430,42 +430,43 @@ def test_exact_clock_strictly_serializable_bruteforce(scripts):
 # benchmark
 # ---------------------------------------------------------------------------
 
+def test_exact_clock_view_is_the_clock():
+    # every thread shares the one counter, and no stamp is written ahead
+    clock = ExactClock()
+    assert clock.view(make_rng(0)) is clock
+    assert clock.delta == 0
+
+
 def test_benchmark_single_thread_exact_no_aborts():
-    res = run_stm_benchmark(1, 64, 0.2, clock_kind="exact", seed=1)
+    res = run_stm_benchmark(1, 64, 0.2, ExactClock(), 1)
     assert res.aborts == 0
     assert res.commits > 0
     assert res.consistent
 
 
 def test_benchmark_single_thread_relaxed_consistent():
-    res = run_stm_benchmark(1, 4096, 0.2, clock_kind="multicounter", seed=2)
+    clock = RelaxedClock(64)
+    res = run_stm_benchmark(1, 4096, 0.2, clock, 2)
     assert res.consistent
     assert res.commits > 0
-    assert res.delta == default_delta(64)
+    assert clock.delta == default_delta(64)
 
 
 def test_benchmark_concurrent_conservation_oracle():
-    import sys
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for kind in ("exact", "multicounter"):
-            res = run_stm_benchmark(4, 512, 0.4, clock_kind=kind, seed=3)
-            assert res.consistent, f"{kind}: sum != 2 * commits"
+    with switch_interval(1e-5):
+        for clock in (ExactClock(), RelaxedClock()):
+            res = run_stm_benchmark(4, 512, 0.4, clock, 3)
+            assert res.consistent, f"{type(clock).__name__}: sum != 2 * commits"
             assert res.commits > 0
-    finally:
-        sys.setswitchinterval(old)
 
 
 def test_benchmark_single_object():
-    res = run_stm_benchmark(2, 1, 0.2, clock_kind="exact", seed=4)
+    res = run_stm_benchmark(2, 1, 0.2, ExactClock(), 4)
     assert res.consistent
 
 
 def test_benchmark_rejects_bad_args():
     with pytest.raises(ValueError):
-        run_stm_benchmark(0, 8, 0.1)
+        run_stm_benchmark(0, 8, 0.1, ExactClock(), 0)
     with pytest.raises(ValueError):
-        run_stm_benchmark(1, 0, 0.1)
-    with pytest.raises(ValueError):
-        run_stm_benchmark(1, 8, 0.1, clock_kind="sundial")
+        run_stm_benchmark(1, 0, 0.1, ExactClock(), 0)
