@@ -377,7 +377,7 @@ def run_queue(cfg: ExperimentConfig) -> int:
                 got = [x for x in got if x is not EMPTY]
             # the first batch's list becomes `popped`: a copy would raise the peak RSS
             popped = popped + got if popped else got
-        # at the default size q still holds ~66 MB, in memory blocks that
+        # at the default size q still holds ~65 MB, in memory blocks that
         # the popped ints share; as an array they let the pricing reuse it
         popped = np.array(popped, dtype=np.int64)
         del q, got
@@ -402,7 +402,7 @@ def run_queue(cfg: ExperimentConfig) -> int:
             while not stop.is_set():
                 if step % 2 == 0:
                     item = (k, step)
-                    q.enqueue(item, rng, thread=k)
+                    q.enqueue(item, rng)
                     produced.append(item)
                 else:
                     got = q.dequeue(rng)

@@ -1,24 +1,22 @@
-"""Thread-safe relaxed queue over m timestamp-ordered queues.
+"""Thread-safe relaxed queue over m FIFO sub-queues.
 
-Enqueue stamps the element from the queue's monotone logical clock and
-pushes it onto one uniformly chosen internal queue; dequeue peeks the heads
-of two uniformly chosen queues and pops from the one with the smaller key.
-Each internal queue is a binary heap behind its own mutex; the cross-queue
+Enqueue stamps the element from the queue's `multicounter.LogicalClock`
+and appends it to one uniformly chosen sub-queue; dequeue peeks the heads
+of two uniformly chosen sub-queues and pops from the one with the smaller
+stamp. Each sub-queue is a deque behind its own mutex; the cross-queue
 comparison is deliberately unsynchronized, which is exactly the relaxation
-being studied. Keys are the stamps: one locked clock hands them all out, so
-they are unique and heap entries never compare past them. Enqueue returns
-its queue and stamp; dlin prices recorded pops offline.
+being studied. The clock is one locked counter, so stamps are unique and
+strictly monotone, and an enqueue takes its stamp while it holds the
+target sub-queue's lock, so each sub-queue receives increasing stamps and
+its head is its minimum. A FIFO thus does what a heap does for arbitrary
+priorities, and every pop raises if that rule breaks. Enqueue returns its
+queue and stamp; dlin prices recorded pops offline.
 
 A dequeue whose two probed queues are both empty reports EMPTY, which is a
 statement about the probes, not the whole structure; drain() exists for
 teardown. If a probed queue empties between the peek and the pop (or its
 lock is held), the dequeue retries with fresh random queues a bounded
 number of times.
-
-The clock is `multicounter.LogicalClock`, which also stamps the STM's
-exact commits: a locked counter rather than a hardware timestamp, portable,
-and strictly monotone by construction, which gives the cross-thread stamp
-consistency enqueues rely on.
 
 There is no structure-wide lock, but the serial runs' batch methods hold
 several (at small m, every queue's): `enqueue_many` and `dequeue_many`
@@ -33,7 +31,7 @@ can deadlock, and with its queues held a batch needs no retries.
 from __future__ import annotations
 
 import threading
-from heapq import heappop, heappush
+from collections import deque
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -55,7 +53,7 @@ EMPTY = _Empty()
 
 
 class MultiQueue:
-    """m internally ordered queues with uniform enqueue, two-choice dequeue."""
+    """m FIFO sub-queues with uniform enqueue, two-choice dequeue."""
 
     #: probe pairs a dequeue tries before it gives up on races
     DEQUEUE_ATTEMPTS = 8
@@ -65,7 +63,7 @@ class MultiQueue:
             raise ValueError("queues must be >= 1")
         self.queues = queues
         self._clock = LogicalClock()
-        self._heaps: list[list] = [[] for _ in range(queues)]
+        self._queues: list[deque] = [deque() for _ in range(queues)]
         self._locks = [threading.Lock() for _ in range(queues)]
         self._last_stamp: list[int] = [-1] * queues
 
@@ -75,13 +73,14 @@ class MultiQueue:
 
         The stamp is drawn while the target queue's lock is held, which
         linearizes the enqueue at its clock read: stamps within one queue
-        then increase in insertion order, and pops leave each queue in
-        strictly increasing stamp order even under concurrency.
+        then increase in insertion order, even under concurrency. That is
+        what makes a FIFO correct: its head holds its smallest stamp.
         """
+        # `thread` is unread; it stays only while a benchmark caller passes it
         q = int(rng.integers(0, self.queues))
         with self._locks[q]:
             stamp = self._clock.reserve(1)
-            heappush(self._heaps[q], (stamp, thread, element))
+            self._queues[q].append((stamp, element))
         return q, stamp
 
     def enqueue_many(self, elements: Sequence, rng: Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -90,7 +89,7 @@ class MultiQueue:
         n = len(elements)
         queues = np.empty(n, dtype=np.int64)
         stamps = np.empty(n, dtype=np.int64)
-        heaps = self._heaps
+        dqs = self._queues
         for start in range(0, n, BATCH):
             stop = min(start + BATCH, n)
             drawn = rng.integers(0, self.queues, size=stop - start)
@@ -98,15 +97,15 @@ class MultiQueue:
                 first = self._clock.reserve(stop - start)
                 for stamp, q, element in zip(range(first, first + stop - start),
                                              drawn.tolist(), elements[start:stop]):
-                    heappush(heaps[q], (stamp, 0, element))
+                    dqs[q].append((stamp, element))
             queues[start:stop] = drawn
             stamps[start:stop] = np.arange(first, first + stop - start)
         return queues, stamps
 
     def _peek(self, q: int):
         with self._locks[q]:
-            heap = self._heaps[q]
-            return heap[0] if heap else None
+            queue = self._queues[q]
+            return queue[0] if queue else None
 
     def dequeue(self, rng: Generator):
         """Pop from the smaller-stamped of two probed queues.
@@ -114,8 +113,7 @@ class MultiQueue:
         Returns EMPTY when both probes find empty queues, or when the
         bounded retries are exhausted by races.
         """
-        heaps = self._heaps
-        locks = self._locks
+        dqs, locks = self._queues, self._locks
         for _ in range(self.DEQUEUE_ATTEMPTS):
             i = int(rng.integers(0, self.queues))
             j = int(rng.integers(0, self.queues))
@@ -131,34 +129,34 @@ class MultiQueue:
             if not lock.acquire(blocking=False):
                 continue  # contended: retry with fresh queues
             try:
-                heap = heaps[i]
-                if not heap:
+                queue = dqs[i]
+                if not queue:
                     continue  # emptied since the peek: retry
-                entry = heappop(heap)
-                self._check_pop_order(i, entry[0])
+                stamp, element = queue.popleft()
+                self._check_pop_order(i, stamp)
             finally:
                 lock.release()
-            return entry[2]
+            return element
         return EMPTY
 
     def dequeue_many(self, rng: Generator, count: int) -> list:
         """`count` dequeues, as that many `dequeue(rng)` calls in a row
         would make them: the popped elements, EMPTY where both probed
         queues were empty."""
-        heaps, last = self._heaps, self._last_stamp
+        dqs, last = self._queues, self._last_stamp
         out = []
         for start in range(0, count, BATCH):
             drawn = rng.integers(0, self.queues, size=2 * min(BATCH, count - start))
             with locked_slots(self._locks, drawn):
                 pairs = iter(drawn.tolist())
                 for i, j in zip(pairs, pairs):
-                    heap, other = heaps[i], heaps[j]
-                    if not heap or (other and other[0] < heap[0]):
+                    queue, other = dqs[i], dqs[j]
+                    if not queue or (other and other[0] < queue[0]):
                         if not other:
                             out.append(EMPTY)
                             continue
-                        i, heap = j, other
-                    stamp, _, element = heappop(heap)
+                        i, queue = j, other
+                    stamp, element = queue.popleft()
                     if stamp <= last[i]:
                         self._check_pop_order(i, stamp)   # raises
                     last[i] = stamp
@@ -178,16 +176,16 @@ class MultiQueue:
         out = []
         for q in range(self.queues):
             with self._locks[q]:
-                heap = self._heaps[q]
-                while heap:
-                    entry = heappop(heap)
-                    self._check_pop_order(q, entry[0])
-                    out.append(entry[2])
+                queue = self._queues[q]
+                while queue:
+                    stamp, element = queue.popleft()
+                    self._check_pop_order(q, stamp)
+                    out.append(element)
         return out
 
     def live_count(self) -> int:
         """Total elements across queues; exact only at quiescence."""
-        return sum(len(h) for h in self._heaps)
+        return sum(len(dq) for dq in self._queues)
 
     @staticmethod
     def write_rank_csv(path, header_comments: Iterable[str], seq: Sequence,

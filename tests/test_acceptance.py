@@ -268,7 +268,7 @@ def test_criterion_09_multiqueue_integrity():
             while not stop.is_set():
                 if step % 2 == 0:
                     item = (k, step)
-                    q.enqueue(item, rng, thread=k)
+                    q.enqueue(item, rng)
                     produced.append(item)
                 else:
                     got = q.dequeue(rng)

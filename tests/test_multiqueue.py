@@ -1,5 +1,6 @@
 from collections import Counter
 from functools import partial
+from heapq import heappop, heappush
 
 import numpy as np
 import pytest
@@ -158,18 +159,18 @@ def test_sequential_enqueues_get_increasing_stamps():
     q = MultiQueue(4)
     rng = make_rng(1)
     placed = [q.enqueue("x", rng), q.enqueue("y", rng)]
-    stamps = sorted(e[0] for h in q._heaps for e in h)
+    stamps = sorted(stamp for dq in q._queues for stamp, _ in dq)
     assert stamps[1] > stamps[0]
-    # enqueue returns the queue it pushed onto and the stamp it used
-    where = {e[2]: (qi, e[0]) for qi, h in enumerate(q._heaps) for e in h}
+    # enqueue returns the queue it appended to and the stamp it used
+    where = {x: (qi, stamp) for qi, dq in enumerate(q._queues) for stamp, x in dq}
     assert [where["x"], where["y"]] == placed
 
 
 def test_dequeue_prefers_smaller_key():
     q = MultiQueue(2)
     # place keys 3 and 7 directly
-    q._heaps[0].append((3, 0, "low"))
-    q._heaps[1].append((7, 0, "high"))
+    q._queues[0].append((3, "low"))
+    q._queues[1].append((7, "high"))
 
     class AlternatingRng:
         def __init__(self):
@@ -213,7 +214,7 @@ BATCH_COUNTS = [0, 1, 1023, 1024, 1025, 2049]
 
 
 def _assert_same_state(fast, slow, a, b):
-    assert fast._heaps == slow._heaps
+    assert fast._queues == slow._queues
     assert fast._last_stamp == slow._last_stamp
     assert fast._clock._value == slow._clock._value
     assert a.bit_generator.state == b.bit_generator.state
@@ -226,7 +227,7 @@ def _assert_same_state(fast, slow, a, b):
        seed=st.integers(0, 2**32 - 1), pending=st.booleans())
 def test_batches_match_single_ops(m, steps, seed, pending):
     # each step is an enqueue or a dequeue batch, against the loop of its
-    # single op on an equal stream: the same results, heaps, pop records,
+    # single op on an equal stream: the same results, queues, pop records,
     # clock and generator state. Dequeue steps may find both probes empty
     # and may drain the queue; a first odd draw leaves half a word pending.
     fast, slow = MultiQueue(m), MultiQueue(m)
@@ -246,6 +247,53 @@ def test_batches_match_single_ops(m, steps, seed, pending):
         else:
             assert fast.dequeue_many(a, count) == [slow.dequeue(b) for _ in range(count)]
         _assert_same_state(fast, slow, a, b)
+
+
+class HeapQueue(list):
+    """The sub-queue before it was a FIFO: a binary heap, whose pops take the
+    smallest stamp whatever order entries arrived in."""
+
+    def append(self, entry):
+        heappush(self, entry)
+
+    def popleft(self):
+        return heappop(self)
+
+
+OPS = ["enqueue", "enqueue_many", "dequeue", "dequeue_many"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.sampled_from(BATCH_QUEUES),
+       steps=st.lists(st.tuples(st.sampled_from(OPS), st.sampled_from(BATCH_COUNTS)),
+                      min_size=1, max_size=8),
+       seed=st.integers(0, 2**32 - 1))
+def test_fifo_matches_heap_oracle(m, steps, seed):
+    # single and batch ops on FIFO sub-queues and on the heaps they replace,
+    # on equal streams: the same returns, pop records, clock and generator
+    # state after every step, then the same contents and drain
+    fifo, heap = MultiQueue(m), MultiQueue(m)
+    heap._queues = [HeapQueue() for _ in range(m)]
+    a, b = make_rng(seed), make_rng(seed)
+    element = 0
+    for op, count in steps:
+        if op == "enqueue":
+            assert fifo.enqueue(element, a) == heap.enqueue(element, b)
+            element += 1
+        elif op == "enqueue_many":
+            elements = range(element, element + count)
+            element += count
+            got, want = fifo.enqueue_many(elements, a), heap.enqueue_many(elements, b)
+            assert [x.tolist() for x in got] == [x.tolist() for x in want]
+        elif op == "dequeue":
+            assert fifo.dequeue(a) == heap.dequeue(b)
+        else:
+            assert fifo.dequeue_many(a, count) == heap.dequeue_many(b, count)
+        assert fifo._last_stamp == heap._last_stamp
+        assert fifo._clock.read() == heap._clock.read()
+        assert a.bit_generator.state == b.bit_generator.state
+    assert [list(dq) for dq in fifo._queues] == [sorted(h) for h in heap._queues]
+    assert fifo.drain() == heap.drain()
 
 
 def test_dequeue_many_misses_and_drains():
@@ -304,7 +352,7 @@ def test_batches_beside_single_ops_lose_nothing():
         for step in range(20_000):
             if step % 2 == 0:
                 item = (1, step)
-                q.enqueue(item, b, thread=1)
+                q.enqueue(item, b)
                 produced[1].append(item)
             else:
                 x = q.dequeue(b)
@@ -365,15 +413,34 @@ def test_drain_returns_everything():
     assert len(rest) == 150
 
 
-@pytest.mark.parametrize("pop", ["dequeue", "drain"])
+# each pop path, asked for two pops from queue 0
+POP_TWICE = {
+    "dequeue": lambda q, rng: [q.dequeue(rng), q.dequeue(rng)],
+    "dequeue_many": lambda q, rng: q.dequeue_many(rng, 2),
+    "drain": lambda q, rng: q.drain(),
+}
+
+
+@pytest.mark.parametrize("pop", POP_TWICE)
 def test_out_of_order_pop_raises(pop):
     # the check is a raise, not an assert, so it also holds under python -O
     rng = make_rng(11)
     q = MultiQueue(1)
     q.enqueue("x", rng)
     q._last_stamp[0] = 10**9  # pretend a larger stamp already left queue 0
-    with pytest.raises(RuntimeError, match="queue 0"):
-        q.dequeue(rng) if pop == "dequeue" else q.drain()
+    with pytest.raises(RuntimeError, match="queue 0: popped stamp 0 after 1000000000"):
+        POP_TWICE[pop](q, rng)
+
+
+@pytest.mark.parametrize("pop", POP_TWICE)
+def test_fifo_out_of_stamp_order_raises(pop):
+    # a sub-queue whose entries arrived out of stamp order, as they would if
+    # enqueue took its stamp outside the queue's lock: a FIFO pops them in
+    # arrival order, and the second pop raises
+    q = MultiQueue(1)
+    q._queues[0] += [(7, "a"), (3, "b")]
+    with pytest.raises(RuntimeError, match="queue 0: popped stamp 3 after 7"):
+        POP_TWICE[pop](q, make_rng(11))
 
 
 def test_two_choice_dequeue_rank_quality_small():
@@ -401,7 +468,7 @@ def test_mixed_concurrent_integrity():
         for step in range(8000):
             if step % 2 == 0:
                 item = (k, step)
-                q.enqueue(item, rng, thread=k)
+                q.enqueue(item, rng)
                 produced[k].append(item)
             else:
                 e = q.dequeue(rng)

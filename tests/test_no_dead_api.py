@@ -4,7 +4,8 @@ named somewhere in `src/` or `perfbench/` other than where it is defined.
 A name counts when its word occurs in the code or string literals of those
 files more often than functions and classes of that name are defined.
 Comments and docstrings do not count, and neither do tests. Defaulted
-parameters must be passed by some run, and every dataclass field must be
+parameters must be passed by some run (a call through a local alias, as
+`enq = queue.enqueue`, counts), and every dataclass field must be
 read by some code, tests included. Both exemption lists are checked both
 ways: an entry whose name is no longer dead fails as well."""
 
@@ -108,21 +109,45 @@ def _passes(call, param, position):
             or any(isinstance(a, ast.Starred) for a in call.args[:position + 1]))
 
 
+def _aliases(trees):
+    """Local names bound to an attribute, as in `enq = queue.enqueue` or
+    `enq, deq = queue.enqueue, queue.dequeue`: name -> attribute name."""
+    out = {}
+    for node in (n for tree in trees for n in ast.walk(tree) if isinstance(n, ast.Assign)):
+        for target in node.targets:
+            if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                pairs = zip(target.elts, node.value.elts)
+            else:
+                pairs = [(target, node.value)]
+            for name, value in pairs:
+                if isinstance(name, ast.Name) and isinstance(value, ast.Attribute):
+                    out[name.id] = value.attr
+    return out
+
+
 def test_every_defaulted_parameter_is_passed():
     package = sorted((ROOT / "src" / "twochoice").glob("*.py"))
     trees = [ast.parse(path.read_text(), filename=str(path))
              for path in package + sorted((ROOT / "perfbench").glob("*.py"))]
     calls = [node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    aliases = _aliases(trees)
 
-    def callee(call):
-        return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+    def callees(call):
+        """The called name, and the method it aliases if it is a bound name."""
+        name = getattr(call.func, "id", None)
+        return {name, aliases.get(name)} if name else {getattr(call.func, "attr", None)}
 
     unset = [f"{name}({param}=)"
              for tree in trees[:len(package)]
              for name, param, position in _defaulted(tree)
-             if not any(callee(c) == name and _passes(c, param, position) for c in calls)]
+             if not any(name in callees(c) and _passes(c, param, position) for c in calls)]
     # both ways: a seam that a run starts to set leaves the allow-list
     assert sorted(set(unset) ^ ALLOWED_DEFAULTS) == []
+
+
+def test_aliases_see_bound_methods():
+    tree = ast.parse("enq, deq, rng = q.enqueue, q.dequeue, rngs[k]\ninc = counter.increment\n")
+    assert _aliases([tree]) == {"enq": "enqueue", "deq": "dequeue", "inc": "increment"}
 
 
 def _is_dataclass(decorator):
