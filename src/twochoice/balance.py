@@ -13,12 +13,16 @@ steps is that form at the mixed r.
 The exponential potential instrumentation monitors balance:
 phi = sum exp(a*y_j), psi = sum exp(-a*y_j), gamma = phi + psi, where y_j
 are the mean-centered bin weights and a is `potential_exponent`'s value.
-A unit-weight run places its balls in one loop over a plain list of
-integer keys, load * bins + bin, so that the lesser key is the lesser load
-with ties to the lower index; it records each ball's new key, and
-`split_keys` turns a chunk of keys into each ball's bin and that bin's new
-load. Only exponential weights, whose float loads no key can hold, keep a
-loop over (load, bin) pairs. `trajectory_from_balls` prices those columns
+A run draws the pairs of bins of 1 024 balls at a time, as columns: one
+batched `integers` call at beta 0 and 1, and in between one
+`rng.WordStream.choice_pairs` call, a numpy kernel that draws each ball's
+coin and then its one or two indices as the scalar calls would. A
+unit-weight run places its balls in one loop over a plain list of integer
+keys, load * bins + bin, so that the lesser key is the lesser load with
+ties to the lower index; it records each ball's new key, and `split_keys`
+turns a chunk of keys into each ball's bin and that bin's new load. Only
+exponential weights, whose float loads no key can hold, keep a loop over
+(load, bin) pairs. `trajectory_from_balls` prices those columns
 afterwards, for `run_sequential` and `adversary.simulate`, with running
 minima for the least load and radix sorts (by bin, and in `np.unique`) of
 bins and unit loads as their narrowest unsigned type.
@@ -286,8 +290,9 @@ def run_sequential(
         if draws is None:   # a uniform ball's pair is (i, i)
             idx = idx_rng.integers(0, bins, size=2 * size if b else size).tolist()
             return zip(idx[0::2], idx[1::2]) if b else zip(idx, idx)
-        return [(draws.integers(0, bins), draws.integers(0, bins)) if draws.random() < b
-                else (draws.integers(0, bins),) * 2 for _ in range(size)]
+        # a coin, then two indices or one: one numpy kernel per chunk
+        i, j = draws.choice_pairs(b, bins, size)
+        return zip(i.tolist(), j.tolist())
 
     # a unit ball goes to the lesser key load * bins + bin, ties to the lower bin
     keys = list(range(bins))

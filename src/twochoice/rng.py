@@ -21,11 +21,14 @@ PairStream, one fixed range `[0, bins)`, one index or a pair at a time, in
 fixed blocks of 1 024: each worker of the counter throughput, queue stress
 and transactional runs, and every RelaxedClockView.
 
-WordStream, any mix of `random()` and `integers(lo, hi)`, redoing numpy's
-arithmetic on raw words (tests/test_rng.py pins it, and no other module
-touches raw words): `run_sequential` with 0 < beta < 1, and the
-random-interleave scheduler's tail, once threads retire and its range
-changes from draw to draw.
+WordStream, redoing numpy's arithmetic on raw words (tests/test_rng.py pins
+it, and no other module touches raw words), in any mix of two calls.
+`choice_pairs(prob, hi, size)` serves `run_sequential` with 0 < beta < 1:
+a chunk of balls, each a `random()` coin and then one or two
+`integers(0, hi)`, from one numpy kernel that finds the chunk's path
+through the words by pointer doubling. `integers(lo, hi)` serves the
+random-interleave scheduler's tail one pick at a time, once threads retire
+and its range changes from draw to draw.
 
 Scalar on purpose: the counter quality run's read stream, which makes one
 draw per cadence point, where a prefetch would cost more than it saves.
@@ -39,6 +42,7 @@ from numpy.random import Generator, PCG64, SeedSequence
 _TWO_32 = 1 << 32
 _LOW_32 = _TWO_32 - 1
 _TWO_M53 = 2.0 ** -53
+_LOW_U, _U32, _U11 = np.uint64(_LOW_32), np.uint64(32), np.uint64(11)
 
 
 def make_rng(seed: int) -> Generator:
@@ -96,25 +100,26 @@ class PairStream:
 
 
 class WordStream:
-    """Buffered `random()` and `integers(lo, hi)` draws, in any order, from
-    one PCG64 generator, equal bit for bit to the same scalar calls on it.
+    """Buffered draws from one PCG64 generator, equal bit for bit to the same
+    scalar calls on it: `integers(lo, hi)` one at a time, and the balls of a
+    (1+beta) chunk by `choice_pairs`, in any order.
 
     Words come in blocks of BLOCK from `bit_generator.random_raw`, and each
-    refill splits the block once with numpy into the three views a draw can
-    take of a word. A double is `(w >> 11) * 2**-53` of one whole word. An
-    integer in a range of m <= 2**32 values takes a 32-bit half: the high
+    refill splits the block once into the low and high 32-bit halves of its
+    words. An integer in a range of m <= 2**32 values takes a half: the high
     half left pending by the last word split for a range draw if there is
-    one, else the low half of a new word (keeping its high half pending),
-    and maps it by numpy's Lemire rejection. A range of one value returns
-    `lo` and draws nothing, as numpy does. A half pending in the generator
-    when the stream is built is served first. Once wrapped, the generator
-    belongs to the stream: its own state runs up to a block ahead of the
-    draws served.
+    one, else the low half of a new word (keeping its high half pending), and
+    maps it by numpy's Lemire rejection. A range of one value returns `lo`
+    and draws nothing, as numpy does. The coin of a (1+beta) ball is
+    `random()`'s double, `(w >> 11) * 2**-53` of one whole word, which leaves
+    a pending half pending. A half pending in the generator when the stream
+    is built is served first. Once wrapped, the generator belongs to the
+    stream: its own state runs ahead of the draws served.
     """
 
     BLOCK = 1024
 
-    __slots__ = ("_bitgen", "_doubles", "_lows", "_highs", "_pos", "_half")
+    __slots__ = ("_bitgen", "_words", "_lows", "_highs", "_pos", "_half")
 
     def __init__(self, rng: Generator):
         bitgen = rng.bit_generator
@@ -122,31 +127,18 @@ class WordStream:
             raise TypeError(f"WordStream needs a PCG64 bit generator, got {type(bitgen).__name__}")
         state = bitgen.state
         self._bitgen = bitgen
-        self._doubles: list[float] = []
-        self._lows: list[int] = []
-        self._highs: list[int] = []
-        self._pos = 0
+        self._load(np.empty(0, np.uint64))
         self._half = state["uinteger"] if state["has_uint32"] else -1
 
     def _refill(self) -> None:
-        words = self._bitgen.random_raw(self.BLOCK)
-        self._doubles = ((words >> np.uint64(11)) * _TWO_M53).tolist()
-        self._lows = (words & np.uint64(_LOW_32)).tolist()
-        self._highs = (words >> np.uint64(32)).tolist()
-        self._pos = 0
+        self._load(self._bitgen.random_raw(self.BLOCK))
 
-    # random() and integers() each inline the block cursor: a shared helper
-    # would add a method call to every draw, a large share of its cost.
-    def random(self) -> float:
-        pos = self._pos
-        try:
-            x = self._doubles[pos]
-        except IndexError:
-            self._refill()
-            pos = 0
-            x = self._doubles[0]
-        self._pos = pos + 1
-        return x
+    def _load(self, words: np.ndarray) -> None:
+        """Serve the given words next."""
+        self._words = words
+        self._lows = (words & _LOW_U).tolist()
+        self._highs = (words >> _U32).tolist()
+        self._pos = 0
 
     def integers(self, lo: int, hi: int) -> int:
         m = hi - lo
@@ -172,3 +164,112 @@ class WordStream:
             p = u * m
             if p & _LOW_32 >= threshold:
                 return lo + (p >> 32)
+
+    def choice_pairs(self, prob: float, hi: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """The bin pairs of `size` (1+beta) balls as two int64 columns, equal
+        to `(integers(0, hi), integers(0, hi)) if random() < prob else
+        (integers(0, hi),) * 2` for each ball in turn, and leaving the stream
+        where those calls leave it.
+
+        One numpy kernel stands in for the calls. Before a ball the stream is
+        in a state (p, e): the ball's coin is word p, and its halves are the
+        high half of word p - 1 when e = 1 (the pending half), then the
+        halves of words p + 1, p + 2, ... . So each state's successor follows
+        from a few words: `_successors` tabulates it for every state over
+        the words at hand, pointer doubling follows the chunk's path from the
+        start state, and a path that runs past the last word draws more
+        words and starts over. A range of one value draws the coins alone.
+        """
+        if not 1 <= hi <= _TWO_32:
+            raise ValueError(f"range [0, {hi}) must hold 1 to 2**32 values")
+        if size < 0:
+            raise ValueError("size must be >= 0")
+        rest = self._words[self._pos:]
+        if size == 0 or hi == 1:
+            if len(rest) < size:
+                rest = np.concatenate((rest, self._bitgen.random_raw(size - len(rest))))
+            self._load(rest[size:])
+            zeros = np.zeros(size, np.int64)
+            return zeros, zeros
+        threshold = (_TWO_32 - hi) % hi
+        # a ball takes its coin's word and, on average, (1 + prob) halves,
+        # each accepted with probability 1 - threshold / 2**32; the margin
+        # makes a redo rare for a long chunk, and common for a short one
+        per_ball = 1.0 + (1.0 + prob) / (2.0 - 2.0 * threshold / _TWO_32)
+        need = int(size * (per_ball + 0.125))
+        pending = self._half
+        while True:
+            if len(rest) < need:
+                rest = np.concatenate((rest, self._bitgen.random_raw(need - len(rest))))
+            # word 0 holds the pending half, so the start state is (1, e); its
+            # other halves are 2**32 - 1, which no range rejects
+            head = (pending if pending >= 0 else _LOW_32) << 32 | _LOW_32
+            words = np.concatenate((np.array([head], np.uint64), rest))
+            succ, first, second, halves = _successors(words, prob, hi, threshold)
+            # path[b] is the state before ball b; jump moves len(path) balls on
+            path, jump = np.array([2 + (pending >= 0)]), succ
+            while True:
+                path = np.concatenate((path, jump.take(path)))
+                if len(path) > size:
+                    break
+                jump = jump.take(jump)
+            end = int(path[size])
+            if end < len(succ) - 1:   # else it is the sink: out of words
+                break
+            need *= 2
+        balls = path[:size]
+        m = np.uint64(hi)
+        i = ((halves.take(first.take(balls)) * m) >> _U32).astype(np.int64)
+        j = ((halves.take(second.take(balls)) * m) >> _U32).astype(np.int64)
+        p, e = divmod(end, 2)
+        self._load(words[p:])
+        self._half = int(halves[2 * p - 1]) if e else -1
+        return i, j
+
+
+def _successors(words: np.ndarray, prob: float, m: int, threshold: int):
+    """The (1+beta) ball kernel's table over the given words, of which word
+    0 holds only the pending half. Halves are numbered 2q for word q's low
+    half and 2q + 1 for its high half. For each state s = 2p + e (p = 0..n,
+    n the words) it gives the ball's first and second half and the state it
+    leaves. A ball that needs a word past the last goes to a sink, state
+    2n + 2, whose successor is itself. Returns (successor, first, second,
+    halves), the first three indexed by state.
+    """
+    n = len(words)
+    halves = words.astype("<u8", copy=False).view("<u4")   # low, high: on any host
+    coin = np.zeros(n + 1, np.int64)   # row n has no word for a coin
+    coin[:n] = (words >> _U11) * _TWO_M53 < prob
+    # every half accepted: word p + 1's low half (2p + 2) at e = 0, the
+    # pending half (2p - 1) at e = 1, and a second half next after word p
+    low = np.arange(2, 2 * n + 3, 2)[:, None]
+    first = low - [0, 3]
+    second = first + coin[:, None] * [1, 3]
+    if threshold:
+        accepted = halves * np.uint32(m) >= threshold   # the low half of u * m, wrapped
+        if not accepted.all():
+            _skip_rejected(first.ravel(), second.ravel(), accepted, coin)
+    # the ball ends past its last half's word and its coin's word p, and
+    # after a low half that word's high half is pending
+    succ = np.full(2 * n + 3, 2 * n + 2)
+    np.minimum(second + 3 - 2 * (second & 1) + 2 * (second < low), 2 * n + 2,
+               out=succ[:-1].reshape(n + 1, 2))
+    return succ, first.ravel(), second.ravel(), halves
+
+
+def _skip_rejected(first: np.ndarray, second: np.ndarray, accepted: np.ndarray,
+                   coin: np.ndarray) -> None:
+    """Move, in place, the draws of the states p = 1..n - 1 whose first or
+    second half is rejected to the accepted halves that serve them."""
+    h = len(accepted)
+    met = np.zeros(h + 2, bool)   # a half past the words leaves its state to the sink
+    met[:h] = ~accepted
+    fix = 2 + np.flatnonzero(met[first[2:h]] | met[second[2:h]])
+    # the first accepted half at or after each half; h: none
+    ahead = np.full(h + 2, h)
+    ahead[:h] = np.minimum.accumulate(np.where(accepted, np.arange(h), h)[::-1])[::-1]
+    p, e = fix >> 1, (fix & 1).astype(bool)
+    f1 = np.where(e & accepted[2 * p - 1], 2 * p - 1, ahead[2 * p + 2])
+    f2 = ahead[np.where(f1 == 2 * p - 1, 2 * p + 2, f1 + 1)]
+    first[fix] = f1
+    second[fix] = np.where(coin[p] > 0, f2, f1)

@@ -1,10 +1,10 @@
-"""The two draw paths of the package as one scalar numpy call per draw:
-the (1+beta) loop of `run_sequential`, which draws in batches at beta 0 and
-1 and from a `twochoice.rng.WordStream` in between, and the
-random-interleave scheduler's picker. Slow, but every draw is a plain
-Generator call and every load a plain number, so tests use them as the
-oracles that the batched, buffered and key-coded paths must match value
-for value.
+"""The draw paths of the package as one scalar numpy call per draw: the
+(1+beta) loop of `run_sequential`, which draws in batches at beta 0 and 1
+and by `twochoice.rng.WordStream.choice_pairs` in between, that method on
+its own, and the random-interleave scheduler's picker. Slow, but every
+draw is a plain Generator call and every load a plain number, so tests
+use them as the oracles that the batched, buffered and key-coded paths
+must match value for value.
 """
 
 from __future__ import annotations
@@ -44,6 +44,13 @@ def run_sequential_reference(bins: int, steps: int, two_choice_prob: float,
     if steps % snapshot_every != 0:
         rows.append(state.snapshot_row(steps))
     return trajectory_from_rows(rows), state.weights
+
+
+def choice_pairs_reference(rng, prob: float, hi: int, size: int) -> list[tuple[int, int]]:
+    """`WordStream.choice_pairs` as scalar calls on a Generator: a coin per
+    ball, then two indices or one."""
+    return [(int(rng.integers(0, hi)), int(rng.integers(0, hi))) if rng.random() < prob
+            else (int(rng.integers(0, hi)),) * 2 for _ in range(size)]
 
 
 def random_interleave_reference(threads: int, total_ops: int, seed: int

@@ -330,6 +330,11 @@ def test_run_sequential_snapshot_cadence():
 @example(beta=1.0, bins=64, weight=UNIT, steps=3 * CHUNK + 5, snapshot_every=7, seed=6)
 @example(beta=1.0, bins=1, weight=UNIT, steps=CHUNK + 1, snapshot_every=1, seed=7)
 @example(beta=0.0, bins=64, weight=UNIT, steps=3 * CHUNK + 5, snapshot_every=100, seed=8)
+# a (1+beta) chunk hands its stream on to the next: one that draws no half,
+# one whose range can reject a half, and one with a row per ball
+@example(beta=0.5, bins=1, weight=UNIT, steps=3 * CHUNK + 5, snapshot_every=7, seed=10)
+@example(beta=0.5, bins=3, weight=UNIT, steps=3 * CHUNK + 5, snapshot_every=100, seed=11)
+@example(beta=0.5, bins=64, weight=EXPONENTIAL, steps=3 * CHUNK + 5, snapshot_every=1, seed=12)
 @example(beta=1.0, bins=64, weight=EXPONENTIAL, steps=CHUNK + 1, snapshot_every=7, seed=9)
 def test_run_sequential_beta_matches_scalar_reference(beta, bins, weight, steps,
                                                       snapshot_every, seed):
