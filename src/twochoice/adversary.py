@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -35,7 +34,7 @@ import numpy as np
 from .balance import (_CHUNK_ROWS, Trajectory, potential_exponent, split_keys,
                       trajectory_from_balls)
 from .csvfile import write_csv
-from .rng import WordStream, schedule_rng, thread_rngs
+from .rng import schedule_rng, thread_rngs
 
 READ1, READ2, UPDATE = 0, 1, 2
 
@@ -152,14 +151,15 @@ class Schedule:
         """The 3 * total_ops picks `integers(0, threads)` of one batched call
         on the scheduler stream, and resume(used), its picker from the
         used-th pick on. numpy's batch leaves the stream where the same
-        scalar calls would, so resume discards a batch of `used` picks."""
+        scalar calls would (tests/test_rng.py), so resume discards a batch
+        of `used` picks."""
         n, seed = self.threads, self.seed
         picks = schedule_rng(seed).integers(0, n, size=3 * self.total_ops)
 
         def resume(used: int) -> Callable[[int], int]:
             rng = schedule_rng(seed)
             rng.integers(0, n, size=used)
-            return partial(WordStream(rng).integers, 0)
+            return lambda k: int(rng.integers(0, k))
 
         return picks.astype(np.min_scalar_type(n - 1)), resume
 

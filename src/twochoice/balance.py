@@ -255,7 +255,6 @@ def run_sequential(
     weight: str = UNIT,
     rng: Generator | int | None = None,
     snapshot_every: int = 1000,
-    exponent: float | None = None,
 ) -> tuple[Trajectory, list]:
     """Run the (1+beta)-choice process and record snapshots at a cadence.
 
@@ -278,8 +277,7 @@ def run_sequential(
         raise ValueError(f"unknown weight kind: {weight!r}")
     if rng is None or isinstance(rng, int):
         rng = make_rng(rng or 0)
-    if exponent is None:
-        exponent = default_params(two_choice_prob, weight)
+    exponent = default_params(two_choice_prob, weight)
 
     b, unit = two_choice_prob, weight == UNIT
     idx_rng, w_rng = rng.spawn(2)

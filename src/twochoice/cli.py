@@ -228,8 +228,8 @@ def run_seq(cfg: ExperimentConfig) -> int:
     p = cfg.params
     if not 0.0 <= p["beta"] <= 1.0:
         raise ConfigError(f"key 'beta': must lie in [0, 1], got {p['beta']}")
-    try:
-        exponent = default_params(p["beta"], p["weight"])
+    try:   # run_sequential sets its own exponent; a beta too small for one is a config error
+        default_params(p["beta"], p["weight"])
     except ValueError:
         raise ConfigError(f"key 'beta': {p['beta']!r} is too small to set the "
                           "potential exponent") from None
@@ -237,7 +237,7 @@ def run_seq(cfg: ExperimentConfig) -> int:
     for seed in p["seeds"]:
         traj, loads = run_sequential(
             p["bins"], p["steps"], p["beta"], weight=p["weight"], rng=seed,
-            snapshot_every=p["snapshot_every"], exponent=exponent,
+            snapshot_every=p["snapshot_every"],
         )
         if p["weight"] == UNIT and sum(loads) != p["steps"]:
             return _fail(outdir, "seq",

@@ -22,16 +22,15 @@ fixed blocks of 1 024: each worker of the counter throughput, queue stress
 and transactional runs, and every RelaxedClockView.
 
 WordStream, redoing numpy's arithmetic on raw words (tests/test_rng.py pins
-it, and no other module touches raw words), in any mix of two calls.
-`choice_pairs(prob, hi, size)` serves `run_sequential` with 0 < beta < 1:
-a chunk of balls, each a `random()` coin and then one or two
-`integers(0, hi)`, from one numpy kernel that finds the chunk's path
-through the words by pointer doubling. `integers(lo, hi)` serves the
-random-interleave scheduler's tail one pick at a time, once threads retire
-and its range changes from draw to draw.
+it, and no other module touches raw words): `choice_pairs(prob, hi, size)`
+serves `run_sequential` with 0 < beta < 1, a chunk of balls, each a
+`random()` coin and then one or two `integers(0, hi)`, from one numpy
+kernel that finds the chunk's path through the words by pointer doubling.
 
-Scalar on purpose: the counter quality run's read stream, which makes one
-draw per cadence point, where a prefetch would cost more than it saves.
+Scalar on purpose, where a prefetch would cost more than it saves: the
+counter quality run's read stream, which makes one draw per cadence point,
+and the random-interleave scheduler's tail, at most two picks per thread
+once threads start to retire and the range changes from pick to pick.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from numpy.random import Generator, PCG64, SeedSequence
 _TWO_32 = 1 << 32
 _LOW_32 = _TWO_32 - 1
 _TWO_M53 = 2.0 ** -53
-_LOW_U, _U32, _U11 = np.uint64(_LOW_32), np.uint64(32), np.uint64(11)
+_U32, _U11 = np.uint64(32), np.uint64(11)
 
 
 def make_rng(seed: int) -> Generator:
@@ -100,26 +99,19 @@ class PairStream:
 
 
 class WordStream:
-    """Buffered draws from one PCG64 generator, equal bit for bit to the same
-    scalar calls on it: `integers(lo, hi)` one at a time, and the balls of a
-    (1+beta) chunk by `choice_pairs`, in any order.
+    """The balls of (1+beta) chunks drawn from one PCG64 generator by
+    `choice_pairs`, equal bit for bit to the same scalar calls on it.
 
-    Words come in blocks of BLOCK from `bit_generator.random_raw`, and each
-    refill splits the block once into the low and high 32-bit halves of its
-    words. An integer in a range of m <= 2**32 values takes a half: the high
-    half left pending by the last word split for a range draw if there is
-    one, else the low half of a new word (keeping its high half pending), and
-    maps it by numpy's Lemire rejection. A range of one value returns `lo`
-    and draws nothing, as numpy does. The coin of a (1+beta) ball is
-    `random()`'s double, `(w >> 11) * 2**-53` of one whole word, which leaves
-    a pending half pending. A half pending in the generator when the stream
-    is built is served first. Once wrapped, the generator belongs to the
-    stream: its own state runs ahead of the draws served.
+    A ball's coin is `random()`'s double, `(w >> 11) * 2**-53` of one whole
+    word. An index in a range of m <= 2**32 values takes a 32-bit half: the
+    high half left pending by the last word split for an index if there is
+    one, else the low half of a new word (keeping its high half pending),
+    and maps it by numpy's Lemire rejection. A half pending in the generator
+    when the stream is built is served first. Once wrapped, the generator
+    belongs to the stream: its own state runs ahead of the draws served.
     """
 
-    BLOCK = 1024
-
-    __slots__ = ("_bitgen", "_words", "_lows", "_highs", "_pos", "_half")
+    __slots__ = ("_bitgen", "_words", "_half")
 
     def __init__(self, rng: Generator):
         bitgen = rng.bit_generator
@@ -127,49 +119,14 @@ class WordStream:
             raise TypeError(f"WordStream needs a PCG64 bit generator, got {type(bitgen).__name__}")
         state = bitgen.state
         self._bitgen = bitgen
-        self._load(np.empty(0, np.uint64))
+        self._words = np.empty(0, np.uint64)   # drawn from the generator, not yet served
         self._half = state["uinteger"] if state["has_uint32"] else -1
-
-    def _refill(self) -> None:
-        self._load(self._bitgen.random_raw(self.BLOCK))
-
-    def _load(self, words: np.ndarray) -> None:
-        """Serve the given words next."""
-        self._words = words
-        self._lows = (words & _LOW_U).tolist()
-        self._highs = (words >> _U32).tolist()
-        self._pos = 0
-
-    def integers(self, lo: int, hi: int) -> int:
-        m = hi - lo
-        if m == 1:
-            return lo
-        if m < 1 or m > _TWO_32:
-            raise ValueError(f"range [{lo}, {hi}) must hold 1 to 2**32 values")
-        threshold = (_TWO_32 - m) % m
-        while True:
-            u = self._half
-            if u < 0:
-                pos = self._pos
-                try:
-                    u = self._lows[pos]
-                except IndexError:
-                    self._refill()
-                    pos = 0
-                    u = self._lows[0]
-                self._half = self._highs[pos]
-                self._pos = pos + 1
-            else:
-                self._half = -1
-            p = u * m
-            if p & _LOW_32 >= threshold:
-                return lo + (p >> 32)
 
     def choice_pairs(self, prob: float, hi: int, size: int) -> tuple[np.ndarray, np.ndarray]:
         """The bin pairs of `size` (1+beta) balls as two int64 columns, equal
-        to `(integers(0, hi), integers(0, hi)) if random() < prob else
-        (integers(0, hi),) * 2` for each ball in turn, and leaving the stream
-        where those calls leave it.
+        to the generator's `(integers(0, hi), integers(0, hi)) if random() <
+        prob else (integers(0, hi),) * 2` for each ball in turn, and leaving
+        the stream where those calls leave it.
 
         One numpy kernel stands in for the calls. Before a ball the stream is
         in a state (p, e): the ball's coin is word p, and its halves are the
@@ -184,11 +141,11 @@ class WordStream:
             raise ValueError(f"range [0, {hi}) must hold 1 to 2**32 values")
         if size < 0:
             raise ValueError("size must be >= 0")
-        rest = self._words[self._pos:]
+        rest = self._words
         if size == 0 or hi == 1:
             if len(rest) < size:
                 rest = np.concatenate((rest, self._bitgen.random_raw(size - len(rest))))
-            self._load(rest[size:])
+            self._words = rest[size:]
             zeros = np.zeros(size, np.int64)
             return zeros, zeros
         threshold = (_TWO_32 - hi) % hi
@@ -222,7 +179,7 @@ class WordStream:
         i = ((halves.take(first.take(balls)) * m) >> _U32).astype(np.int64)
         j = ((halves.take(second.take(balls)) * m) >> _U32).astype(np.int64)
         p, e = divmod(end, 2)
-        self._load(words[p:])
+        self._words = words[p:]
         self._half = int(halves[2 * p - 1]) if e else -1
         return i, j
 

@@ -1,19 +1,17 @@
 """The draw paths of the package as one scalar numpy call per draw: the
 (1+beta) loop of `run_sequential`, which draws in batches at beta 0 and 1
-and by `twochoice.rng.WordStream.choice_pairs` in between, that method on
-its own, and the random-interleave scheduler's picker. Slow, but every
-draw is a plain Generator call and every load a plain number, so tests
-use them as the oracles that the batched, buffered and key-coded paths
-must match value for value.
+and by `twochoice.rng.WordStream.choice_pairs` in between, and that method
+on its own. Slow, but every draw is a plain Generator call and every load
+a plain number, so tests use them as the oracles that the batched,
+buffered and key-coded paths must match value for value.
 """
 
 from __future__ import annotations
 
 from twochoice.balance import UNIT, Trajectory, default_params
-from twochoice.rng import make_rng, schedule_rng
+from twochoice.rng import make_rng
 
 from potential_reference import LoadState, trajectory_from_rows
-from schedule_reference import interleaved
 
 
 def run_sequential_reference(bins: int, steps: int, two_choice_prob: float,
@@ -52,10 +50,3 @@ def choice_pairs_reference(rng, prob: float, hi: int, size: int) -> list[tuple[i
     return [(int(rng.integers(0, hi)), int(rng.integers(0, hi))) if rng.random() < prob
             else (int(rng.integers(0, hi)),) * 2 for _ in range(size)]
 
-
-def random_interleave_reference(threads: int, total_ops: int, seed: int
-                                ) -> list[tuple[int, int, int]]:
-    """The random-interleave schedule with each pick a scalar draw from the
-    scheduler's stream."""
-    scalar = schedule_rng(seed)
-    return list(interleaved(threads, total_ops, lambda k: int(scalar.integers(0, k))))

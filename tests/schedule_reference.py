@@ -7,7 +7,6 @@ oracle that `Schedule.events()` must match event for event.
 from __future__ import annotations
 
 import itertools
-from functools import partial
 from typing import Callable, Iterator
 
 from twochoice.adversary import (
@@ -20,7 +19,7 @@ from twochoice.adversary import (
     UPDATE,
     Schedule,
 )
-from twochoice.rng import WordStream, schedule_rng
+from twochoice.rng import schedule_rng
 
 
 def events_reference(schedule: Schedule) -> Iterator[tuple[int, int, int]]:
@@ -35,7 +34,8 @@ def events_reference(schedule: Schedule) -> Iterator[tuple[int, int, int]]:
     if schedule.kind == ROUND_ROBIN:
         turn = itertools.count()
         return interleaved(n, total, lambda k: next(turn) % k)
-    return interleaved(n, total, partial(WordStream(schedule_rng(schedule.seed)).integers, 0))
+    scalar = schedule_rng(schedule.seed)   # every pick one scalar draw
+    return interleaved(n, total, lambda k: int(scalar.integers(0, k)))
 
 
 def blocks(n: int, total: int, block: int, stretch: int) -> Iterator[tuple[int, int, int]]:

@@ -18,7 +18,7 @@ from twochoice.balance import (
     run_sequential,
     trajectory_from_balls,
 )
-from twochoice.rng import WordStream, make_rng
+from twochoice.rng import make_rng
 
 
 # ---------------------------------------------------------------------------
@@ -321,12 +321,9 @@ def test_run_sequential_snapshot_cadence():
        steps=st.integers(0, 3000),
        snapshot_every=st.sampled_from([1, 7, 100, 1000, 5000]),
        seed=st.integers(0, 2**32))
-@example(beta=0.5, bins=64, weight=UNIT, steps=4 * WordStream.BLOCK,
-         snapshot_every=1000, seed=3)
-@example(beta=1e-9, bins=3, weight=EXPONENTIAL,
-         steps=2 * WordStream.BLOCK + 1, snapshot_every=7, seed=4)
-@example(beta=1 - 1e-9, bins=100, weight=UNIT,
-         steps=2 * WordStream.BLOCK, snapshot_every=1, seed=5)
+@example(beta=0.5, bins=64, weight=UNIT, steps=4 * CHUNK, snapshot_every=1000, seed=3)
+@example(beta=1e-9, bins=3, weight=EXPONENTIAL, steps=2 * CHUNK + 1, snapshot_every=7, seed=4)
+@example(beta=1 - 1e-9, bins=100, weight=UNIT, steps=2 * CHUNK, snapshot_every=1, seed=5)
 @example(beta=1.0, bins=64, weight=UNIT, steps=3 * CHUNK + 5, snapshot_every=7, seed=6)
 @example(beta=1.0, bins=1, weight=UNIT, steps=CHUNK + 1, snapshot_every=1, seed=7)
 @example(beta=0.0, bins=64, weight=UNIT, steps=3 * CHUNK + 5, snapshot_every=100, seed=8)

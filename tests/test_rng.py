@@ -1,4 +1,5 @@
-"""PairStream and WordStream against the scalar Generator draws they stand in for."""
+"""PairStream, WordStream and the scheduler's batch-then-scalar picks against
+the scalar Generator draws they stand in for."""
 
 import tracemalloc
 
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from numpy.random import MT19937, Generator
 from scalar_reference import choice_pairs_reference
 
+from twochoice.balance import _CHUNK_ROWS as CHUNK
 from twochoice.rng import PairStream, WordStream, make_rng, thread_rngs
 
 # values drawn when each refill happens: a refill every BLOCK values
@@ -95,20 +97,15 @@ def test_other_range_raises(lo, hi):
 # range sizes: 2**31 + 1 rejects about half of its 32-bit draws, 2**32 - 1
 # and 2**32 are the widest ranges a 32-bit half serves
 WORD_RANGES = [1, 2, 3, 64, 1000, 2**31 + 1, 2**32 - 1, 2**32]
-BLOCK = WordStream.BLOCK
 # coin probabilities: almost never, even, and almost always two indices
 BETAS = [1e-12, 0.5, 1 - 1e-12]
-INTEGERS = st.tuples(st.integers(-2**40, 2**40), st.sampled_from(WORD_RANGES))
-# one call: (lo, m) is integers(lo, lo + m), (prob, hi, size) is choice_pairs
-CALLS = st.one_of(INTEGERS, st.tuples(st.sampled_from(BETAS), st.sampled_from(WORD_RANGES),
-                                      st.integers(0, 4)))
+# one call: choice_pairs(prob, hi, size)
+CALLS = st.tuples(st.sampled_from(BETAS), st.sampled_from(WORD_RANGES), st.integers(0, 4))
 
 
 def same_draws(stream, scalar, call) -> bool:
-    """One call on the stream against the same scalar calls on the generator."""
-    if len(call) == 2:
-        lo, m = call
-        return stream.integers(lo, lo + m) == int(scalar.integers(lo, lo + m))
+    """One choice_pairs call on the stream against the same scalar calls on
+    the generator."""
     prob, hi, size = call
     i, j = stream.choice_pairs(prob, hi, size)
     assert i.dtype == j.dtype == np.int64
@@ -118,41 +115,36 @@ def same_draws(stream, scalar, call) -> bool:
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**64 - 1), primed=st.booleans(),
        calls=st.lists(st.tuples(st.sampled_from(BETAS), st.sampled_from(WORD_RANGES),
-                                st.one_of(st.sampled_from([0, 1, BLOCK - 1, BLOCK + 1, 3 * BLOCK]),
-                                          st.integers(0, 100)),
-                                st.none() | INTEGERS),
+                                st.one_of(st.sampled_from([0, 1, CHUNK - 1, CHUNK + 1, 3 * CHUNK]),
+                                          st.integers(0, 100))),
                       min_size=1, max_size=4))
-@example(seed=7, primed=True, calls=[(0.5, 2**31 + 1, 3 * BLOCK, None)])
-@example(seed=7, primed=False, calls=[(1 - 1e-12, 2**32 - 1, BLOCK + 1, (5, 3)),
-                                      (0.5, 3, BLOCK - 1, None)])
-@example(seed=7, primed=True, calls=[(1e-12, 2**31 + 1, BLOCK + 1, (0, 1)),
-                                     (0.5, 1, BLOCK - 1, (0, 2**31 + 1)), (0.5, 64, 0, None)])
+@example(seed=7, primed=True, calls=[(0.5, 2**31 + 1, 3 * CHUNK)])
+@example(seed=7, primed=False, calls=[(1 - 1e-12, 2**32 - 1, CHUNK + 1), (0.5, 3, CHUNK - 1)])
+@example(seed=7, primed=True, calls=[(1e-12, 2**31 + 1, CHUNK + 1), (0.5, 1, CHUNK - 1),
+                                     (0.5, 64, 0)])
 def test_choice_pairs_match_scalar_draws(seed, primed, calls):
-    """Each call is (prob, hi, size, then an integers call or None); primed
-    leaves a pending 32-bit half in the generator before it is wrapped. The
-    draws after the calls agree too: the stream kept its place, its words
-    and its pending half."""
+    """Each call is (prob, hi, size); primed leaves a pending 32-bit half in
+    the generator before it is wrapped. The draws after the calls agree too:
+    the stream kept its place, its words and its pending half."""
     wrapped, scalar = make_rng(seed), make_rng(seed)
     if primed:
         wrapped.integers(0, 7)
         scalar.integers(0, 7)
     stream = WordStream(wrapped)
-    for n, (prob, hi, size, between) in enumerate(calls):
-        assert same_draws(stream, scalar, (prob, hi, size)), n
-        if between is not None:
-            assert same_draws(stream, scalar, between), n
+    for n, call in enumerate(calls):
+        assert same_draws(stream, scalar, call), n
     for m in WORD_RANGES:
-        assert same_draws(stream, scalar, (0, m)), m
-    assert same_draws(stream, scalar, (0.5, 3, 5))
+        assert same_draws(stream, scalar, (0.5, m, 3)), m
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**64 - 1), primed=st.booleans(),
        pattern=st.lists(CALLS, min_size=1, max_size=12),
-       k=st.one_of(st.integers(0, 300), st.integers(2 * BLOCK, 5 * BLOCK)))
-@example(seed=7, primed=True, pattern=[(0.5, 64, 1)], k=2 * BLOCK + 1)
-@example(seed=7, primed=False, pattern=[(0, 2**31 + 1)], k=5 * BLOCK)
-@example(seed=7, primed=True, pattern=[(0, 1), (5, 3), (0.5, 3, 2), (0, 1)], k=5 * BLOCK)
+       k=st.one_of(st.integers(0, 300), st.integers(2 * CHUNK, 5 * CHUNK)))
+@example(seed=7, primed=True, pattern=[(0.5, 64, 1)], k=2 * CHUNK + 1)
+@example(seed=7, primed=False, pattern=[(0.5, 2**31 + 1, 1)], k=5 * CHUNK)
+@example(seed=7, primed=True, pattern=[(0.5, 1, 1), (1 - 1e-12, 3, 1), (0.5, 3, 2),
+                                       (1e-12, 1, 0)], k=5 * CHUNK)
 def test_word_stream_matches_scalar_draws(seed, primed, pattern, k):
     """The pattern repeats to k calls; primed leaves a pending 32-bit half in
     the generator before it is wrapped."""
@@ -167,27 +159,23 @@ def test_word_stream_matches_scalar_draws(seed, primed, pattern, k):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**64 - 1), n=st.one_of(st.integers(1, 70), st.integers(2**31, 2**32)),
-       k=st.integers(0, 3000), pattern=st.lists(CALLS, min_size=1, max_size=8))
-@example(seed=7, n=3, k=2999, pattern=[(0, 5)])              # odd: a high half left pending
-@example(seed=7, n=3, k=3000, pattern=[(0, 5)])
-@example(seed=7, n=2**31 + 1, k=2999, pattern=[(0.5, 2**31 + 1, 3), (0, 2**32)])
-@example(seed=7, n=2**32, k=1, pattern=[(0, 3)])
-def test_batched_integers_then_word_stream_match_scalar_draws(seed, n, k, pattern):
+       k=st.integers(0, 3000))
+@example(seed=7, n=3, k=2999)              # odd: a high half left pending
+@example(seed=7, n=3, k=3000)
+@example(seed=7, n=2**31 + 1, k=2999)
+@example(seed=7, n=2**32, k=1)
+def test_batched_integers_then_scalar_picks_match_scalar_draws(seed, n, k):
     """A batch of `integers(0, n)` equals the same scalar calls and leaves the
-    generator where they do, so a WordStream that takes over after it
-    continues them: the random-interleave scheduler's hand-over."""
+    generator where they do, so scalar picks after it continue them: the
+    random-interleave scheduler's hand-over to its tail, whose range
+    shrinks as threads retire."""
     batched, scalar = make_rng(seed), make_rng(seed)
     assert (batched.integers(0, n, size=k).tolist()
             == [int(scalar.integers(0, n)) for _ in range(k)])
-    stream = WordStream(batched)
-    for step, call in enumerate(pattern * 8):
-        assert same_draws(stream, scalar, call), step
-
-
-@pytest.mark.parametrize("lo, hi", [(0, 0), (5, 4), (0, 2**32 + 1), (-1, 2**32)])
-def test_word_stream_rejects_bad_range(lo, hi):
-    with pytest.raises(ValueError):
-        WordStream(make_rng(0)).integers(lo, hi)
+    assert batched.bit_generator.state == scalar.bit_generator.state
+    ranges = [n - i // 2 for i in range(2 * min(n, 64))]   # each range twice
+    assert ([int(batched.integers(0, m)) for m in ranges]
+            == [int(scalar.integers(0, m)) for m in ranges])
 
 
 @pytest.mark.parametrize("hi, size", [(0, 4), (2**32 + 1, 4), (64, -1)])
