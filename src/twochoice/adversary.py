@@ -25,9 +25,8 @@ each window's events counts both (`_window_columns`).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -115,11 +114,8 @@ class Schedule:
         if self.kind == BLOCK_RESET:
             return self._blocks(n, n)
         if self.kind == ROUND_ROBIN:
-            turns = (np.arange(3 * total) % n).astype(np.min_scalar_type(n - 1))
-            # after `used` picks, the turns count on from `used`
-            return self._interleaved(turns, lambda used: (
-                lambda k, turn=itertools.count(used): next(turn) % k))
-        return self._interleaved(*self._random_picks())
+            return self._interleaved(_Turns())
+        return self._interleaved(schedule_rng(self.seed))
 
     def events(self) -> Iterator[tuple[int, int, int]]:
         """(thread, op, phase) of every event in schedule order: each thread
@@ -147,42 +143,47 @@ class Schedule:
             parts.append(np.tile((place % n).astype(thread), copies))
         return np.concatenate(parts)
 
-    def _random_picks(self) -> tuple[np.ndarray, Callable]:
-        """The 3 * total_ops picks `integers(0, threads)` of one batched call
-        on the scheduler stream, and resume(used), its picker from the
-        used-th pick on. numpy's batch leaves the stream where the same
-        scalar calls would (tests/test_rng.py), so resume discards a batch
-        of `used` picks."""
-        n, seed = self.threads, self.seed
-        picks = schedule_rng(seed).integers(0, n, size=3 * self.total_ops)
+    def _interleaved(self, pick) -> np.ndarray:
+        """One op per thread at a time, advanced one phase per visit: each
+        visit goes to active thread `pick.integers(k)` of the k active, and
+        an idle thread retires once no op is left to start.
 
-        def resume(used: int) -> Callable[[int], int]:
-            rng = schedule_rng(seed)
-            rng.integers(0, n, size=used)
-            return lambda k: int(rng.integers(0, k))
-
-        return picks.astype(np.min_scalar_type(n - 1)), resume
-
-    def _interleaved(self, picks: np.ndarray, resume: Callable) -> np.ndarray:
-        """One op per thread at a time, advanced one phase per visit. While
-        every thread is active, picks[k] is the k-th visit's thread; after the
-        last op starts resume(used) returns pick(k), which picks one of the k
-        active threads; idle threads retire, since no op is left."""
-        n, total, idx = self.threads, self.total_ops, _index_type(self.total_ops)
-        started = np.cumsum(_by_thread(picks, n, idx)[3] == READ1, dtype=idx)
-        # 3 * total visits start every op: a thread's k visits start ceil(k / 3)
-        used = int(np.searchsorted(started, total)) + 1 if total else 0
-        steps = (np.bincount(picks[:used], minlength=n) % 3).tolist()   # next phase; 0 is idle
-        pick, active, tail = resume(used), list(range(n)), []
+        Until the last op starts every thread is active, so the visits come
+        in batches of one per op left to start. A visit starts at most one
+        op, so a batch starts every op left only if its last visit starts
+        the last op: a batch never passes that visit. A thread at phase s
+        visited c times in a batch starts (c - (3 - s) % 3 + 2) // 3 ops.
+        The tail then draws one visit at a time from the same source."""
+        n, left = self.threads, self.total_ops
+        thread = np.min_scalar_type(n - 1)
+        steps, head = np.zeros(n, dtype=np.int64), []   # next phase; 0 is idle
+        while left:
+            batch = pick.integers(n, size=left)
+            seen = np.bincount(batch, minlength=n)
+            left -= int(((seen - (3 - steps) % 3 + 2) // 3).sum())
+            steps = (steps + seen) % 3
+            head.append(batch.astype(thread))
+        steps, active, tail = steps.tolist(), list(range(n)), []
         while active:
-            slot = pick(len(active))
+            slot = int(pick.integers(len(active)))
             t = active[slot]
             if steps[t]:
                 tail.append(t)
                 steps[t] = (steps[t] + 1) % 3
             if not steps[t]:
                 active.pop(slot)
-        return np.concatenate((picks[:used], np.array(tail, dtype=picks.dtype)))
+        return np.concatenate(head + [np.array(tail, dtype=thread)])
+
+
+class _Turns:
+    """Round robin's pick source, in `Generator.integers`' call form: the
+    v-th pick among k threads is v mod k."""
+
+    v = 0   # picks drawn so far
+
+    def integers(self, high: int, size: int | None = None):
+        v, self.v = self.v, self.v + (1 if size is None else size)
+        return v % high if size is None else np.arange(v, self.v) % high
 
 
 def _index_type(total_ops: int) -> type:
@@ -287,30 +288,25 @@ def simulate(config: SimConfig, schedule: Schedule | None = None) -> SimResult:
     return SimResult(loads=loads, log=log, trajectory=traj)
 
 
-def _by_thread(thread: np.ndarray, threads: int, idx: type) -> tuple[np.ndarray, ...]:
-    """A stable order of the events by thread, each thread's event count and
-    first place in it, and each event's phase (int8): its index among its
-    thread's events, mod 3."""
-    order = np.argsort(thread, kind="stable").astype(idx)
-    seen = np.bincount(thread, minlength=threads)
-    head = np.cumsum(seen) - seen
-    phase = np.empty(len(order), np.int8)
-    phase[order] = (np.arange(len(order), dtype=idx) - np.repeat(head.astype(idx), seen)) % 3
-    return order, seen, head, phase
-
-
 def _thread_order(thread, threads: int, total: int) -> tuple[np.ndarray, ...]:
-    """`_by_thread` of a thread column. Raises ValueError unless every thread
-    is in range and has whole triples of events, `total` of them in all."""
+    """A stable order of a thread column's events by thread, each thread's
+    event count and first place in it, and each event's phase (int8): its
+    index among its thread's events, mod 3. Raises ValueError unless every
+    thread is in range and has whole triples of events, `total` of them in
+    all."""
     events = len(thread)
     bad = np.flatnonzero((thread < 0) | (thread >= threads))
     if len(bad):
         raise ValueError(f"schedule event {bad[0]}: thread {thread[bad[0]]} out of range")
-    idx = np.int32 if events < 2**31 else np.int64
-    order, seen, head, phase = _by_thread(thread, threads, idx)
+    seen = np.bincount(thread, minlength=threads)
     if (seen % 3).any() or events != 3 * total:
         raise ValueError(f"schedule completed {(seen // 3).sum()} of {total} operations "
                          f"in {events} events")
+    idx = _index_type(total)
+    order = np.argsort(thread, kind="stable").astype(idx)
+    head = np.cumsum(seen) - seen
+    phase = np.empty(events, np.int8)
+    phase[order] = (np.arange(events, dtype=idx) - np.repeat(head.astype(idx), seen)) % 3
     return order, seen, head, phase
 
 

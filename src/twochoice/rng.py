@@ -11,11 +11,13 @@ Each returns exactly what the same scalar calls on the Generator would, so
 no batch or block size ever changes a value.
 
 Batched `integers` calls: the simulator's choices, one call per thread for
-all of its ops; the random-interleave scheduler's picks while every thread
-is active; `run_sequential` with beta 0 or 1, a chunk at a time; and the
-quality runs' batch methods (`MultiCounter.increment_many`,
-`MultiQueue.enqueue_many` and `dequeue_many`), which take a Generator and
-draw up to 1 024 ops' indices per call.
+all of its ops; the random-interleave scheduler's picks while ops are left
+to start, in batches of one pick per op left (a pick starts at most one op,
+so no batch draws past the pick that starts the last); `run_sequential`
+with beta 0 or 1, a chunk at a time; and the quality runs' batch methods
+(`MultiCounter.increment_many`, `MultiQueue.enqueue_many` and
+`dequeue_many`), which take a Generator and draw up to 1 024 ops' indices
+per call.
 
 PairStream, one fixed range `[0, bins)`, one index or a pair at a time, in
 fixed blocks of 1 024: each worker of the counter throughput, queue stress
@@ -29,8 +31,9 @@ kernel that finds the chunk's path through the words by pointer doubling.
 
 Scalar on purpose, where a prefetch would cost more than it saves: the
 counter quality run's read stream, which makes one draw per cadence point,
-and the random-interleave scheduler's tail, at most two picks per thread
-once threads start to retire and the range changes from pick to pick.
+and the random-interleave scheduler's tail on the stream its batches
+left, at most two picks per thread once threads start to retire and the
+range changes from pick to pick.
 """
 
 from __future__ import annotations

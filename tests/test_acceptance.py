@@ -10,7 +10,6 @@ stated bounds; identical seeds must reproduce them bit for bit.
 import itertools
 import math
 import os
-from collections import Counter
 from contextlib import contextmanager
 from functools import partial
 
@@ -19,6 +18,7 @@ import pytest
 
 from dlin_reference import INC, HistoryRecord, history, possible_cost_multisets
 from thread_pair import run_pair, switch_interval
+from twochoice import cli
 from twochoice.adversary import (
     ADVERSARY_KINDS,
     BLOCK_RESET,
@@ -43,7 +43,7 @@ from twochoice.multicounter import MultiCounter
 from twochoice.multiqueue import EMPTY, MultiQueue
 from twochoice.rng import make_rng, thread_rngs
 from twochoice.stm import ExactClock, RelaxedClock, run_stm_benchmark
-from twochoice.timed import run_timed_workers, usable_cpu_count
+from twochoice.timed import usable_cpu_count
 
 
 @contextmanager
@@ -255,36 +255,19 @@ def test_criterion_08_multiqueue_rank():
 # 9. relaxed queue integrity under live threads
 # ---------------------------------------------------------------------------
 
-def test_criterion_09_multiqueue_integrity():
+def test_criterion_09_multiqueue_integrity(tmp_path):
     with criterion(9, "queue integrity: 10 s mixed load, no loss/dup/order"):
-        threads = _stress_threads()
-        q = MultiQueue(64)
-        rngs = thread_rngs(17, threads)
-
-        def worker(k, stop):
-            rng = rngs[k]
-            produced, consumed = [], []
-            step = 0
-            while not stop.is_set():
-                if step % 2 == 0:
-                    item = (k, step)
-                    q.enqueue(item, rng)
-                    produced.append(item)
-                else:
-                    got = q.dequeue(rng)
-                    if got is not EMPTY:
-                        consumed.append(got)
-                step += 1
-            return produced, consumed
-
+        # the CLI's stress run checks the multiset of elements enqueued
+        # against those dequeued and drained, and the drain's pop order
         with switch_interval(1e-4):
-            _, lanes = run_timed_workers(threads, worker, 10.0)
-        produced, consumed = zip(*lanes)
-        leftovers = q.drain()  # also re-checks per-queue pop order
-        want = Counter(x for lane in produced for x in lane)
-        got = Counter(x for lane in consumed for x in lane) + Counter(leftovers)
-        assert want == got, "elements lost or duplicated"
-        assert sum(len(lane) for lane in produced) > 0
+            code = cli.main(["queue", "--mode", "stress", "--queues", "64",
+                             "--threads", str(_stress_threads()), "--duration", "10",
+                             "--repeats", "1", "--seed", "17", "--out", str(tmp_path)])
+        assert code == 0, "elements lost or duplicated"
+        lines = [line for line in (tmp_path / "queue_stress.csv").read_text().splitlines()
+                 if not line.startswith("#")]
+        row = dict(zip(lines[0].split(","), lines[1].split(",")))
+        assert int(row["enqueued"]) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,12 @@ import hashlib
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+import schedule_reference
 from schedule_reference import events_reference
 from sim_reference import simulate_reference
 
@@ -30,7 +32,7 @@ from twochoice.adversary import (
     simulate,
 )
 from twochoice.balance import potential_exponent, run_sequential
-from twochoice.rng import make_rng, thread_rngs
+from twochoice.rng import make_rng, schedule_rng, thread_rngs
 
 
 # ---------------------------------------------------------------------------
@@ -80,8 +82,22 @@ def _schedules(draw):
 # more threads than ops: 20 picks of the batch, then 4 120 scalar tail picks
 @example(schedule=Schedule(RANDOM_INTERLEAVE, 4100, 20, 43270))
 def test_schedule_columns_match_reference(schedule):
+    # random interleave makes one scheduler stream, and it ends where the
+    # reference's scalar picks leave theirs
+    made, drawn = [], []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(adversary, "schedule_rng", partial(_recorded, made))
+        patch.setattr(schedule_reference, "schedule_rng", partial(_recorded, drawn))
+        assert list(schedule.events()) == list(events_reference(schedule))
+    assert len(made) == len(drawn) == int(schedule.kind == RANDOM_INTERLEAVE)
+    assert [s.bit_generator.state for s in made] == [s.bit_generator.state for s in drawn]
     assert schedule.event_threads().dtype == np.min_scalar_type(schedule.threads - 1)
-    assert list(schedule.events()) == list(events_reference(schedule))
+
+
+def _recorded(streams, seed):
+    """schedule_rng(seed), kept in `streams`."""
+    streams.append(schedule_rng(seed))
+    return streams[-1]
 
 
 @pytest.mark.parametrize("kind", ADVERSARY_KINDS)
@@ -295,7 +311,7 @@ def test_stampede_pair_law_is_pinned():
     # loads. They share a bin iff min(i0, j0) == min(i1, j1), in 10 of the 16
     # draws (5/8); taking the first choice on a tie would give 8 (1/2)
     thread = Schedule(STAMPEDE, 2, 2).event_threads()
-    phase = adversary._by_thread(thread, 2, np.int64)[3]
+    phase = adversary._thread_order(thread, 2, 2)[3]
     read1, read2 = ([np.flatnonzero((thread == t) & (phase == p))[0] for t in (0, 1)]
                     for p in (READ1, READ2))
     shared = 0

@@ -455,3 +455,14 @@ def test_oracle_failure_exit_path(tmp_path, monkeypatch):
                out=tmp_path / "r")
     assert run(cfg) == 1
     assert (tmp_path / "r" / "stm_diagnostics.txt").exists()
+
+
+def test_queue_stress_oracle_failure_exit_path(tmp_path, monkeypatch):
+    # an enqueue that drops its element must trip the stress run's multiset
+    # oracle, which criterion 09 rests on
+    monkeypatch.setattr(MultiQueue, "enqueue", lambda self, element, rng: (0, 0))
+    cfg = _cfg("queue", mode="stress", queues=8, threads=2, duration=0.05,
+               repeats=1, out=tmp_path / "r")
+    assert run(cfg) == 1
+    detail = (tmp_path / "r" / "queue_diagnostics.txt").read_text()
+    assert "lost=0 " not in detail and "duplicated_or_invented=0" in detail

@@ -159,22 +159,25 @@ def test_word_stream_matches_scalar_draws(seed, primed, pattern, k):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**64 - 1), n=st.one_of(st.integers(1, 70), st.integers(2**31, 2**32)),
-       k=st.integers(0, 3000))
-@example(seed=7, n=3, k=2999)              # odd: a high half left pending
-@example(seed=7, n=3, k=3000)
-@example(seed=7, n=2**31 + 1, k=2999)
-@example(seed=7, n=2**32, k=1)
-def test_batched_integers_then_scalar_picks_match_scalar_draws(seed, n, k):
-    """A batch of `integers(0, n)` equals the same scalar calls and leaves the
-    generator where they do, so scalar picks after it continue them: the
-    random-interleave scheduler's hand-over to its tail, whose range
-    shrinks as threads retire."""
+       k=st.integers(0, 3000), cuts=st.lists(st.integers(0, 3000), max_size=6))
+@example(seed=7, n=3, k=2999, cuts=[])     # odd: a high half left pending
+@example(seed=7, n=3, k=3000, cuts=[1, 2, 1001])
+@example(seed=7, n=2**31 + 1, k=2999, cuts=[999, 2000])
+@example(seed=7, n=2**32, k=1, cuts=[0, 1])
+def test_batched_integers_then_scalar_picks_match_scalar_draws(seed, n, k, cuts):
+    """Consecutive batches of `integers(n, size=...)`, cut where `cuts` say,
+    equal the same scalar calls and leave the generator where they do, so
+    each batch continues the last and scalar picks after them continue the
+    batches: the random-interleave scheduler's batches of one pick per op
+    left to start, then its tail, whose range shrinks as threads retire."""
+    bounds = [0, *sorted(min(c, k) for c in cuts), k]
     batched, scalar = make_rng(seed), make_rng(seed)
-    assert (batched.integers(0, n, size=k).tolist()
+    assert ([x for lo, hi in zip(bounds, bounds[1:])
+             for x in batched.integers(n, size=hi - lo).tolist()]
             == [int(scalar.integers(0, n)) for _ in range(k)])
     assert batched.bit_generator.state == scalar.bit_generator.state
     ranges = [n - i // 2 for i in range(2 * min(n, 64))]   # each range twice
-    assert ([int(batched.integers(0, m)) for m in ranges]
+    assert ([int(batched.integers(m)) for m in ranges]
             == [int(scalar.integers(0, m)) for m in ranges])
 
 
