@@ -8,8 +8,10 @@ directory named by --out, the TWOCHOICE_OUT environment variable, or
 ./results, in that order of defaults.
 
 Timed runs repeat: counter throughput and stm report mean and standard
-deviation, queue stress one row per repeat; simulator and sequential runs
-are deterministic per seed and write identical files on identical configs.
+deviation, queue stress one row per repeat. Each thread runs a loop
+(increment_until, stress_until, stm.transact) that the tests run for a
+fixed number of steps. Simulator and sequential runs are deterministic per
+seed and write identical files on identical configs.
 A failed consistency oracle makes the process exit nonzero after writing a
 diagnostics dump.
 """
@@ -283,24 +285,44 @@ def run_sim(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _counter_throughput_once(threads: int, cells: int, duration: float,
-                             seed: int) -> tuple[float, bool]:
-    counter = MultiCounter(cells)
-    rngs = [PairStream(g, cells) for g in thread_rngs(seed, threads)]
+def increment_until(counter: MultiCounter, rng, stop) -> int:
+    """Increment `counter` through `rng` until `stop.is_set()`, polled once
+    per increment; returns the number of increments."""
+    inc = counter.increment
+    n = 0
+    while not stop.is_set():
+        inc(rng)
+        n += 1
+    return n
 
-    def worker(k: int, stop) -> int:
-        rng = rngs[k]
-        inc = counter.increment
-        n = 0
-        while not stop.is_set():
-            inc(rng)
-            n += 1
-        return n
 
-    elapsed, counts = run_timed_workers(threads, worker, duration)
-    total = sum(counts)
-    conserved = counter.exact_total() == total
-    return total / elapsed, conserved
+def stress_until(queue: MultiQueue, k: int, rng, stop) -> tuple[list, list]:
+    """Thread k's stress loop until `stop.is_set()`, polled once per step:
+    even steps enqueue (k, step), odd steps dequeue. Returns the elements
+    it enqueued and those it dequeued."""
+    produced, consumed = [], []
+    step = 0
+    while not stop.is_set():
+        if step % 2 == 0:
+            item = (k, step)
+            queue.enqueue(item, rng)
+            produced.append(item)
+        else:
+            got = queue.dequeue(rng)
+            if got is not EMPTY:
+                consumed.append(got)
+        step += 1
+    return produced, consumed
+
+
+def unaccounted(queue: MultiQueue, lanes) -> tuple[int, int, int]:
+    """The stress oracle: drains `queue` and returns (lost, extra, drained),
+    the elements that the lanes' (produced, consumed) pairs enqueued but
+    never dequeued or drained, those seen too often, and the drain's size."""
+    leftovers = queue.drain()
+    want = Counter(x for produced, _ in lanes for x in produced)
+    got = Counter(x for _, consumed in lanes for x in consumed) + Counter(leftovers)
+    return sum((want - got).values()), sum((got - want).values()), len(leftovers)
 
 
 def run_counter(cfg: ExperimentConfig) -> int:
@@ -332,13 +354,16 @@ def run_counter(cfg: ExperimentConfig) -> int:
             cells = ratio * threads
             rates = []
             for rep in range(p["repeats"]):
-                rate, conserved = _counter_throughput_once(
-                    threads, cells, p["duration"], p["seed"] + rep)
-                if not conserved:
+                counter = MultiCounter(cells)
+                rngs = [PairStream(g, cells) for g in thread_rngs(p["seed"] + rep, threads)]
+                elapsed, counts = run_timed_workers(
+                    threads, lambda k, stop: increment_until(counter, rngs[k], stop),
+                    p["duration"])
+                if counter.exact_total() != sum(counts):
                     return _fail(outdir, "counter",
                                  f"threads={threads} cells={cells} rep={rep}: "
                                  "cell sum != completed increments")
-                rates.append(rate)
+                rates.append(sum(counts) / elapsed)
             mean = statistics.fmean(rates)
             std = statistics.pstdev(rates)
             rows.append([threads, ratio, cells, mean, std, 1])
@@ -395,38 +420,16 @@ def run_queue(cfg: ExperimentConfig) -> int:
         q = MultiQueue(p["queues"])
         rngs = [PairStream(g, p["queues"]) for g in thread_rngs(p["seed"] + rep, threads)]
 
-        def worker(k: int, stop) -> tuple[list, list]:
-            rng = rngs[k]
-            produced, consumed = [], []
-            step = 0
-            while not stop.is_set():
-                if step % 2 == 0:
-                    item = (k, step)
-                    q.enqueue(item, rng)
-                    produced.append(item)
-                else:
-                    got = q.dequeue(rng)
-                    if got is not EMPTY:
-                        consumed.append(got)
-                step += 1
-            return produced, consumed
-
-        _, lanes = run_timed_workers(threads, worker, p["duration"])
-        leftovers = q.drain()
-        want = Counter(x for produced, _ in lanes for x in produced)
-        got = Counter(x for _, consumed in lanes for x in consumed) + Counter(leftovers)
-        if want != got:
-            missing = want - got
-            extra = got - want
+        _, lanes = run_timed_workers(
+            threads, lambda k, stop: stress_until(q, k, rngs[k], stop), p["duration"])
+        lost, extra, drained = unaccounted(q, lanes)
+        if lost or extra:
             return _fail(outdir, "queue",
-                         f"rep={rep}: lost={sum(missing.values())} "
-                         f"duplicated_or_invented={sum(extra.values())}")
+                         f"rep={rep}: lost={lost} duplicated_or_invented={extra}")
         total_in = sum(len(produced) for produced, _ in lanes)
         dequeued = sum(len(consumed) for _, consumed in lanes)
-        rows.append([threads, p["queues"], p["duration"], total_in,
-                     dequeued, len(leftovers), 1])
-        print(f"queue stress rep={rep}: enq={total_in} deq={dequeued} "
-              f"left={len(leftovers)}")
+        rows.append([threads, p["queues"], p["duration"], total_in, dequeued, drained, 1])
+        print(f"queue stress rep={rep}: enq={total_in} deq={dequeued} left={drained}")
     path = outdir / "queue_stress.csv"
     _write_csv(path, cfg.header_comments(),
                "threads,queues,duration,enqueued,dequeued,drained,consistent", list(zip(*rows)))

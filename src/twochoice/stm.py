@@ -7,7 +7,7 @@ order, validates its read set, stamps the writes with a new version, and
 releases. Any failed check aborts; the caller retries with a fresh begin.
 
 The version source is pluggable: a benchmark run is handed its clock, and
-each worker stamps through the clock's view(rng).
+each worker runs `transact`, stamping through the clock's view(rng).
 
   ExactClock        a LogicalClock, the locked counter that stamps MultiQueue
                     elements; commit stamps are fetch-and-increment results,
@@ -228,17 +228,42 @@ def tx_commit(tx: Transaction, clock) -> str:
 @dataclass(frozen=True)
 class StmBenchResult:
     commits: int
-    aborts: int
     commits_per_sec: float
     aborts_per_commit: float
     consistent: bool
 
 
+def transact(cells: list[VersionedCell], view, draws: PairStream, stop) -> tuple[int, int]:
+    """Begin / increment two cells drawn from `draws` / commit, stamping
+    through `view`, until `stop.is_set()`, polled once per attempt; returns
+    (commits, aborts)."""
+    objects = len(cells)
+    n_commit = n_abort = 0
+    while not stop.is_set():
+        tx = tx_begin(view)
+        try:
+            # one object: j == i, whose second read sees the pending write
+            i = j = draws.integers(0, objects)
+            while objects > 1 and j == i:
+                j = draws.integers(0, objects)
+            vi = tx_read(tx, cells[i])
+            tx_write(tx, cells[i], vi + 1)
+            vj = tx_read(tx, cells[j])
+            tx_write(tx, cells[j], vj + 1)
+        except TxAborted:
+            n_abort += 1
+            continue
+        if tx_commit(tx, view) == COMMITTED:
+            n_commit += 1
+        else:
+            n_abort += 1
+    return n_commit, n_abort
+
+
 def run_stm_benchmark(threads: int, objects: int, duration: float,
                       clock: ExactClock | RelaxedClock, seed: int) -> StmBenchResult:
-    """Spawn workers that each loop begin / increment two random cells /
-    commit, retrying on abort, for `duration` seconds; every worker stamps
-    through its own `clock.view`.
+    """Spawn workers that each run `transact` for `duration` seconds; every
+    worker stamps through its own `clock.view`.
 
     Afterwards the final-state oracle is evaluated: the sum of all cell
     values must equal twice the number of committed transactions, exactly,
@@ -250,38 +275,12 @@ def run_stm_benchmark(threads: int, objects: int, duration: float,
     cells = make_cells(objects)
     rngs = thread_rngs(seed, threads)
 
-    def worker(k: int, stop: threading.Event) -> tuple[int, int]:
-        rng = rngs[k]
-        view = clock.view(rng.spawn(1)[0])
-        draws = PairStream(rng, objects)
-        n_commit = 0
-        n_abort = 0
-        while not stop.is_set():
-            tx = tx_begin(view)
-            try:
-                # one object: j == i, whose second read sees the pending write
-                i = j = draws.integers(0, objects)
-                while objects > 1 and j == i:
-                    j = draws.integers(0, objects)
-                vi = tx_read(tx, cells[i])
-                tx_write(tx, cells[i], vi + 1)
-                vj = tx_read(tx, cells[j])
-                tx_write(tx, cells[j], vj + 1)
-            except TxAborted:
-                n_abort += 1
-                continue
-            if tx_commit(tx, view) == COMMITTED:
-                n_commit += 1
-            else:
-                n_abort += 1
-        return n_commit, n_abort
-
-    elapsed, tallies = run_timed_workers(threads, worker, duration)
+    elapsed, tallies = run_timed_workers(threads, lambda k, stop: transact(
+        cells, clock.view(rngs[k].spawn(1)[0]), PairStream(rngs[k], objects), stop), duration)
     total_commits, total_aborts = map(sum, zip(*tallies))
     final_sum = sum(c.value for c in cells)
     return StmBenchResult(
         commits=total_commits,
-        aborts=total_aborts,
         commits_per_sec=total_commits / elapsed if elapsed > 0 else 0.0,
         aborts_per_commit=total_aborts / total_commits if total_commits else float("inf"),
         consistent=final_sum == 2 * total_commits,

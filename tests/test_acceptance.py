@@ -7,7 +7,6 @@ process itself under a pinned seed) and are asserted exactly alongside the
 stated bounds; identical seeds must reproduce them bit for bit.
 """
 
-import itertools
 import math
 import os
 from contextlib import contextmanager
@@ -17,7 +16,7 @@ import numpy as np
 import pytest
 
 from dlin_reference import INC, HistoryRecord, history, possible_cost_multisets
-from thread_pair import run_pair, switch_interval
+from thread_pair import Budget, run_pair, switch_interval
 from twochoice import cli
 from twochoice.adversary import (
     ADVERSARY_KINDS,
@@ -28,7 +27,6 @@ from twochoice.adversary import (
     SimConfig,
     classify_operations,
     drift_report,
-    generate_schedule,
     simulate,
 )
 from twochoice.balance import one_plus_beta_probabilities, run_sequential
@@ -83,14 +81,8 @@ def test_criterion_01_conservation():
 
         counter = MultiCounter(64)
         per_thread = 25_000
-        rngs = thread_rngs(3, 8)
-
-        def worker(rng):
-            inc = counter.increment
-            for _ in range(per_thread):
-                inc(rng)
-
-        assert run_pair(*(partial(worker, r) for r in rngs)) == []
+        assert run_pair(*(partial(cli.increment_until, counter, r, Budget(per_thread))
+                          for r in thread_rngs(3, 8))) == []
         assert counter.exact_total() == 8 * per_thread
 
 

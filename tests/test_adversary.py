@@ -1,7 +1,7 @@
 import hashlib
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -22,7 +22,6 @@ from twochoice.adversary import (
     SERIAL,
     STAMPEDE,
     UPDATE,
-    ClassificationSummary,
     OpLog,
     Schedule,
     SimConfig,

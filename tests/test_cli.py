@@ -11,15 +11,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from twochoice import stm
 from twochoice.cli import (
     ConfigError,
-    ExperimentConfig,
     SCHEMAS,
     main,
     parse_config,
     read_kv_file,
     run,
+    unaccounted,
 )
+from twochoice.multicounter import MultiCounter
 from twochoice.multiqueue import EMPTY, MultiQueue
 from twochoice.rng import PairStream, make_rng
 from twochoice.timed import run_timed_workers, usable_cpu_count
@@ -441,17 +443,10 @@ def test_timed_workers_stop_at_the_deadline():
 
 
 def test_oracle_failure_exit_path(tmp_path, monkeypatch):
-    # force the stm oracle to trip and check the nonzero exit + dump
-    from twochoice import cli as climod
-    from twochoice.stm import StmBenchResult
-
-    def fake_bench(threads, objects, duration, clock, seed):
-        return StmBenchResult(
-            commits=10, aborts=0, commits_per_sec=100.0,
-            aborts_per_commit=0.0, consistent=False)
-
-    monkeypatch.setattr(climod, "run_stm_benchmark", fake_bench)
-    cfg = _cfg("stm", threads_max=1, objects="8", duration=0.01, repeats=1,
+    # a tx_write that drops its write leaves every write set empty: the
+    # commits count but the cells stay 0, so the stm oracle must trip
+    monkeypatch.setattr(stm, "tx_write", lambda tx, cell, value: None)
+    cfg = _cfg("stm", threads_max=1, objects="8", duration=0.05, repeats=1,
                out=tmp_path / "r")
     assert run(cfg) == 1
     assert (tmp_path / "r" / "stm_diagnostics.txt").exists()
@@ -466,3 +461,22 @@ def test_queue_stress_oracle_failure_exit_path(tmp_path, monkeypatch):
     assert run(cfg) == 1
     detail = (tmp_path / "r" / "queue_diagnostics.txt").read_text()
     assert "lost=0 " not in detail and "duplicated_or_invented=0" in detail
+
+
+def test_counter_oracle_failure_exit_path(tmp_path, monkeypatch):
+    # an increment that names a cell without adding to it must trip the
+    # throughput run's conservation oracle
+    monkeypatch.setattr(MultiCounter, "increment", lambda self, rng: 0)
+    cfg = _cfg("counter", mode="throughput", threads_max=1, cell_ratios="1",
+               duration=0.05, repeats=1, out=tmp_path / "r")
+    assert run(cfg) == 1
+    assert (tmp_path / "r" / "counter_diagnostics.txt").exists()
+
+
+def test_unaccounted_counts_lost_and_duplicated_elements():
+    # the queue still holds "b"; "c" was never seen again and "a" came out twice
+    q = MultiQueue(2)
+    q.enqueue("b", make_rng(0))
+    lanes = [(["a", "b"], ["a"]), (["c"], ["a"])]
+    assert unaccounted(q, lanes) == (1, 1, 1)
+    assert q.live_count() == 0

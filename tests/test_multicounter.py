@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thread_pair import run_pair
+from thread_pair import Budget, run_pair
+from twochoice.cli import increment_until
 from twochoice.multicounter import MultiCounter
 from twochoice.rng import PairStream, make_rng, thread_rngs
 
@@ -181,8 +182,7 @@ def test_monotone_cells_under_concurrency():
 
     def writer(rng):
         try:
-            for _ in range(20_000):
-                c.increment(rng)
+            increment_until(c, rng, Budget(20_000))
         finally:
             done.append(rng)
 
@@ -195,14 +195,8 @@ def test_concurrent_conservation_eight_threads():
     # 8 threads x 1e5 increments each: total is exact
     per_thread = 100_000
     c = MultiCounter(64)
-    rngs = thread_rngs(11, 8)
-
-    def worker(rng):
-        inc = c.increment
-        for _ in range(per_thread):
-            inc(rng)
-
-    assert run_pair(*(partial(worker, r) for r in rngs)) == []
+    assert run_pair(*(partial(increment_until, c, r, Budget(per_thread))
+                      for r in thread_rngs(11, 8))) == []
     assert c.exact_total() == 8 * per_thread
 
 

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dlin_reference import RankOracle
-from thread_pair import run_pair
+from thread_pair import Budget, run_pair
+from twochoice.cli import stress_until, unaccounted
 from twochoice.dlin import DEQ, history_from_serial_queue, linearize_costs
 from twochoice.multicounter import LogicalClock
 from twochoice.multiqueue import EMPTY, MultiQueue
@@ -337,33 +338,22 @@ def test_batches_beside_single_ops_lose_nothing():
     # often.
     q = MultiQueue(3)
     a, b = thread_rngs(23, 2)
-    produced: list[list] = [[], []]
-    consumed: list[list] = [[], []]
+    lanes = [([], []), None]   # (produced, consumed) per thread
 
     def batches():
+        produced, consumed = lanes[0]
         for r in range(3000):
             size = 1025 if r % 500 == 0 else 1 + r % 4
             items = [(0, r, k) for k in range(size)]
             q.enqueue_many(items, a)
-            produced[0] += items
-            consumed[0] += [x for x in q.dequeue_many(a, size) if x is not EMPTY]
+            produced += items
+            consumed += [x for x in q.dequeue_many(a, size) if x is not EMPTY]
 
     def singles():
-        for step in range(20_000):
-            if step % 2 == 0:
-                item = (1, step)
-                q.enqueue(item, b)
-                produced[1].append(item)
-            else:
-                x = q.dequeue(b)
-                if x is not EMPTY:
-                    consumed[1].append(x)
+        lanes[1] = stress_until(q, 1, b, Budget(20_000))
 
     assert run_pair(batches, singles) == []
-    leftovers = q.drain()
-    want = Counter(x for lane in produced for x in lane)
-    got = Counter(x for lane in consumed for x in lane) + Counter(leftovers)
-    assert want == got
+    assert unaccounted(q, lanes)[:2] == (0, 0)
 
 
 def test_rejects_zero_queues():
@@ -457,26 +447,14 @@ def test_two_choice_dequeue_rank_quality_small():
 
 
 def test_mixed_concurrent_integrity():
-    # several threads enqueue and dequeue concurrently; afterwards the
-    # multiset of (dequeued + drained) equals the multiset enqueued
+    # four threads run the CLI's stress loop, 8000 steps each; afterwards
+    # the multiset of (dequeued + drained) equals the multiset enqueued
     q = MultiQueue(8)
     rngs = thread_rngs(21, 4)
-    produced: list[list] = [[] for _ in range(4)]
-    consumed: list[list] = [[] for _ in range(4)]
+    lanes = [None] * 4
 
-    def worker(k, rng):
-        for step in range(8000):
-            if step % 2 == 0:
-                item = (k, step)
-                q.enqueue(item, rng)
-                produced[k].append(item)
-            else:
-                e = q.dequeue(rng)
-                if e is not EMPTY:
-                    consumed[k].append(e)
+    def worker(k):
+        lanes[k] = stress_until(q, k, rngs[k], Budget(8000))
 
-    assert run_pair(*(partial(worker, k, rngs[k]) for k in range(4))) == []
-    leftovers = q.drain()
-    want = Counter(x for lane in produced for x in lane)
-    got = Counter(x for lane in consumed for x in lane) + Counter(leftovers)
-    assert want == got
+    assert run_pair(*(partial(worker, k) for k in range(4))) == []
+    assert unaccounted(q, lanes)[:2] == (0, 0)

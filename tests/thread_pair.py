@@ -2,13 +2,28 @@
 
 `run_pair` runs any number of targets, one thread each, at a 1e-5 s switch
 interval; `switch_interval` sets that interval for the threaded runs a test
-starts some other way (run_stm_benchmark, run_timed_workers).
+starts some other way (run_stm_benchmark, run_timed_workers). A `Budget` is
+the `stop` of a fixed-work run: the loops that the CLI's timed runs run
+until a deadline (cli.increment_until, cli.stress_until, stm.transact)
+take it in its place and run a fixed number of steps.
 """
 
 import sys
 import threading
 from contextlib import contextmanager
 from time import monotonic
+
+
+class Budget:
+    """A stop for one worker: `is_set()` turns true on its (n + 1)-th poll,
+    so a loop that polls once per step takes exactly n steps."""
+
+    def __init__(self, n):
+        self.left = n
+
+    def is_set(self):
+        self.left -= 1
+        return self.left < 0
 
 
 @contextmanager
