@@ -10,9 +10,9 @@ thread t's k-th op takes the k-th pair of t's own stream.
 
 A schedule is the thread of every event in order (`Schedule.event_threads`),
 and a thread runs its ops' read1, read2 and update in turn. `simulate`
-checks it, draws each thread's pairs in one batch, and walks the events a
-chunk at a time in one tight loop that copies at reads and compares and
-increments at updates.
+takes that column, checks it, draws each thread's pairs in one batch, and
+walks the events a chunk at a time in one tight loop that copies at reads
+and compares and increments at updates.
 
 Time is the global count of scheduled shared-memory events, and the
 trajectory has one row per update event. An operation's contention is the
@@ -237,8 +237,9 @@ class SimResult:
     trajectory: Trajectory
 
 
-def simulate(config: SimConfig, schedule: Schedule | None = None) -> SimResult:
-    """Replay a schedule against fresh bins.
+def simulate(config: SimConfig, schedule: np.ndarray | None = None) -> SimResult:
+    """Replay a schedule, given as the integer thread column of its events,
+    against fresh bins; by default the column of `generate_schedule(config)`.
 
     Choices come from per-thread streams derived from config.seed; a fixed
     schedule with a different seed replays the same event order with
@@ -246,17 +247,12 @@ def simulate(config: SimConfig, schedule: Schedule | None = None) -> SimResult:
     trajectory row is recorded per update event.
 
     The replay holds the package's only schedule rules, and a malformed
-    schedule raises `ValueError`: a thread out of range, or a thread whose
-    events are not whole (read1, read2, update) triples, or not `total_ops`
-    of them in all.
+    schedule raises `ValueError`: a thread outside [0, config.threads), or
+    a thread whose events are not whole (read1, read2, update) triples, or
+    not `total_ops` of them in all. Threads that run no op are idle.
     """
-    if schedule is None:
-        schedule = generate_schedule(config)
-    if (schedule.threads, schedule.total_ops) != (config.threads, config.total_ops):
-        raise ValueError("schedule was generated for a different thread count or op budget")
-
     n, m, total, idx = config.threads, config.bins, config.total_ops, _index_type(config.total_ops)
-    thread = schedule.event_threads()
+    thread = generate_schedule(config).event_threads() if schedule is None else schedule
     order, seen, head, phase = _thread_order(thread, n, total)
     # the adversary is oblivious, so thread t's k-th op takes the k-th pair of
     # t's stream's first child, the first of the two run_sequential splits off

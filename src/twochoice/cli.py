@@ -5,7 +5,8 @@ per-key flag overrides; every resolved value records where it came from
 (default, file, or flag) and the full resolved config is embedded as
 comment lines at the top of every CSV the run writes. Output goes to the
 directory named by --out, the TWOCHOICE_OUT environment variable, or
-./results, in that order of defaults.
+./results, in that order of defaults; the comments leave it out, so a
+CSV's bytes do not depend on where it is written.
 
 Timed runs repeat: counter throughput and stm report mean and standard
 deviation, queue stress one row per repeat. Each thread runs a loop
@@ -134,7 +135,7 @@ class ExperimentConfig:
 
     def header_comments(self) -> list[str]:
         lines = [f"experiment = {self.experiment}"]
-        for key in sorted(self.params):
+        for key in sorted(self.params.keys() - {"out"}):
             value = self.params[key]
             if isinstance(value, list):
                 value = ",".join(str(v) for v in value)
@@ -366,11 +367,11 @@ def run_counter(cfg: ExperimentConfig) -> int:
                 rates.append(sum(counts) / elapsed)
             mean = statistics.fmean(rates)
             std = statistics.pstdev(rates)
-            rows.append([threads, ratio, cells, mean, std, 1])
+            rows.append([threads, ratio, cells, mean, std])
             print(f"counter threads={threads} ratio={ratio}: {mean:,.0f} ops/s")
     path = outdir / "counter_throughput.csv"
     _write_csv(path, cfg.header_comments(),
-               "threads,ratio,cells,ops_per_sec_mean,ops_per_sec_std,conserved", list(zip(*rows)))
+               "threads,ratio,cells,ops_per_sec_mean,ops_per_sec_std", list(zip(*rows)))
     return 0
 
 
@@ -428,11 +429,11 @@ def run_queue(cfg: ExperimentConfig) -> int:
                          f"rep={rep}: lost={lost} duplicated_or_invented={extra}")
         total_in = sum(len(produced) for produced, _ in lanes)
         dequeued = sum(len(consumed) for _, consumed in lanes)
-        rows.append([threads, p["queues"], p["duration"], total_in, dequeued, drained, 1])
+        rows.append([threads, p["queues"], p["duration"], total_in, dequeued, drained])
         print(f"queue stress rep={rep}: enq={total_in} deq={dequeued} left={drained}")
     path = outdir / "queue_stress.csv"
     _write_csv(path, cfg.header_comments(),
-               "threads,queues,duration,enqueued,dequeued,drained,consistent", list(zip(*rows)))
+               "threads,queues,duration,enqueued,dequeued,drained", list(zip(*rows)))
     return 0
 
 
@@ -459,20 +460,20 @@ def run_stm(cfg: ExperimentConfig) -> int:
                             f"rep={rep}: cell sum != 2 * commits "
                             f"(commits={res.commits})")
                     rows.append([threads, objects, kind, clock.delta, res.commits_per_sec,
-                                 res.aborts_per_commit, 1])
+                                 res.aborts_per_commit])
                     rates.append(res.commits_per_sec)
                     abort_rates.append(res.aborts_per_commit)
                 rate, abort_rate = statistics.fmean(rates), statistics.fmean(abort_rates)
                 summary_rows.append([threads, objects, kind, clock.delta, rate,
-                                     statistics.pstdev(rates), abort_rate, 1])
+                                     statistics.pstdev(rates), abort_rate])
                 print(f"stm objects={objects} threads={threads} clock={kind}: "
                       f"{rate:,.0f} commits/s aborts/commit={abort_rate:.3f}")
         _write_csv(outdir / f"stm_objects{objects}.csv", cfg.header_comments(),
-                   "threads,objects,clock,delta,commits_per_sec,aborts_per_commit,consistent",
+                   "threads,objects,clock,delta,commits_per_sec,aborts_per_commit",
                    list(zip(*rows)))
     _write_csv(outdir / "stm_summary.csv", cfg.header_comments(),
                "threads,objects,clock,delta,commits_per_sec_mean,"
-               "commits_per_sec_std,aborts_per_commit_mean,consistent",
+               "commits_per_sec_std,aborts_per_commit_mean",
                list(zip(*summary_rows)))
     return 0
 

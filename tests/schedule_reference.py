@@ -1,12 +1,14 @@
 """The schedule generators as they were before schedules were built as
 numpy columns: one (thread, op, phase) event at a time, with each rule
 spelled out where it applies. Slow, but simple, so tests use them as the
-oracle that `Schedule.events()` must match event for event.
+oracle that `Schedule.event_threads()` must match event for event, read
+through `events_of`.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from typing import Callable, Iterator
 
 from twochoice.adversary import (
@@ -20,6 +22,19 @@ from twochoice.adversary import (
     Schedule,
 )
 from twochoice.rng import schedule_rng
+
+
+def events_of(column) -> Iterator[tuple[int, int, int]]:
+    """The (thread, op, phase) events of a thread column, in order: each
+    thread steps through read1, read2 and update in turn, and ops are
+    numbered in read1 order."""
+    seen, op, started = Counter(), {}, 0
+    for t in map(int, column):
+        phase = seen[t] % 3
+        seen[t] += 1
+        if phase == READ1:
+            op[t], started = started, started + 1
+        yield t, op[t], phase
 
 
 def events_reference(schedule: Schedule) -> Iterator[tuple[int, int, int]]:

@@ -2,6 +2,8 @@
 buffer: every event walks all pending ops and adds to two Python sets per
 op. Slow, but each rule is spelled out where it applies, so tests use it as
 the oracle that `twochoice.adversary.simulate` must match column for column.
+It replays the same thread column, one (thread, op, phase) event at a time
+(`schedule_reference.events_of`).
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from twochoice.adversary import (
     READ1,
     READ2,
     OpLog,
-    Schedule,
     SimConfig,
     SimResult,
     generate_schedule,
@@ -22,24 +23,19 @@ from twochoice.balance import potential_exponent
 from twochoice.rng import PairStream, thread_rngs
 
 from potential_reference import LoadState, trajectory_from_rows
+from schedule_reference import events_of
 
 
-def simulate_reference(config: SimConfig, schedule: Schedule | None = None,
-                       exponent: float | None = None) -> SimResult:
-    """Replay a schedule against fresh bins, tracking per pending op the set
-    of other ops seen and the set of bins they touched."""
+def simulate_reference(config: SimConfig, schedule: np.ndarray | None = None) -> SimResult:
+    """Replay a thread column (by default the config's schedule) against
+    fresh bins, tracking per pending op the set of other ops seen and the
+    set of bins they touched."""
     if schedule is None:
-        schedule = generate_schedule(config)
-    if schedule.threads != config.threads:
-        raise ValueError("schedule was generated for a different thread count")
-    if schedule.total_ops != config.total_ops:
-        raise ValueError("schedule was generated for a different op budget")
+        schedule = generate_schedule(config).event_threads()
 
     n = config.threads
     m = config.bins
-    if exponent is None:
-        exponent = potential_exponent(GOOD_MARGIN)
-    state = LoadState(m, exponent)
+    state = LoadState(m, potential_exponent(GOOD_MARGIN))
     weights = state.weights
 
     pair_streams = []
@@ -64,12 +60,10 @@ def simulate_reference(config: SimConfig, schedule: Schedule | None = None,
     # per-thread pending op state: [op, start, i, j, vi, vj, seen, touched]
     pend: list[list | None] = [None] * n
     done = 0
-    event_idx = -1
 
-    for t, op, phase in schedule.events():
-        event_idx += 1
+    for event_idx, (t, op, phase) in enumerate(events_of(schedule)):
         if phase == READ1:
-            i, j = pair_streams[t].next_pair()
+            i, j = pair_streams[t].integers(0, m), pair_streams[t].integers(0, m)
             cur = [op, event_idx, i, j, weights[i], 0.0, set(), set()]
             pend[t] = cur
             # this op's read touches bin i; note it for other pending ops
@@ -80,8 +74,6 @@ def simulate_reference(config: SimConfig, schedule: Schedule | None = None,
                     other[7].add(i)
         elif phase == READ2:
             cur = pend[t]
-            if cur is None or cur[0] != op:
-                raise ValueError(f"schedule event {event_idx}: read2 without read1")
             j = cur[3]
             cur[5] = weights[j]
             for u in range(n):
@@ -91,8 +83,6 @@ def simulate_reference(config: SimConfig, schedule: Schedule | None = None,
                     other[7].add(j)
         else:  # UPDATE
             cur = pend[t]
-            if cur is None or cur[0] != op:
-                raise ValueError(f"schedule event {event_idx}: update without reads")
             pend[t] = None
             _, start, i, j, vi, vj, seen, touched = cur
             # stale comparison; ties (including i == j) to the lower index

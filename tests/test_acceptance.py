@@ -23,7 +23,6 @@ from twochoice.adversary import (
     BLOCK_RESET,
     SERIAL,
     STAMPEDE,
-    Schedule,
     SimConfig,
     classify_operations,
     drift_report,
@@ -151,12 +150,10 @@ def test_criterion_05_consops_property():
                         seed = int(rng.integers(0, 2**32))
                         block = (int(rng.integers(1, n + 1))
                                  if kind == STAMPEDE else None)
-                        sched = Schedule(kind=kind, threads=n, total_ops=ops,
-                                         seed=seed, block_size=block)
                         cfg = SimConfig(bins=16, threads=n, ratio=ratio,
                                         total_ops=ops, adversary=kind,
                                         block_size=block, seed=seed)
-                        res = simulate(cfg, schedule=sched)
+                        res = simulate(cfg)
                         cont = res.log.contention
                         for lo in range(0, ops, window):
                             bad = int((cont[lo:lo + window] > window).sum())

@@ -131,15 +131,14 @@ def test_seq_run_writes_self_describing_csv(tmp_path):
     _assert_lf_only(tmp_path / "r")
 
 
-def test_seq_run_reproducible_bytes(tmp_path):
-    a = _cfg("seq", bins=8, steps=400, seeds="5", out=tmp_path / "a")
-    b = _cfg("seq", bins=8, steps=400, seeds="5", out=tmp_path / "b")
-    assert run(a) == 0 and run(b) == 0
-    fa = (tmp_path / "a" / "seq_b1_seed5.csv").read_bytes()
-    fb = (tmp_path / "b" / "seq_b1_seed5.csv").read_bytes()
-    # the out= line differs; compare everything after the comment block
-    strip = lambda blob: blob.split(b"step,", 1)[1]
-    assert strip(fa) == strip(fb)
+def test_seq_run_reproducible_bytes(tmp_path, monkeypatch):
+    # one config written through --out and through TWOCHOICE_OUT, into
+    # directories of different names: the files are the same, comments too
+    assert run(_cfg("seq", bins=8, steps=400, seeds="5", out=tmp_path / "a")) == 0
+    monkeypatch.setenv("TWOCHOICE_OUT", str(tmp_path / "elsewhere"))
+    assert run(_cfg("seq", bins=8, steps=400, seeds="5")) == 0
+    assert ((tmp_path / "a" / "seq_b1_seed5.csv").read_bytes()
+            == (tmp_path / "elsewhere" / "seq_b1_seed5.csv").read_bytes())
 
 
 def test_sim_run_writes_all_artifacts(tmp_path):
@@ -199,7 +198,7 @@ def test_counter_throughput_run(tmp_path):
     assert run(cfg) == 0
     lines = (tmp_path / "r" / "counter_throughput.csv").read_text().splitlines()
     header = next(l for l in lines if not l.startswith("#"))
-    assert header == "threads,ratio,cells,ops_per_sec_mean,ops_per_sec_std,conserved"
+    assert header == "threads,ratio,cells,ops_per_sec_mean,ops_per_sec_std"
     data = [l for l in lines if not l.startswith("#")][1:]
     assert len(data) == 2
     _assert_lf_only(tmp_path / "r")
@@ -264,7 +263,7 @@ def test_queue_stress_run(tmp_path):
     assert run(cfg) == 0
     lines = (tmp_path / "r" / "queue_stress.csv").read_text().splitlines()
     header = next(l for l in lines if not l.startswith("#"))
-    assert header == "threads,queues,duration,enqueued,dequeued,drained,consistent"
+    assert header == "threads,queues,duration,enqueued,dequeued,drained"
     _assert_lf_only(tmp_path / "r")
 
 
@@ -274,7 +273,7 @@ def test_stm_run(tmp_path):
     assert run(cfg) == 0
     per_run = (tmp_path / "r" / "stm_objects256.csv").read_text().splitlines()
     header = next(l for l in per_run if not l.startswith("#"))
-    assert header == "threads,objects,clock,delta,commits_per_sec,aborts_per_commit,consistent"
+    assert header == "threads,objects,clock,delta,commits_per_sec,aborts_per_commit"
     data = [l for l in per_run if not l.startswith("#")][1:]
     assert len(data) == 2 * 2 * 2  # threads x clocks x repeats
     assert (tmp_path / "r" / "stm_summary.csv").exists()

@@ -9,8 +9,8 @@ whole in one chunk and not in the next, and the Python sequences that CLI
 runs pass.
 
 `test_cli_csv_bytes_are_pinned` hashes every CSV that a set of CLI runs
-writes, at the benchmark's shapes, without the `# out =` comment line (the
-output directory differs per run). The digests were taken from the
+writes, at the benchmark's shapes, whole: the comment block leaves out the
+output directory, which differs per run. The digests were taken from the
 `str()`-per-cell writer that `tests/csv_reference.py` keeps, so any
 formatting change fails here even where the numeric digests in
 `perfbench/expected.json` (which parse the values back) would pass, such
@@ -122,12 +122,8 @@ PINNED_STDOUT = {
 
 
 def _digests(outdir):
-    out = {}
-    for path in sorted(outdir.glob("*.csv")):
-        lines = path.read_bytes().splitlines(keepends=True)
-        kept = b"".join(line for line in lines if not line.startswith(b"# out = "))
-        out[path.name] = hashlib.sha256(kept).hexdigest()
-    return out
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(outdir.glob("*.csv"))}
 
 
 @pytest.mark.parametrize("name", RUNS)

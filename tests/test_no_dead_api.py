@@ -69,7 +69,7 @@ def test_every_public_name_has_a_caller():
 
 # defaulted parameters that only tests set: a seam that swaps in a schedule
 ALLOWED_DEFAULTS = {
-    "simulate(schedule=)",                # tests replay hand-built schedules
+    "simulate(schedule=)",                # tests replay hand-built thread columns
 }
 
 

@@ -2,6 +2,7 @@
 the scalar Generator draws they stand in for."""
 
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -48,19 +49,16 @@ def test_buffered_integers_match_scalar_draws(seed, bins, k):
 @example(seed=7, bins=64, k=EDGES[0] // 2 + 1)
 @example(seed=7, bins=2**33 + 5, k=EDGES[3] // 2 + 1)
 def test_buffered_pairs_match_scalar_draws(seed, bins, k):
-    stream = PairStream(make_rng(seed), bins)
-    scalar = make_rng(seed)
-    assert ([stream.next_pair() for _ in range(k)]
-            == [(int(scalar.integers(0, bins)), int(scalar.integers(0, bins)))
-                for _ in range(k)])
-    # pairs and single indices mix in one stream: after a single index,
-    # pair 512 r - 1 straddles the r-th refill
-    stream = PairStream(make_rng(seed), bins)
-    scalar = make_rng(seed)
-    mixed = [stream.integers(0, bins), *(stream.next_pair() for _ in range(k)),
-             stream.integers(0, bins)]
-    draws = [int(scalar.integers(0, bins)) for _ in range(2 * k + 2)]
-    assert mixed == [draws[0], *zip(draws[1:-1:2], draws[2::2]), draws[-1]]
+    # a pair is two calls, so pairs and single indices mix in one stream:
+    # after a single index, pair 512 r - 1 straddles the r-th refill
+    def calls(draw, single):
+        ends = lambda: [draw() for _ in range(single)]
+        return ends() + [(draw(), draw()) for _ in range(k)] + ends()
+
+    for single in (0, 1):
+        stream, scalar = PairStream(make_rng(seed), bins), make_rng(seed)
+        assert (calls(partial(stream.integers, 0, bins), single)
+                == calls(lambda: int(scalar.integers(0, bins)), single))
 
 
 @pytest.mark.parametrize("seed", [0, 3, 2**40 + 7])
@@ -74,13 +72,13 @@ def test_spawn_leaves_later_draws_unchanged(seed):
 
 def test_many_short_streams_stay_small():
     # a stream prefetches one fixed block: 64 streams that each draw one
-    # pair stay well under a megabyte
+    # index stay well under a megabyte
     gens = thread_rngs(3, 64)
     tracemalloc.start()
     try:
         streams = [PairStream(g, 256) for g in gens]
         for s in streams:
-            s.next_pair()
+            s.integers(0, 256)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
